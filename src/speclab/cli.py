@@ -299,7 +299,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise UsageError("analyze needs at least two report files")
     named = []
     for path in args.reports:
-        named.append((Path(path).stem, bench_mod.load_report(path)))
+        stem = Path(path).stem
+        if any(name == stem for name, _ in named):
+            raise UsageError(f"two reports share the name {stem!r}; rename one of them")
+        named.append((stem, bench_mod.load_report(path)))
     baseline = args.baseline
     if baseline is None:
         baseline = named[0][0]

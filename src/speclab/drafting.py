@@ -24,7 +24,6 @@ from .models import (
     Vocabulary,
     greedy_token,
     next_distribution,
-    sample_token,
 )
 
 
@@ -109,6 +108,13 @@ def propose(
     the target-independent path carries zero residue of any target. No drafted
     token ever appears in a context, which is what makes the K positions
     independently computable.
+
+    Every position k >= d sees the same all-mask context, so only the first
+    min(K, d + 1) distributions are looked up and the last one is reused.
+    Greedy mode takes one argmax per distinct distribution. Sample mode draws
+    all K uniforms with one ``rng.random(K)`` call, the same stream as K
+    single draws, and inverts the K CDFs at once exactly as
+    :func:`~speclab.models.sample_token` inverts one.
     """
     if draft_len < 1:
         raise ValueError(f"draft_len must be >= 1, got {draft_len}")
@@ -127,13 +133,21 @@ def propose(
             raise ValueError(f"feature symbol out of range: {feature.symbol}")
         base = base + (feature.symbol,)
 
-    tokens: list[Token] = []
-    dists: list[np.ndarray] = []
-    for k in range(draft_len):
-        dist = next_distribution(drafter, base + (vocab.mask_id,) * k)
-        tokens.append(greedy_token(dist) if mode == GREEDY else sample_token(dist, rng))
-        dists.append(dist)
-    return DraftProposal(tokens=tuple(tokens), dists=tuple(dists), feature_used=feature)
+    distinct = [
+        next_distribution(drafter, base + (vocab.mask_id,) * k)
+        for k in range(min(draft_len, drafter.order + 1))
+    ]
+    repeats = draft_len - len(distinct)
+    dists = tuple(distinct) + (distinct[-1],) * repeats
+    if mode == GREEDY:
+        tops = [greedy_token(dist) for dist in distinct]
+        tokens = tuple(tops) + (tops[-1],) * repeats
+    else:
+        cdf = np.cumsum(np.stack(dists), axis=1)
+        # Row-wise searchsorted(side="right"): count the entries <= the draw.
+        u = rng.random(draft_len) * cdf[:, -1]
+        tokens = tuple((cdf <= u[:, None]).sum(axis=1).tolist())
+    return DraftProposal(tokens=tokens, dists=dists, feature_used=feature)
 
 
 def has_feature_contexts(model: TabularModel) -> bool:

@@ -86,7 +86,8 @@ class Vocabulary:
 def as_distribution(probs: Iterable[float], vocab_size: int) -> np.ndarray:
     """Validate a probability vector and return it as a frozen float64 array.
 
-    Entries must be nonnegative and sum to one within ``PROB_SUM_TOL``.
+    Entries must be nonnegative and sum to one within ``PROB_SUM_TOL``. The
+    sum test is written so that a NaN entry (whose sum is NaN) fails it.
     """
     arr = np.array(probs, dtype=np.float64)
     if arr.shape != (vocab_size,):
@@ -94,7 +95,7 @@ def as_distribution(probs: Iterable[float], vocab_size: int) -> np.ndarray:
     if np.any(arr < 0.0):
         raise ValueError("distribution has a negative entry")
     total = float(arr.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
         raise ValueError(f"distribution sums to {total!r}, expected 1 within {PROB_SUM_TOL}")
     arr.setflags(write=False)
     return arr
@@ -140,13 +141,16 @@ def next_distribution(model: TabularModel, context: Sequence[Symbol]) -> np.ndar
     """Conditional next-token distribution for the order-d suffix of ``context``.
 
     Short contexts are left-padded; unseen contexts return the fallback, so
-    lookup is total. Raises ValueError for symbol ids outside the model's
-    symbol space.
+    lookup is total. Only the padded order-d key is read, and only the key is
+    range-checked: a symbol id in it outside the model's symbol space raises
+    ValueError, while symbols before the last d are never looked at. The
+    cost is O(d), whatever the length of ``context``.
     """
-    for s in context:
-        if not 0 <= int(s) < model.vocab.num_symbols:
-            raise ValueError(f"context symbol out of range: {s}")
     key = padded_suffix(context, model.order, model.vocab.pad_id)
+    num_symbols = model.vocab.num_symbols
+    for s in key:
+        if not 0 <= s < num_symbols:
+            raise ValueError(f"context symbol out of range: {s}")
     return model.table.get(key, model.fallback)
 
 
@@ -154,11 +158,12 @@ def sample_token(dist: np.ndarray, rng: RNG) -> Token:
     """Draw one token by inverse CDF over token ids.
 
     Cumulative sums run in token-id order, so draws are bit-reproducible for
-    a given seed and never land on zero-probability tokens.
+    a given seed. The uniform draw is scaled by the CDF's own total, which
+    keeps it below the last cumulative sum even when rounding leaves that
+    sum under one, so a draw never lands on a zero-probability token.
     """
     cdf = np.cumsum(dist)
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(idx, len(dist) - 1)
+    return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
 
 
 def greedy_token(dist: np.ndarray) -> Token:

@@ -325,6 +325,12 @@ def decode_loop(
     losslessness), greedy verification with greedy drafts. The returned token
     list is truncated to ``max_tokens``; the trace keeps the untruncated
     counts, so the loop overshoots by at most ``draft_len`` tokens.
+
+    The whole prompt is checked once, here. After that the loop carries only
+    the last max(target order, drafter order) committed tokens, which is all
+    any lookup reads, and hands that window to the feature, proposal and
+    verification steps, so a round costs the same however long the output
+    grows.
     """
     if len(prompt) == 0:
         raise ValueError("prompt must be nonempty")
@@ -336,22 +342,26 @@ def decode_loop(
         raise ValueError("target and drafter must share a vocabulary size")
     if verify == STOCHASTIC and rng is None:
         raise ValueError("stochastic verification requires an rng")
+    for t in prompt:
+        if not target.vocab.is_real(int(t)):
+            raise ValueError(f"prompt must contain only real tokens, got {t}")
 
     draw_mode = SAMPLE if verify == STOCHASTIC else GREEDY
-    seq = [int(t) for t in prompt]
+    width = max(target.order, drafter.order)
+    window = [int(t) for t in prompt[-width:]]
     generated: list[Token] = []
     trace = DecodeTrace(draft_len=draft_len)
     while len(generated) < max_tokens:
         if mode == DEPENDENT:
-            feature = compute_feature(target, seq)
+            feature = compute_feature(target, window)
         else:
             feature = no_feature(drafter.vocab)
-        proposal = propose(drafter, seq, draft_len, feature, mode=draw_mode, rng=rng)
+        proposal = propose(drafter, window, draft_len, feature, mode=draw_mode, rng=rng)
         if verify == STOCHASTIC:
-            outcome = verify_stochastic(target, seq, proposal, rng)
+            outcome = verify_stochastic(target, window, proposal, rng)
         else:
-            outcome = verify_greedy(target, seq, proposal)
+            outcome = verify_greedy(target, window, proposal)
         trace.record(outcome)
-        seq.extend(outcome.committed)
+        window = (window + list(outcome.committed))[-width:]
         generated.extend(outcome.committed)
     return generated[:max_tokens], trace

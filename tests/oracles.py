@@ -14,11 +14,22 @@ from collections import defaultdict
 
 import numpy as np
 
+from speclab.drafting import DraftProposal, compute_feature, no_feature
 from speclab.models import (
+    GREEDY,
+    SAMPLE,
     TabularModel,
     Vocabulary,
     greedy_token,
     next_distribution,
+    sample_token,
+)
+from speclab.verification import (
+    DEPENDENT,
+    STOCHASTIC,
+    DecodeTrace,
+    verify_greedy,
+    verify_stochastic,
 )
 
 
@@ -133,6 +144,52 @@ def random_order1_model(vocab_size: int, rng: np.random.Generator) -> TabularMod
     symbols = list(range(vocab_size)) + [vocab.mask_id, vocab.pad_id]
     table = {(s,): rng.dirichlet(alpha) for s in symbols}
     return TabularModel(order=1, vocab=vocab, table=table, fallback=rng.dirichlet(alpha))
+
+
+# --- full-prefix reference decode loop ---------------------------------------
+
+
+def propose_per_position(drafter, prefix, draft_len, feature, mode, rng) -> DraftProposal:
+    """Reference drafter pass: one lookup and one draw per position, in order.
+
+    Position k is looked up on the whole prefix plus the feature slot and k
+    masks, and sampled with its own ``sample_token`` call.
+    """
+    vocab = drafter.vocab
+    base = tuple(int(t) for t in prefix)
+    if feature.symbol != vocab.none_feature_id:
+        base = base + (feature.symbol,)
+    tokens, dists = [], []
+    for k in range(draft_len):
+        dist = next_distribution(drafter, base + (vocab.mask_id,) * k)
+        tokens.append(greedy_token(dist) if mode == GREEDY else sample_token(dist, rng))
+        dists.append(dist)
+    return DraftProposal(tokens=tuple(tokens), dists=tuple(dists), feature_used=feature)
+
+
+def decode_loop_full_prefix(
+    target, drafter, prompt, max_tokens, draft_len, mode, verify, rng=None
+) -> tuple[list[int], DecodeTrace]:
+    """Reference draft/verify loop that hands the whole committed prefix to
+    every feature, proposal and verification step."""
+    draw_mode = SAMPLE if verify == STOCHASTIC else GREEDY
+    seq = [int(t) for t in prompt]
+    generated: list[int] = []
+    trace = DecodeTrace(draft_len=draft_len)
+    while len(generated) < max_tokens:
+        if mode == DEPENDENT:
+            feature = compute_feature(target, seq)
+        else:
+            feature = no_feature(drafter.vocab)
+        proposal = propose_per_position(drafter, seq, draft_len, feature, draw_mode, rng)
+        if verify == STOCHASTIC:
+            outcome = verify_stochastic(target, seq, proposal, rng)
+        else:
+            outcome = verify_greedy(target, seq, proposal)
+        trace.record(outcome)
+        seq.extend(outcome.committed)
+        generated.extend(outcome.committed)
+    return generated[:max_tokens], trace
 
 
 # --- perfect-drafter constructions ------------------------------------------
@@ -297,6 +354,19 @@ def pgd_minimize_context(
         if not improved:
             break
     return q, f
+
+
+# --- stand-in rng ------------------------------------------------------------
+
+
+class FixedUniform:
+    """Stand-in rng whose uniform draws all equal ``u``."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
 
 
 # --- Monte Carlo oracles -----------------------------------------------------

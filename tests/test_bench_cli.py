@@ -249,6 +249,29 @@ class TestCLI:
         rep = self._bench(tmp_path, target, drafter, "rep.json", "--prompt-file", str(prompts))
         assert json.loads(rep.read_text())["config"]["num_prompts"] == 2
 
+    def test_bench_prompt_file_token_out_of_range_exit_3(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("8 1 2 3 4 5 6 7 0 1 2 3\n")  # 8 is not a token when V = 8
+        out = tmp_path / "rep.json"
+        code = main(["bench", "--target", str(target), "--drafter", str(drafter),
+                     "--out", str(out), "--K", "4", "--prompt-file", str(prompts)])
+        assert code == 3
+        assert "real tokens" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_analyze_rejects_reports_with_the_same_name(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        r1 = self._bench(tmp_path, target, drafter, "a/report.json")
+        r2 = self._bench(tmp_path, target, drafter, "b/report.json")
+        capsys.readouterr()
+        assert main(["analyze", str(r1), str(r2)]) == 1
+        assert "'report'" in capsys.readouterr().err
+
     def test_analyze_deltas_and_output(self, tmp_path, capsys):
         target = self._gen(tmp_path)
         drafter = self._train(tmp_path, target, "d.ngm")

@@ -13,7 +13,8 @@ from speclab.drafting import (
     no_feature,
     propose,
 )
-from speclab.models import TabularModel, Vocabulary
+import oracles
+from speclab.models import TabularModel, Vocabulary, as_distribution
 
 
 def _marked_drafter():
@@ -138,6 +139,38 @@ class TestPropose:
             prop = propose(drafter, [0, 1], 3, no_feature(drafter.vocab), mode="sample", rng=rng)
             for tok, dist in zip(prop.tokens, prop.dists):
                 assert dist[tok] > 0.0
+
+    def test_batched_draws_match_one_draw_per_position(self):
+        drafter = _marked_drafter()
+        feature = feature_of(drafter.vocab, 3)
+        rngs = [lambda s=s: np.random.default_rng(s) for s in range(20)]
+        # Draws that land exactly on a CDF step, where side="right" matters.
+        rngs += [lambda u=u: oracles.FixedUniform(u) for u in (0.0, 0.5)]
+        for make_rng in rngs:
+            for prefix in ([2, 0, 1], [1]):
+                a = propose(drafter, prefix, 5, feature, mode="sample", rng=make_rng())
+                b = oracles.propose_per_position(drafter, prefix, 5, feature, "sample",
+                                                 make_rng())
+                assert a.tokens == b.tokens
+                for da, db in zip(a.dists, b.dists):
+                    np.testing.assert_array_equal(da, db)
+
+    def test_all_mask_positions_share_one_lookup(self):
+        # K=6, d=2: positions 2..5 all see (m, m) and reuse its one row.
+        drafter = _marked_drafter()
+        prop = propose(drafter, [0, 1], 6, no_feature(drafter.vocab))
+        assert prop.tokens == (0, 1, 2, 2, 2, 2)
+        assert all(dist is prop.dists[2] for dist in prop.dists[2:])
+
+    def test_batched_draws_skip_zero_probability_tail(self):
+        # Every row tops out just below 1; a draw above that must not land on
+        # the zero-probability last token.
+        vocab = Vocabulary(3)
+        shortfall = as_distribution([0.3, 0.7 - 1e-12, 0.0], 3)
+        drafter = TabularModel(order=1, vocab=vocab, table={}, fallback=shortfall)
+        prop = propose(drafter, [0], 4, no_feature(vocab), mode="sample",
+                       rng=oracles.FixedUniform(0.9999999999999))
+        assert prop.tokens == (1, 1, 1, 1)
 
     def test_zero_draft_len_rejected(self):
         drafter = _marked_drafter()

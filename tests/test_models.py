@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from speclab.models import (
     TabularModel,
     Vocabulary,
@@ -57,6 +58,10 @@ class TestDistributionValidation:
         with pytest.raises(ValueError, match="shape"):
             as_distribution([0.5, 0.5], 3)
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValueError, match="sums to"):
+            as_distribution([float("nan"), 0.5], 2)
+
     def test_result_is_frozen(self):
         arr = as_distribution([0.25, 0.75], 2)
         with pytest.raises(ValueError):
@@ -101,6 +106,11 @@ class TestNextDistribution:
         with pytest.raises(ValueError, match="out of range"):
             next_distribution(model, [0, 99])
 
+    def test_only_the_order_d_key_is_read(self):
+        # Symbols before the last d never enter the key, so they are not checked.
+        model = _tiny_model()
+        np.testing.assert_array_equal(next_distribution(model, [99, 0, 1]), [0.5, 0.3, 0.2])
+
     def test_bad_context_length_in_table_rejected(self):
         vocab = Vocabulary(2)
         with pytest.raises(ValueError, match="order"):
@@ -133,6 +143,12 @@ class TestSampleToken:
         dist = as_distribution([0.5, 0.0, 0.5], 3)
         rng = np.random.default_rng(11)
         assert all(sample_token(dist, rng) != 1 for _ in range(2000))
+
+    def test_rounding_shortfall_never_picks_zero_probability_token(self):
+        # The CDF tops out just below 1; a draw above it must still land on
+        # the last token with mass, not on the zero-probability tail.
+        dist = as_distribution([0.3, 0.7 - 1e-12, 0.0], 3)
+        assert sample_token(dist, oracles.FixedUniform(0.9999999999999)) == 1
 
 
 class TestGreedyToken:
@@ -299,6 +315,7 @@ class TestSerialization:
             "ngram v=x d=2\n*\t0.5 0.5\n",
             "ngram v=2 d=1\n0\t0.5 0.5\n",  # missing fallback
             "ngram v=2 d=1\n*\t0.9 0.3\n",  # bad sum
+            "ngram v=2 d=1\n*\t0.5 0.5\n0\tnan 0.5\n",  # NaN row
         ],
     )
     def test_malformed_files_rejected(self, tmp_path, content):

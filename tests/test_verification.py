@@ -1,5 +1,7 @@
 """Tests for acceptance math, both verifiers, traces, and the decode loop."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from speclab.models import (
     make_synthetic_target,
 )
 from speclab.verification import (
+    MODES,
+    VERIFIERS,
     DecodeTrace,
     accept_prob,
     decode_loop,
@@ -310,9 +314,74 @@ class TestDecodeLoop:
         with pytest.raises(ValueError, match="vocabulary"):
             decode_loop(target, other, [0], 10, 2, mode="independent", verify="greedy")
 
+    def test_non_real_prompt_token_rejected_at_entry(self):
+        # The bad token lies far outside the last max(d_target, d_drafter)
+        # tokens the loop carries, so only the entry check can see it.
+        target, drafter = _order1_pair(24)
+        prompt = [target.vocab.mask_id] + [0] * 8
+        with pytest.raises(ValueError, match="real tokens"):
+            decode_loop(target, drafter, prompt, 5, 2, mode="independent", verify="greedy")
+
     def test_bad_mode_and_verifier_rejected(self):
         target, drafter = _order1_pair(23)
         with pytest.raises(ValueError, match="mode"):
             decode_loop(target, drafter, [0], 5, 2, mode="dual", verify="greedy")
         with pytest.raises(ValueError, match="verify"):
             decode_loop(target, drafter, [0], 5, 2, mode="independent", verify="exact")
+
+
+def _random_sparse_model(rng, vocab_size, order):
+    """Model over every symbol of the vocabulary: about 70% of the order-d
+    contexts stored, every row (fallback included) with some zero entries."""
+    vocab = Vocabulary(vocab_size)
+
+    def row():
+        p = rng.dirichlet(np.ones(vocab_size))
+        p[rng.random(vocab_size) < 0.3] = 0.0
+        if p.sum() == 0.0:
+            p[rng.integers(vocab_size)] = 1.0
+        return p / p.sum()
+
+    table = {
+        ctx: row()
+        for ctx in itertools.product(range(vocab.num_symbols), repeat=order)
+        if rng.random() < 0.7
+    }
+    return TabularModel(order=order, vocab=vocab, table=table, fallback=row())
+
+
+class TestDecodeLoopMatchesFullPrefixOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.sampled_from([2, 3]),
+        target_order=st.integers(1, 3),
+        drafter_order=st.integers(1, 3),
+        draft_len=st.sampled_from(["1", "d", "d+1", "16"]),
+        prompt_len=st.sampled_from(["shorter than d", "d", "longer than the window"]),
+        mode=st.sampled_from(MODES),
+        verify=st.sampled_from(VERIFIERS),
+        max_tokens=st.integers(1, 40),
+    )
+    def test_same_tokens_and_trace(
+        self, seed, vocab_size, target_order, drafter_order, draft_len, prompt_len,
+        mode, verify, max_tokens,
+    ):
+        rng = np.random.default_rng(seed)
+        target = _random_sparse_model(rng, vocab_size, target_order)
+        drafter = _random_sparse_model(rng, vocab_size, drafter_order)
+        d = drafter_order
+        k = {"1": 1, "d": d, "d+1": d + 1, "16": 16}[draft_len]
+        window = max(target_order, drafter_order)
+        n = {"shorter than d": max(1, d - 1), "d": d,
+             "longer than the window": window + k + 2}[prompt_len]
+        prompt = rng.integers(0, vocab_size, size=n).tolist()
+
+        got = decode_loop(target, drafter, prompt, max_tokens, k, mode=mode, verify=verify,
+                          rng=np.random.default_rng([seed, 1]))
+        want = oracles.decode_loop_full_prefix(
+            target, drafter, prompt, max_tokens, k, mode=mode, verify=verify,
+            rng=np.random.default_rng([seed, 1]))
+        assert got[0] == want[0]
+        assert got[1].accepted_per_step == want[1].accepted_per_step
+        assert got[1].to_json_dict() == want[1].to_json_dict()
