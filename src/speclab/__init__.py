@@ -26,12 +26,10 @@ from .models import (
 )
 from .drafting import (
     DraftProposal,
-    Feature,
     GateConfig,
     apply_gate,
     compute_feature,
-    feature_of,
-    no_feature,
+    masked_context,
     propose,
 )
 from .verification import (
@@ -84,12 +82,10 @@ __all__ = [
     "sample_token",
     "save_model",
     "DraftProposal",
-    "Feature",
     "GateConfig",
     "apply_gate",
     "compute_feature",
-    "feature_of",
-    "no_feature",
+    "masked_context",
     "propose",
     "DEPENDENT",
     "INDEPENDENT",

@@ -145,6 +145,8 @@ def run_bench(
             )
             for i in range(num_prompts)
         ]
+    elif len(prompts) == 0:
+        raise ValueError("prompts must be nonempty")
     traces = []
     for i, prompt in enumerate(prompts):
         rng = np.random.default_rng([seed, i, 1])
@@ -165,7 +167,7 @@ def run_bench(
         "mode": mode,
         "verify": verify,
         "num_prompts": len(prompts),
-        "prompt_len": len(prompts[0]) if prompts else 0,
+        "prompt_len": len(prompts[0]),
         "max_tokens": max_tokens,
         "seed": seed,
         "draft_cost": cost.draft_cost,

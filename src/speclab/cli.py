@@ -20,6 +20,7 @@ from .training import (
     build_training_windows,
     mean_window_loss,
     parse_train_config_file,
+    read_key_values,
     sample_corpus,
     train_tabular_drafter,
 )
@@ -44,24 +45,15 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"config lines must look like key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key.lower().replace("-", "_").replace(" ", "_")] = value
-    return values
-
-
 def _merge_config(args: argparse.Namespace, parser_dests: dict[str, type]) -> None:
     """Fill None-valued args from the config file; the command line wins."""
     if not getattr(args, "config", None):
         return
-    values = _read_config_file(args.config)
+    text = Path(args.config).read_text(encoding="utf-8")
+    try:
+        values = {norm: value for _key, norm, value in read_key_values(text)}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     for key, raw in values.items():
         if key not in parser_dests:
             raise UsageError(f"unknown config key for this command: {key!r}")
@@ -193,10 +185,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     target = load_model(args.target)
     if args.corpus is not None:
         corpus = _read_corpus(args.corpus)
-        for seq in corpus:
-            for t in seq:
-                if not target.vocab.is_real(t):
-                    raise ValueError(f"corpus token out of range [0, {target.vocab.size}): {t}")
     else:
         n_seqs = args.data_seqs if args.data_seqs is not None else 256
         seq_len = args.data_len if args.data_len is not None else 64
@@ -260,6 +248,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
               "dependent mode will hit the fallback on feature slots")
 
     prompts = _read_corpus(args.prompt_file) if args.prompt_file is not None else None
+    if prompts == []:
+        raise ValueError(f"prompt file {args.prompt_file} holds no prompts")
     try:
         cost = bench_mod.CostModel(draft_cost=args.draft_cost)
     except ValueError as exc:

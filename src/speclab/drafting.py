@@ -19,6 +19,8 @@ from .models import (
     GREEDY,
     RNG,
     SAMPLE,
+    Context,
+    Symbol,
     TabularModel,
     Token,
     Vocabulary,
@@ -28,26 +30,10 @@ from .models import (
 
 
 @dataclass(frozen=True)
-class Feature:
-    """One context symbol in the reserved feature range, or the sentinel."""
-
-    symbol: int
-
-
-def feature_of(vocab: Vocabulary, token: Token) -> Feature:
-    return Feature(vocab.feature_for(token))
-
-
-def no_feature(vocab: Vocabulary) -> Feature:
-    return Feature(vocab.none_feature_id)
-
-
-@dataclass(frozen=True)
 class GateConfig:
     """Drop probability for target-feature injection (kept with prob 1-rho)."""
 
     rho: float
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho <= 1.0:
@@ -60,26 +46,44 @@ class DraftProposal:
 
     tokens: tuple[Token, ...]
     dists: tuple[np.ndarray, ...]
-    feature_used: Feature
 
     def __post_init__(self) -> None:
         if len(self.tokens) != len(self.dists):
             raise ValueError("tokens and dists must have equal length")
 
 
-def compute_feature(target: TabularModel, prefix: Sequence[Token]) -> Feature:
+def compute_feature(target: TabularModel, prefix: Sequence[Token]) -> Symbol:
     """Target's top-1 next-token prediction at the prefix end, as a feature symbol.
 
-    Deterministic per prefix; two prefixes with the same order-d suffix yield
-    the same feature.
+    The symbol lies in ``vocab.feature_ids``. Deterministic per prefix; two
+    prefixes with the same order-d suffix yield the same feature.
     """
     if len(prefix) == 0:
         raise ValueError("prefix must be nonempty")
     top = greedy_token(next_distribution(target, prefix))
-    return feature_of(target.vocab, top)
+    return target.vocab.feature_for(top)
 
 
-def apply_gate(feature: Feature, gate: GateConfig, vocab: Vocabulary, rng: RNG) -> Feature:
+def masked_context(
+    prefix: Sequence[Token], feature: Symbol, k: int, vocab: Vocabulary, order: int
+) -> Context:
+    """Drafter context at position k: the pad-filled order-``order`` suffix
+    of (prefix ++ feature slot ++ k masks), for :func:`propose` and the trainer.
+
+    The sentinel ``vocab.none_feature_id`` leaves no slot, so the
+    target-independent context carries zero residue of any target. Every
+    k >= ``order`` gives the all-mask context.
+    """
+    tail = tuple(prefix[-order:])
+    if feature != vocab.none_feature_id:
+        tail += (feature,)
+    tail += (vocab.mask_id,) * k
+    if len(tail) < order:
+        tail = (vocab.pad_id,) * (order - len(tail)) + tail
+    return tail[-order:]
+
+
+def apply_gate(feature: Symbol, gate: GateConfig, vocab: Vocabulary, rng: RNG) -> Symbol:
     """Keep the feature with probability 1-rho, else return the sentinel.
 
     rho = 0 and rho = 1 are exact shortcuts, not draws.
@@ -87,9 +91,9 @@ def apply_gate(feature: Feature, gate: GateConfig, vocab: Vocabulary, rng: RNG) 
     if gate.rho <= 0.0:
         return feature
     if gate.rho >= 1.0:
-        return no_feature(vocab)
+        return vocab.none_feature_id
     if rng.random() < gate.rho:
-        return no_feature(vocab)
+        return vocab.none_feature_id
     return feature
 
 
@@ -97,17 +101,14 @@ def propose(
     drafter: TabularModel,
     prefix: Sequence[Token],
     draft_len: int,
-    feature: Feature,
+    feature: Symbol,
     mode: str = GREEDY,
     rng: RNG | None = None,
 ) -> DraftProposal:
     """Draft ``draft_len`` tokens in parallel from mask-placeholder contexts.
 
-    Position k sees the order-d suffix of (prefix ++ feature-slot ++ k masks);
-    the feature slot is present only when ``feature`` is not the sentinel, so
-    the target-independent path carries zero residue of any target. No drafted
-    token ever appears in a context, which is what makes the K positions
-    independently computable.
+    Position k sees :func:`masked_context`. No drafted token ever appears in
+    a context, which is what makes the K positions independently computable.
 
     Every position k >= d sees the same all-mask context, so only the first
     min(K, d + 1) distributions are looked up and the last one is reused.
@@ -126,15 +127,11 @@ def propose(
     for t in prefix:
         if not vocab.is_real(int(t)):
             raise ValueError(f"prefix must contain only real tokens, got {t}")
-
-    base = tuple(int(t) for t in prefix)
-    if feature.symbol != vocab.none_feature_id:
-        if feature.symbol not in vocab.feature_ids:
-            raise ValueError(f"feature symbol out of range: {feature.symbol}")
-        base = base + (feature.symbol,)
+    if feature != vocab.none_feature_id and feature not in vocab.feature_ids:
+        raise ValueError(f"feature symbol out of range: {feature}")
 
     distinct = [
-        next_distribution(drafter, base + (vocab.mask_id,) * k)
+        next_distribution(drafter, masked_context(prefix, feature, k, vocab, drafter.order))
         for k in range(min(draft_len, drafter.order + 1))
     ]
     repeats = draft_len - len(distinct)
@@ -147,7 +144,7 @@ def propose(
         # Row-wise searchsorted(side="right"): count the entries <= the draw.
         u = rng.random(draft_len) * cdf[:, -1]
         tokens = tuple((cdf <= u[:, None]).sum(axis=1).tolist())
-    return DraftProposal(tokens=tokens, dists=dists, feature_used=feature)
+    return DraftProposal(tokens=tokens, dists=dists)
 
 
 def has_feature_contexts(model: TabularModel) -> bool:
@@ -156,5 +153,5 @@ def has_feature_contexts(model: TabularModel) -> bool:
     A drafter trained with rho = 1 never saw features; running it in
     target-dependent mode falls back on every feature-bearing context.
     """
-    lo, hi = model.vocab.size + 1, 2 * model.vocab.size + 1
-    return any(any(lo <= s < hi for s in ctx) for ctx in model.table)
+    features = model.vocab.feature_ids
+    return any(any(s in features for s in ctx) for ctx in model.table)

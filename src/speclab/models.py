@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,27 +45,27 @@ class Vocabulary:
         if self.size < 1:
             raise ValueError(f"vocabulary size must be positive, got {self.size}")
 
-    @property
+    @cached_property
     def mask_id(self) -> Symbol:
         """Placeholder symbol standing in for not-yet-drafted positions."""
         return self.size
 
-    @property
+    @cached_property
     def feature_ids(self) -> range:
         """Reserved range holding one feature symbol per real token."""
         return range(self.size + 1, 2 * self.size + 1)
 
-    @property
+    @cached_property
     def none_feature_id(self) -> Symbol:
         """Sentinel meaning "no target feature injected"."""
         return 2 * self.size + 1
 
-    @property
+    @cached_property
     def pad_id(self) -> Symbol:
         """Left-fill symbol for histories shorter than the model order."""
         return 2 * self.size + 2
 
-    @property
+    @cached_property
     def num_symbols(self) -> int:
         return 2 * self.size + 3
 

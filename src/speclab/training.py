@@ -18,16 +18,17 @@ stop-gradient semantics without any autodiff.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .drafting import Feature, GateConfig, apply_gate, compute_feature
+from .drafting import GateConfig, apply_gate, compute_feature, masked_context
 from .models import (
     RNG,
     SAMPLE,
     Context,
+    Symbol,
     TabularModel,
     Token,
     Vocabulary,
@@ -145,13 +146,14 @@ class TrainingWindow:
     ``prefix_context`` is the order-d (padded) suffix of the true prefix;
     ``target_dists`` are the target's conditionals on the true prefixes, so
     for confidence weighting target_dists[k][future_tokens[k]] equals the
-    stored confidence (up to the epsilon clamp).
+    stored confidence (up to the epsilon clamp). ``feature`` is the gated
+    feature symbol, or the sentinel ``none_feature_id``.
     """
 
     prefix_context: Context
     future_tokens: tuple[Token, ...]
     target_dists: tuple[np.ndarray, ...]
-    feature: Feature
+    feature: Symbol
     weights: CatWeights
 
     def __post_init__(self) -> None:
@@ -182,15 +184,6 @@ def target_confidences(
     return out
 
 
-def _masked_context(
-    window: TrainingWindow, position: int, vocab: Vocabulary, order: int
-) -> Context:
-    base = window.prefix_context
-    if window.feature.symbol != vocab.none_feature_id:
-        base = base + (window.feature.symbol,)
-    return (base + (vocab.mask_id,) * position)[-order:]
-
-
 def window_loss(drafter: TabularModel, window: TrainingWindow, config: TrainConfig) -> float:
     """Weighted CE + KD objective of one window under the drafter's masked contexts.
 
@@ -204,7 +197,8 @@ def window_loss(drafter: TabularModel, window: TrainingWindow, config: TrainConf
         w = window.weights.weights[k]
         if w == 0.0:
             continue
-        q = next_distribution(drafter, _masked_context(window, k, vocab, drafter.order))
+        ctx = masked_context(window.prefix_context, window.feature, k, vocab, drafter.order)
+        q = next_distribution(drafter, ctx)
         term = 0.0
         if config.beta > 0.0:
             qy = float(q[y])
@@ -252,9 +246,10 @@ def build_training_windows(
     Per window: target conditionals and confidences are computed teacher
     forced, weights follow config.weighting, and the pre-gate feature from
     the true prefix passes through the stochastic gate. Sequences shorter
-    than draft_len + 1 are skipped.
+    than draft_len + 1 are skipped. Every corpus token must be a real token
+    of the target's vocabulary, else ValueError.
     """
-    gate = GateConfig(rho=config.rho, seed=config.seed)
+    gate = GateConfig(rho=config.rho)
     vocab = target.vocab
     d = target.order
     d_drafter = config.drafter_order if config.drafter_order is not None else d
@@ -262,6 +257,9 @@ def build_training_windows(
     windows: list[TrainingWindow] = []
     for seq in corpus:
         seq = [int(t) for t in seq]
+        for t in seq:
+            if not vocab.is_real(t):
+                raise ValueError(f"corpus token out of range [0, {vocab.size}): {t}")
         if len(seq) < K + 1:
             continue
         for n in range(1, len(seq) - K + 1):
@@ -307,11 +305,16 @@ def train_tabular_drafter(windows: Sequence[TrainingWindow], config: TrainConfig
     for w in windows:
         if len(w.prefix_context) != order or len(w.target_dists[0]) != vocab_size:
             raise ValueError("windows disagree on order or vocabulary size")
+        # Positions k >= order all share the all-mask context.
+        contexts = [
+            masked_context(w.prefix_context, w.feature, k, vocab, order)
+            for k in range(min(draft_len, order + 1))
+        ]
         for k, y in enumerate(w.future_tokens):
             s = w.weights.weights[k]
             if s == 0.0:
                 continue
-            ctx = _masked_context(w, k, vocab, order)
+            ctx = contexts[min(k, order)]
             vec = soft.setdefault(ctx, np.zeros(vocab_size, dtype=np.float64))
             if config.kd_weight > 0.0:
                 vec += (s * config.kd_weight) * w.target_dists[k]
@@ -374,6 +377,23 @@ _INT_FIELDS = {"draft_len", "drafter_order", "seed"}
 _FLOAT_FIELDS = {"rho", "beta", "gamma", "smoothing", "kd_weight"}
 
 
+def read_key_values(text: str) -> Iterator[tuple[str, str, str]]:
+    """Yield ``key = value`` lines as (key as written, normalized key, value).
+
+    ``#`` starts a comment and blank lines are skipped; the normalized key is
+    lowercased with spaces and dashes turned into underscores. A line without
+    ``=`` raises ValueError.
+    """
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config lines must look like key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield key, key.lower().replace(" ", "_").replace("-", "_"), value
+
+
 def parse_train_config_file(text: str) -> tuple[dict, list[str]]:
     """Parse key=value lines into TrainConfig kwargs plus ignored-key names.
 
@@ -382,14 +402,7 @@ def parse_train_config_file(text: str) -> tuple[dict, list[str]]:
     """
     kwargs: dict = {}
     ignored: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config lines must look like key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        norm = key.lower().replace(" ", "_").replace("-", "_")
+    for key, norm, value in read_key_values(text):
         if norm in _GRADIENT_ONLY_KEYS:
             ignored.append(key)
             continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drafting import DraftProposal, compute_feature, no_feature, propose
+from .drafting import DraftProposal, compute_feature, propose
 from .models import (
     GREEDY,
     RNG,
@@ -355,7 +355,7 @@ def decode_loop(
         if mode == DEPENDENT:
             feature = compute_feature(target, window)
         else:
-            feature = no_feature(drafter.vocab)
+            feature = drafter.vocab.none_feature_id
         proposal = propose(drafter, window, draft_len, feature, mode=draw_mode, rng=rng)
         if verify == STOCHASTIC:
             outcome = verify_stochastic(target, window, proposal, rng)

@@ -14,7 +14,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from speclab.drafting import DraftProposal, compute_feature, no_feature
+from speclab.drafting import DraftProposal, compute_feature
 from speclab.models import (
     GREEDY,
     SAMPLE,
@@ -157,14 +157,14 @@ def propose_per_position(drafter, prefix, draft_len, feature, mode, rng) -> Draf
     """
     vocab = drafter.vocab
     base = tuple(int(t) for t in prefix)
-    if feature.symbol != vocab.none_feature_id:
-        base = base + (feature.symbol,)
+    if feature != vocab.none_feature_id:
+        base = base + (feature,)
     tokens, dists = [], []
     for k in range(draft_len):
         dist = next_distribution(drafter, base + (vocab.mask_id,) * k)
         tokens.append(greedy_token(dist) if mode == GREEDY else sample_token(dist, rng))
         dists.append(dist)
-    return DraftProposal(tokens=tuple(tokens), dists=tuple(dists), feature_used=feature)
+    return DraftProposal(tokens=tuple(tokens), dists=tuple(dists))
 
 
 def decode_loop_full_prefix(
@@ -180,7 +180,7 @@ def decode_loop_full_prefix(
         if mode == DEPENDENT:
             feature = compute_feature(target, seq)
         else:
-            feature = no_feature(drafter.vocab)
+            feature = drafter.vocab.none_feature_id
         proposal = propose_per_position(drafter, seq, draft_len, feature, draw_mode, rng)
         if verify == STOCHASTIC:
             outcome = verify_stochastic(target, seq, proposal, rng)
@@ -242,6 +242,17 @@ def mask_closed_self_drafter(base: TabularModel, draft_len: int) -> TabularModel
 # --- masked-event add-k estimation (training reduction oracle) --------------
 
 
+def rewritten_context(prefix, feature, k: int, vocab: Vocabulary, order: int) -> tuple:
+    """Mask rewrite of one training event, by list arithmetic.
+
+    The order-d (pad-filled) suffix of prefix + [feature] + [mask]*k, where
+    the sentinel ``vocab.none_feature_id`` puts no feature in the list.
+    """
+    slot = [] if feature == vocab.none_feature_id else [feature]
+    rewritten = [vocab.pad_id] * order + list(prefix) + slot + [vocab.mask_id] * k
+    return tuple(rewritten[-order:])
+
+
 def addk_masked_event_model(
     sequences, vocab: Vocabulary, order: int, draft_len: int, smoothing: float
 ) -> tuple[dict[tuple, np.ndarray], np.ndarray]:
@@ -254,7 +265,6 @@ def addk_masked_event_model(
     fallback over event labels, computed with plain counters.
     """
     V = vocab.size
-    mask, pad = vocab.mask_id, vocab.pad_id
     counts: dict[tuple, np.ndarray] = {}
     labels = np.zeros(V)
     for seq in sequences:
@@ -263,8 +273,7 @@ def addk_masked_event_model(
             continue
         for n in range(1, len(seq) - draft_len + 1):
             for k in range(draft_len):
-                rewritten = seq[:n] + [mask] * k
-                ctx = tuple(([pad] * order + rewritten)[-order:])
+                ctx = rewritten_context(seq[:n], vocab.none_feature_id, k, vocab, order)
                 vec = counts.setdefault(ctx, np.zeros(V))
                 vec[seq[n + k]] += 1.0
                 labels[seq[n + k]] += 1.0
@@ -294,8 +303,8 @@ def group_loss_terms(windows, vocab: Vocabulary, order: int) -> dict[tuple, list
     terms: dict[tuple, list] = {}
     for w in windows:
         base = w.prefix_context
-        if w.feature.symbol != vocab.none_feature_id:
-            base = base + (w.feature.symbol,)
+        if w.feature != vocab.none_feature_id:
+            base = base + (w.feature,)
         for k, y in enumerate(w.future_tokens):
             s = w.weights.weights[k]
             if s == 0.0:

@@ -20,7 +20,7 @@ from scipy import optimize
 import oracles
 from speclab.bench import run_bench, write_confidence_csv, write_position_csv
 from speclab.cli import main as cli_main
-from speclab.drafting import GateConfig, apply_gate, feature_of
+from speclab.drafting import GateConfig, apply_gate
 from speclab.models import (
     Vocabulary,
     make_synthetic_target,
@@ -402,7 +402,7 @@ def test_c12_confidence_correlation(synthetic_runs, tmp_path):
 def test_c13_gate_statistics():
     with criterion(13, "gate keep fractions match Bernoulli(1 - rho)"):
         vocab = Vocabulary(4)
-        feature = feature_of(vocab, 2)
+        feature = vocab.feature_for(2)
         draws = 100_000
         for rho in (0.0, 0.1, 0.5, 1.0):
             rng = np.random.default_rng(int(rho * 1000) + 61)

@@ -74,6 +74,15 @@ class TestBenchReport:
         assert len(plines) == 1 + 4
         assert len(clines) == 1 + 10
 
+    def test_empty_prompt_list_rejected_before_decoding(self):
+        # The drafter's vocabulary does not match, which decode_loop would
+        # report first if any prompt were decoded.
+        target = make_synthetic_target(1, vocab_size=4, order=1, concentration=0.5)
+        drafter = make_synthetic_target(1, vocab_size=5, order=1, concentration=0.5)
+        with pytest.raises(ValueError, match="prompts must be nonempty"):
+            run_bench(target, drafter, draft_len=2, mode="independent", verify="greedy",
+                      prompts=[])
+
     def test_invalid_cost_rejected(self):
         with pytest.raises(ValueError):
             CostModel(-0.5)
@@ -216,6 +225,18 @@ class TestCLI:
         assert code == 0
         assert load_model(out).order == 2
 
+    def test_train_corpus_token_out_of_range_exit_3(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        out = tmp_path / "d.ngm"
+        for bad in ("-1", "8"):  # neither is a token when V = 8
+            corpus = tmp_path / "c.txt"
+            corpus.write_text(f"0 1 2 3 4 5 {bad}\n")
+            code = main(["train", "--target", str(target), "--out", str(out),
+                         "--K", "4", "--corpus", str(corpus)])
+            assert code == 3
+            assert "corpus token out of range" in capsys.readouterr().err
+            assert not out.exists()
+
     def _bench(self, tmp_path, target, drafter, name="rep.json", *flags):
         out = tmp_path / name
         code = main([
@@ -259,6 +280,18 @@ class TestCLI:
                      "--out", str(out), "--K", "4", "--prompt-file", str(prompts)])
         assert code == 3
         assert "real tokens" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_empty_prompt_file_exit_3(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("\n")
+        out = tmp_path / "rep.json"
+        code = main(["bench", "--target", str(target), "--drafter", str(drafter),
+                     "--out", str(out), "--K", "4", "--prompt-file", str(prompts)])
+        assert code == 3
+        assert str(prompts) in capsys.readouterr().err
         assert not out.exists()
 
     def test_analyze_rejects_reports_with_the_same_name(self, tmp_path, capsys):
@@ -328,6 +361,16 @@ class TestCLI:
         out2 = tmp_path / "cfg_target2.ngm"
         assert main(["gen", "--config", str(cfg), "--order", "2", "--out", str(out2)]) == 0
         assert load_model(out2).order == 2
+
+    def test_malformed_config_line_exit_codes(self, tmp_path):
+        # One key=value reader; --config errors are usage errors, while a bad
+        # --train-config sheet is a validation error.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("vocab 8\n")
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "t.ngm")]) == 1
+        target = self._gen(tmp_path)
+        assert main(["train", "--target", str(target), "--out", str(tmp_path / "d.ngm"),
+                     "--train-config", str(bad)]) == 3
 
     def test_unknown_config_key_exit_1(self, tmp_path):
         cfg = tmp_path / "run.cfg"

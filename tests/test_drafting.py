@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from speclab.drafting import (
-    Feature,
     GateConfig,
     apply_gate,
     compute_feature,
-    feature_of,
     has_feature_contexts,
-    no_feature,
     propose,
 )
 import oracles
@@ -41,7 +38,7 @@ class TestComputeFeature:
         table = {(0,): [0.1, 0.8, 0.1]}
         target = TabularModel(order=1, vocab=vocab, table=table, fallback=[1 / 3] * 3)
         feature = compute_feature(target, [0])
-        assert feature.symbol == vocab.feature_for(1)
+        assert feature == vocab.feature_for(1)
 
     def test_same_suffix_same_feature(self):
         target = TabularModel(
@@ -58,8 +55,8 @@ class TestComputeFeature:
         )
         for prefix in ([0], [4], [2, 3]):
             feature = compute_feature(target, prefix)
-            assert not target.vocab.is_real(feature.symbol)
-            assert feature.symbol in target.vocab.feature_ids
+            assert not target.vocab.is_real(feature)
+            assert feature in target.vocab.feature_ids
 
     def test_empty_prefix_rejected(self):
         target = _marked_drafter()
@@ -70,23 +67,23 @@ class TestComputeFeature:
 class TestApplyGate:
     def test_rho_zero_always_keeps(self):
         vocab = Vocabulary(3)
-        feature = feature_of(vocab, 1)
+        feature = vocab.feature_for(1)
         rng = np.random.default_rng(0)
         gate = GateConfig(rho=0.0)
         assert all(apply_gate(feature, gate, vocab, rng) == feature for _ in range(200))
 
     def test_rho_one_always_drops(self):
         vocab = Vocabulary(3)
-        feature = feature_of(vocab, 1)
+        feature = vocab.feature_for(1)
         rng = np.random.default_rng(0)
         gate = GateConfig(rho=1.0)
         assert all(
-            apply_gate(feature, gate, vocab, rng) == no_feature(vocab) for _ in range(200)
+            apply_gate(feature, gate, vocab, rng) == vocab.none_feature_id for _ in range(200)
         )
 
     def test_keep_fraction_matches_bernoulli(self):
         vocab = Vocabulary(3)
-        feature = feature_of(vocab, 0)
+        feature = vocab.feature_for(0)
         gate = GateConfig(rho=0.1)
         rng = np.random.default_rng(42)
         n = 20_000
@@ -103,13 +100,13 @@ class TestPropose:
     def test_contexts_without_feature(self):
         # K=3, d=2, prefix (..., 0, 1) -> contexts (0,1), (1,m), (m,m).
         drafter = _marked_drafter()
-        prop = propose(drafter, [2, 0, 1], 3, no_feature(drafter.vocab))
+        prop = propose(drafter, [2, 0, 1], 3, drafter.vocab.none_feature_id)
         assert prop.tokens == (0, 1, 2)
 
     def test_contexts_with_feature(self):
         # Feature f displaces one mask: contexts (1,f), (f,m), (m,m).
         drafter = _marked_drafter()
-        feature = feature_of(drafter.vocab, 3)
+        feature = drafter.vocab.feature_for(3)
         prop = propose(drafter, [2, 0, 1], 3, feature)
         assert prop.tokens[0] == 3
         np.testing.assert_array_equal(prop.dists[1], [0.5, 0.5, 0.0, 0.0])
@@ -117,18 +114,9 @@ class TestPropose:
 
     def test_dists_do_not_depend_on_sampling_seed(self):
         drafter = _marked_drafter()
-        feature = no_feature(drafter.vocab)
+        feature = drafter.vocab.none_feature_id
         a = propose(drafter, [0, 1], 4, feature, mode="sample", rng=np.random.default_rng(1))
         b = propose(drafter, [0, 1], 4, feature, mode="sample", rng=np.random.default_rng(999))
-        for da, db in zip(a.dists, b.dists):
-            np.testing.assert_array_equal(da, db)
-
-    def test_sentinel_leaves_no_target_residue(self):
-        # Proposing with the sentinel must equal a call that never saw a feature.
-        drafter = _marked_drafter()
-        a = propose(drafter, [0, 1], 3, no_feature(drafter.vocab))
-        b = propose(drafter, [0, 1], 3, Feature(drafter.vocab.none_feature_id))
-        assert a.tokens == b.tokens
         for da, db in zip(a.dists, b.dists):
             np.testing.assert_array_equal(da, db)
 
@@ -136,13 +124,14 @@ class TestPropose:
         drafter = _marked_drafter()
         rng = np.random.default_rng(3)
         for _ in range(50):
-            prop = propose(drafter, [0, 1], 3, no_feature(drafter.vocab), mode="sample", rng=rng)
+            prop = propose(drafter, [0, 1], 3, drafter.vocab.none_feature_id, mode="sample",
+                           rng=rng)
             for tok, dist in zip(prop.tokens, prop.dists):
                 assert dist[tok] > 0.0
 
     def test_batched_draws_match_one_draw_per_position(self):
         drafter = _marked_drafter()
-        feature = feature_of(drafter.vocab, 3)
+        feature = drafter.vocab.feature_for(3)
         rngs = [lambda s=s: np.random.default_rng(s) for s in range(20)]
         # Draws that land exactly on a CDF step, where side="right" matters.
         rngs += [lambda u=u: oracles.FixedUniform(u) for u in (0.0, 0.5)]
@@ -158,7 +147,7 @@ class TestPropose:
     def test_all_mask_positions_share_one_lookup(self):
         # K=6, d=2: positions 2..5 all see (m, m) and reuse its one row.
         drafter = _marked_drafter()
-        prop = propose(drafter, [0, 1], 6, no_feature(drafter.vocab))
+        prop = propose(drafter, [0, 1], 6, drafter.vocab.none_feature_id)
         assert prop.tokens == (0, 1, 2, 2, 2, 2)
         assert all(dist is prop.dists[2] for dist in prop.dists[2:])
 
@@ -168,24 +157,24 @@ class TestPropose:
         vocab = Vocabulary(3)
         shortfall = as_distribution([0.3, 0.7 - 1e-12, 0.0], 3)
         drafter = TabularModel(order=1, vocab=vocab, table={}, fallback=shortfall)
-        prop = propose(drafter, [0], 4, no_feature(vocab), mode="sample",
+        prop = propose(drafter, [0], 4, vocab.none_feature_id, mode="sample",
                        rng=oracles.FixedUniform(0.9999999999999))
         assert prop.tokens == (1, 1, 1, 1)
 
     def test_zero_draft_len_rejected(self):
         drafter = _marked_drafter()
         with pytest.raises(ValueError, match="draft_len"):
-            propose(drafter, [0], 0, no_feature(drafter.vocab))
+            propose(drafter, [0], 0, drafter.vocab.none_feature_id)
 
     def test_non_real_prefix_rejected(self):
         drafter = _marked_drafter()
         with pytest.raises(ValueError, match="real tokens"):
-            propose(drafter, [drafter.vocab.mask_id], 2, no_feature(drafter.vocab))
+            propose(drafter, [drafter.vocab.mask_id], 2, drafter.vocab.none_feature_id)
 
     def test_bad_feature_symbol_rejected(self):
         drafter = _marked_drafter()
         with pytest.raises(ValueError, match="feature symbol"):
-            propose(drafter, [0], 2, Feature(0))
+            propose(drafter, [0], 2, 0)
 
 
 class TestHasFeatureContexts:

@@ -1,0 +1,83 @@
+"""Golden SHA-256 digests of the gen, train and bench outputs at fixed seeds.
+
+Every file the pipeline writes is pinned byte for byte, so a refactor or a
+speed-up that changes any model row, corpus token or report number fails
+here. The commands run in one directory with relative paths, because a bench
+report records the model paths it was given.
+"""
+
+import hashlib
+
+import pytest
+
+from speclab.cli import main
+
+BENCH_FLAGS = ["--K", "4", "--prompts", "6", "--prompt-len", "3", "--max-tokens", "48",
+               "--seed", "9"]
+
+GOLDEN = {
+    "corpus.txt":
+        "843d858367e155754961cc04d37757def513a01c5a7c50aa5ffb063fc9e0e328",
+    "target.ngm":
+        "8d6ad41cd78dd9b1a82ce3e125d8a44ef3bc721b65993b149d61221314114ff7",
+    "cat.ngm":
+        "168e3cae706e6e84f52a09fe3f84f6db187c7402ea27e202605544402ebbd86d",
+    "order1.ngm":
+        "66ea9002d4962ce823b3e5839e50362080d44eb16f9de993f663cb9765064c9a",
+    "greedy-dependent.confidence.csv":
+        "b7c07fc5921e6f3d7442d1eab5e69fabd3a27385971111bf3c2c001f2064dc3f",
+    "greedy-dependent.json":
+        "b68821405857658ae5065e37705470bed3764240f687668ba5f47c294c735615",
+    "greedy-dependent.positions.csv":
+        "5c3b7ee5f24e0f41640512f29ee10f32d0632dfee4ed143dfd02d76b9ad2f4d6",
+    "greedy-independent.confidence.csv":
+        "fd099d101abdaaef510874d36fba14711c7b3c208a2ccbb2f9449179874d9e36",
+    "greedy-independent.json":
+        "a32f866107c040e563731551f127fbafbf36d13383e025d019f4ca6ab33452dc",
+    "greedy-independent.positions.csv":
+        "b086db5819947f1596d8afbe25bf7848f71b08db99c22d4c874e16e70157a18a",
+    "stochastic-dependent.confidence.csv":
+        "b050d40309ae282ac314a20942f23a6d61cd1fa30d4a9f6ed3edbc5bd5409acb",
+    "stochastic-dependent.json":
+        "d37f2a5269698b327652b48a5701779bcdb9042ae1a35d6b5683153be270ed88",
+    "stochastic-dependent.positions.csv":
+        "4d1343d6c778064266c29b23c94c44a8f626ec5faf60130123893f9c5522740e",
+    "stochastic-independent.confidence.csv":
+        "04377dd402d977f51a84db77b5fe09595a45db19d56a34398efd87e1c0b71e9d",
+    "stochastic-independent.json":
+        "b9497646e61ce022caa71378d44cd9014d2880cc92629a63e09a256f2a1456f1",
+    "stochastic-independent.positions.csv":
+        "19195c6e3796e5a7c7e5b1b847ea52b9e1be5360384db0c161cba2dad796c20a",
+}
+
+
+def _run(argv):
+    assert main(argv) == 0, argv
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        _run(["gen", "--vocab", "6", "--order", "2", "--alpha", "0.3", "--seed", "11",
+              "--out", "target.ngm", "--corpus", "24x20", "--corpus-out", "corpus.txt"])
+        _run(["train", "--target", "target.ngm", "--out", "cat.ngm", "--corpus", "corpus.txt",
+              "--K", "4", "--rho", "0.1", "--weighting", "cat", "--seed", "5"])
+        _run(["train", "--target", "target.ngm", "--out", "order1.ngm", "--K", "4",
+              "--drafter-order", "1", "--data-seqs", "16", "--data-len", "20", "--seed", "6"])
+        for verify in ("greedy", "stochastic"):
+            for mode in ("dependent", "independent"):
+                _run(["bench", "--target", "target.ngm", "--drafter", "cat.ngm",
+                      "--out", f"{verify}-{mode}.json", "--mode", mode, "--verify", verify,
+                      *BENCH_FLAGS])
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in root.iterdir()}
+
+
+def test_pipeline_writes_exactly_the_pinned_files(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_match_golden_digest(digests, name):
+    assert digests[name] == GOLDEN[name]

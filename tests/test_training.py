@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from speclab.drafting import Feature, no_feature
+from speclab.drafting import compute_feature, masked_context, propose
 from speclab.models import (
     TabularModel,
     Vocabulary,
@@ -121,7 +121,7 @@ class TestDecayWeights:
 
 def _window(vocab_size, prefix_ctx, future, dists, weights, feature_symbol=None):
     vocab = Vocabulary(vocab_size)
-    feature = Feature(feature_symbol) if feature_symbol is not None else no_feature(vocab)
+    feature = feature_symbol if feature_symbol is not None else vocab.none_feature_id
     return TrainingWindow(
         prefix_context=tuple(prefix_ctx),
         future_tokens=tuple(future),
@@ -171,8 +171,8 @@ class TestWindowLoss:
         for window in windows[:10]:
             direct = 0.0
             base = window.prefix_context
-            if window.feature.symbol != target.vocab.none_feature_id:
-                base = base + (window.feature.symbol,)
+            if window.feature != target.vocab.none_feature_id:
+                base = base + (window.feature,)
             for k, y in enumerate(window.future_tokens):
                 ctx = (base + (target.vocab.mask_id,) * k)[-drafter.order:]
                 q = next_distribution(drafter, ctx)
@@ -223,7 +223,7 @@ class TestBuildTrainingWindows:
         windows = build_training_windows(
             target, [[0, 1, 2, 3, 0, 1, 2]], config, np.random.default_rng(0)
         )
-        assert all(w.feature.symbol == target.vocab.none_feature_id for w in windows)
+        assert all(w.feature == target.vocab.none_feature_id for w in windows)
 
     def test_rho_zero_always_injects_features(self):
         target = self._target()
@@ -231,7 +231,7 @@ class TestBuildTrainingWindows:
         windows = build_training_windows(
             target, [[0, 1, 2, 3, 0, 1, 2]], config, np.random.default_rng(0)
         )
-        assert all(w.feature.symbol in target.vocab.feature_ids for w in windows)
+        assert all(w.feature in target.vocab.feature_ids for w in windows)
 
     def test_cat_confidences_match_target_dists(self):
         target = self._target()
@@ -253,6 +253,61 @@ class TestBuildTrainingWindows:
             target, [[0, 1, 2, 3, 0, 1]], config, np.random.default_rng(0)
         )
         assert all(len(w.prefix_context) == 1 for w in windows)
+
+    def test_non_real_corpus_tokens_rejected(self):
+        # V = 4: -1 and 4 are not tokens, also in a sequence too short to window.
+        target = self._target()
+        config = TrainConfig(draft_len=2)
+        for bad in (-1, 4):
+            for corpus in ([[0, 1, 2, bad]], [[bad]]):
+                with pytest.raises(ValueError, match="corpus token out of range"):
+                    build_training_windows(target, corpus, config, np.random.default_rng(0))
+
+
+class TestMaskedContext:
+    """The trainer and ``propose`` share one context layout, the oracle's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_rewrite(self, data):
+        target_order = data.draw(st.integers(1, 4), label="target_order")
+        order = data.draw(st.integers(1, target_order), label="drafter_order")
+        vocab = Vocabulary(data.draw(st.integers(1, 5), label="vocab_size"))
+        # Shorter than, equal to and longer than the target's order.
+        prefix = data.draw(st.lists(st.integers(0, vocab.size - 1), min_size=1,
+                                    max_size=2 * target_order + 1), label="prefix")
+        feature = data.draw(st.sampled_from([vocab.none_feature_id, *vocab.feature_ids]),
+                            label="feature")
+        draft_len = data.draw(st.integers(1, 6), label="draft_len")
+        k = data.draw(st.integers(0, draft_len - 1), label="k")
+        assert masked_context(prefix, feature, k, vocab, order) == oracles.rewritten_context(
+            prefix, feature, k, vocab, order
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_rho_zero_drafter_reads_only_stored_rows(self, seed, data):
+        vocab_size = data.draw(st.integers(2, 4), label="vocab_size")
+        target_order = data.draw(st.integers(1, 3), label="target_order")
+        drafter_order = data.draw(st.integers(1, target_order), label="drafter_order")
+        draft_len = data.draw(st.integers(1, 5), label="draft_len")
+        corpus = data.draw(st.lists(
+            st.lists(st.integers(0, vocab_size - 1),
+                     min_size=draft_len + 1, max_size=draft_len + 2 * target_order + 2),
+            min_size=1, max_size=3,
+        ), label="corpus")
+        target = make_synthetic_target(seed, vocab_size, target_order, 0.5)
+        config = TrainConfig(draft_len=draft_len, rho=0.0, drafter_order=drafter_order)
+        windows = build_training_windows(target, corpus, config, np.random.default_rng(seed))
+        drafter = train_tabular_drafter(windows, config)
+        for seq in corpus:
+            for n in range(1, len(seq) - draft_len + 1):
+                feature = compute_feature(target, seq[:n])
+                prop = propose(drafter, seq[:n], draft_len, feature)
+                for k, dist in enumerate(prop.dists):
+                    ctx = oracles.rewritten_context(seq[:n], feature, k, drafter.vocab,
+                                                    drafter_order)
+                    assert dist is drafter.table[ctx]
 
 
 class TestTrainTabularDrafter:

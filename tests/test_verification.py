@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from speclab.drafting import no_feature, propose
+from speclab.drafting import propose
 from speclab.models import (
     TabularModel,
     Vocabulary,
@@ -88,7 +88,7 @@ class TestVerifyStochastic:
         model = oracles.constant_model(3, 1, token=2)
         rng = np.random.default_rng(2)
         for _ in range(50):
-            prop = propose(model, [2], 4, no_feature(model.vocab), mode="sample", rng=rng)
+            prop = propose(model, [2], 4, model.vocab.none_feature_id, mode="sample", rng=rng)
             out = verify_stochastic(model, [2], prop, rng)
             assert out.accepted_len == 4
             assert out.committed == (2, 2, 2, 2, 2)
@@ -98,7 +98,7 @@ class TestVerifyStochastic:
         target, _ = _order1_pair(1)
         rng = np.random.default_rng(2)
         for _ in range(50):
-            prop = propose(target, [0, 1], 1, no_feature(target.vocab), mode="sample", rng=rng)
+            prop = propose(target, [0, 1], 1, target.vocab.none_feature_id, mode="sample", rng=rng)
             out = verify_stochastic(target, [0, 1], prop, rng)
             assert out.accepted_len == 1
 
@@ -121,7 +121,7 @@ class TestVerifyStochastic:
         trials = 200_000
         counts = np.zeros(3)
         for _ in range(trials):
-            prop = propose(drafter, [0], 1, no_feature(vocab), mode="sample", rng=rng)
+            prop = propose(drafter, [0], 1, vocab.none_feature_id, mode="sample", rng=rng)
             out = verify_stochastic(target, [0], prop, rng)
             counts[out.committed[0]] += 1
         freqs = counts / trials
@@ -135,7 +135,7 @@ class TestVerifyStochastic:
         drafter = TabularModel(1, vocab, {(0,): [0.2, 0.4, 0.4]}, [1 / 3] * 3)
         rng = np.random.default_rng(5)
         for _ in range(100):
-            prop = propose(drafter, [0], 1, no_feature(vocab), mode="sample", rng=rng)
+            prop = propose(drafter, [0], 1, vocab.none_feature_id, mode="sample", rng=rng)
             out = verify_stochastic(target, [0], prop, rng)
             if prop.tokens[0] == 0:
                 assert out.per_position[0].accept_prob == 1.0
@@ -145,7 +145,7 @@ class TestVerifyStochastic:
         target, drafter = _order1_pair(13, vocab_size=4)
         rng = np.random.default_rng(17)
         for _ in range(200):
-            prop = propose(drafter, [1], 4, no_feature(target.vocab), mode="sample", rng=rng)
+            prop = propose(drafter, [1], 4, target.vocab.none_feature_id, mode="sample", rng=rng)
             out = verify_stochastic(target, [1], prop, rng)
             flags = [r.accepted for r in out.per_position]
             assert flags == sorted(flags, reverse=True)
@@ -163,9 +163,9 @@ def _greedy_target():
 
 def _fixed_proposal(tokens, vocab_size=4):
     dists = tuple(as_distribution(np.full(vocab_size, 1.0 / vocab_size), vocab_size) for _ in tokens)
-    from speclab.drafting import DraftProposal, Feature
+    from speclab.drafting import DraftProposal
 
-    return DraftProposal(tokens=tuple(tokens), dists=dists, feature_used=Feature(2 * vocab_size + 1))
+    return DraftProposal(tokens=tuple(tokens), dists=dists)
 
 
 class TestVerifyGreedy:
