@@ -42,7 +42,6 @@ from .verification import (
     accept_prob,
     decode_loop,
     expected_accept_length,
-    prefix_reach_probs,
     residual_distribution,
     verify_greedy,
     verify_stochastic,
@@ -54,11 +53,10 @@ from .training import (
     CatWeights,
     TrainConfig,
     TrainingWindow,
+    TrainingWindows,
     build_training_windows,
     cat_weights,
-    decay_weights,
     sample_corpus,
-    target_confidences,
     train_tabular_drafter,
     window_loss,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "accept_prob",
     "decode_loop",
     "expected_accept_length",
-    "prefix_reach_probs",
     "residual_distribution",
     "verify_greedy",
     "verify_stochastic",
@@ -106,11 +103,10 @@ __all__ = [
     "CatWeights",
     "TrainConfig",
     "TrainingWindow",
+    "TrainingWindows",
     "build_training_windows",
     "cat_weights",
-    "decay_weights",
     "sample_corpus",
-    "target_confidences",
     "train_tabular_drafter",
     "window_loss",
     "BenchReport",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -191,10 +192,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         if n_seqs < 1 or seq_len < config.draft_len + 1:
             raise UsageError("--data-seqs must be >= 1 and --data-len >= draft length + 1")
         corpus = sample_corpus(target, n_seqs, seq_len, np.random.default_rng([config.seed, 0]))
+    start = time.perf_counter()
     windows = build_training_windows(
         target, corpus, config, np.random.default_rng([config.seed, 1])
     )
+    built = time.perf_counter()
     drafter = train_tabular_drafter(windows, config)
+    solved = time.perf_counter()
+    print(f"time: windows {built - start:.3f} s, solve {solved - built:.3f} s", file=sys.stderr)
     save_model(drafter, args.out)
     print(f"windows: {len(windows)}")
     print(f"mean window loss: {mean_window_loss(drafter, windows, config):.6f}")

@@ -83,18 +83,42 @@ def masked_context(
     return tail[-order:]
 
 
-def apply_gate(feature: Symbol, gate: GateConfig, vocab: Vocabulary, rng: RNG) -> Symbol:
+def masked_contexts(
+    prefixes: np.ndarray, features: np.ndarray, k: int, vocab: Vocabulary, order: int
+) -> np.ndarray:
+    """Array form of :func:`masked_context` for the trainer: row i is
+    ``masked_context(prefixes[i], features[i], k, vocab, order)``, where
+    ``prefixes`` (n, order) holds pad-filled order-``order`` suffixes."""
+    n = len(prefixes)
+    # Each row lays out prefix ++ slot ++ masks, and the context is the
+    # order-wide slice that ends after k masks; a sentinel row has a mask in
+    # its slot and starts its slice one symbol earlier.
+    rows = np.full((n, 2 * order + 1), vocab.mask_id, dtype=np.intp)
+    rows[:, :order] = prefixes
+    featured = features != vocab.none_feature_id
+    rows[featured, order] = features[featured]
+    start = min(k, order) + featured
+    return np.take_along_axis(rows, start[:, None] + np.arange(order), axis=1)
+
+
+def apply_gate(
+    feature: Symbol | np.ndarray, gate: GateConfig, vocab: Vocabulary, rng: RNG
+) -> Symbol | np.ndarray:
     """Keep the feature with probability 1-rho, else return the sentinel.
 
-    rho = 0 and rho = 1 are exact shortcuts, not draws.
+    ``feature`` is one symbol or an array of symbols. An array of n draws
+    ``rng.random(n)`` once, the same stream as n single draws. rho = 0 and
+    rho = 1 are exact shortcuts, not draws.
     """
     if gate.rho <= 0.0:
         return feature
+    if np.ndim(feature) == 0:
+        if gate.rho >= 1.0 or rng.random() < gate.rho:
+            return vocab.none_feature_id
+        return feature
     if gate.rho >= 1.0:
-        return vocab.none_feature_id
-    if rng.random() < gate.rho:
-        return vocab.none_feature_id
-    return feature
+        return np.full_like(feature, vocab.none_feature_id)
+    return np.where(rng.random(len(feature)) < gate.rho, vocab.none_feature_id, feature)
 
 
 def propose(

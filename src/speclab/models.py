@@ -104,10 +104,51 @@ def as_distribution(probs: Iterable[float], vocab_size: int) -> np.ndarray:
 
 def padded_suffix(symbols: Sequence[Symbol], order: int, pad_id: Symbol) -> Context:
     """Order-sized suffix of ``symbols``, left-filled with the pad symbol."""
-    tail = tuple(int(s) for s in symbols[-order:]) if order > 0 else ()
+    tail = tuple(map(int, symbols[-order:])) if order > 0 else ()
     if len(tail) < order:
         tail = (pad_id,) * (order - len(tail)) + tail
     return tail
+
+
+def _checked_row(
+    key: Context, probs: Iterable[float], order: int, vocab: Vocabulary
+) -> np.ndarray:
+    """One table row, checked: key width, key symbols, then the distribution."""
+    if len(key) != order:
+        raise ValueError(f"context {key} does not match model order {order}")
+    for s in key:
+        if not 0 <= s < vocab.num_symbols:
+            raise ValueError(f"context symbol out of range: {s}")
+    return as_distribution(probs, vocab.size)
+
+
+def _checked_rows(keys: list[Context], values: list, order: int, vocab: Vocabulary) -> np.ndarray:
+    """All table rows as one read-only (R, V) float64 array.
+
+    The checks of :func:`_checked_row` run in one pass over the whole array.
+    If any row fails them, the rows are checked again one by one in table
+    order, so the error raised is the one of the first faulty row.
+    """
+    V = vocab.size
+    try:
+        rows = np.array(values, dtype=np.float64) if values else np.zeros((0, V))
+        symbols = np.array(keys, dtype=np.int64) if keys else np.zeros((0, order), np.int64)
+    except (ValueError, OverflowError):  # ragged rows or keys, or non-numbers
+        rows = symbols = None
+    valid = (
+        rows is not None
+        and rows.shape == (len(values), V)
+        and symbols.shape == (len(keys), order)
+        and bool(np.all((symbols >= 0) & (symbols < vocab.num_symbols)))
+        and not np.any(rows < 0.0)
+        and bool(np.all(np.abs(rows.sum(axis=1) - 1.0) <= PROB_SUM_TOL))
+    )
+    if not valid:
+        rows = np.array(
+            [_checked_row(key, probs, order, vocab) for key, probs in zip(keys, values)]
+        ).reshape(-1, V)
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass
@@ -115,6 +156,7 @@ class TabularModel:
     """Finite-order conditional table with a total-lookup fallback.
 
     Immutable after construction; safe to share read-only across workers.
+    The table's rows are views of one read-only (R, V) array.
     """
 
     order: int
@@ -126,16 +168,9 @@ class TabularModel:
         if self.order < 1:
             raise ValueError(f"model order must be >= 1, got {self.order}")
         self.fallback = as_distribution(self.fallback, self.vocab.size)
-        checked: dict[Context, np.ndarray] = {}
-        for key, probs in self.table.items():
-            ctx = tuple(int(s) for s in key)
-            if len(ctx) != self.order:
-                raise ValueError(f"context {ctx} does not match model order {self.order}")
-            for s in ctx:
-                if not 0 <= s < self.vocab.num_symbols:
-                    raise ValueError(f"context symbol out of range: {s}")
-            checked[ctx] = as_distribution(probs, self.vocab.size)
-        self.table = checked
+        keys = [tuple(map(int, key)) for key in self.table]
+        rows = _checked_rows(keys, list(self.table.values()), self.order, self.vocab)
+        self.table = dict(zip(keys, rows))
 
 
 def next_distribution(model: TabularModel, context: Sequence[Symbol]) -> np.ndarray:
@@ -247,8 +282,9 @@ def make_synthetic_target(
 
     Small concentrations give peaked (high-confidence) rows, large ones are
     near uniform. Contexts cover every combination of real tokens and the pad
-    symbol so padded lookups hit real entries. Deterministic per seed: the
-    fallback is drawn first, then contexts in enumeration order.
+    symbol so padded lookups hit real entries. Deterministic per seed: one
+    ``rng.dirichlet`` call draws the fallback first, then the contexts in
+    ``itertools.product`` order, the same stream as one call per row.
     """
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
@@ -259,13 +295,11 @@ def make_synthetic_target(
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(vocab_size)
     alpha = np.full(vocab_size, float(concentration))
-    fallback = rng.dirichlet(alpha)
     symbols = list(range(vocab_size)) + [vocab.pad_id]
-    table = {
-        ctx: rng.dirichlet(alpha)
-        for ctx in itertools.product(symbols, repeat=order)
-    }
-    return TabularModel(order=order, vocab=vocab, table=table, fallback=fallback)
+    contexts = itertools.product(symbols, repeat=order)
+    rows = rng.dirichlet(alpha, size=len(symbols) ** order + 1)
+    table = dict(zip(contexts, rows[1:]))
+    return TabularModel(order=order, vocab=vocab, table=table, fallback=rows[0])
 
 
 # Model files are line oriented: a header, the fallback row keyed by "*", then
@@ -290,7 +324,10 @@ def save_model(model: TabularModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TabularModel:
-    """Read a model written by :func:`save_model`; validates on construction."""
+    """Read a model written by :func:`save_model`; validates on construction.
+
+    A context (or the fallback) given on two rows raises ValueError.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"empty model file: {path}")
@@ -312,9 +349,14 @@ def load_model(path: str | Path) -> TabularModel:
             raise ValueError(f"malformed model line: {line!r}")
         probs = np.array([float(x) for x in tail.split()], dtype=np.float64)
         if key == _FALLBACK_KEY:
+            if fallback is not None:
+                raise ValueError(f"duplicate fallback row in model file: {path}")
             fallback = probs
         else:
-            table[tuple(int(s) for s in key.split())] = probs
+            ctx = tuple(int(s) for s in key.split())
+            if ctx in table:
+                raise ValueError(f"duplicate row for context {ctx} in model file: {path}")
+            table[ctx] = probs
     if fallback is None:
         raise ValueError(f"model file missing fallback line: {path}")
     return TabularModel(order=order, vocab=Vocabulary(vocab_size), table=table, fallback=fallback)

@@ -22,8 +22,9 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .drafting import GateConfig, apply_gate, compute_feature, masked_context
+from .drafting import GateConfig, apply_gate, masked_context, masked_contexts
 from .models import (
     RNG,
     SAMPLE,
@@ -34,7 +35,6 @@ from .models import (
     Vocabulary,
     generate_autoregressive,
     next_distribution,
-    padded_suffix,
 )
 
 UNIFORM = "uniform"
@@ -73,30 +73,23 @@ class CatWeights:
                 raise ValueError(f"entry out of [0, 1]: {x}")
 
 
+def _cumulative_weights(confidences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped confidences and cumulative-product weights of each row of an
+    (n, K) confidence array, by the recursion :class:`CatWeights` checks."""
+    bad = ~((confidences >= 0.0) & (confidences <= 1.0))
+    if bad.any():
+        raise ValueError(f"confidence out of [0, 1]: {float(confidences[bad][0])}")
+    clamped = np.clip(confidences, CONFIDENCE_EPS, 1.0)
+    weights = np.ones_like(clamped)
+    for k in range(1, clamped.shape[1]):
+        weights[:, k] = weights[:, k - 1] * clamped[:, k - 1]
+    return clamped, weights
+
+
 def cat_weights(confidences: Sequence[float]) -> CatWeights:
     """Cumulative-product weights from per-position target confidences."""
-    clamped = []
-    for c in confidences:
-        c = float(c)
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"confidence out of [0, 1]: {c}")
-        clamped.append(min(max(c, CONFIDENCE_EPS), 1.0))
-    weights = [1.0]
-    for c in clamped[:-1]:
-        weights.append(weights[-1] * c)
-    return CatWeights(confidences=tuple(clamped), weights=tuple(weights))
-
-
-def decay_weights(gamma: float, draft_len: int) -> list[float]:
-    """Fixed position-wise decay gamma**k; gamma = 1 gives uniform weights."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    if draft_len < 1:
-        raise ValueError(f"draft_len must be >= 1, got {draft_len}")
-    weights = [1.0]
-    for _ in range(draft_len - 1):
-        weights.append(weights[-1] * gamma)
-    return weights
+    clamped, weights = _cumulative_weights(np.array(confidences, dtype=np.float64)[None, :])
+    return CatWeights(confidences=tuple(clamped[0].tolist()), weights=tuple(weights[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -141,7 +134,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainingWindow:
-    """One sliding-window training example.
+    """One sliding-window training example, as :class:`TrainingWindows` hands it out.
 
     ``prefix_context`` is the order-d (padded) suffix of the true prefix;
     ``target_dists`` are the target's conditionals on the true prefixes, so
@@ -162,26 +155,52 @@ class TrainingWindow:
             raise ValueError("window fields must agree on draft length")
 
 
-def target_confidences(
-    target: TabularModel,
-    sequence: Sequence[Token],
-    n: int,
-    draft_len: int,
-) -> list[float]:
-    """Teacher-forced probabilities of the ground-truth tokens after position n.
+@dataclass(frozen=True, eq=False)
+class TrainingWindows:
+    """Every training window of a corpus as arrays: n windows of draft length K.
 
-    Confidence k is the target's probability of sequence[n+k] conditioned on
-    the true prefix sequence[:n+k]; drafted tokens and masks never enter.
+    ``target_rows`` (P, V) holds one teacher-forced target conditional per
+    corpus position, and window i's position k reads row ``starts[i] + k``,
+    so overlapping windows share their rows. ``prefix_contexts`` (n, d) holds
+    the pad-filled order-d suffix of each true prefix, ``future_tokens``
+    (n, K) the ground truth, ``features`` (n,) the gated feature symbol or
+    the sentinel, and ``confidences`` and ``weights`` (n, K) the fields of
+    each window's :class:`CatWeights`. ``len()`` is n; indexing and iteration
+    give :class:`TrainingWindow` views.
     """
-    if n < 0 or n + draft_len > len(sequence):
-        raise ValueError("window [n, n + draft_len) must lie inside the sequence")
-    d = target.order
-    out = []
-    for k in range(draft_len):
-        ctx = sequence[max(0, n + k - d) : n + k]
-        dist = next_distribution(target, ctx)
-        out.append(float(dist[sequence[n + k]]))
-    return out
+
+    target_rows: np.ndarray
+    starts: np.ndarray
+    prefix_contexts: np.ndarray
+    future_tokens: np.ndarray
+    features: np.ndarray
+    confidences: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index: int | slice) -> TrainingWindow | list[TrainingWindow]:
+        picked = range(len(self))[index]
+        if isinstance(picked, range):
+            return [self._view(i) for i in picked]
+        return self._view(picked)
+
+    def __iter__(self) -> Iterator[TrainingWindow]:
+        return (self._view(i) for i in range(len(self)))
+
+    def _view(self, i: int) -> TrainingWindow:
+        start = int(self.starts[i])
+        return TrainingWindow(
+            prefix_context=tuple(self.prefix_contexts[i].tolist()),
+            future_tokens=tuple(self.future_tokens[i].tolist()),
+            target_dists=tuple(self.target_rows[start : start + self.weights.shape[1]]),
+            feature=int(self.features[i]),
+            weights=CatWeights(
+                confidences=tuple(self.confidences[i].tolist()),
+                weights=tuple(self.weights[i].tolist()),
+            ),
+        )
 
 
 def window_loss(drafter: TabularModel, window: TrainingWindow, config: TrainConfig) -> float:
@@ -227,61 +246,80 @@ def sample_corpus(
     ]
 
 
-def _window_weights(config: TrainConfig, confidences: Sequence[float]) -> CatWeights:
-    if config.weighting == CAT:
-        return cat_weights(confidences)
-    if config.weighting == DECAY:
-        return cat_weights([config.gamma] * len(confidences))
-    return cat_weights([1.0] * len(confidences))
-
-
 def build_training_windows(
     target: TabularModel,
     corpus: Sequence[Sequence[Token]],
     config: TrainConfig,
     rng: RNG,
-) -> list[TrainingWindow]:
+) -> TrainingWindows:
     """Slide a draft_len window (stride 1, nonempty prefix) over each sequence.
 
-    Per window: target conditionals and confidences are computed teacher
-    forced, weights follow config.weighting, and the pre-gate feature from
-    the true prefix passes through the stochastic gate. Sequences shorter
-    than draft_len + 1 are skipped. Every corpus token must be a real token
-    of the target's vocabulary, else ValueError.
+    The target is looked up once per corpus position, teacher forced; each
+    window reads its K rows, confidences and pre-gate feature (the argmax of
+    its first row) from those. Weights follow config.weighting, and the
+    feature passes through the stochastic gate, one draw per window in
+    corpus order. Sequences shorter than draft_len + 1 are skipped. Every
+    corpus token must be a real token of the target's vocabulary, else
+    ValueError.
     """
-    gate = GateConfig(rho=config.rho)
     vocab = target.vocab
     d = target.order
     d_drafter = config.drafter_order if config.drafter_order is not None else d
     K = config.draft_len
-    windows: list[TrainingWindow] = []
+    rows: list[np.ndarray] = []
+    labels: list[Token] = []
+    starts = [np.zeros(0, dtype=np.intp)]
+    prefixes = [np.zeros((0, d_drafter), dtype=np.intp)]
     for seq in corpus:
         seq = [int(t) for t in seq]
-        for t in seq:
-            if not vocab.is_real(t):
-                raise ValueError(f"corpus token out of range [0, {vocab.size}): {t}")
+        if seq and not (min(seq) >= 0 and max(seq) < vocab.size):
+            bad = next(t for t in seq if not vocab.is_real(t))
+            raise ValueError(f"corpus token out of range [0, {vocab.size}): {bad}")
         if len(seq) < K + 1:
             continue
-        for n in range(1, len(seq) - K + 1):
-            dists = tuple(
-                next_distribution(target, seq[max(0, n + k - d) : n + k]) for k in range(K)
-            )
-            future = tuple(seq[n : n + K])
-            conf = [float(dists[k][future[k]]) for k in range(K)]
-            feature = apply_gate(compute_feature(target, seq[:n]), gate, vocab, rng)
-            windows.append(
-                TrainingWindow(
-                    prefix_context=padded_suffix(seq[:n], d_drafter, vocab.pad_id),
-                    future_tokens=future,
-                    target_dists=dists,
-                    feature=feature,
-                    weights=_window_weights(config, conf),
-                )
-            )
-    return windows
+        # Row for position i is the target's conditional of seq[i] given seq[:i].
+        starts.append(np.arange(len(rows), len(rows) + len(seq) - K))
+        rows += [next_distribution(target, seq[max(0, i - d) : i]) for i in range(1, len(seq))]
+        labels += seq[1:]
+        padded = np.array([vocab.pad_id] * d_drafter + seq, dtype=np.intp)
+        prefixes.append(sliding_window_view(padded, d_drafter)[1 : len(seq) - K + 1])
+
+    target_rows = np.array(rows, dtype=np.float64).reshape(-1, vocab.size)
+    starts_arr = np.concatenate(starts)
+    positions = starts_arr[:, None] + np.arange(K)
+    future = np.array(labels, dtype=np.intp)[positions]
+    top = target_rows.argmax(axis=1)[starts_arr]
+    features = apply_gate(vocab.feature_ids[0] + top, GateConfig(config.rho), vocab, rng)
+    if config.weighting == CAT:
+        raw = target_rows[positions, future]
+    else:
+        raw = np.full(positions.shape, config.gamma if config.weighting == DECAY else 1.0)
+    confidences, weights = _cumulative_weights(raw)
+    arrays = (target_rows, starts_arr, np.concatenate(prefixes), future, features,
+              confidences, weights)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return TrainingWindows(*arrays)
 
 
-def train_tabular_drafter(windows: Sequence[TrainingWindow], config: TrainConfig) -> TabularModel:
+def _context_codes(contexts: np.ndarray, num_symbols: int) -> np.ndarray:
+    """Dense ids of (m, order) context rows: equal rows, equal ids, all < m.
+
+    The rows are read as mixed-radix numbers over ``num_symbols``, one digit
+    at a time, and renumbered densely after each digit so no order overflows.
+    """
+    codes = np.zeros(len(contexts), dtype=np.int64)
+    for column in contexts.T:
+        _, codes = np.unique(codes * num_symbols + column, return_inverse=True)
+    return codes
+
+
+#: Soft-count events per ``np.add.at`` call. Each event adds V + 1 entries,
+#: so this bounds the memory of the interleaved stream.
+_EVENT_CHUNK = 4096
+
+
+def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> TabularModel:
     """Closed-form minimizer of the summed window loss over tabular drafters.
 
     Every window position adds soft count w * (beta * onehot(truth) +
@@ -289,55 +327,84 @@ def train_tabular_drafter(windows: Sequence[TrainingWindow], config: TrainConfig
     distribution is the add-k normalization of its soft counts, and the
     fallback is the add-k normalization of the global aggregate. Per-context
     weighted CE+KL is minimized exactly by this normalized mixture.
+
+    Positions with weight zero add nothing and create no context. The counts
+    are summed in window-then-position order, the distillation row before
+    the one-hot, and the aggregate over contexts in the order positions
+    first reach them, so the floats do not depend on how the work is split.
     """
     if not windows:
         raise ValueError("cannot train a drafter from zero windows")
-    vocab_size = len(windows[0].target_dists[0])
-    order = len(windows[0].prefix_context)
-    draft_len = len(windows[0].future_tokens)
+    n, draft_len = windows.weights.shape
+    vocab_size = windows.target_rows.shape[1]
+    order = windows.prefix_contexts.shape[1]
     vocab = Vocabulary(vocab_size)
     if draft_len != config.draft_len:
         raise ValueError(
             f"windows built for draft_len {draft_len}, config says {config.draft_len}"
         )
 
-    soft: dict[Context, np.ndarray] = {}
-    for w in windows:
-        if len(w.prefix_context) != order or len(w.target_dists[0]) != vocab_size:
-            raise ValueError("windows disagree on order or vocabulary size")
-        # Positions k >= order all share the all-mask context.
-        contexts = [
-            masked_context(w.prefix_context, w.feature, k, vocab, order)
-            for k in range(min(draft_len, order + 1))
-        ]
-        for k, y in enumerate(w.future_tokens):
-            s = w.weights.weights[k]
-            if s == 0.0:
-                continue
-            ctx = contexts[min(k, order)]
-            vec = soft.setdefault(ctx, np.zeros(vocab_size, dtype=np.float64))
-            if config.kd_weight > 0.0:
-                vec += (s * config.kd_weight) * w.target_dists[k]
-            if config.beta > 0.0:
-                vec[y] += s * config.beta
-    if not soft:
+    # Positions k >= order all share the all-mask context.
+    distinct = min(draft_len, order + 1)
+    contexts = np.stack(
+        [masked_contexts(windows.prefix_contexts, windows.features, k, vocab, order)
+         for k in range(distinct)],
+        axis=1,
+    ).reshape(-1, order)
+    codes = _context_codes(contexts, vocab.num_symbols)
+    key_rows = np.empty_like(contexts)
+    key_rows[codes] = contexts
+    live = windows.weights != 0.0
+    if not live.any():
         raise ValueError("all window weights were zero; nothing to train on")
+    # Number the contexts in the order the live positions first reach them.
+    event_codes = codes.reshape(n, distinct)[:, np.minimum(np.arange(draft_len), order)][live]
+    first = np.full(len(contexts), len(event_codes))
+    np.minimum.at(first, event_codes, np.arange(len(event_codes)))
+    seen = np.flatnonzero(first < len(event_codes))
+    seen = seen[np.argsort(first[seen])]
+    number = np.empty(len(contexts), dtype=np.intp)
+    number[seen] = np.arange(len(seen))
+    event_ctx = number[event_codes]
+    event_w = windows.weights[live]
+    event_rows = (windows.starts[:, None] + np.arange(draft_len))[live]
+    event_labels = windows.future_tokens[live]
+
+    # One stream entry per soft-count addend, each position's distillation
+    # row first and its one-hot entry last, added in stream order.
+    use_kd, use_ce = config.kd_weight > 0.0, config.beta > 0.0
+    width = vocab_size * use_kd + use_ce
+    soft = np.zeros(len(seen) * vocab_size)
+    for lo in range(0, len(event_ctx), _EVENT_CHUNK):
+        chunk = slice(lo, lo + _EVENT_CHUNK)
+        base = event_ctx[chunk, None] * vocab_size
+        index = np.empty((len(base), width), dtype=np.intp)
+        value = np.empty((len(base), width))
+        if use_kd:
+            index[:, :vocab_size] = base + np.arange(vocab_size)
+            value[:, :vocab_size] = ((event_w[chunk] * config.kd_weight)[:, None]
+                                     * windows.target_rows[event_rows[chunk]])
+        if use_ce:
+            index[:, -1] = base[:, 0] + event_labels[chunk]
+            value[:, -1] = event_w[chunk] * config.beta
+        np.add.at(soft, index.ravel(), value.ravel())
+    soft = soft.reshape(len(seen), vocab_size)
 
     smoothing = config.smoothing
-    table: dict[Context, np.ndarray] = {}
-    aggregate = np.zeros(vocab_size, dtype=np.float64)
-    for ctx, vec in soft.items():
-        mass = float(vec.sum())
-        if mass + smoothing * vocab_size == 0.0:
-            raise ValueError("context received zero training mass; increase smoothing")
-        table[ctx] = (vec + smoothing) / (mass + smoothing * vocab_size)
-        aggregate += vec
+    denominators = soft.sum(axis=1) + smoothing * vocab_size
+    if np.any(denominators == 0.0):
+        raise ValueError("context received zero training mass; increase smoothing")
+    table_rows = (soft + smoothing) / denominators[:, None]
+    aggregate = np.cumsum(soft, axis=0)[-1]
     fallback = (aggregate + smoothing) / (aggregate.sum() + smoothing * vocab_size)
-    return TabularModel(order=order, vocab=vocab, table=table, fallback=fallback)
+    keys = [tuple(row) for row in key_rows[seen].tolist()]
+    return TabularModel(
+        order=order, vocab=vocab, table=dict(zip(keys, table_rows)), fallback=fallback
+    )
 
 
 def mean_window_loss(
-    drafter: TabularModel, windows: Sequence[TrainingWindow], config: TrainConfig
+    drafter: TabularModel, windows: TrainingWindows, config: TrainConfig
 ) -> float:
     if not windows:
         raise ValueError("no windows to evaluate")

@@ -201,17 +201,6 @@ def expected_accept_length(accept_probs: Sequence[float]) -> float:
     return total
 
 
-def prefix_reach_probs(accept_probs: Sequence[float]) -> list[float]:
-    """Probability that each position is reached: s_0 = 1, s_k = prod_{j<k} a_j."""
-    reach = [1.0]
-    for a in accept_probs[:-1]:
-        a = float(a)
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"acceptance probability out of [0, 1]: {a}")
-        reach.append(reach[-1] * a)
-    return reach[: len(accept_probs)]
-
-
 @dataclass
 class DecodeTrace:
     """Aggregate acceptance statistics across draft/verify rounds.

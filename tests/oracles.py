@@ -24,6 +24,14 @@ from speclab.models import (
     next_distribution,
     sample_token,
 )
+from speclab.training import (
+    CAT,
+    CONFIDENCE_EPS,
+    DECAY,
+    CatWeights,
+    TrainingWindow,
+    TrainingWindows,
+)
 from speclab.verification import (
     DEPENDENT,
     STOCHASTIC,
@@ -31,6 +39,32 @@ from speclab.verification import (
     verify_greedy,
     verify_stochastic,
 )
+
+
+# --- scalar weight and reach recursions ---------------------------------------
+
+
+def decay_weights(gamma: float, draft_len: int) -> list[float]:
+    """Fixed position-wise decay gamma**k; gamma = 1 gives uniform weights."""
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    if draft_len < 1:
+        raise ValueError(f"draft_len must be >= 1, got {draft_len}")
+    weights = [1.0]
+    for _ in range(draft_len - 1):
+        weights.append(weights[-1] * gamma)
+    return weights
+
+
+def prefix_reach_probs(accept_probs) -> list[float]:
+    """Probability that each position is reached: s_0 = 1, s_k = prod_{j<k} a_j."""
+    reach = [1.0]
+    for a in accept_probs[:-1]:
+        a = float(a)
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"acceptance probability out of [0, 1]: {a}")
+        reach.append(reach[-1] * a)
+    return reach[: len(accept_probs)]
 
 
 # --- exact enumeration of the stochastic draft/verify process ---------------
@@ -282,6 +316,138 @@ def addk_masked_event_model(
     }
     fallback = (labels + smoothing) / (labels.sum() + smoothing * V)
     return table, fallback
+
+
+# --- scalar trainer: one window and one position at a time ------------------
+
+
+def target_confidences(target: TabularModel, sequence, n: int, draft_len: int) -> list[float]:
+    """Teacher-forced probabilities of the ground-truth tokens after position n.
+
+    Confidence k is the target's probability of sequence[n+k] conditioned on
+    the true prefix sequence[:n+k]; drafted tokens and masks never enter.
+    """
+    if n < 0 or n + draft_len > len(sequence):
+        raise ValueError("window [n, n + draft_len) must lie inside the sequence")
+    d = target.order
+    return [
+        float(next_distribution(target, sequence[max(0, n + k - d) : n + k])[sequence[n + k]])
+        for k in range(draft_len)
+    ]
+
+
+def scalar_cat_weights(confidences) -> CatWeights:
+    """The clamped cumulative-product recursion, one position at a time."""
+    clamped = []
+    for c in confidences:
+        c = float(c)
+        if not 0.0 <= c <= 1.0:
+            raise ValueError(f"confidence out of [0, 1]: {c}")
+        clamped.append(min(max(c, CONFIDENCE_EPS), 1.0))
+    weights = [1.0]
+    for c in clamped[:-1]:
+        weights.append(weights[-1] * c)
+    return CatWeights(confidences=tuple(clamped), weights=tuple(weights))
+
+
+def scalar_training_windows(target: TabularModel, corpus, config, rng) -> list[TrainingWindow]:
+    """Reference window builder: K target lookups, one gate draw and one
+    weight recursion per window, in corpus order."""
+    vocab = target.vocab
+    d = target.order
+    d_drafter = config.drafter_order if config.drafter_order is not None else d
+    K = config.draft_len
+    windows = []
+    for seq in corpus:
+        seq = [int(t) for t in seq]
+        for t in seq:
+            if not 0 <= t < vocab.size:
+                raise ValueError(f"corpus token out of range [0, {vocab.size}): {t}")
+        if len(seq) < K + 1:
+            continue
+        for n in range(1, len(seq) - K + 1):
+            dists = tuple(
+                next_distribution(target, seq[max(0, n + k - d) : n + k]) for k in range(K)
+            )
+            future = tuple(seq[n : n + K])
+            feature = vocab.feature_for(greedy_token(next_distribution(target, seq[:n])))
+            if 0.0 < config.rho < 1.0:
+                if rng.random() < config.rho:
+                    feature = vocab.none_feature_id
+            elif config.rho >= 1.0:
+                feature = vocab.none_feature_id
+            if config.weighting == CAT:
+                conf = target_confidences(target, seq, n, K)
+            elif config.weighting == DECAY:
+                conf = [config.gamma] * K
+            else:
+                conf = [1.0] * K
+            windows.append(TrainingWindow(
+                prefix_context=rewritten_context(seq[:n], vocab.none_feature_id, 0, vocab,
+                                                 d_drafter),
+                future_tokens=future,
+                target_dists=dists,
+                feature=feature,
+                weights=scalar_cat_weights(conf),
+            ))
+    return windows
+
+
+def scalar_train_drafter(windows, config) -> TabularModel:
+    """Reference closed-form solve: one soft-count update per window position,
+    the distillation row before the one-hot, contexts kept in first-seen
+    order and summed in that order into the fallback's aggregate."""
+    if not windows:
+        raise ValueError("cannot train a drafter from zero windows")
+    vocab_size = len(windows[0].target_dists[0])
+    order = len(windows[0].prefix_context)
+    if len(windows[0].future_tokens) != config.draft_len:
+        raise ValueError(
+            f"windows built for draft_len {len(windows[0].future_tokens)}, "
+            f"config says {config.draft_len}"
+        )
+    vocab = Vocabulary(vocab_size)
+    soft: dict[tuple, np.ndarray] = {}
+    for w in windows:
+        for k, y in enumerate(w.future_tokens):
+            s = w.weights.weights[k]
+            if s == 0.0:
+                continue
+            ctx = rewritten_context(w.prefix_context, w.feature, k, vocab, order)
+            vec = soft.setdefault(ctx, np.zeros(vocab_size))
+            if config.kd_weight > 0.0:
+                vec += (s * config.kd_weight) * w.target_dists[k]
+            if config.beta > 0.0:
+                vec[y] += s * config.beta
+    if not soft:
+        raise ValueError("all window weights were zero; nothing to train on")
+    smoothing = config.smoothing
+    table = {}
+    aggregate = np.zeros(vocab_size)
+    for ctx, vec in soft.items():
+        mass = float(vec.sum())
+        if mass + smoothing * vocab_size == 0.0:
+            raise ValueError("context received zero training mass; increase smoothing")
+        table[ctx] = (vec + smoothing) / (mass + smoothing * vocab_size)
+        aggregate += vec
+    fallback = (aggregate + smoothing) / (aggregate.sum() + smoothing * vocab_size)
+    return TabularModel(order=order, vocab=vocab, table=table, fallback=fallback)
+
+
+def stack_windows(windows) -> TrainingWindows:
+    """Array container of hand-built windows; each window gets its own K
+    target rows, so window i's rows start at i * K."""
+    draft_len = len(windows[0].future_tokens)
+    rows = np.array([p for w in windows for p in w.target_dists], dtype=np.float64)
+    return TrainingWindows(
+        target_rows=rows.reshape(len(windows) * draft_len, -1),
+        starts=np.arange(len(windows)) * draft_len,
+        prefix_contexts=np.array([w.prefix_context for w in windows]),
+        future_tokens=np.array([w.future_tokens for w in windows]),
+        features=np.array([w.feature for w in windows]),
+        confidences=np.array([w.weights.confidences for w in windows]),
+        weights=np.array([w.weights.weights for w in windows]),
+    )
 
 
 # --- numeric minimizer for the tabular training objective -------------------

@@ -18,6 +18,7 @@ import pytest
 from scipy import optimize
 
 import oracles
+from oracles import decay_weights, prefix_reach_probs
 from speclab.bench import run_bench, write_confidence_csv, write_position_csv
 from speclab.cli import main as cli_main
 from speclab.drafting import GateConfig, apply_gate
@@ -33,7 +34,6 @@ from speclab.training import (
     TrainConfig,
     build_training_windows,
     cat_weights,
-    decay_weights,
     sample_corpus,
     train_tabular_drafter,
     window_loss,
@@ -42,7 +42,6 @@ from speclab.verification import (
     accept_prob,
     decode_loop,
     expected_accept_length,
-    prefix_reach_probs,
     residual_distribution,
 )
 

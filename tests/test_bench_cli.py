@@ -1,6 +1,7 @@
 """Tests for the benchmark runner, report files, and the CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -199,6 +200,14 @@ class TestCLI:
         assert "windows: " in out
         assert "mean window loss: " in out
 
+    def test_train_prints_stage_times_to_stderr_only(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        self._train(tmp_path, target, "d.ngm")
+        captured = capsys.readouterr()
+        assert re.search(r"^time: windows \d+\.\d{3} s, solve \d+\.\d{3} s$",
+                         captured.err, re.M)
+        assert "time:" not in captured.out
+
     def test_train_config_file_warns_on_gradient_keys(self, tmp_path, capsys):
         target = self._gen(tmp_path)
         sheet = tmp_path / "hparams.cfg"
@@ -236,6 +245,13 @@ class TestCLI:
             assert code == 3
             assert "corpus token out of range" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_duplicate_model_row_exit_3(self, tmp_path, capsys):
+        target = tmp_path / "dup.ngm"
+        target.write_text("ngram v=2 d=1\n*\t0.5 0.5\n0\t0.25 0.75\n0\t0.75 0.25\n")
+        code = main(["train", "--target", str(target), "--out", str(tmp_path / "d.ngm")])
+        assert code == 3
+        assert "duplicate row for context (0,)" in capsys.readouterr().err
 
     def _bench(self, tmp_path, target, drafter, name="rep.json", *flags):
         out = tmp_path / name

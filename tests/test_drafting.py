@@ -91,6 +91,17 @@ class TestApplyGate:
         sigma = (0.1 * 0.9 / n) ** 0.5
         assert abs(kept / n - 0.9) <= 3 * sigma
 
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    def test_array_gate_equals_single_draws(self, rho):
+        vocab = Vocabulary(3)
+        features = np.array([vocab.feature_for(t) for t in (0, 1, 2, 1, 0, 2, 2)])
+        gate = GateConfig(rho=rho)
+        rng_array, rng_single = np.random.default_rng(5), np.random.default_rng(5)
+        gated = apply_gate(features, gate, vocab, rng_array)
+        assert gated.tolist() == [apply_gate(int(f), gate, vocab, rng_single) for f in features]
+        # The same draws were consumed: none at rho 0 or 1, one per feature else.
+        assert rng_array.random() == rng_single.random()
+
     def test_invalid_rho_rejected(self):
         with pytest.raises(ValueError):
             GateConfig(rho=1.5)

@@ -24,6 +24,18 @@ GOLDEN = {
         "168e3cae706e6e84f52a09fe3f84f6db187c7402ea27e202605544402ebbd86d",
     "order1.ngm":
         "66ea9002d4962ce823b3e5839e50362080d44eb16f9de993f663cb9765064c9a",
+    "decay.ngm":
+        "fd54664a7efeb00d5771365a3a31bd6d98e99ab053ef030e905ca7a535449599",
+    "kd_off.ngm":
+        "3bbb9f8ee367dbe189db5df05ebc96ff0d33a4a4878f21c50b66782fc758303d",
+    "ragged.ngm":
+        "6560bbb56d552a0ce5b1dfbb6706cafc5b51230ab800a56a8dfef025669370ad",
+    "rho0.ngm":
+        "b80e0ed2a3906444c9088407ecce3d614b1d1f746519a26ff9a894cfe8c13f5f",
+    "rho1.ngm":
+        "4711730fc7870bb932816e5a48d13814eaab9be6d84e727cd93778b12009ac3f",
+    "uniform.ngm":
+        "f34b962faf86b6c7c6f7e9311249e289d7d1c211341f2b80d9e9961ba16affe7",
     "greedy-dependent.confidence.csv":
         "b7c07fc5921e6f3d7442d1eab5e69fabd3a27385971111bf3c2c001f2064dc3f",
     "greedy-dependent.json":
@@ -55,9 +67,22 @@ def _run(argv):
     assert main(argv) == 0, argv
 
 
+# Hand-written training inputs; they live outside the output directory.
+TRAIN_CONFIG_KD_OFF = "kd_weight = 0\nbeta = 0.5\n"
+# K = 4: lines shorter than K + 1 = 5 tokens give no window but are checked.
+RAGGED_CORPUS = "3\n0 1 2\n5 4 3 2\n1 2 3 4 5\n0 0 1 1 2 2 3 3 4\n2 5\n4 3 2 1 0 1 2 3 4 5 0 1\n"
+
+
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
+    inputs = tmp_path_factory.mktemp("golden-inputs")
+    kd_off = inputs / "kd_off.cfg"
+    kd_off.write_text(TRAIN_CONFIG_KD_OFF, encoding="utf-8")
+    ragged = inputs / "ragged.txt"
+    ragged.write_text(RAGGED_CORPUS, encoding="utf-8")
+    train = ["train", "--target", "target.ngm", "--corpus", "corpus.txt", "--K", "4",
+             "--seed", "5"]
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
         _run(["gen", "--vocab", "6", "--order", "2", "--alpha", "0.3", "--seed", "11",
@@ -66,6 +91,13 @@ def digests(tmp_path_factory):
               "--K", "4", "--rho", "0.1", "--weighting", "cat", "--seed", "5"])
         _run(["train", "--target", "target.ngm", "--out", "order1.ngm", "--K", "4",
               "--drafter-order", "1", "--data-seqs", "16", "--data-len", "20", "--seed", "6"])
+        _run([*train, "--out", "uniform.ngm", "--weighting", "uniform"])
+        _run([*train, "--out", "decay.ngm", "--weighting", "decay", "--gamma", "0.8"])
+        _run([*train, "--out", "rho0.ngm", "--rho", "0"])
+        _run([*train, "--out", "rho1.ngm", "--rho", "1"])
+        _run([*train, "--out", "kd_off.ngm", "--train-config", str(kd_off)])
+        _run(["train", "--target", "target.ngm", "--out", "ragged.ngm", "--corpus", str(ragged),
+              "--K", "4", "--rho", "0.3", "--seed", "7"])
         for verify in ("greedy", "stochastic"):
             for mode in ("dependent", "independent"):
                 _run(["bench", "--target", "target.ngm", "--drafter", "cat.ngm",

@@ -1,5 +1,7 @@
 """Tests for the tabular model substrate."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +324,115 @@ class TestSerialization:
         path = tmp_path / "bad.ngm"
         path.write_text(content)
         with pytest.raises(ValueError):
+            load_model(path)
+
+
+def _random_table(data, vocab, order):
+    """Random rows over real, mask and pad keys, with zero entries."""
+    symbols = st.sampled_from([*range(vocab.size), vocab.mask_id, vocab.pad_id])
+    keys = data.draw(st.lists(st.tuples(*[symbols] * order), unique=True, max_size=6),
+                     label="keys")
+    weights = st.lists(st.sampled_from([0.0, 0.1, 1.0, 7.0]), min_size=vocab.size,
+                       max_size=vocab.size).filter(any)
+    table = {}
+    for key in keys:
+        row = np.array(data.draw(weights, label="row"))
+        table[key] = row / row.sum()
+    return table
+
+
+def _row_text(key, probs):
+    return " ".join(map(str, key)) + "\t" + " ".join(format(float(p), ".17g") for p in probs)
+
+
+#: (fault, row transform, expected error) for one faulty table row.
+ROW_FAULTS = [
+    ("nan", lambda p: np.r_[np.nan, p[1:]], "sums to"),
+    ("inf", lambda p: np.r_[np.inf, p[1:]], "sums to"),
+    ("negative", lambda p: np.r_[-0.5, p[1:] + 0.5 / (len(p) - 1)], "negative"),
+    ("short", lambda p: p[:-1], "shape"),
+    ("long", lambda p: np.r_[p, 0.0], "shape"),
+    ("bad sum", lambda p: p * 0.5, "sums to"),
+]
+
+
+class TestTableRows:
+    def test_rows_are_read_only_views_of_one_array(self):
+        model = make_synthetic_target(3, vocab_size=4, order=2, concentration=0.5)
+        rows = list(model.table.values())
+        base = rows[0].base
+        assert base is not None and base.shape == (len(rows), 4)
+        assert all(row.base is base and not row.flags.writeable for row in rows)
+
+    def test_synthetic_rows_equal_one_draw_per_row(self):
+        # Reference: the fallback, then one Dirichlet call per context.
+        rng = np.random.default_rng(8)
+        alpha = np.full(3, 0.4)
+        fallback = rng.dirichlet(alpha)
+        model = make_synthetic_target(8, vocab_size=3, order=2, concentration=0.4)
+        symbols = [0, 1, 2, model.vocab.pad_id]
+        assert list(model.table) == [(a, b) for a in symbols for b in symbols]
+        np.testing.assert_array_equal(model.fallback, fallback)
+        for ctx, row in model.table.items():
+            np.testing.assert_array_equal(row, rng.dirichlet(alpha))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, data):
+        vocab = Vocabulary(data.draw(st.integers(1, 4), label="vocab_size"))
+        order = data.draw(st.integers(1, 3), label="order")
+        table = _random_table(data, vocab, order)
+        fallback = np.full(vocab.size, 1.0 / vocab.size)
+        model = TabularModel(order=order, vocab=vocab, table=table, fallback=fallback)
+        root = tmp_path_factory.mktemp("roundtrip")
+        save_model(model, root / "a.ngm")
+        loaded = load_model(root / "a.ngm")
+        save_model(loaded, root / "b.ngm")
+        assert (root / "a.ngm").read_bytes() == (root / "b.ngm").read_bytes()
+        assert set(loaded.table) == set(table)
+        for key, row in table.items():
+            np.testing.assert_array_equal(loaded.table[key], row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_faulty_rows_rejected_first_fault_first(self, tmp_path_factory, data):
+        vocab = Vocabulary(data.draw(st.integers(2, 4), label="vocab_size"))
+        order = data.draw(st.integers(1, 3), label="order")
+        fallback = np.full(vocab.size, 1.0 / vocab.size)
+        table = _random_table(data, vocab, order)
+        bad_key = (vocab.pad_id,) * order
+        table.pop(bad_key, None)
+        rows = list(table.items())
+        fault, transform, message = data.draw(st.sampled_from(ROW_FAULTS), label="fault")
+        rows.insert(data.draw(st.integers(0, len(rows)), label="at"),
+                    (bad_key, transform(fallback)))
+        # A later fault of another kind must not be the one reported.
+        rows.append(((vocab.num_symbols,) * order, fallback))
+        with pytest.raises(ValueError, match=message):
+            TabularModel(order=order, vocab=vocab, table=dict(rows), fallback=fallback)
+        path = tmp_path_factory.mktemp("faulty") / "m.ngm"
+        lines = [f"ngram v={vocab.size} d={order}", _row_text(("*",), fallback)]
+        path.write_text("\n".join(lines + [_row_text(k, p) for k, p in rows]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, message", [((0,), "order"), ((0, 99), "out of range"),
+                                              ((-1, 0), "out of range")])
+    def test_faulty_keys_rejected(self, key, message):
+        vocab = Vocabulary(2)
+        table = {(0, 1): [0.5, 0.5], key: [0.5, 0.5], (1, 1): [0.0, 1.0]}
+        with pytest.raises(ValueError, match=message):
+            TabularModel(order=2, vocab=vocab, table=table, fallback=[0.5, 0.5])
+
+    @pytest.mark.parametrize("duplicate", ["0 1", "*"])
+    def test_duplicate_rows_rejected_by_load(self, tmp_path, duplicate):
+        path = tmp_path / "dup.ngm"
+        path.write_text(
+            "ngram v=2 d=2\n*\t0.5 0.5\n0 1\t0.25 0.75\n1 1\t1 0\n"
+            f"{duplicate}\t0.75 0.25\n"
+        )
+        name = "(0, 1)" if duplicate == "0 1" else "fallback"
+        with pytest.raises(ValueError, match=rf"duplicate.*{re.escape(name)}"):
             load_model(path)
 
 

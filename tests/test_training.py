@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from speclab.drafting import compute_feature, masked_context, propose
+from oracles import decay_weights, target_confidences
+from speclab.drafting import compute_feature, masked_context, masked_contexts, propose
 from speclab.models import (
     TabularModel,
     Vocabulary,
+    build_ngram_model,
     make_synthetic_target,
     next_distribution,
+    save_model,
 )
 from speclab.training import (
     CatWeights,
@@ -21,10 +24,8 @@ from speclab.training import (
     TrainingWindow,
     build_training_windows,
     cat_weights,
-    decay_weights,
     parse_train_config_file,
     sample_corpus,
-    target_confidences,
     train_tabular_drafter,
     window_loss,
 )
@@ -207,7 +208,7 @@ class TestBuildTrainingWindows:
         target = self._target()
         config = TrainConfig(draft_len=4)
         rng = np.random.default_rng(0)
-        assert build_training_windows(target, [[0, 1, 2, 3]], config, rng) == []
+        assert len(build_training_windows(target, [[0, 1, 2, 3]], config, rng)) == 0
 
     def test_uniform_weights_are_all_ones(self):
         target = self._target()
@@ -280,9 +281,12 @@ class TestMaskedContext:
                             label="feature")
         draft_len = data.draw(st.integers(1, 6), label="draft_len")
         k = data.draw(st.integers(0, draft_len - 1), label="k")
-        assert masked_context(prefix, feature, k, vocab, order) == oracles.rewritten_context(
-            prefix, feature, k, vocab, order
-        )
+        expected = oracles.rewritten_context(prefix, feature, k, vocab, order)
+        assert masked_context(prefix, feature, k, vocab, order) == expected
+        # The trainer's array form, on the pad-filled order-wide prefix.
+        padded = oracles.rewritten_context(prefix, vocab.none_feature_id, 0, vocab, order)
+        rows = masked_contexts(np.array([padded]), np.array([feature]), k, vocab, order)
+        assert tuple(rows[0].tolist()) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16), data=st.data())
@@ -326,7 +330,7 @@ class TestTrainTabularDrafter:
 
         windows = [two_step_window(0, 1.0), two_step_window(1, 0.25)]
         config = TrainConfig(draft_len=2, beta=1.0, smoothing=0.0)
-        drafter = train_tabular_drafter(windows, config)
+        drafter = train_tabular_drafter(oracles.stack_windows(windows), config)
         mask_ctx = (Vocabulary(2).mask_id,)
         np.testing.assert_allclose(drafter.table[mask_ctx], [0.8, 0.2], atol=1e-15)
 
@@ -335,7 +339,7 @@ class TestTrainTabularDrafter:
         p = np.array([0.2, 0.5, 0.3])
         window = _window(3, (1,), (1,), [p], cat_weights([1.0]))
         config = TrainConfig(draft_len=1, beta=0.0, smoothing=0.0)
-        drafter = train_tabular_drafter([window], config)
+        drafter = train_tabular_drafter(oracles.stack_windows([window]), config)
         np.testing.assert_array_equal(drafter.table[(1,)], p)
 
     def test_reduces_to_masked_event_estimation_with_kd_off(self):
@@ -364,8 +368,8 @@ class TestTrainTabularDrafter:
             windows.append(_window(3, (2,), (y,), [_onehot(3, y)], cat_weights([1.0])))
         cfg_onehot = TrainConfig(draft_len=1, beta=1.0, kd_weight=1.0, smoothing=0.0)
         cfg_plain = TrainConfig(draft_len=1, beta=1.0, kd_weight=0.0, smoothing=0.0)
-        a = train_tabular_drafter(windows, cfg_onehot)
-        b = train_tabular_drafter(windows, cfg_plain)
+        a = train_tabular_drafter(oracles.stack_windows(windows), cfg_onehot)
+        b = train_tabular_drafter(oracles.stack_windows(windows), cfg_plain)
         np.testing.assert_array_equal(a.table[(2,)], b.table[(2,)])
 
     def test_random_perturbations_never_beat_closed_form(self):
@@ -406,12 +410,168 @@ class TestTrainTabularDrafter:
 
     def test_zero_windows_rejected(self):
         with pytest.raises(ValueError, match="zero windows"):
-            train_tabular_drafter([], TrainConfig(draft_len=2))
+            train_tabular_drafter(
+                build_training_windows(make_synthetic_target(0, 2, 1, 1.0), [[0, 1]],
+                                       TrainConfig(draft_len=2), np.random.default_rng(0)),
+                TrainConfig(draft_len=2),
+            )
 
     def test_draft_len_mismatch_rejected(self):
         window = _window(2, (0,), (1,), [[0.5, 0.5]], cat_weights([1.0]))
         with pytest.raises(ValueError, match="draft_len"):
-            train_tabular_drafter([window], TrainConfig(draft_len=3))
+            train_tabular_drafter(oracles.stack_windows([window]), TrainConfig(draft_len=3))
+
+
+def _outcome(fn, *args):
+    """The call's result, or its ValueError as (type name, message)."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.fixture(scope="module")
+def ngm_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("oracle") / "drafter.ngm"
+
+    def to_bytes(model):
+        save_model(model, path)
+        return path.read_bytes()
+
+    return to_bytes
+
+
+def _assert_same_windows(array_windows, scalar_windows):
+    assert len(array_windows) == len(scalar_windows)
+    for a, b in zip(array_windows, scalar_windows):
+        assert a.prefix_context == b.prefix_context
+        assert a.future_tokens == b.future_tokens
+        assert a.feature == b.feature
+        assert a.weights == b.weights
+        assert len(a.target_dists) == len(b.target_dists)
+        for p, q in zip(a.target_dists, b.target_dists):
+            np.testing.assert_array_equal(p, q)
+
+
+class TestArrayTrainerMatchesScalarOracle:
+    """The array window builder and solve give the scalar oracle's windows,
+    drafter bytes and errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_corpus_training_is_byte_identical(self, ngm_bytes, seed, data):
+        vocab_size = data.draw(st.integers(2, 5), label="vocab_size")
+        order = data.draw(st.integers(1, 3), label="target_order")
+        if data.draw(st.booleans(), label="sparse_target"):
+            # Unsmoothed counts leave zero entries, so confidences can be 0.
+            rows = data.draw(st.lists(st.lists(st.integers(0, vocab_size - 1), max_size=8),
+                                      min_size=1, max_size=4), label="count_corpus")
+            target = build_ngram_model(rows + [[0]], order, vocab_size, smoothing=0.0)
+        else:
+            alpha = data.draw(st.sampled_from([0.05, 0.5, 2.0]), label="alpha")
+            target = make_synthetic_target(seed, vocab_size, order, alpha)
+        draft_len = data.draw(st.sampled_from([1, order, order + 1, 16]), label="K")
+        token = st.integers(0, vocab_size - 1)
+        corpus = data.draw(st.lists(st.lists(token, max_size=draft_len + 2 * order + 3),
+                                    max_size=4), label="corpus")
+        config = TrainConfig(
+            draft_len=draft_len,
+            rho=data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="rho"),
+            beta=data.draw(st.sampled_from([0.0, 0.1, 1.0]), label="beta"),
+            kd_weight=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="kd_weight"),
+            weighting=data.draw(st.sampled_from(["uniform", "decay", "cat"]), label="weighting"),
+            gamma=data.draw(st.sampled_from([0.3, 0.8, 1.0]), label="gamma"),
+            smoothing=data.draw(st.sampled_from([0.0, 0.1]), label="smoothing"),
+            drafter_order=data.draw(st.sampled_from([None, *range(1, order + 2)]),
+                                    label="drafter_order"),
+        )
+        rng_array, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        windows = build_training_windows(target, corpus, config, rng_array)
+        reference = oracles.scalar_training_windows(target, corpus, config, rng_scalar)
+        _assert_same_windows(windows, reference)
+        # Both drew the same number of gate uniforms (none at rho 0 or 1).
+        assert rng_array.random() == rng_scalar.random()
+        drafter = _outcome(train_tabular_drafter, windows, config)
+        expected = _outcome(oracles.scalar_train_drafter, reference, config)
+        if isinstance(expected, tuple):
+            assert drafter == expected
+        else:
+            assert ngm_bytes(drafter) == ngm_bytes(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_hand_built_windows_with_zero_weights(self, ngm_bytes, data):
+        vocab = Vocabulary(data.draw(st.integers(2, 4), label="vocab_size"))
+        order = data.draw(st.integers(1, 3), label="order")
+        draft_len = data.draw(st.integers(1, 5), label="K")
+        symbols = st.sampled_from([*range(vocab.size), vocab.pad_id])
+        row = st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=vocab.size,
+                       max_size=vocab.size).filter(any).map(lambda r: np.array(r) / sum(r))
+        windows = []
+        for _ in range(data.draw(st.integers(1, 6), label="num_windows")):
+            # A zero confidence zeroes every later weight of the window.
+            conf = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=draft_len,
+                                      max_size=draft_len), label="confidences")
+            weights = [1.0]
+            for c in conf[:-1]:
+                weights.append(weights[-1] * c)
+            windows.append(TrainingWindow(
+                prefix_context=tuple(data.draw(st.lists(symbols, min_size=order,
+                                                        max_size=order), label="prefix")),
+                future_tokens=tuple(data.draw(st.lists(st.integers(0, vocab.size - 1),
+                                                       min_size=draft_len, max_size=draft_len),
+                                              label="future")),
+                target_dists=tuple(data.draw(row, label="dist") for _ in range(draft_len)),
+                feature=data.draw(st.sampled_from([vocab.none_feature_id, *vocab.feature_ids]),
+                                  label="feature"),
+                weights=CatWeights(confidences=tuple(conf), weights=tuple(weights)),
+            ))
+        config = TrainConfig(
+            draft_len=draft_len,
+            beta=data.draw(st.sampled_from([0.0, 0.4]), label="beta"),
+            kd_weight=data.draw(st.sampled_from([0.0, 1.0]), label="kd_weight"),
+            smoothing=data.draw(st.sampled_from([0.0, 0.1]), label="smoothing"),
+        )
+        drafter = _outcome(train_tabular_drafter, oracles.stack_windows(windows), config)
+        expected = _outcome(oracles.scalar_train_drafter, windows, config)
+        if isinstance(expected, tuple):
+            assert drafter == expected
+        else:
+            assert ngm_bytes(drafter) == ngm_bytes(expected)
+
+    def test_zero_mass_raises_as_the_oracle_does(self):
+        target = make_synthetic_target(5, vocab_size=3, order=1, concentration=0.5)
+        config = TrainConfig(draft_len=2, beta=0.0, kd_weight=0.0, smoothing=0.0)
+        windows = build_training_windows(target, [[0, 1, 2, 0]], config,
+                                         np.random.default_rng(0))
+        reference = oracles.scalar_training_windows(target, [[0, 1, 2, 0]], config,
+                                                    np.random.default_rng(0))
+        expected = _outcome(oracles.scalar_train_drafter, reference, config)
+        assert expected == ("ValueError",
+                            "context received zero training mass; increase smoothing")
+        assert _outcome(train_tabular_drafter, windows, config) == expected
+
+    @pytest.mark.parametrize("corpus", [[[0, 1, 2, 0, 7]], [[0, 1, 2, 0], [3]], [[-2]],
+                                        [[0, 1, 2, 0, 1, 2], [1, -1, 5]]])
+    def test_bad_corpus_token_raises_as_the_oracle_does(self, corpus):
+        target = make_synthetic_target(5, vocab_size=3, order=1, concentration=0.5)
+        config = TrainConfig(draft_len=2)
+        expected = _outcome(oracles.scalar_training_windows, target, corpus, config,
+                            np.random.default_rng(0))
+        assert expected[0] == "ValueError"
+        assert _outcome(build_training_windows, target, corpus, config,
+                        np.random.default_rng(0)) == expected
+
+    def test_windows_share_one_row_per_corpus_position(self):
+        target = make_synthetic_target(17, vocab_size=4, order=2, concentration=0.4)
+        corpus = [[0, 1, 2, 3, 0, 1, 2], [3, 2], [1, 1, 0, 2, 3]]
+        windows = build_training_windows(target, corpus, TrainConfig(draft_len=3),
+                                         np.random.default_rng(0))
+        # Rows for positions 1..L-1 of the two sequences long enough to window.
+        assert windows.target_rows.shape == (6 + 4, 4)
+        assert len(windows) == 4 + 2
+        first, second = windows[0], windows[1]
+        assert np.shares_memory(first.target_dists[1], second.target_dists[0])
 
 
 class TestTrainConfig:

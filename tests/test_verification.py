@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import prefix_reach_probs
 from speclab.drafting import propose
 from speclab.models import (
     TabularModel,
@@ -22,7 +23,6 @@ from speclab.verification import (
     accept_prob,
     decode_loop,
     expected_accept_length,
-    prefix_reach_probs,
     residual_distribution,
     verify_greedy,
     verify_stochastic,
