@@ -50,66 +50,14 @@ from .training import (
     CAT,
     DECAY,
     UNIFORM,
-    CatWeights,
     TrainConfig,
-    TrainingWindow,
     TrainingWindows,
     build_training_windows,
     cat_weights,
     sample_corpus,
     train_tabular_drafter,
-    window_loss,
+    window_losses,
 )
 from .bench import BenchReport, CostModel, run_bench
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "GREEDY",
-    "SAMPLE",
-    "TabularModel",
-    "Vocabulary",
-    "as_distribution",
-    "build_ngram_model",
-    "generate_autoregressive",
-    "greedy_token",
-    "load_model",
-    "make_synthetic_target",
-    "next_distribution",
-    "padded_suffix",
-    "sample_token",
-    "save_model",
-    "DraftProposal",
-    "GateConfig",
-    "apply_gate",
-    "compute_feature",
-    "masked_context",
-    "propose",
-    "DEPENDENT",
-    "INDEPENDENT",
-    "STOCHASTIC",
-    "DecodeTrace",
-    "PositionRecord",
-    "VerificationOutcome",
-    "accept_prob",
-    "decode_loop",
-    "expected_accept_length",
-    "residual_distribution",
-    "verify_greedy",
-    "verify_stochastic",
-    "CAT",
-    "DECAY",
-    "UNIFORM",
-    "CatWeights",
-    "TrainConfig",
-    "TrainingWindow",
-    "TrainingWindows",
-    "build_training_windows",
-    "cat_weights",
-    "sample_corpus",
-    "train_tabular_drafter",
-    "window_loss",
-    "BenchReport",
-    "CostModel",
-    "run_bench",
-]

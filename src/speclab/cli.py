@@ -19,11 +19,11 @@ from .models import SAMPLE, generate_autoregressive, load_model, make_synthetic_
 from .training import (
     TrainConfig,
     build_training_windows,
-    mean_window_loss,
     parse_train_config_file,
     read_key_values,
     sample_corpus,
     train_tabular_drafter,
+    window_losses,
 )
 from .verification import DEPENDENT, GREEDY, MODES, VERIFIERS
 
@@ -199,10 +199,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     built = time.perf_counter()
     drafter = train_tabular_drafter(windows, config)
     solved = time.perf_counter()
-    print(f"time: windows {built - start:.3f} s, solve {solved - built:.3f} s", file=sys.stderr)
+    mean_loss = float(np.mean(window_losses(drafter, windows, config)))
+    scored = time.perf_counter()
+    print(f"time: windows {built - start:.3f} s, solve {solved - built:.3f} s, "
+          f"loss {scored - solved:.3f} s", file=sys.stderr)
     save_model(drafter, args.out)
     print(f"windows: {len(windows)}")
-    print(f"mean window loss: {mean_window_loss(drafter, windows, config):.6f}")
+    print(f"mean window loss: {mean_loss:.6f}")
     print(f"wrote drafter model: {args.out}")
     return EXIT_OK
 
@@ -245,6 +248,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"--verify must be one of {VERIFIERS}")
     if args.draft_len < 1 or args.max_tokens < 1:
         raise UsageError("--K and --max-tokens must be >= 1")
+    if args.prompt_file is None and (args.prompts < 1 or args.prompt_len < 1):
+        raise UsageError("--prompts and --prompt-len must be >= 1")
 
     target = load_model(args.target)
     drafter = load_model(args.drafter)
@@ -298,11 +303,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if any(name == stem for name, _ in named):
             raise UsageError(f"two reports share the name {stem!r}; rename one of them")
         named.append((stem, bench_mod.load_report(path)))
-    baseline = args.baseline
-    if baseline is None:
-        baseline = named[0][0]
-    else:
-        baseline = Path(baseline).stem
+    baseline = named[0][0] if args.baseline is None else Path(args.baseline).stem
+    if all(name != baseline for name, _ in named):
+        raise UsageError(f"--baseline {args.baseline!r} names none of the reports")
     rows = bench_mod.analyze_reports(named, baseline)
     text = bench_mod.format_analysis(rows, fmt=args.format)
     if args.out:

@@ -17,19 +17,17 @@ stop-gradient semantics without any autodiff.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.typing import ArrayLike
 
-from .drafting import GateConfig, apply_gate, masked_context, masked_contexts
+from .drafting import GateConfig, apply_gate, masked_contexts
 from .models import (
     RNG,
     SAMPLE,
-    Context,
-    Symbol,
     TabularModel,
     Token,
     Vocabulary,
@@ -47,49 +45,23 @@ WEIGHTINGS = (UNIFORM, DECAY, CAT)
 CONFIDENCE_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class CatWeights:
-    """Per-position confidences and their cumulative-product weights.
+def cat_weights(confidences: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped confidences and their cumulative-product weights.
 
-    weights[0] = 1 and weights[k+1] = weights[k] * confidences[k] exactly, so
-    weights are nonincreasing whenever confidences stay in [0, 1].
+    ``confidences`` is any array whose last axis runs over the K draft
+    positions. weights[..., 0] = 1 and weights[..., k+1] = weights[..., k] *
+    clamped[..., k] exactly, so weights are nonincreasing. A confidence
+    outside [0, 1] raises ValueError.
     """
-
-    confidences: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.confidences) != len(self.weights):
-            raise ValueError("confidences and weights must have equal length")
-        if not self.weights:
-            raise ValueError("weights must be nonempty")
-        if self.weights[0] != 1.0:
-            raise ValueError("weights must start at 1")
-        for k in range(len(self.weights) - 1):
-            if abs(self.weights[k + 1] - self.weights[k] * self.confidences[k]) > 1e-15:
-                raise ValueError("weights must follow the cumulative-product recursion")
-        for x in self.confidences + self.weights:
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"entry out of [0, 1]: {x}")
-
-
-def _cumulative_weights(confidences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped confidences and cumulative-product weights of each row of an
-    (n, K) confidence array, by the recursion :class:`CatWeights` checks."""
+    confidences = np.asarray(confidences, dtype=np.float64)
     bad = ~((confidences >= 0.0) & (confidences <= 1.0))
     if bad.any():
         raise ValueError(f"confidence out of [0, 1]: {float(confidences[bad][0])}")
     clamped = np.clip(confidences, CONFIDENCE_EPS, 1.0)
     weights = np.ones_like(clamped)
-    for k in range(1, clamped.shape[1]):
-        weights[:, k] = weights[:, k - 1] * clamped[:, k - 1]
+    for k in range(1, clamped.shape[-1]):
+        weights[..., k] = weights[..., k - 1] * clamped[..., k - 1]
     return clamped, weights
-
-
-def cat_weights(confidences: Sequence[float]) -> CatWeights:
-    """Cumulative-product weights from per-position target confidences."""
-    clamped, weights = _cumulative_weights(np.array(confidences, dtype=np.float64)[None, :])
-    return CatWeights(confidences=tuple(clamped[0].tolist()), weights=tuple(weights[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -132,29 +104,6 @@ class TrainConfig:
             raise ValueError(f"kd_weight must be >= 0, got {self.kd_weight}")
 
 
-@dataclass(frozen=True)
-class TrainingWindow:
-    """One sliding-window training example, as :class:`TrainingWindows` hands it out.
-
-    ``prefix_context`` is the order-d (padded) suffix of the true prefix;
-    ``target_dists`` are the target's conditionals on the true prefixes, so
-    for confidence weighting target_dists[k][future_tokens[k]] equals the
-    stored confidence (up to the epsilon clamp). ``feature`` is the gated
-    feature symbol, or the sentinel ``none_feature_id``.
-    """
-
-    prefix_context: Context
-    future_tokens: tuple[Token, ...]
-    target_dists: tuple[np.ndarray, ...]
-    feature: Symbol
-    weights: CatWeights
-
-    def __post_init__(self) -> None:
-        n = len(self.future_tokens)
-        if len(self.target_dists) != n or len(self.weights.weights) != n:
-            raise ValueError("window fields must agree on draft length")
-
-
 @dataclass(frozen=True, eq=False)
 class TrainingWindows:
     """Every training window of a corpus as arrays: n windows of draft length K.
@@ -164,9 +113,8 @@ class TrainingWindows:
     so overlapping windows share their rows. ``prefix_contexts`` (n, d) holds
     the pad-filled order-d suffix of each true prefix, ``future_tokens``
     (n, K) the ground truth, ``features`` (n,) the gated feature symbol or
-    the sentinel, and ``confidences`` and ``weights`` (n, K) the fields of
-    each window's :class:`CatWeights`. ``len()`` is n; indexing and iteration
-    give :class:`TrainingWindow` views.
+    the sentinel, and ``confidences`` and ``weights`` (n, K) the clamped
+    confidences and weights of :func:`cat_weights`. ``len()`` is n.
     """
 
     target_rows: np.ndarray
@@ -179,61 +127,6 @@ class TrainingWindows:
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    def __getitem__(self, index: int | slice) -> TrainingWindow | list[TrainingWindow]:
-        picked = range(len(self))[index]
-        if isinstance(picked, range):
-            return [self._view(i) for i in picked]
-        return self._view(picked)
-
-    def __iter__(self) -> Iterator[TrainingWindow]:
-        return (self._view(i) for i in range(len(self)))
-
-    def _view(self, i: int) -> TrainingWindow:
-        start = int(self.starts[i])
-        return TrainingWindow(
-            prefix_context=tuple(self.prefix_contexts[i].tolist()),
-            future_tokens=tuple(self.future_tokens[i].tolist()),
-            target_dists=tuple(self.target_rows[start : start + self.weights.shape[1]]),
-            feature=int(self.features[i]),
-            weights=CatWeights(
-                confidences=tuple(self.confidences[i].tolist()),
-                weights=tuple(self.weights[i].tolist()),
-            ),
-        )
-
-
-def window_loss(drafter: TabularModel, window: TrainingWindow, config: TrainConfig) -> float:
-    """Weighted CE + KD objective of one window under the drafter's masked contexts.
-
-    CE is -log q(ground truth), KD is forward KL(target || drafter); weights
-    are constants. Returns inf when the drafter gives zero mass where the
-    objective needs support (the overflow signal for unsmoothed tables).
-    """
-    vocab = drafter.vocab
-    total = 0.0
-    for k, y in enumerate(window.future_tokens):
-        w = window.weights.weights[k]
-        if w == 0.0:
-            continue
-        ctx = masked_context(window.prefix_context, window.feature, k, vocab, drafter.order)
-        q = next_distribution(drafter, ctx)
-        term = 0.0
-        if config.beta > 0.0:
-            qy = float(q[y])
-            term += config.beta * (math.inf if qy <= 0.0 else -math.log(qy))
-        if config.kd_weight > 0.0:
-            p = window.target_dists[k]
-            support = p > 0.0
-            if np.any(support & (np.asarray(q) <= 0.0)):
-                term += math.inf
-            else:
-                ps = p[support]
-                term += config.kd_weight * float(np.sum(ps * (np.log(ps) - np.log(q[support]))))
-        total += w * term
-        if math.isinf(total):
-            return math.inf
-    return float(total)
 
 
 def sample_corpus(
@@ -294,7 +187,7 @@ def build_training_windows(
         raw = target_rows[positions, future]
     else:
         raw = np.full(positions.shape, config.gamma if config.weighting == DECAY else 1.0)
-    confidences, weights = _cumulative_weights(raw)
+    confidences, weights = cat_weights(raw)
     arrays = (target_rows, starts_arr, np.concatenate(prefixes), future, features,
               confidences, weights)
     for arr in arrays:
@@ -312,6 +205,29 @@ def _context_codes(contexts: np.ndarray, num_symbols: int) -> np.ndarray:
     for column in contexts.T:
         _, codes = np.unique(codes * num_symbols + column, return_inverse=True)
     return codes
+
+
+def _position_contexts(
+    windows: TrainingWindows, vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of the masked drafter context of every window position.
+
+    Returns ``codes`` (n, K), the id of window i's context at position k,
+    and ``keys``, whose row c is the context with id c. Positions k >= order
+    all share the all-mask context, so only min(K, order + 1) are laid out.
+    """
+    n, draft_len = windows.weights.shape
+    order = windows.prefix_contexts.shape[1]
+    distinct = min(draft_len, order + 1)
+    contexts = np.stack(
+        [masked_contexts(windows.prefix_contexts, windows.features, k, vocab, order)
+         for k in range(distinct)],
+        axis=1,
+    ).reshape(-1, order)
+    codes = _context_codes(contexts, vocab.num_symbols)
+    keys = np.empty((codes.max(initial=-1) + 1, order), dtype=contexts.dtype)
+    keys[codes] = contexts
+    return codes.reshape(n, distinct)[:, np.minimum(np.arange(draft_len), order)], keys
 
 
 #: Soft-count events per ``np.add.at`` call. Each event adds V + 1 entries,
@@ -335,7 +251,7 @@ def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> Tabu
     """
     if not windows:
         raise ValueError("cannot train a drafter from zero windows")
-    n, draft_len = windows.weights.shape
+    draft_len = windows.weights.shape[1]
     vocab_size = windows.target_rows.shape[1]
     order = windows.prefix_contexts.shape[1]
     vocab = Vocabulary(vocab_size)
@@ -344,26 +260,17 @@ def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> Tabu
             f"windows built for draft_len {draft_len}, config says {config.draft_len}"
         )
 
-    # Positions k >= order all share the all-mask context.
-    distinct = min(draft_len, order + 1)
-    contexts = np.stack(
-        [masked_contexts(windows.prefix_contexts, windows.features, k, vocab, order)
-         for k in range(distinct)],
-        axis=1,
-    ).reshape(-1, order)
-    codes = _context_codes(contexts, vocab.num_symbols)
-    key_rows = np.empty_like(contexts)
-    key_rows[codes] = contexts
+    codes, key_rows = _position_contexts(windows, vocab)
     live = windows.weights != 0.0
     if not live.any():
         raise ValueError("all window weights were zero; nothing to train on")
     # Number the contexts in the order the live positions first reach them.
-    event_codes = codes.reshape(n, distinct)[:, np.minimum(np.arange(draft_len), order)][live]
-    first = np.full(len(contexts), len(event_codes))
+    event_codes = codes[live]
+    first = np.full(len(key_rows), len(event_codes))
     np.minimum.at(first, event_codes, np.arange(len(event_codes)))
     seen = np.flatnonzero(first < len(event_codes))
     seen = seen[np.argsort(first[seen])]
-    number = np.empty(len(contexts), dtype=np.intp)
+    number = np.empty(len(key_rows), dtype=np.intp)
     number[seen] = np.arange(len(seen))
     event_ctx = number[event_codes]
     event_w = windows.weights[live]
@@ -403,12 +310,47 @@ def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> Tabu
     )
 
 
-def mean_window_loss(
+def window_losses(
     drafter: TabularModel, windows: TrainingWindows, config: TrainConfig
-) -> float:
-    if not windows:
-        raise ValueError("no windows to evaluate")
-    return float(np.mean([window_loss(drafter, w, config) for w in windows]))
+) -> np.ndarray:
+    """Weighted CE + KD objective of each window under the drafter's masked contexts.
+
+    CE is -log q(ground truth) and KD is forward KL(target || drafter); the
+    weights are constants, positions add up in k order, and a position of
+    weight zero adds nothing. A window's loss is inf when the drafter gives
+    zero mass where one of its weighted positions needs support (the
+    overflow signal for unsmoothed tables). Each distinct context is looked
+    up once. A drafter of another order or vocabulary than the windows'
+    raises ValueError.
+    """
+    n, draft_len = windows.weights.shape
+    order, vocab = windows.prefix_contexts.shape[1], drafter.vocab
+    if drafter.order != order or vocab.size != windows.target_rows.shape[1]:
+        raise ValueError(
+            f"drafter (order {drafter.order}, V={vocab.size}) does not match the windows "
+            f"(order {order}, V={windows.target_rows.shape[1]})"
+        )
+    codes, keys = _position_contexts(windows, vocab)
+    q_rows = np.array([next_distribution(drafter, key) for key in keys.tolist()])
+    q_rows = q_rows.reshape(-1, vocab.size)
+    losses = np.zeros(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q_rows, log_p_rows = np.log(q_rows), np.log(windows.target_rows)
+        for k in range(draft_len):
+            q, log_q = q_rows[codes[:, k]], log_q_rows[codes[:, k]]
+            term = np.zeros(n)
+            if config.beta > 0.0:
+                term = config.beta * -log_q[np.arange(n), windows.future_tokens[:, k]]
+            if config.kd_weight > 0.0:
+                rows = windows.starts + k
+                p = windows.target_rows[rows]
+                support = p > 0.0
+                kl = np.where(support, p * (log_p_rows[rows] - log_q), 0.0).sum(axis=1)
+                uncovered = (support & (q <= 0.0)).any(axis=1)
+                term = term + np.where(uncovered, np.inf, config.kd_weight * kl)
+            weight = windows.weights[:, k]
+            losses += np.where(weight != 0.0, weight * term, 0.0)
+    return losses
 
 
 # Key-value config files mirror the training hyperparameter sheet; fields that

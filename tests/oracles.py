@@ -10,7 +10,9 @@ they are used to check.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,14 +26,7 @@ from speclab.models import (
     next_distribution,
     sample_token,
 )
-from speclab.training import (
-    CAT,
-    CONFIDENCE_EPS,
-    DECAY,
-    CatWeights,
-    TrainingWindow,
-    TrainingWindows,
-)
+from speclab.training import CAT, CONFIDENCE_EPS, DECAY, TrainingWindows
 from speclab.verification import (
     DEPENDENT,
     STOCHASTIC,
@@ -178,6 +173,56 @@ def random_order1_model(vocab_size: int, rng: np.random.Generator) -> TabularMod
     symbols = list(range(vocab_size)) + [vocab.mask_id, vocab.pad_id]
     table = {(s,): rng.dirichlet(alpha) for s in symbols}
     return TabularModel(order=1, vocab=vocab, table=table, fallback=rng.dirichlet(alpha))
+
+
+def sparse_row(vocab_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Random distribution with about 30% of its entries zero, never all."""
+    p = rng.dirichlet(np.ones(vocab_size))
+    p[rng.random(vocab_size) < 0.3] = 0.0
+    if p.sum() == 0.0:
+        p[rng.integers(vocab_size)] = 1.0
+    return p / p.sum()
+
+
+def sparse_order1_pair(
+    vocab_size: int, rng: np.random.Generator
+) -> tuple[TabularModel, TabularModel]:
+    """Order-1 target and drafter whose rows have zero entries.
+
+    The real-token contexts take three relations in turn, in a random order
+    of the tokens: the drafter is zero on a token the target gives mass, the
+    target is zero on a token the drafter gives mass, and p = q. With
+    vocab_size >= 3 every pair has all three. The other rows (the mask and
+    pad contexts, both fallbacks) are independent sparse rows.
+    """
+    vocab = Vocabulary(vocab_size)
+
+    def zero_where_positive(base):
+        r = sparse_row(vocab_size, rng)
+        j = int(rng.choice(np.flatnonzero(base > 0.0)))
+        r[j] = 0.0
+        if r.sum() == 0.0:
+            r[(j + 1) % vocab_size] = 1.0
+        return r / r.sum()
+
+    target: dict[tuple, np.ndarray] = {}
+    drafter: dict[tuple, np.ndarray] = {}
+    for rank, token in enumerate(rng.permutation(vocab_size).tolist()):
+        if rank % 3 == 0:
+            p = sparse_row(vocab_size, rng)
+            q = zero_where_positive(p)
+        elif rank % 3 == 1:
+            q = sparse_row(vocab_size, rng)
+            p = zero_where_positive(q)
+        else:
+            p = q = sparse_row(vocab_size, rng)
+        target[(token,)], drafter[(token,)] = p, q
+    for symbol in (vocab.mask_id, vocab.pad_id):
+        target[(symbol,)] = sparse_row(vocab_size, rng)
+        drafter[(symbol,)] = sparse_row(vocab_size, rng)
+    return tuple(TabularModel(order=1, vocab=vocab, table=table,
+                              fallback=sparse_row(vocab_size, rng))
+                 for table in (target, drafter))
 
 
 # --- full-prefix reference decode loop ---------------------------------------
@@ -336,8 +381,9 @@ def target_confidences(target: TabularModel, sequence, n: int, draft_len: int) -
     ]
 
 
-def scalar_cat_weights(confidences) -> CatWeights:
-    """The clamped cumulative-product recursion, one position at a time."""
+def scalar_cat_weights(confidences) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The clamped cumulative-product recursion, one position at a time:
+    (clamped confidences, weights)."""
     clamped = []
     for c in confidences:
         c = float(c)
@@ -347,10 +393,40 @@ def scalar_cat_weights(confidences) -> CatWeights:
     weights = [1.0]
     for c in clamped[:-1]:
         weights.append(weights[-1] * c)
-    return CatWeights(confidences=tuple(clamped), weights=tuple(weights))
+    return tuple(clamped), tuple(weights)
 
 
-def scalar_training_windows(target: TabularModel, corpus, config, rng) -> list[TrainingWindow]:
+class Window(NamedTuple):
+    """One training window as a plain record, the unit of the scalar oracles.
+
+    ``prefix_context`` is the pad-filled order-d suffix of the true prefix,
+    ``target_dists`` the target's K teacher-forced conditionals, ``feature``
+    the gated feature symbol or the sentinel, and ``confidences`` and
+    ``weights`` the clamped confidences and their cumulative products.
+    """
+
+    prefix_context: tuple
+    future_tokens: tuple
+    target_dists: tuple
+    feature: int
+    confidences: tuple
+    weights: tuple
+
+
+def window_record(windows: TrainingWindows, i: int) -> Window:
+    """Row i of the array container as a record; its target rows are views."""
+    start = int(windows.starts[i])
+    return Window(
+        prefix_context=tuple(windows.prefix_contexts[i].tolist()),
+        future_tokens=tuple(windows.future_tokens[i].tolist()),
+        target_dists=tuple(windows.target_rows[start : start + windows.weights.shape[1]]),
+        feature=int(windows.features[i]),
+        confidences=tuple(windows.confidences[i].tolist()),
+        weights=tuple(windows.weights[i].tolist()),
+    )
+
+
+def scalar_training_windows(target: TabularModel, corpus, config, rng) -> list[Window]:
     """Reference window builder: K target lookups, one gate draw and one
     weight recursion per window, in corpus order."""
     vocab = target.vocab
@@ -382,18 +458,14 @@ def scalar_training_windows(target: TabularModel, corpus, config, rng) -> list[T
                 conf = [config.gamma] * K
             else:
                 conf = [1.0] * K
-            windows.append(TrainingWindow(
-                prefix_context=rewritten_context(seq[:n], vocab.none_feature_id, 0, vocab,
-                                                 d_drafter),
-                future_tokens=future,
-                target_dists=dists,
-                feature=feature,
-                weights=scalar_cat_weights(conf),
+            windows.append(Window(
+                rewritten_context(seq[:n], vocab.none_feature_id, 0, vocab, d_drafter),
+                future, dists, feature, *scalar_cat_weights(conf),
             ))
     return windows
 
 
-def scalar_train_drafter(windows, config) -> TabularModel:
+def scalar_train_drafter(windows: list[Window], config) -> TabularModel:
     """Reference closed-form solve: one soft-count update per window position,
     the distillation row before the one-hot, contexts kept in first-seen
     order and summed in that order into the fallback's aggregate."""
@@ -410,7 +482,7 @@ def scalar_train_drafter(windows, config) -> TabularModel:
     soft: dict[tuple, np.ndarray] = {}
     for w in windows:
         for k, y in enumerate(w.future_tokens):
-            s = w.weights.weights[k]
+            s = w.weights[k]
             if s == 0.0:
                 continue
             ctx = rewritten_context(w.prefix_context, w.feature, k, vocab, order)
@@ -434,8 +506,8 @@ def scalar_train_drafter(windows, config) -> TabularModel:
     return TabularModel(order=order, vocab=vocab, table=table, fallback=fallback)
 
 
-def stack_windows(windows) -> TrainingWindows:
-    """Array container of hand-built windows; each window gets its own K
+def stack_windows(windows: list[Window]) -> TrainingWindows:
+    """Array container of window records; each window gets its own K
     target rows, so window i's rows start at i * K."""
     draft_len = len(windows[0].future_tokens)
     rows = np.array([p for w in windows for p in w.target_dists], dtype=np.float64)
@@ -445,9 +517,43 @@ def stack_windows(windows) -> TrainingWindows:
         prefix_contexts=np.array([w.prefix_context for w in windows]),
         future_tokens=np.array([w.future_tokens for w in windows]),
         features=np.array([w.feature for w in windows]),
-        confidences=np.array([w.weights.confidences for w in windows]),
-        weights=np.array([w.weights.weights for w in windows]),
+        confidences=np.array([w.confidences for w in windows]),
+        weights=np.array([w.weights for w in windows]),
     )
+
+
+def window_loss(drafter: TabularModel, windows: TrainingWindows, i: int, config) -> float:
+    """Weighted CE + KD objective of window i, one position at a time.
+
+    CE is -log q(ground truth), KD is forward KL(target || drafter); weights
+    are constants and a zero-weight position is skipped. Returns inf when
+    the drafter gives zero mass where the objective needs support.
+    """
+    w = window_record(windows, i)
+    vocab = drafter.vocab
+    total = 0.0
+    for k, y in enumerate(w.future_tokens):
+        s = w.weights[k]
+        if s == 0.0:
+            continue
+        ctx = rewritten_context(w.prefix_context, w.feature, k, vocab, drafter.order)
+        q = next_distribution(drafter, ctx)
+        term = 0.0
+        if config.beta > 0.0:
+            qy = float(q[y])
+            term += config.beta * (math.inf if qy <= 0.0 else -math.log(qy))
+        if config.kd_weight > 0.0:
+            p = w.target_dists[k]
+            support = p > 0.0
+            if np.any(support & (np.asarray(q) <= 0.0)):
+                term += math.inf
+            else:
+                ps = p[support]
+                term += config.kd_weight * float(np.sum(ps * (np.log(ps) - np.log(q[support]))))
+        total += s * term
+        if math.isinf(total):
+            return math.inf
+    return float(total)
 
 
 # --- numeric minimizer for the tabular training objective -------------------
@@ -464,15 +570,16 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def group_loss_terms(windows, vocab: Vocabulary, order: int) -> dict[tuple, list]:
+def group_loss_terms(windows: TrainingWindows, vocab: Vocabulary, order: int) -> dict[tuple, list]:
     """Raw (weight, label, target_dist) loss terms grouped by masked context."""
     terms: dict[tuple, list] = {}
-    for w in windows:
+    for i in range(len(windows)):
+        w = window_record(windows, i)
         base = w.prefix_context
         if w.feature != vocab.none_feature_id:
             base = base + (w.feature,)
         for k, y in enumerate(w.future_tokens):
-            s = w.weights.weights[k]
+            s = w.weights[k]
             if s == 0.0:
                 continue
             ctx = (base + (vocab.mask_id,) * k)[-order:]

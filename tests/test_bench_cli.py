@@ -204,8 +204,8 @@ class TestCLI:
         target = self._gen(tmp_path)
         self._train(tmp_path, target, "d.ngm")
         captured = capsys.readouterr()
-        assert re.search(r"^time: windows \d+\.\d{3} s, solve \d+\.\d{3} s$",
-                         captured.err, re.M)
+        assert re.search(r"^time: windows \d+\.\d{3} s, solve \d+\.\d{3} s, "
+                         r"loss \d+\.\d{3} s$", captured.err, re.M)
         assert "time:" not in captured.out
 
     def test_train_config_file_warns_on_gradient_keys(self, tmp_path, capsys):
@@ -309,6 +309,26 @@ class TestCLI:
         assert code == 3
         assert str(prompts) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--prompts", "--prompt-len"])
+    def test_bench_zero_prompt_count_or_length_exit_1(self, tmp_path, capsys, flag):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        out = tmp_path / "rep.json"
+        code = main(["bench", "--target", str(target), "--drafter", str(drafter),
+                     "--out", str(out), "--K", "4", flag, "0"])
+        assert code == 1
+        assert "--prompts and --prompt-len must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_analyze_unknown_baseline_exit_1(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        r1 = self._bench(tmp_path, target, drafter, "r1.json")
+        r2 = self._bench(tmp_path, target, drafter, "r2.json")
+        capsys.readouterr()
+        assert main(["analyze", str(r1), str(r2), "--baseline", "nope"]) == 1
+        assert "'nope'" in capsys.readouterr().err
 
     def test_analyze_rejects_reports_with_the_same_name(self, tmp_path, capsys):
         target = self._gen(tmp_path)

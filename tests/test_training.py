@@ -19,15 +19,13 @@ from speclab.models import (
     save_model,
 )
 from speclab.training import (
-    CatWeights,
     TrainConfig,
-    TrainingWindow,
     build_training_windows,
     cat_weights,
     parse_train_config_file,
     sample_corpus,
     train_tabular_drafter,
-    window_loss,
+    window_losses,
 )
 
 
@@ -69,41 +67,44 @@ class TestTargetConfidences:
 
 class TestCatWeights:
     def test_cumulative_product_example(self):
-        w = cat_weights([0.8, 0.5, 1.0])
-        assert w.weights == (1.0, 0.8, 0.4)
+        _, weights = cat_weights([0.8, 0.5, 1.0])
+        assert weights.tolist() == [1.0, 0.8, 0.4]
 
     def test_all_ones_reduce_to_uniform(self):
-        assert cat_weights([1.0] * 5).weights == (1.0,) * 5
+        assert cat_weights([1.0] * 5)[1].tolist() == [1.0] * 5
 
     def test_constant_confidence_equals_decay_exactly(self):
         for c in (0.3, 0.5, 0.8, 1.0):
-            assert list(cat_weights([c] * 6).weights) == decay_weights(c, 6)
+            assert cat_weights([c] * 6)[1].tolist() == decay_weights(c, 6)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24))
     def test_recursion_is_exact(self, conf):
-        w = cat_weights(conf)
-        assert w.weights[0] == 1.0
+        clamped, weights = cat_weights(conf)
+        assert weights[0] == 1.0
         for k in range(len(conf) - 1):
-            assert w.weights[k + 1] == w.weights[k] * w.confidences[k]
-        assert all(b <= a for a, b in zip(w.weights, w.weights[1:]))
+            assert weights[k + 1] == weights[k] * clamped[k]
+        assert all(b <= a for a, b in zip(weights, weights[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), min_size=1,
+                    max_size=5))
+    def test_rows_match_the_scalar_recursion(self, rows):
+        # The last axis is K; every row is the oracle's recursion, bit for bit.
+        clamped, weights = cat_weights(rows)
+        for i, conf in enumerate(rows):
+            expected_clamped, expected_weights = oracles.scalar_cat_weights(conf)
+            assert tuple(clamped[i].tolist()) == expected_clamped
+            assert tuple(weights[i].tolist()) == expected_weights
 
     def test_zero_confidence_is_clamped(self):
-        w = cat_weights([0.0, 0.5])
-        assert w.confidences[0] == 1e-12
-        assert w.weights[1] == 1e-12
+        clamped, weights = cat_weights([0.0, 0.5])
+        assert clamped[0] == 1e-12
+        assert weights[1] == 1e-12
 
     def test_invalid_confidence_rejected(self):
         with pytest.raises(ValueError):
             cat_weights([0.5, 1.2])
-
-    def test_broken_recursion_rejected(self):
-        with pytest.raises(ValueError, match="recursion"):
-            CatWeights(confidences=(0.5, 0.5), weights=(1.0, 0.9))
-
-    def test_weights_must_start_at_one(self):
-        with pytest.raises(ValueError, match="start at 1"):
-            CatWeights(confidences=(0.5,), weights=(0.5,))
 
 
 class TestDecayWeights:
@@ -121,15 +122,23 @@ class TestDecayWeights:
 
 
 def _window(vocab_size, prefix_ctx, future, dists, weights, feature_symbol=None):
+    """Hand-built window record; ``weights`` is a (confidences, weights) pair."""
     vocab = Vocabulary(vocab_size)
     feature = feature_symbol if feature_symbol is not None else vocab.none_feature_id
-    return TrainingWindow(
+    confidences, weights = (tuple(np.asarray(a, dtype=float).tolist()) for a in weights)
+    return oracles.Window(
         prefix_context=tuple(prefix_ctx),
         future_tokens=tuple(future),
         target_dists=tuple(np.asarray(d, dtype=float) for d in dists),
         feature=feature,
+        confidences=confidences,
         weights=weights,
     )
+
+
+def _loss(drafter, window, config):
+    """The loss of one hand-built window."""
+    return float(window_losses(drafter, oracles.stack_windows([window]), config)[0])
 
 
 class TestWindowLoss:
@@ -145,7 +154,7 @@ class TestWindowLoss:
         )
         config = TrainConfig(draft_len=2, beta=0.5, weighting="uniform")
         expected_ce = -math.log(0.3) - math.log(0.5)
-        assert window_loss(drafter, window, config) == pytest.approx(0.5 * expected_ce, abs=1e-12)
+        assert _loss(drafter, window, config) == pytest.approx(0.5 * expected_ce, abs=1e-12)
 
     def test_zero_weights_leave_single_position(self):
         vocab = Vocabulary(2)
@@ -153,14 +162,13 @@ class TestWindowLoss:
         drafter = TabularModel(
             1, vocab, {(0,): [0.75, 0.25], (m,): [0.5, 0.5]}, np.full(2, 0.5)
         )
-        weights = CatWeights(confidences=(0.0, 0.0), weights=(1.0, 0.0))
-        window = _window(2, (0,), (1, 1), [[0.5, 0.5], [0.5, 0.5]], weights)
+        window = _window(2, (0,), (1, 1), [[0.5, 0.5], [0.5, 0.5]], ((0.0, 0.0), (1.0, 0.0)))
         config = TrainConfig(draft_len=2, beta=1.0)
         # beta*CE_0 + KD_0 only
         ce0 = -math.log(0.25)
         p = np.array([0.5, 0.5])
         kd0 = float(np.sum(p * (np.log(p) - np.log([0.75, 0.25]))))
-        assert window_loss(drafter, window, config) == pytest.approx(ce0 + kd0, abs=1e-12)
+        assert _loss(drafter, window, config) == pytest.approx(ce0 + kd0, abs=1e-12)
 
     def test_matches_independent_summation(self):
         rng = np.random.default_rng(8)
@@ -169,7 +177,9 @@ class TestWindowLoss:
         config = TrainConfig(draft_len=3, rho=0.3, beta=0.7, weighting="cat", seed=5)
         windows = build_training_windows(target, corpus, config, np.random.default_rng(6))
         drafter = train_tabular_drafter(windows, config)
-        for window in windows[:10]:
+        losses = window_losses(drafter, windows, config)
+        for i in range(10):
+            window = oracles.window_record(windows, i)
             direct = 0.0
             base = window.prefix_context
             if window.feature != target.vocab.none_feature_id:
@@ -182,15 +192,15 @@ class TestWindowLoss:
                 kd = sum(
                     p[i] * (math.log(p[i]) - math.log(q[i])) for i in range(4) if p[i] > 0
                 )
-                direct += window.weights.weights[k] * (0.7 * ce + kd)
-            assert window_loss(drafter, window, config) == pytest.approx(direct, abs=1e-12)
+                direct += window.weights[k] * (0.7 * ce + kd)
+            assert losses[i] == pytest.approx(direct, abs=1e-12)
 
     def test_zero_mass_reports_overflow(self):
         vocab = Vocabulary(2)
         drafter = TabularModel(1, vocab, {(0,): [1.0, 0.0]}, [1.0, 0.0])
         window = _window(2, (0,), (1,), [[0.0, 1.0]], cat_weights([1.0]))
         config = TrainConfig(draft_len=1, beta=1.0, kd_weight=0.0, smoothing=0.0)
-        assert window_loss(drafter, window, config) == math.inf
+        assert _loss(drafter, window, config) == math.inf
 
 
 class TestBuildTrainingWindows:
@@ -216,7 +226,8 @@ class TestBuildTrainingWindows:
         windows = build_training_windows(
             target, [[0, 1, 2, 3, 0, 1]], config, np.random.default_rng(0)
         )
-        assert all(w.weights.weights == (1.0, 1.0, 1.0) for w in windows)
+        assert windows.weights.shape == (3, 3)
+        assert (windows.weights == 1.0).all()
 
     def test_rho_one_gives_pure_sentinel_features(self):
         target = self._target()
@@ -224,7 +235,8 @@ class TestBuildTrainingWindows:
         windows = build_training_windows(
             target, [[0, 1, 2, 3, 0, 1, 2]], config, np.random.default_rng(0)
         )
-        assert all(w.feature == target.vocab.none_feature_id for w in windows)
+        assert len(windows) == 4
+        assert (windows.features == target.vocab.none_feature_id).all()
 
     def test_rho_zero_always_injects_features(self):
         target = self._target()
@@ -232,7 +244,8 @@ class TestBuildTrainingWindows:
         windows = build_training_windows(
             target, [[0, 1, 2, 3, 0, 1, 2]], config, np.random.default_rng(0)
         )
-        assert all(w.feature in target.vocab.feature_ids for w in windows)
+        assert len(windows) == 4
+        assert all(f in target.vocab.feature_ids for f in windows.features.tolist())
 
     def test_cat_confidences_match_target_dists(self):
         target = self._target()
@@ -242,10 +255,11 @@ class TestBuildTrainingWindows:
             config, np.random.default_rng(2),
         )
         assert windows
-        for w in windows:
+        for i in range(len(windows)):
+            w = oracles.window_record(windows, i)
             for k, y in enumerate(w.future_tokens):
                 raw = float(w.target_dists[k][y])
-                assert w.weights.confidences[k] == min(max(raw, 1e-12), 1.0)
+                assert w.confidences[k] == min(max(raw, 1e-12), 1.0)
 
     def test_drafter_order_truncates_prefix_context(self):
         target = self._target()
@@ -253,7 +267,7 @@ class TestBuildTrainingWindows:
         windows = build_training_windows(
             target, [[0, 1, 2, 3, 0, 1]], config, np.random.default_rng(0)
         )
-        assert all(len(w.prefix_context) == 1 for w in windows)
+        assert windows.prefix_contexts.shape == (3, 1)
 
     def test_non_real_corpus_tokens_rejected(self):
         # V = 4: -1 and 4 are not tokens, also in a sequence too short to window.
@@ -378,7 +392,7 @@ class TestTrainTabularDrafter:
         config = TrainConfig(draft_len=2, rho=1.0, beta=0.4, smoothing=0.0)
         windows = build_training_windows(target, corpus, config, np.random.default_rng(6))
         drafter = train_tabular_drafter(windows, config)
-        base_loss = sum(window_loss(drafter, w, config) for w in windows)
+        base_loss = window_losses(drafter, windows, config).sum()
         rng = np.random.default_rng(7)
         for _ in range(200):
             noisy_table = {}
@@ -386,7 +400,7 @@ class TestTrainTabularDrafter:
                 jitter = np.clip(np.asarray(row) + rng.normal(0, 0.05, row.size), 1e-9, None)
                 noisy_table[ctx] = jitter / jitter.sum()
             noisy = TabularModel(drafter.order, drafter.vocab, noisy_table, drafter.fallback)
-            noisy_loss = sum(window_loss(noisy, w, config) for w in windows)
+            noisy_loss = window_losses(noisy, windows, config).sum()
             assert noisy_loss >= base_loss - 1e-9
 
     def test_matches_projected_gradient_descent(self):
@@ -443,14 +457,86 @@ def ngm_bytes(tmp_path_factory):
 
 def _assert_same_windows(array_windows, scalar_windows):
     assert len(array_windows) == len(scalar_windows)
-    for a, b in zip(array_windows, scalar_windows):
+    for i, b in enumerate(scalar_windows):
+        a = oracles.window_record(array_windows, i)
         assert a.prefix_context == b.prefix_context
         assert a.future_tokens == b.future_tokens
         assert a.feature == b.feature
+        assert a.confidences == b.confidences
         assert a.weights == b.weights
         assert len(a.target_dists) == len(b.target_dists)
         for p, q in zip(a.target_dists, b.target_dists):
             np.testing.assert_array_equal(p, q)
+
+
+def _draw_corpus_case(data, seed):
+    """A target, a ragged corpus and a config: random or sparse targets,
+    every weighting, rho 0/0.3/1, beta or kd_weight 0, a drafter order below,
+    at or above the target's, and K in {1, d, d+1, 16}."""
+    vocab_size = data.draw(st.integers(2, 5), label="vocab_size")
+    order = data.draw(st.integers(1, 3), label="target_order")
+    if data.draw(st.booleans(), label="sparse_target"):
+        # Unsmoothed counts leave zero entries, so confidences can be 0.
+        rows = data.draw(st.lists(st.lists(st.integers(0, vocab_size - 1), max_size=8),
+                                  min_size=1, max_size=4), label="count_corpus")
+        target = build_ngram_model(rows + [[0]], order, vocab_size, smoothing=0.0)
+    else:
+        alpha = data.draw(st.sampled_from([0.05, 0.5, 2.0]), label="alpha")
+        target = make_synthetic_target(seed, vocab_size, order, alpha)
+    draft_len = data.draw(st.sampled_from([1, order, order + 1, 16]), label="K")
+    token = st.integers(0, vocab_size - 1)
+    corpus = data.draw(st.lists(st.lists(token, max_size=draft_len + 2 * order + 3),
+                                max_size=4), label="corpus")
+    config = TrainConfig(
+        draft_len=draft_len,
+        rho=data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="rho"),
+        beta=data.draw(st.sampled_from([0.0, 0.1, 1.0]), label="beta"),
+        kd_weight=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="kd_weight"),
+        weighting=data.draw(st.sampled_from(["uniform", "decay", "cat"]), label="weighting"),
+        gamma=data.draw(st.sampled_from([0.3, 0.8, 1.0]), label="gamma"),
+        smoothing=data.draw(st.sampled_from([0.0, 0.1]), label="smoothing"),
+        drafter_order=data.draw(st.sampled_from([None, *range(1, order + 2)]),
+                                label="drafter_order"),
+    )
+    return target, corpus, config
+
+
+def _draw_hand_built_windows(data):
+    """Window records with sparse target rows, whose zero confidences zero
+    every later weight, and a config."""
+    vocab = Vocabulary(data.draw(st.integers(2, 4), label="vocab_size"))
+    order = data.draw(st.integers(1, 3), label="order")
+    draft_len = data.draw(st.integers(1, 5), label="K")
+    symbols = st.sampled_from([*range(vocab.size), vocab.pad_id])
+    row = st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=vocab.size,
+                   max_size=vocab.size).filter(any).map(lambda r: np.array(r) / sum(r))
+    windows = []
+    for _ in range(data.draw(st.integers(1, 6), label="num_windows")):
+        # A zero confidence zeroes every later weight of the window.
+        conf = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=draft_len,
+                                  max_size=draft_len), label="confidences")
+        weights = [1.0]
+        for c in conf[:-1]:
+            weights.append(weights[-1] * c)
+        windows.append(oracles.Window(
+            prefix_context=tuple(data.draw(st.lists(symbols, min_size=order,
+                                                    max_size=order), label="prefix")),
+            future_tokens=tuple(data.draw(st.lists(st.integers(0, vocab.size - 1),
+                                                   min_size=draft_len, max_size=draft_len),
+                                          label="future")),
+            target_dists=tuple(data.draw(row, label="dist") for _ in range(draft_len)),
+            feature=data.draw(st.sampled_from([vocab.none_feature_id, *vocab.feature_ids]),
+                              label="feature"),
+            confidences=tuple(conf),
+            weights=tuple(weights),
+        ))
+    config = TrainConfig(
+        draft_len=draft_len,
+        beta=data.draw(st.sampled_from([0.0, 0.4]), label="beta"),
+        kd_weight=data.draw(st.sampled_from([0.0, 1.0]), label="kd_weight"),
+        smoothing=data.draw(st.sampled_from([0.0, 0.1]), label="smoothing"),
+    )
+    return windows, config
 
 
 class TestArrayTrainerMatchesScalarOracle:
@@ -460,31 +546,7 @@ class TestArrayTrainerMatchesScalarOracle:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**16), data=st.data())
     def test_corpus_training_is_byte_identical(self, ngm_bytes, seed, data):
-        vocab_size = data.draw(st.integers(2, 5), label="vocab_size")
-        order = data.draw(st.integers(1, 3), label="target_order")
-        if data.draw(st.booleans(), label="sparse_target"):
-            # Unsmoothed counts leave zero entries, so confidences can be 0.
-            rows = data.draw(st.lists(st.lists(st.integers(0, vocab_size - 1), max_size=8),
-                                      min_size=1, max_size=4), label="count_corpus")
-            target = build_ngram_model(rows + [[0]], order, vocab_size, smoothing=0.0)
-        else:
-            alpha = data.draw(st.sampled_from([0.05, 0.5, 2.0]), label="alpha")
-            target = make_synthetic_target(seed, vocab_size, order, alpha)
-        draft_len = data.draw(st.sampled_from([1, order, order + 1, 16]), label="K")
-        token = st.integers(0, vocab_size - 1)
-        corpus = data.draw(st.lists(st.lists(token, max_size=draft_len + 2 * order + 3),
-                                    max_size=4), label="corpus")
-        config = TrainConfig(
-            draft_len=draft_len,
-            rho=data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="rho"),
-            beta=data.draw(st.sampled_from([0.0, 0.1, 1.0]), label="beta"),
-            kd_weight=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="kd_weight"),
-            weighting=data.draw(st.sampled_from(["uniform", "decay", "cat"]), label="weighting"),
-            gamma=data.draw(st.sampled_from([0.3, 0.8, 1.0]), label="gamma"),
-            smoothing=data.draw(st.sampled_from([0.0, 0.1]), label="smoothing"),
-            drafter_order=data.draw(st.sampled_from([None, *range(1, order + 2)]),
-                                    label="drafter_order"),
-        )
+        target, corpus, config = _draw_corpus_case(data, seed)
         rng_array, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
         windows = build_training_windows(target, corpus, config, rng_array)
         reference = oracles.scalar_training_windows(target, corpus, config, rng_scalar)
@@ -501,37 +563,7 @@ class TestArrayTrainerMatchesScalarOracle:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_hand_built_windows_with_zero_weights(self, ngm_bytes, data):
-        vocab = Vocabulary(data.draw(st.integers(2, 4), label="vocab_size"))
-        order = data.draw(st.integers(1, 3), label="order")
-        draft_len = data.draw(st.integers(1, 5), label="K")
-        symbols = st.sampled_from([*range(vocab.size), vocab.pad_id])
-        row = st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=vocab.size,
-                       max_size=vocab.size).filter(any).map(lambda r: np.array(r) / sum(r))
-        windows = []
-        for _ in range(data.draw(st.integers(1, 6), label="num_windows")):
-            # A zero confidence zeroes every later weight of the window.
-            conf = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=draft_len,
-                                      max_size=draft_len), label="confidences")
-            weights = [1.0]
-            for c in conf[:-1]:
-                weights.append(weights[-1] * c)
-            windows.append(TrainingWindow(
-                prefix_context=tuple(data.draw(st.lists(symbols, min_size=order,
-                                                        max_size=order), label="prefix")),
-                future_tokens=tuple(data.draw(st.lists(st.integers(0, vocab.size - 1),
-                                                       min_size=draft_len, max_size=draft_len),
-                                              label="future")),
-                target_dists=tuple(data.draw(row, label="dist") for _ in range(draft_len)),
-                feature=data.draw(st.sampled_from([vocab.none_feature_id, *vocab.feature_ids]),
-                                  label="feature"),
-                weights=CatWeights(confidences=tuple(conf), weights=tuple(weights)),
-            ))
-        config = TrainConfig(
-            draft_len=draft_len,
-            beta=data.draw(st.sampled_from([0.0, 0.4]), label="beta"),
-            kd_weight=data.draw(st.sampled_from([0.0, 1.0]), label="kd_weight"),
-            smoothing=data.draw(st.sampled_from([0.0, 0.1]), label="smoothing"),
-        )
+        windows, config = _draw_hand_built_windows(data)
         drafter = _outcome(train_tabular_drafter, oracles.stack_windows(windows), config)
         expected = _outcome(oracles.scalar_train_drafter, windows, config)
         if isinstance(expected, tuple):
@@ -570,9 +602,82 @@ class TestArrayTrainerMatchesScalarOracle:
         # Rows for positions 1..L-1 of the two sequences long enough to window.
         assert windows.target_rows.shape == (6 + 4, 4)
         assert len(windows) == 4 + 2
-        first, second = windows[0], windows[1]
+        first, second = oracles.window_record(windows, 0), oracles.window_record(windows, 1)
         assert np.shares_memory(first.target_dists[1], second.target_dists[0])
 
+
+def _draw_drafter(data, rng, windows, config):
+    """The drafter trained on the windows, or, when not drawn or when
+    training fails, one over about half of their masked contexts with zero
+    entries in every row (fallback included), so some needed tokens get no
+    mass."""
+    if data.draw(st.booleans(), label="trained_drafter"):
+        try:
+            return train_tabular_drafter(windows, config)
+        except ValueError:
+            pass
+    vocab = Vocabulary(windows.target_rows.shape[1])
+    order = windows.prefix_contexts.shape[1]
+    records = [oracles.window_record(windows, i) for i in range(len(windows))]
+    contexts = sorted({
+        oracles.rewritten_context(w.prefix_context, w.feature, k, vocab, order)
+        for w in records for k in range(len(w.future_tokens))
+    })
+    table = {ctx: oracles.sparse_row(vocab.size, rng) for ctx in contexts if rng.random() < 0.5}
+    return TabularModel(order, vocab, table, oracles.sparse_row(vocab.size, rng))
+
+
+def _assert_losses_match_oracle(drafter, windows, config):
+    losses = window_losses(drafter, windows, config)
+    expected = np.array([oracles.window_loss(drafter, windows, i, config)
+                         for i in range(len(windows))])
+    assert losses.shape == (len(windows),)
+    assert not np.isnan(losses).any()
+    np.testing.assert_array_equal(np.isinf(losses), np.isinf(expected))
+    finite = np.isfinite(expected)
+    np.testing.assert_allclose(losses[finite], expected[finite], rtol=1e-12, atol=0.0)
+
+
+class TestWindowLossesMatchScalarOracle:
+    """The array objective gives the scalar oracle's loss, window by window."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_corpus_windows(self, seed, data):
+        target, corpus, config = _draw_corpus_case(data, seed)
+        rng = np.random.default_rng(seed)
+        windows = build_training_windows(target, corpus, config, rng)
+        _assert_losses_match_oracle(_draw_drafter(data, rng, windows, config), windows, config)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_hand_built_windows_with_zero_weights(self, seed, data):
+        records, config = _draw_hand_built_windows(data)
+        windows = oracles.stack_windows(records)
+        rng = np.random.default_rng(seed)
+        _assert_losses_match_oracle(_draw_drafter(data, rng, windows, config), windows, config)
+
+    def test_zero_mass_at_a_zero_weight_position_adds_nothing(self):
+        vocab = Vocabulary(2)
+        drafter = TabularModel(1, vocab, {(0,): [0.5, 0.5]}, [1.0, 0.0])
+        # Position 1 reads the fallback, which gives token 1 no mass.
+        window = _window(2, (0,), (0, 1), [[0.5, 0.5], [0.0, 1.0]], ((0.0, 1.0), (1.0, 0.0)))
+        config = TrainConfig(draft_len=2, beta=1.0)
+        assert _loss(drafter, window, config) == pytest.approx(math.log(2.0), abs=1e-15)
+        full = _window(2, (0,), (0, 1), [[0.5, 0.5], [0.0, 1.0]], ((1.0, 1.0), (1.0, 1.0)))
+        assert _loss(drafter, full, config) == math.inf
+
+    def test_drafter_of_another_order_rejected(self):
+        window = _window(2, (0,), (1,), [[0.5, 0.5]], cat_weights([1.0]))
+        drafter = TabularModel(2, Vocabulary(2), {}, [0.5, 0.5])
+        with pytest.raises(ValueError, match="does not match the windows"):
+            window_losses(drafter, oracles.stack_windows([window]), TrainConfig(draft_len=1))
+
+    def test_no_windows_give_no_losses(self):
+        target = make_synthetic_target(0, 3, 2, 1.0)
+        config = TrainConfig(draft_len=3)
+        windows = build_training_windows(target, [[0, 1]], config, np.random.default_rng(0))
+        assert window_losses(target, windows, config).shape == (0,)
 
 class TestTrainConfig:
     def test_published_defaults(self):

@@ -168,6 +168,25 @@ def _fixed_proposal(tokens, vocab_size=4):
     return DraftProposal(tokens=tuple(tokens), dists=dists)
 
 
+class TestLosslessOverSparseTables:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), vocab_size=st.sampled_from([3, 4]),
+           draft_len=st.sampled_from([1, 2, 3]), data=st.data())
+    def test_enumerated_decode_equals_autoregressive(self, seed, vocab_size, draft_len, data):
+        # Zero entries on either side, and rows where p = q, must not bend
+        # the committed-sequence distribution away from the target's.
+        target, drafter = oracles.sparse_order1_pair(vocab_size, np.random.default_rng(seed))
+        prefix = (data.draw(st.integers(0, vocab_size - 1), label="prefix"),)
+        horizon = draft_len + 1
+        actual = oracles.decode_sequence_distribution(target, drafter, prefix, draft_len,
+                                                      horizon)
+        expected = oracles.ar_sequence_distribution(target, prefix, horizon)
+        assert abs(sum(actual.values()) - 1.0) <= 1e-10
+        for seq, prob in expected.items():
+            assert abs(actual.get(seq, 0.0) - prob) <= 1e-10
+        for seq, prob in actual.items():
+            assert seq in expected or prob <= 1e-10
+
 class TestVerifyGreedy:
     def test_longest_common_prefix(self):
         target = _greedy_target()
@@ -334,20 +353,13 @@ def _random_sparse_model(rng, vocab_size, order):
     """Model over every symbol of the vocabulary: about 70% of the order-d
     contexts stored, every row (fallback included) with some zero entries."""
     vocab = Vocabulary(vocab_size)
-
-    def row():
-        p = rng.dirichlet(np.ones(vocab_size))
-        p[rng.random(vocab_size) < 0.3] = 0.0
-        if p.sum() == 0.0:
-            p[rng.integers(vocab_size)] = 1.0
-        return p / p.sum()
-
     table = {
-        ctx: row()
+        ctx: oracles.sparse_row(vocab_size, rng)
         for ctx in itertools.product(range(vocab.num_symbols), repeat=order)
         if rng.random() < 0.7
     }
-    return TabularModel(order=order, vocab=vocab, table=table, fallback=row())
+    return TabularModel(order=order, vocab=vocab, table=table,
+                        fallback=oracles.sparse_row(vocab_size, rng))
 
 
 class TestDecodeLoopMatchesFullPrefixOracle:
