@@ -14,13 +14,12 @@ from .models import (
     TabularModel,
     Vocabulary,
     as_distribution,
-    build_ngram_model,
-    generate_autoregressive,
     greedy_token,
     load_model,
+    lookup_rows,
     make_synthetic_target,
     next_distribution,
-    padded_suffix,
+    sample_sequences,
     sample_token,
     save_model,
 )
@@ -41,7 +40,6 @@ from .verification import (
     VerificationOutcome,
     accept_prob,
     decode_loop,
-    expected_accept_length,
     residual_distribution,
     verify_greedy,
     verify_stochastic,

@@ -13,12 +13,13 @@ import json
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
-from .models import SAMPLE, TabularModel, Token, generate_autoregressive
+from .models import TabularModel, Token, sample_sequences
 from .verification import (
     NUM_CONFIDENCE_BINS,
     DecodeTrace,
@@ -69,31 +70,24 @@ class BenchReport:
     def speedup_estimate(self) -> float:
         return self.committed_per_step / (1.0 + self.cost.draft_cost)
 
+    @cached_property
     def position_rows(self) -> list[tuple[int, int, int, float]]:
-        rows = []
-        for k in range(self.trace.draft_len):
-            attempts = int(self.trace.position_attempts[k])
-            accepts = int(self.trace.position_accepts[k])
-            rate = accepts / attempts if attempts else 0.0
-            rows.append((k, attempts, accepts, rate))
-        return rows
+        """(k, attempts, accepts, rate) per draft position, built once."""
+        counts = zip(self.trace.position_attempts.tolist(), self.trace.position_accepts.tolist())
+        return [(k, n, a, a / n if n else 0.0) for k, (n, a) in enumerate(counts)]
 
+    @cached_property
     def confidence_rows(self) -> list[tuple[float, float, int, int, float]]:
-        rows = []
-        for b in range(NUM_CONFIDENCE_BINS):
-            lo = b / NUM_CONFIDENCE_BINS
-            hi = (b + 1) / NUM_CONFIDENCE_BINS
-            attempts = int(self.trace.bin_attempts[b])
-            accepts = int(self.trace.bin_accepts[b])
-            rate = accepts / attempts if attempts else 0.0
-            rows.append((lo, hi, attempts, accepts, rate))
-        return rows
+        """(lo, hi, attempts, accepts, rate) per confidence bin, built once."""
+        counts = zip(self.trace.bin_attempts.tolist(), self.trace.bin_accepts.tolist())
+        return [(b / NUM_CONFIDENCE_BINS, (b + 1) / NUM_CONFIDENCE_BINS, n, a, a / n if n else 0.0)
+                for b, (n, a) in enumerate(counts)]
 
     @property
     def correlation(self) -> float | None:
         """Spearman correlation between bin center and acceptance rate."""
         centers, rates = [], []
-        for lo, hi, attempts, _accepts, rate in self.confidence_rows():
+        for lo, hi, attempts, _accepts, rate in self.confidence_rows:
             if attempts > 0:
                 centers.append((lo + hi) / 2.0)
                 rates.append(rate)
@@ -105,11 +99,11 @@ class BenchReport:
         out["draft_cost"] = self.cost.draft_cost
         out["correlation"] = self.correlation
         out["position_curve"] = [
-            {"k": k, "rate": rate} for k, _attempts, _accepts, rate in self.position_rows()
+            {"k": k, "rate": rate} for k, _attempts, _accepts, rate in self.position_rows
         ]
         out["confidence_curve"] = [
             {"center": (lo + hi) / 2.0, "rate": rate}
-            for lo, hi, _attempts, _accepts, rate in self.confidence_rows()
+            for lo, hi, _attempts, _accepts, rate in self.confidence_rows
         ]
         out["config"] = self.config
         return out
@@ -139,12 +133,9 @@ def run_bench(
     if prompts is None:
         if num_prompts < 1 or prompt_len < 1:
             raise ValueError("num_prompts and prompt_len must be >= 1")
-        prompts = [
-            generate_autoregressive(
-                target, (), prompt_len, mode=SAMPLE, rng=np.random.default_rng([seed, i, 0])
-            )
-            for i in range(num_prompts)
-        ]
+        uniforms = [np.random.default_rng([seed, i, 0]).random(prompt_len)
+                    for i in range(num_prompts)]
+        prompts = sample_sequences(target, np.array(uniforms)).tolist()
     elif len(prompts) == 0:
         raise ValueError("prompts must be nonempty")
     traces = []
@@ -185,14 +176,14 @@ def write_report_json(report: BenchReport, path: str | Path) -> None:
 
 def write_position_csv(report: BenchReport, path: str | Path) -> None:
     lines = ["k,attempts,accepts,rate"]
-    for k, attempts, accepts, rate in report.position_rows():
+    for k, attempts, accepts, rate in report.position_rows:
         lines.append(f"{k},{attempts},{accepts},{rate!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_confidence_csv(report: BenchReport, path: str | Path) -> None:
     lines = ["bin_lo,bin_hi,attempts,accepts,rate"]
-    for lo, hi, attempts, accepts, rate in report.confidence_rows():
+    for lo, hi, attempts, accepts, rate in report.confidence_rows:
         lines.append(f"{lo!r},{hi!r},{attempts},{accepts},{rate!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .drafting import has_feature_contexts
-from .models import SAMPLE, generate_autoregressive, load_model, make_synthetic_target, save_model
+from .models import load_model, make_synthetic_target, sample_sequences, save_model
 from .training import (
     TrainConfig,
     build_training_windows,
@@ -124,13 +124,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if n_seqs < 1 or seq_len < 1:
             raise UsageError("--corpus dimensions must be >= 1")
         corpus_seed = args.corpus_seed if args.corpus_seed is not None else args.seed
-        sequences = [
-            generate_autoregressive(
-                model, (), seq_len, mode=SAMPLE, rng=np.random.default_rng([corpus_seed, i])
-            )
-            for i in range(n_seqs)
-        ]
-        _write_corpus(args.corpus_out, sequences)
+        uniforms = [np.random.default_rng([corpus_seed, i]).random(seq_len)
+                    for i in range(n_seqs)]
+        _write_corpus(args.corpus_out, sample_sequences(model, np.array(uniforms)).tolist())
         print(f"wrote corpus ({n_seqs}x{seq_len}): {args.corpus_out}")
     return EXIT_OK
 
@@ -184,6 +180,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
 
     target = load_model(args.target)
+    start = time.perf_counter()
     if args.corpus is not None:
         corpus = _read_corpus(args.corpus)
     else:
@@ -192,7 +189,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         if n_seqs < 1 or seq_len < config.draft_len + 1:
             raise UsageError("--data-seqs must be >= 1 and --data-len >= draft length + 1")
         corpus = sample_corpus(target, n_seqs, seq_len, np.random.default_rng([config.seed, 0]))
-    start = time.perf_counter()
+    sampled = time.perf_counter()
     windows = build_training_windows(
         target, corpus, config, np.random.default_rng([config.seed, 1])
     )
@@ -201,8 +198,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     solved = time.perf_counter()
     mean_loss = float(np.mean(window_losses(drafter, windows, config)))
     scored = time.perf_counter()
-    print(f"time: windows {built - start:.3f} s, solve {solved - built:.3f} s, "
-          f"loss {scored - solved:.3f} s", file=sys.stderr)
+    print(f"time: corpus {sampled - start:.3f} s, windows {built - sampled:.3f} s, "
+          f"solve {solved - built:.3f} s, loss {scored - solved:.3f} s", file=sys.stderr)
     save_model(drafter, args.out)
     print(f"windows: {len(windows)}")
     print(f"mean window loss: {mean_loss:.6f}")

@@ -178,4 +178,4 @@ def has_feature_contexts(model: TabularModel) -> bool:
     target-dependent mode falls back on every feature-bearing context.
     """
     features = model.vocab.feature_ids
-    return any(any(s in features for s in ctx) for ctx in model.table)
+    return bool(((model.contexts >= features.start) & (model.contexts < features.stop)).any())

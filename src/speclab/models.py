@@ -2,9 +2,12 @@
 
 A :class:`TabularModel` maps every fixed-width context to a full next-token
 distribution and keeps a fallback distribution for unseen contexts, so lookup
-never fails. The tables are exact, which is the whole point: acceptance
-probabilities, expected acceptance lengths, and training objectives computed
-on top of them can be checked against brute-force enumeration.
+never fails. Its rows are one array, found by each context's exact
+mixed-radix code: :func:`lookup_rows` reads many contexts at once, and
+:func:`next_distribution` is its one-context case. The tables are exact,
+which is the whole point: acceptance probabilities, expected acceptance
+lengths, and training objectives computed on top of them can be checked
+against brute-force enumeration.
 
 Reserved symbols extend the real-token alphabet: a mask placeholder for
 not-yet-drafted positions, one feature symbol per real token for
@@ -15,12 +18,13 @@ left-fills short histories so context keys stay fixed width.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 Token = int
 Symbol = int
@@ -32,7 +36,6 @@ PROB_SUM_TOL = 1e-9
 
 GREEDY = "greedy"
 SAMPLE = "sample"
-_DRAW_MODES = (GREEDY, SAMPLE)
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,6 @@ class Vocabulary:
             raise ValueError(f"not a real token id: {token}")
         return self.size + 1 + token
 
-    def token_of_feature(self, symbol: Symbol) -> Token:
-        if symbol not in self.feature_ids:
-            raise ValueError(f"not a feature symbol: {symbol}")
-        return symbol - self.size - 1
-
 
 def as_distribution(probs: Iterable[float], vocab_size: int) -> np.ndarray:
     """Validate a probability vector and return it as a frozen float64 array.
@@ -102,92 +100,173 @@ def as_distribution(probs: Iterable[float], vocab_size: int) -> np.ndarray:
     return arr
 
 
-def padded_suffix(symbols: Sequence[Symbol], order: int, pad_id: Symbol) -> Context:
-    """Order-sized suffix of ``symbols``, left-filled with the pad symbol."""
-    tail = tuple(map(int, symbols[-order:])) if order > 0 else ()
-    if len(tail) < order:
-        tail = (pad_id,) * (order - len(tail)) + tail
-    return tail
+def _checked_rows(
+    contexts: ArrayLike, rows: ArrayLike, order: int, vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stored contexts (R, order) and rows (R, V) as arrays, checked.
 
-
-def _checked_row(
-    key: Context, probs: Iterable[float], order: int, vocab: Vocabulary
-) -> np.ndarray:
-    """One table row, checked: key width, key symbols, then the distribution."""
-    if len(key) != order:
-        raise ValueError(f"context {key} does not match model order {order}")
-    for s in key:
-        if not 0 <= s < vocab.num_symbols:
-            raise ValueError(f"context symbol out of range: {s}")
-    return as_distribution(probs, vocab.size)
-
-
-def _checked_rows(keys: list[Context], values: list, order: int, vocab: Vocabulary) -> np.ndarray:
-    """All table rows as one read-only (R, V) float64 array.
-
-    The checks of :func:`_checked_row` run in one pass over the whole array.
-    If any row fails them, the rows are checked again one by one in table
-    order, so the error raised is the one of the first faulty row.
+    The checks of a row (context width, context symbols, then the
+    distribution) run in one pass over the whole arrays. If any row fails
+    them, the rows are checked again one by one in the given order, so the
+    error raised is the one of the first faulty row.
     """
     V = vocab.size
     try:
-        rows = np.array(values, dtype=np.float64) if values else np.zeros((0, V))
-        symbols = np.array(keys, dtype=np.int64) if keys else np.zeros((0, order), np.int64)
-    except (ValueError, OverflowError):  # ragged rows or keys, or non-numbers
-        rows = symbols = None
+        probs = np.array(rows, dtype=np.float64) if len(rows) else np.zeros((0, V))
+        keys = (np.array(contexts, dtype=np.int64) if len(contexts)
+                else np.zeros((0, order), np.int64))
+    except (ValueError, OverflowError, TypeError):  # ragged rows or keys, or non-numbers
+        probs = keys = None
     valid = (
-        rows is not None
-        and rows.shape == (len(values), V)
-        and symbols.shape == (len(keys), order)
-        and bool(np.all((symbols >= 0) & (symbols < vocab.num_symbols)))
-        and not np.any(rows < 0.0)
-        and bool(np.all(np.abs(rows.sum(axis=1) - 1.0) <= PROB_SUM_TOL))
+        probs is not None
+        and probs.shape == (len(contexts), V)
+        and keys.shape == (len(contexts), order)
+        and bool(np.all((keys >= 0) & (keys < vocab.num_symbols)))
+        and not np.any(probs < 0.0)
+        and bool(np.all(np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL))
     )
     if not valid:
-        rows = np.array(
-            [_checked_row(key, probs, order, vocab) for key, probs in zip(keys, values)]
-        ).reshape(-1, V)
-    rows.setflags(write=False)
-    return rows
+        for key, row in zip(contexts, rows):
+            key = tuple(map(int, key))
+            if len(key) != order:
+                raise ValueError(f"context {key} does not match model order {order}")
+            for s in key:
+                if not 0 <= s < vocab.num_symbols:
+                    raise ValueError(f"context symbol out of range: {s}")
+            as_distribution(row, V)
+        raise ValueError(f"contexts must have shape (R, {order}) and rows (R, {V})")
+    return keys, probs
 
 
-@dataclass
+def context_codes(contexts: ArrayLike, num_symbols: int) -> np.ndarray:
+    """Exact mixed-radix codes over ``num_symbols`` of (n, d) context rows.
+
+    Equal rows get equal codes, and code order is the rows' lexicographic
+    order. The codes are int64 while ``num_symbols ** d`` fits in it, and
+    Python ints (an object array) above that, so no order overflows.
+    """
+    contexts = np.asarray(contexts)
+    dtype = np.int64 if num_symbols ** contexts.shape[1] <= 2**63 else object
+    codes = np.zeros(len(contexts), dtype=dtype)
+    for column in contexts.T.astype(dtype):
+        codes = codes * num_symbols + column
+    return codes
+
+
+#: Largest code space, ``num_symbols ** order``, that a model indexes with a
+#: dense int32 code -> row array; above it a model binary-searches its sorted
+#: codes.
+DENSE_INDEX_MAX = 1 << 21
+
+
 class TabularModel:
     """Finite-order conditional table with a total-lookup fallback.
 
+    ``rows`` is one read-only (R + 1, V) array whose last row is the
+    fallback, and ``contexts`` the read-only (R, order) array of stored
+    contexts in sorted order: row r of ``rows`` is the next-token
+    distribution of ``contexts[r]``. The constructor takes the contexts and
+    rows in any order, checks them, and rejects a context given twice.
     Immutable after construction; safe to share read-only across workers.
-    The table's rows are views of one read-only (R, V) array.
     """
 
-    order: int
-    vocab: Vocabulary
-    table: dict[Context, np.ndarray]
-    fallback: np.ndarray
+    def __init__(self, order: int, vocab: Vocabulary, contexts: ArrayLike, rows: ArrayLike,
+                 fallback: ArrayLike) -> None:
+        if order < 1:
+            raise ValueError(f"model order must be >= 1, got {order}")
+        fallback = as_distribution(fallback, vocab.size)
+        keys, probs = _checked_rows(contexts, rows, order, vocab)
+        num_symbols = vocab.num_symbols
+        codes = context_codes(keys, num_symbols)
+        by_code = np.argsort(codes, kind="stable")
+        codes = codes[by_code]
+        repeated = np.flatnonzero(codes[1:] == codes[:-1])
+        if len(repeated):
+            context = tuple(keys[by_code[repeated[0]]].tolist())
+            raise ValueError(f"duplicate row for context {context}")
+        self.order = order
+        self.vocab = vocab
+        self.contexts = keys[by_code]
+        self.rows = np.concatenate([probs[by_code], fallback[None]])
+        self.contexts.setflags(write=False)
+        self.rows.setflags(write=False)
+        #: The distribution of every context without a stored row.
+        self.fallback = self.rows[-1]
+        # Code -> row id: one dense array when the code space is small, else
+        # a binary search over the sorted codes.
+        if num_symbols**order <= DENSE_INDEX_MAX:
+            dense = np.full(num_symbols**order, len(codes), dtype=np.int32)
+            dense[codes] = np.arange(len(codes))
+            self._row_ids = dense.__getitem__
+        else:
+            self._row_ids = partial(_search_rows, np.append(codes, -1))
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"model order must be >= 1, got {self.order}")
-        self.fallback = as_distribution(self.fallback, self.vocab.size)
-        keys = [tuple(map(int, key)) for key in self.table]
-        rows = _checked_rows(keys, list(self.table.values()), self.order, self.vocab)
-        self.table = dict(zip(keys, rows))
+    @property
+    def table(self) -> Mapping[Context, np.ndarray]:
+        """Read-only context -> row view over the arrays."""
+        return _TableView(self)
+
+
+def _search_rows(codes: np.ndarray, queries):
+    """Row id of each query in ``codes`` (sorted codes, then a -1 that no
+    code matches), else the last id, the fallback's; scalar in, scalar out."""
+    found = np.searchsorted(codes[:-1], queries)
+    return np.where(codes[found] == queries, found, len(codes) - 1)[()]
+
+
+class _TableView(Mapping):
+    """Stored contexts as tuples, in sorted order, mapped to their rows."""
+
+    def __init__(self, model: TabularModel) -> None:
+        self._model = model
+
+    def __len__(self) -> int:
+        return len(self._model.contexts)
+
+    def __iter__(self) -> Iterator[Context]:
+        return map(tuple, self._model.contexts.tolist())
+
+    def __getitem__(self, key: Context) -> np.ndarray:
+        model = self._model
+        if len(key) == model.order and all(0 <= s < model.vocab.num_symbols for s in key):
+            row = model._row_ids(context_codes([key], model.vocab.num_symbols))[0]
+            if row < len(model.contexts):
+                return model.rows[row]
+        raise KeyError(key)
+
+
+def lookup_rows(model: TabularModel, contexts: ArrayLike) -> np.ndarray:
+    """Next-token distributions of (n, order) pad-filled contexts, (n, V).
+
+    Row i is ``next_distribution(model, contexts[i])``: the stored row of
+    that context, else the fallback. A symbol outside the model's symbol
+    space raises ValueError naming the first one in row order.
+    """
+    contexts = np.asarray(contexts)
+    if contexts.ndim != 2 or contexts.shape[1] != model.order:
+        raise ValueError(f"contexts must have shape (n, {model.order}), got {contexts.shape}")
+    bad = (contexts < 0) | (contexts >= model.vocab.num_symbols)
+    if bad.any():
+        raise ValueError(f"context symbol out of range: {contexts[bad][0]}")
+    return model.rows[model._row_ids(context_codes(contexts, model.vocab.num_symbols))]
 
 
 def next_distribution(model: TabularModel, context: Sequence[Symbol]) -> np.ndarray:
     """Conditional next-token distribution for the order-d suffix of ``context``.
 
-    Short contexts are left-padded; unseen contexts return the fallback, so
-    lookup is total. Only the padded order-d key is read, and only the key is
-    range-checked: a symbol id in it outside the model's symbol space raises
-    ValueError, while symbols before the last d are never looked at. The
-    cost is O(d), whatever the length of ``context``.
+    The one-context case of :func:`lookup_rows`: short contexts are
+    left-padded and unseen ones get the fallback. Only the padded order-d
+    key is read and range-checked (ValueError), so the cost is O(d),
+    whatever the length of ``context``.
     """
-    key = padded_suffix(context, model.order, model.vocab.pad_id)
-    num_symbols = model.vocab.num_symbols
-    for s in key:
+    order, num_symbols = model.order, model.vocab.num_symbols
+    code = 0
+    for s in (model.vocab.pad_id,) * (order - len(context)) + tuple(context[-order:]):
+        s = int(s)
         if not 0 <= s < num_symbols:
             raise ValueError(f"context symbol out of range: {s}")
-    return model.table.get(key, model.fallback)
+        code = code * num_symbols + s
+    return model.rows[model._row_ids(code)]
 
 
 def sample_token(dist: np.ndarray, rng: RNG) -> Token:
@@ -207,69 +286,25 @@ def greedy_token(dist: np.ndarray) -> Token:
     return int(np.argmax(dist))
 
 
-def generate_autoregressive(
-    model: TabularModel,
-    prefix: Sequence[Token],
-    n: int,
-    mode: str = GREEDY,
-    rng: RNG | None = None,
-) -> list[Token]:
-    """Generate ``n`` tokens one at a time, each conditioned on the running suffix."""
-    if mode not in _DRAW_MODES:
-        raise ValueError(f"mode must be one of {_DRAW_MODES}, got {mode!r}")
-    if mode == SAMPLE and rng is None:
-        raise ValueError("sample mode requires an rng")
-    for t in prefix:
-        if not model.vocab.is_real(int(t)):
-            raise ValueError(f"prefix must contain only real tokens, got {t}")
-    seq = [int(t) for t in prefix]
-    out: list[Token] = []
-    for _ in range(n):
-        dist = next_distribution(model, seq)
-        tok = greedy_token(dist) if mode == GREEDY else sample_token(dist, rng)
-        seq.append(tok)
-        out.append(tok)
-    return out
+def sample_sequences(model: TabularModel, uniforms: ArrayLike) -> np.ndarray:
+    """(N, L) tokens: one sequence per row of ``uniforms``, all in lockstep.
 
-
-def build_ngram_model(
-    corpus: Iterable[Sequence[Token]],
-    order: int,
-    vocab_size: int,
-    smoothing: float = 0.1,
-) -> TabularModel:
-    """Estimate an order-d model by add-k counting over a token corpus.
-
-    Every position of every sequence contributes one (context, token) event,
-    with contexts left-padded at sequence starts. Each stored distribution is
-    (count + k) / (total + k*V); the fallback is the add-k unigram over all
-    events. An empty corpus with k = 0 has no valid distributions and raises.
+    Every sequence starts from the empty prefix. Token t of sequence i
+    inverts its row's CDF at ``uniforms[i, t]`` exactly as
+    :func:`sample_token` does, so ``rng.random((N, L))`` gives the tokens
+    and rng state of N * L ``sample_token`` calls, sequence by sequence.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if smoothing < 0:
-        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
-    vocab = Vocabulary(vocab_size)
-    counts: dict[Context, np.ndarray] = {}
-    unigram = np.zeros(vocab_size, dtype=np.float64)
-    for seq in corpus:
-        toks = [int(t) for t in seq]
-        for t in toks:
-            if not vocab.is_real(t):
-                raise ValueError(f"corpus token out of range [0, {vocab_size}): {t}")
-        for i, tok in enumerate(toks):
-            ctx = padded_suffix(toks[:i], order, vocab.pad_id)
-            counts.setdefault(ctx, np.zeros(vocab_size, dtype=np.float64))[tok] += 1.0
-            unigram[tok] += 1.0
-    total = float(unigram.sum())
-    if total == 0.0 and smoothing == 0.0:
-        raise ValueError("empty corpus with zero smoothing has no valid distributions")
-    table = {
-        ctx: (vec + smoothing) / (vec.sum() + smoothing * vocab_size)
-        for ctx, vec in counts.items()
-    }
-    fallback = (unigram + smoothing) / (total + smoothing * vocab_size)
-    return TabularModel(order=order, vocab=vocab, table=table, fallback=fallback)
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    length, order = uniforms.shape[1], model.order
+    seqs = np.full((len(uniforms), order + length), model.vocab.pad_id, dtype=np.int64)
+    for t in range(length):
+        # Every sequence's first context is the empty prefix: one row for all.
+        rows = (next_distribution(model, ())[None] if t == 0
+                else lookup_rows(model, seqs[:, t : t + order]))
+        cdf = np.cumsum(rows, axis=1)
+        # Row-wise searchsorted(side="right"): count the entries <= the draw.
+        seqs[:, order + t] = (cdf <= (uniforms[:, t] * cdf[:, -1])[:, None]).sum(axis=1)
+    return seqs[:, order:]
 
 
 def make_synthetic_target(
@@ -296,10 +331,9 @@ def make_synthetic_target(
     vocab = Vocabulary(vocab_size)
     alpha = np.full(vocab_size, float(concentration))
     symbols = list(range(vocab_size)) + [vocab.pad_id]
-    contexts = itertools.product(symbols, repeat=order)
-    rows = rng.dirichlet(alpha, size=len(symbols) ** order + 1)
-    table = dict(zip(contexts, rows[1:]))
-    return TabularModel(order=order, vocab=vocab, table=table, fallback=rows[0])
+    contexts = list(itertools.product(symbols, repeat=order))
+    rows = rng.dirichlet(alpha, size=len(contexts) + 1)
+    return TabularModel(order, vocab, contexts, rows[1:], rows[0])
 
 
 # Model files are line oriented: a header, the fallback row keyed by "*", then
@@ -309,17 +343,13 @@ def make_synthetic_target(
 _FALLBACK_KEY = "*"
 
 
-def _format_probs(probs: np.ndarray) -> str:
-    return " ".join(format(float(p), ".17g") for p in probs)
-
-
 def save_model(model: TabularModel, path: str | Path) -> None:
     """Write a model in the text format ``CONTEXT<TAB>p_0 ... p_{V-1}``."""
+    row_format = " ".join(["%.17g"] * model.vocab.size)
     lines = [f"ngram v={model.vocab.size} d={model.order}"]
-    lines.append(_FALLBACK_KEY + "\t" + _format_probs(model.fallback))
-    for ctx in sorted(model.table):
-        key = " ".join(str(s) for s in ctx)
-        lines.append(key + "\t" + _format_probs(model.table[ctx]))
+    lines.append(_FALLBACK_KEY + "\t" + row_format % tuple(model.fallback.tolist()))
+    for ctx, row in zip(model.contexts.tolist(), model.rows.tolist()):
+        lines.append(" ".join(map(str, ctx)) + "\t" + row_format % tuple(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -340,7 +370,9 @@ def load_model(path: str | Path) -> TabularModel:
     except ValueError as exc:
         raise ValueError(f"bad model header: {lines[0]!r}") from exc
     fallback: np.ndarray | None = None
-    table: dict[Context, np.ndarray] = {}
+    contexts: list[Context] = []
+    rows: list[np.ndarray] = []
+    seen: set[Context] = set()
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -354,9 +386,11 @@ def load_model(path: str | Path) -> TabularModel:
             fallback = probs
         else:
             ctx = tuple(int(s) for s in key.split())
-            if ctx in table:
+            if ctx in seen:
                 raise ValueError(f"duplicate row for context {ctx} in model file: {path}")
-            table[ctx] = probs
+            seen.add(ctx)
+            contexts.append(ctx)
+            rows.append(probs)
     if fallback is None:
         raise ValueError(f"model file missing fallback line: {path}")
-    return TabularModel(order=order, vocab=Vocabulary(vocab_size), table=table, fallback=fallback)
+    return TabularModel(order, Vocabulary(vocab_size), contexts, rows, fallback)

@@ -27,12 +27,13 @@ from numpy.typing import ArrayLike
 from .drafting import GateConfig, apply_gate, masked_contexts
 from .models import (
     RNG,
-    SAMPLE,
     TabularModel,
     Token,
     Vocabulary,
-    generate_autoregressive,
-    next_distribution,
+    context_codes,
+    lookup_rows,
+    next_distribution,  # noqa: F401 - perfbench's tracer test patches it here
+    sample_sequences,
 )
 
 UNIFORM = "uniform"
@@ -132,11 +133,10 @@ class TrainingWindows:
 def sample_corpus(
     model: TabularModel, num_sequences: int, sequence_length: int, rng: RNG
 ) -> list[list[Token]]:
-    """Self-distillation data: sequences sampled from the model itself."""
-    return [
-        generate_autoregressive(model, (), sequence_length, mode=SAMPLE, rng=rng)
-        for _ in range(num_sequences)
-    ]
+    """Self-distillation data: sequences sampled from the model itself, with
+    one ``rng.random`` call for all tokens (the stream of one draw each)."""
+    uniforms = rng.random((num_sequences, sequence_length))
+    return sample_sequences(model, uniforms).tolist()
 
 
 def build_training_windows(
@@ -159,10 +159,11 @@ def build_training_windows(
     d = target.order
     d_drafter = config.drafter_order if config.drafter_order is not None else d
     K = config.draft_len
-    rows: list[np.ndarray] = []
-    labels: list[Token] = []
+    width = max(d, d_drafter)
     starts = [np.zeros(0, dtype=np.intp)]
+    events = [np.zeros((0, d + 1), dtype=np.intp)]
     prefixes = [np.zeros((0, d_drafter), dtype=np.intp)]
+    offset = 0
     for seq in corpus:
         seq = [int(t) for t in seq]
         if seq and not (min(seq) >= 0 and max(seq) < vocab.size):
@@ -170,17 +171,20 @@ def build_training_windows(
             raise ValueError(f"corpus token out of range [0, {vocab.size}): {bad}")
         if len(seq) < K + 1:
             continue
-        # Row for position i is the target's conditional of seq[i] given seq[:i].
-        starts.append(np.arange(len(rows), len(rows) + len(seq) - K))
-        rows += [next_distribution(target, seq[max(0, i - d) : i]) for i in range(1, len(seq))]
-        labels += seq[1:]
-        padded = np.array([vocab.pad_id] * d_drafter + seq, dtype=np.intp)
-        prefixes.append(sliding_window_view(padded, d_drafter)[1 : len(seq) - K + 1])
+        # Event i - 1 is position i's pad-filled order-d context, then
+        # seq[i]: its row is the target's conditional of seq[i] given seq[:i].
+        padded = np.array([vocab.pad_id] * width + seq, dtype=np.intp)
+        starts.append(np.arange(offset, offset + len(seq) - K))
+        events.append(sliding_window_view(padded[width - d :], d + 1)[1:])
+        prefixes.append(sliding_window_view(padded[width - d_drafter :], d_drafter)
+                        [1 : len(seq) - K + 1])
+        offset += len(seq) - 1
 
-    target_rows = np.array(rows, dtype=np.float64).reshape(-1, vocab.size)
+    events_arr = np.concatenate(events)
+    target_rows = lookup_rows(target, events_arr[:, :d])
     starts_arr = np.concatenate(starts)
     positions = starts_arr[:, None] + np.arange(K)
-    future = np.array(labels, dtype=np.intp)[positions]
+    future = events_arr[positions, d]
     top = target_rows.argmax(axis=1)[starts_arr]
     features = apply_gate(vocab.feature_ids[0] + top, GateConfig(config.rho), vocab, rng)
     if config.weighting == CAT:
@@ -193,18 +197,6 @@ def build_training_windows(
     for arr in arrays:
         arr.setflags(write=False)
     return TrainingWindows(*arrays)
-
-
-def _context_codes(contexts: np.ndarray, num_symbols: int) -> np.ndarray:
-    """Dense ids of (m, order) context rows: equal rows, equal ids, all < m.
-
-    The rows are read as mixed-radix numbers over ``num_symbols``, one digit
-    at a time, and renumbered densely after each digit so no order overflows.
-    """
-    codes = np.zeros(len(contexts), dtype=np.int64)
-    for column in contexts.T:
-        _, codes = np.unique(codes * num_symbols + column, return_inverse=True)
-    return codes
 
 
 def _position_contexts(
@@ -224,7 +216,8 @@ def _position_contexts(
          for k in range(distinct)],
         axis=1,
     ).reshape(-1, order)
-    codes = _context_codes(contexts, vocab.num_symbols)
+    # A context's id is the rank of its exact code among the distinct codes.
+    codes = np.unique(context_codes(contexts, vocab.num_symbols), return_inverse=True)[1]
     keys = np.empty((codes.max(initial=-1) + 1, order), dtype=contexts.dtype)
     keys[codes] = contexts
     return codes.reshape(n, distinct)[:, np.minimum(np.arange(draft_len), order)], keys
@@ -304,10 +297,7 @@ def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> Tabu
     table_rows = (soft + smoothing) / denominators[:, None]
     aggregate = np.cumsum(soft, axis=0)[-1]
     fallback = (aggregate + smoothing) / (aggregate.sum() + smoothing * vocab_size)
-    keys = [tuple(row) for row in key_rows[seen].tolist()]
-    return TabularModel(
-        order=order, vocab=vocab, table=dict(zip(keys, table_rows)), fallback=fallback
-    )
+    return TabularModel(order, vocab, key_rows[seen], table_rows, fallback)
 
 
 def window_losses(
@@ -331,8 +321,7 @@ def window_losses(
             f"(order {order}, V={windows.target_rows.shape[1]})"
         )
     codes, keys = _position_contexts(windows, vocab)
-    q_rows = np.array([next_distribution(drafter, key) for key in keys.tolist()])
-    q_rows = q_rows.reshape(-1, vocab.size)
+    q_rows = lookup_rows(drafter, keys)
     losses = np.zeros(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_q_rows, log_p_rows = np.log(q_rows), np.log(windows.target_rows)

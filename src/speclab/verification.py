@@ -188,19 +188,6 @@ def verify_greedy(
     )
 
 
-def expected_accept_length(accept_probs: Sequence[float]) -> float:
-    """Expected number of accepted draft tokens, sum over k of prod_{j<=k} a_j."""
-    total = 0.0
-    running = 1.0
-    for a in accept_probs:
-        a = float(a)
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"acceptance probability out of [0, 1]: {a}")
-        running *= a
-        total += running
-    return total
-
-
 @dataclass
 class DecodeTrace:
     """Aggregate acceptance statistics across draft/verify rounds.

@@ -26,6 +26,86 @@ from speclab.models import (
     next_distribution,
     sample_token,
 )
+
+
+# --- dict-built tables and scalar model paths ---------------------------------
+
+
+def model_from_table(order: int, vocab: Vocabulary, table: dict, fallback) -> TabularModel:
+    """The array model of a context -> row dict, in the dict's order."""
+    return TabularModel(order, vocab, list(table), list(table.values()), fallback)
+
+
+def token_of_feature(vocab: Vocabulary, symbol: int) -> int:
+    """The real token a feature symbol lifts; the inverse of ``vocab.feature_for``."""
+    if symbol not in vocab.feature_ids:
+        raise ValueError(f"not a feature symbol: {symbol}")
+    return symbol - vocab.size - 1
+
+
+def padded_suffix(symbols, order: int, pad_id: int) -> tuple:
+    """Order-sized suffix of ``symbols``, left-filled with the pad symbol."""
+    tail = tuple(map(int, symbols[-order:])) if order > 0 else ()
+    if len(tail) < order:
+        tail = (pad_id,) * (order - len(tail)) + tail
+    return tail
+
+
+def generate_autoregressive(model: TabularModel, prefix, n: int, mode: str = GREEDY,
+                            rng=None) -> list[int]:
+    """Generate ``n`` tokens one at a time, each conditioned on the running
+    suffix: one ``next_distribution`` and one draw per token."""
+    if mode not in (GREEDY, SAMPLE):
+        raise ValueError(f"mode must be one of {(GREEDY, SAMPLE)}, got {mode!r}")
+    if mode == SAMPLE and rng is None:
+        raise ValueError("sample mode requires an rng")
+    for t in prefix:
+        if not model.vocab.is_real(int(t)):
+            raise ValueError(f"prefix must contain only real tokens, got {t}")
+    seq = [int(t) for t in prefix]
+    out: list[int] = []
+    for _ in range(n):
+        dist = next_distribution(model, seq)
+        tok = greedy_token(dist) if mode == GREEDY else sample_token(dist, rng)
+        seq.append(tok)
+        out.append(tok)
+    return out
+
+
+def build_ngram_model(corpus, order: int, vocab_size: int, smoothing: float = 0.1
+                      ) -> TabularModel:
+    """Estimate an order-d model by add-k counting over a token corpus.
+
+    Every position of every sequence contributes one (context, token) event,
+    with contexts left-padded at sequence starts. Each stored distribution is
+    (count + k) / (total + k*V); the fallback is the add-k unigram over all
+    events. An empty corpus with k = 0 has no valid distributions and raises.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if smoothing < 0:
+        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
+    vocab = Vocabulary(vocab_size)
+    counts: dict[tuple, np.ndarray] = {}
+    unigram = np.zeros(vocab_size, dtype=np.float64)
+    for seq in corpus:
+        toks = [int(t) for t in seq]
+        for t in toks:
+            if not vocab.is_real(t):
+                raise ValueError(f"corpus token out of range [0, {vocab_size}): {t}")
+        for i, tok in enumerate(toks):
+            ctx = padded_suffix(toks[:i], order, vocab.pad_id)
+            counts.setdefault(ctx, np.zeros(vocab_size, dtype=np.float64))[tok] += 1.0
+            unigram[tok] += 1.0
+    total = float(unigram.sum())
+    if total == 0.0 and smoothing == 0.0:
+        raise ValueError("empty corpus with zero smoothing has no valid distributions")
+    table = {
+        ctx: (vec + smoothing) / (vec.sum() + smoothing * vocab_size)
+        for ctx, vec in counts.items()
+    }
+    fallback = (unigram + smoothing) / (total + smoothing * vocab_size)
+    return model_from_table(order, vocab, table, fallback)
 from speclab.training import CAT, CONFIDENCE_EPS, DECAY, TrainingWindows
 from speclab.verification import (
     DEPENDENT,
@@ -49,6 +129,19 @@ def decay_weights(gamma: float, draft_len: int) -> list[float]:
     for _ in range(draft_len - 1):
         weights.append(weights[-1] * gamma)
     return weights
+
+
+def expected_accept_length(accept_probs) -> float:
+    """Expected number of accepted draft tokens, sum over k of prod_{j<=k} a_j."""
+    total = 0.0
+    running = 1.0
+    for a in accept_probs:
+        a = float(a)
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"acceptance probability out of [0, 1]: {a}")
+        running *= a
+        total += running
+    return total
 
 
 def prefix_reach_probs(accept_probs) -> list[float]:
@@ -172,7 +265,7 @@ def random_order1_model(vocab_size: int, rng: np.random.Generator) -> TabularMod
     alpha = np.ones(vocab_size)
     symbols = list(range(vocab_size)) + [vocab.mask_id, vocab.pad_id]
     table = {(s,): rng.dirichlet(alpha) for s in symbols}
-    return TabularModel(order=1, vocab=vocab, table=table, fallback=rng.dirichlet(alpha))
+    return model_from_table(1, vocab, table, rng.dirichlet(alpha))
 
 
 def sparse_row(vocab_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -220,8 +313,7 @@ def sparse_order1_pair(
     for symbol in (vocab.mask_id, vocab.pad_id):
         target[(symbol,)] = sparse_row(vocab_size, rng)
         drafter[(symbol,)] = sparse_row(vocab_size, rng)
-    return tuple(TabularModel(order=1, vocab=vocab, table=table,
-                              fallback=sparse_row(vocab_size, rng))
+    return tuple(model_from_table(1, vocab, table, sparse_row(vocab_size, rng))
                  for table in (target, drafter))
 
 
@@ -281,7 +373,7 @@ def constant_model(vocab_size: int, order: int, token: int) -> TabularModel:
     onehot[token] = 1.0
     symbols = list(range(vocab_size)) + [vocab.pad_id]
     table = {c: onehot for c in itertools.product(symbols, repeat=order)}
-    return TabularModel(order=order, vocab=vocab, table=table, fallback=onehot)
+    return model_from_table(order, vocab, table, onehot)
 
 
 def mask_closed_self_drafter(base: TabularModel, draft_len: int) -> TabularModel:
@@ -315,7 +407,7 @@ def mask_closed_self_drafter(base: TabularModel, draft_len: int) -> TabularModel
     for k in range(1, draft_len):
         for r in itertools.product(range(V), repeat=order - k):
             table[r + (vocab.mask_id,) * k] = onehots[rollouts[r[-1]][k]]
-    return TabularModel(order=order, vocab=vocab, table=table, fallback=base.fallback)
+    return model_from_table(order, vocab, table, base.fallback)
 
 
 # --- masked-event add-k estimation (training reduction oracle) --------------
@@ -503,7 +595,7 @@ def scalar_train_drafter(windows: list[Window], config) -> TabularModel:
         table[ctx] = (vec + smoothing) / (mass + smoothing * vocab_size)
         aggregate += vec
     fallback = (aggregate + smoothing) / (aggregate.sum() + smoothing * vocab_size)
-    return TabularModel(order=order, vocab=vocab, table=table, fallback=fallback)
+    return model_from_table(order, vocab, table, fallback)
 
 
 def stack_windows(windows: list[Window]) -> TrainingWindows:

@@ -18,7 +18,7 @@ import pytest
 from scipy import optimize
 
 import oracles
-from oracles import decay_weights, prefix_reach_probs
+from oracles import decay_weights, expected_accept_length, prefix_reach_probs
 from speclab.bench import run_bench, write_confidence_csv, write_position_csv
 from speclab.cli import main as cli_main
 from speclab.drafting import GateConfig, apply_gate
@@ -41,7 +41,6 @@ from speclab.training import (
 from speclab.verification import (
     accept_prob,
     decode_loop,
-    expected_accept_length,
     residual_distribution,
 )
 
@@ -379,7 +378,7 @@ def test_c11_position_curve(synthetic_runs, tmp_path):
         assert len(lines) == 17
         attempts = report.trace.position_attempts
         assert all(attempts[k] >= attempts[k + 1] for k in range(15))
-        rates = [rate for _, _, _, rate in report.position_rows()]
+        rates = [rate for _, _, _, rate in report.position_rows]
         print("  acceptance rate by position:", " ".join(f"{r:.2f}" for r in rates[:8]), "...")
 
 
@@ -391,7 +390,7 @@ def test_c12_confidence_correlation(synthetic_runs, tmp_path):
             num_prompts=48, prompt_len=8, max_tokens=192, seed=run.seed,
         )
         write_confidence_csv(report, tmp_path / "confidence.csv")
-        populated = [row for row in report.confidence_rows() if row[2] > 0]
+        populated = [row for row in report.confidence_rows if row[2] > 0]
         for lo, hi, attempts, accepts, rate in populated:
             print(f"  bin [{lo:.1f},{hi:.1f}): attempts={attempts} rate={rate:.3f}")
         print(f"  spearman correlation = {report.correlation:.4f}")

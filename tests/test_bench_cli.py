@@ -49,9 +49,9 @@ class TestBenchReport:
         assert r.speedup_estimate == r.committed_per_step
 
     def test_rates_in_unit_interval(self, small_bench):
-        for _, _, _, rate in small_bench.position_rows():
+        for _, _, _, rate in small_bench.position_rows:
             assert 0.0 <= rate <= 1.0
-        for _, _, _, _, rate in small_bench.confidence_rows():
+        for _, _, _, _, rate in small_bench.confidence_rows:
             assert 0.0 <= rate <= 1.0
 
     def test_json_includes_trace_and_bench_fields(self, small_bench):
@@ -204,8 +204,8 @@ class TestCLI:
         target = self._gen(tmp_path)
         self._train(tmp_path, target, "d.ngm")
         captured = capsys.readouterr()
-        assert re.search(r"^time: windows \d+\.\d{3} s, solve \d+\.\d{3} s, "
-                         r"loss \d+\.\d{3} s$", captured.err, re.M)
+        assert re.search(r"^time: corpus \d+\.\d{3} s, windows \d+\.\d{3} s, "
+                         r"solve \d+\.\d{3} s, loss \d+\.\d{3} s$", captured.err, re.M)
         assert "time:" not in captured.out
 
     def test_train_config_file_warns_on_gradient_keys(self, tmp_path, capsys):

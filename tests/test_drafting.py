@@ -11,7 +11,7 @@ from speclab.drafting import (
     propose,
 )
 import oracles
-from speclab.models import TabularModel, Vocabulary, as_distribution
+from speclab.models import Vocabulary, as_distribution
 
 
 def _marked_drafter():
@@ -29,19 +29,19 @@ def _marked_drafter():
         (1, f): eye[3],
         (f, m): eye[0] * 0.5 + eye[1] * 0.5,
     }
-    return TabularModel(order=2, vocab=vocab, table=table, fallback=np.full(4, 0.25))
+    return oracles.model_from_table(2, vocab, table, fallback=np.full(4, 0.25))
 
 
 class TestComputeFeature:
     def test_encodes_target_argmax(self):
         vocab = Vocabulary(3)
         table = {(0,): [0.1, 0.8, 0.1]}
-        target = TabularModel(order=1, vocab=vocab, table=table, fallback=[1 / 3] * 3)
+        target = oracles.model_from_table(1, vocab, table, fallback=[1 / 3] * 3)
         feature = compute_feature(target, [0])
         assert feature == vocab.feature_for(1)
 
     def test_same_suffix_same_feature(self):
-        target = TabularModel(
+        target = oracles.model_from_table(
             order=1,
             vocab=Vocabulary(3),
             table={(2,): [0.0, 0.0, 1.0]},
@@ -50,7 +50,7 @@ class TestComputeFeature:
         assert compute_feature(target, [0, 1, 2]) == compute_feature(target, [1, 2, 2])
 
     def test_feature_is_never_a_real_token(self):
-        target = TabularModel(
+        target = oracles.model_from_table(
             order=1, vocab=Vocabulary(5), table={}, fallback=np.full(5, 0.2)
         )
         for prefix in ([0], [4], [2, 3]):
@@ -167,7 +167,7 @@ class TestPropose:
         # the zero-probability last token.
         vocab = Vocabulary(3)
         shortfall = as_distribution([0.3, 0.7 - 1e-12, 0.0], 3)
-        drafter = TabularModel(order=1, vocab=vocab, table={}, fallback=shortfall)
+        drafter = oracles.model_from_table(1, vocab, {}, fallback=shortfall)
         prop = propose(drafter, [0], 4, vocab.none_feature_id, mode="sample",
                        rng=oracles.FixedUniform(0.9999999999999))
         assert prop.tokens == (1, 1, 1, 1)
@@ -195,7 +195,7 @@ class TestHasFeatureContexts:
 
     def test_plain_tables_have_none(self):
         vocab = Vocabulary(4)
-        model = TabularModel(
+        model = oracles.model_from_table(
             order=1, vocab=vocab, table={(0,): np.full(4, 0.25)}, fallback=np.full(4, 0.25)
         )
         assert not has_feature_contexts(model)

@@ -1,6 +1,8 @@
 """Tests for the tabular model substrate."""
 
 import re
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,20 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import build_ngram_model, generate_autoregressive, padded_suffix
+from speclab import models
 from speclab.models import (
     TabularModel,
     Vocabulary,
     as_distribution,
-    build_ngram_model,
-    generate_autoregressive,
     greedy_token,
     load_model,
+    lookup_rows,
     make_synthetic_target,
     next_distribution,
-    padded_suffix,
+    sample_sequences,
     sample_token,
     save_model,
 )
+from speclab.training import sample_corpus
 
 
 class TestVocabulary:
@@ -35,7 +39,7 @@ class TestVocabulary:
         vocab = Vocabulary(4)
         assert list(vocab.feature_ids) == [5, 6, 7, 8]
         for t in range(4):
-            assert vocab.token_of_feature(vocab.feature_for(t)) == t
+            assert oracles.token_of_feature(vocab, vocab.feature_for(t)) == t
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -76,7 +80,7 @@ def _tiny_model():
         (0, 1): [0.5, 0.3, 0.2],
         (1, 0): [0.1, 0.1, 0.8],
     }
-    return TabularModel(order=2, vocab=vocab, table=table, fallback=[1 / 3, 1 / 3, 1 / 3])
+    return oracles.model_from_table(2, vocab, table, fallback=[1 / 3, 1 / 3, 1 / 3])
 
 
 class TestNextDistribution:
@@ -116,7 +120,7 @@ class TestNextDistribution:
     def test_bad_context_length_in_table_rejected(self):
         vocab = Vocabulary(2)
         with pytest.raises(ValueError, match="order"):
-            TabularModel(order=2, vocab=vocab, table={(0,): [0.5, 0.5]}, fallback=[0.5, 0.5])
+            oracles.model_from_table(2, vocab, {(0,): [0.5, 0.5]}, fallback=[0.5, 0.5])
 
 
 class TestSampleToken:
@@ -177,7 +181,7 @@ def _chain_model():
     vocab = Vocabulary(3)
     eye = np.eye(3)
     table = {(0,): eye[1], (1,): eye[2], (2,): eye[0], (vocab.pad_id,): eye[0]}
-    return TabularModel(order=1, vocab=vocab, table=table, fallback=[1 / 3, 1 / 3, 1 / 3])
+    return oracles.model_from_table(1, vocab, table, fallback=[1 / 3, 1 / 3, 1 / 3])
 
 
 class TestGenerateAutoregressive:
@@ -359,10 +363,9 @@ ROW_FAULTS = [
 class TestTableRows:
     def test_rows_are_read_only_views_of_one_array(self):
         model = make_synthetic_target(3, vocab_size=4, order=2, concentration=0.5)
-        rows = list(model.table.values())
-        base = rows[0].base
-        assert base is not None and base.shape == (len(rows), 4)
-        assert all(row.base is base and not row.flags.writeable for row in rows)
+        rows = list(model.table.values()) + [model.fallback]
+        assert model.rows.shape == (len(rows), 4) and not model.rows.flags.writeable
+        assert all(row.base is model.rows and not row.flags.writeable for row in rows)
 
     def test_synthetic_rows_equal_one_draw_per_row(self):
         # Reference: the fallback, then one Dirichlet call per context.
@@ -383,7 +386,7 @@ class TestTableRows:
         order = data.draw(st.integers(1, 3), label="order")
         table = _random_table(data, vocab, order)
         fallback = np.full(vocab.size, 1.0 / vocab.size)
-        model = TabularModel(order=order, vocab=vocab, table=table, fallback=fallback)
+        model = oracles.model_from_table(order, vocab, table, fallback=fallback)
         root = tmp_path_factory.mktemp("roundtrip")
         save_model(model, root / "a.ngm")
         loaded = load_model(root / "a.ngm")
@@ -409,7 +412,7 @@ class TestTableRows:
         # A later fault of another kind must not be the one reported.
         rows.append(((vocab.num_symbols,) * order, fallback))
         with pytest.raises(ValueError, match=message):
-            TabularModel(order=order, vocab=vocab, table=dict(rows), fallback=fallback)
+            oracles.model_from_table(order, vocab, dict(rows), fallback=fallback)
         path = tmp_path_factory.mktemp("faulty") / "m.ngm"
         lines = [f"ngram v={vocab.size} d={order}", _row_text(("*",), fallback)]
         path.write_text("\n".join(lines + [_row_text(k, p) for k, p in rows]) + "\n")
@@ -422,7 +425,7 @@ class TestTableRows:
         vocab = Vocabulary(2)
         table = {(0, 1): [0.5, 0.5], key: [0.5, 0.5], (1, 1): [0.0, 1.0]}
         with pytest.raises(ValueError, match=message):
-            TabularModel(order=2, vocab=vocab, table=table, fallback=[0.5, 0.5])
+            oracles.model_from_table(2, vocab, table, fallback=[0.5, 0.5])
 
     @pytest.mark.parametrize("duplicate", ["0 1", "*"])
     def test_duplicate_rows_rejected_by_load(self, tmp_path, duplicate):
@@ -442,3 +445,146 @@ class TestPaddedSuffix:
 
     def test_takes_suffix_of_long_histories(self):
         assert padded_suffix([1, 2, 3, 4], 2, 99) == (3, 4)
+
+
+def _check_against_dict_oracle(model, table, fallback, queries, bad, tmp):
+    """``lookup_rows`` and ``next_distribution`` read what a dict lookup
+    reads, raise the same error on an out-of-range symbol, and the model
+    saves the same bytes after a load."""
+    expected = [table.get(tuple(q), fallback) for q in queries]
+    rows = lookup_rows(model, np.array(queries, dtype=np.int64).reshape(-1, model.order))
+    assert rows.shape == (len(queries), model.vocab.size)
+    for q, row, want in zip(queries, rows, expected):
+        np.testing.assert_array_equal(row, want)
+        np.testing.assert_array_equal(next_distribution(model, q), want)
+        # A pad-filled key read from its unpadded suffix is the same key.
+        pads = 0
+        while pads < len(q) and q[pads] == model.vocab.pad_id:
+            pads += 1
+        np.testing.assert_array_equal(next_distribution(model, q[pads:]), want)
+    with pytest.raises(ValueError, match="out of range") as batch_error:
+        lookup_rows(model, np.array([bad]))
+    with pytest.raises(ValueError, match="out of range") as scalar_error:
+        next_distribution(model, bad)
+    assert str(batch_error.value) == str(scalar_error.value)
+    save_model(model, tmp / "a.ngm")
+    save_model(load_model(tmp / "a.ngm"), tmp / "b.ngm")
+    assert (tmp / "a.ngm").read_bytes() == (tmp / "b.ngm").read_bytes()
+
+
+def _dict_table(rng, vocab, keys):
+    """Random rows, about 30% of their entries zero, for the given keys."""
+    return {tuple(k): oracles.sparse_row(vocab.size, rng) for k in keys}
+
+
+class TestPackedLookup:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_lookups_match_a_dict_oracle(self, tmp_path_factory, data, seed):
+        rng = np.random.default_rng(seed)
+        vocab = Vocabulary(data.draw(st.integers(1, 4), label="vocab_size"))
+        order = data.draw(st.integers(1, 3), label="order")
+        dense = data.draw(st.booleans(), label="dense")
+        # Any symbol: real, mask, feature, no-feature and pad. A sparse table
+        # stores few of the contexts, a full one most of them.
+        context = st.lists(st.integers(0, vocab.num_symbols - 1), min_size=order,
+                           max_size=order)
+        keys = data.draw(st.lists(context, unique_by=tuple, max_size=12), label="keys")
+        table = _dict_table(rng, vocab, keys)
+        fallback = oracles.sparse_row(vocab.size, rng)
+        with mock.patch.object(models, "DENSE_INDEX_MAX", models.DENSE_INDEX_MAX if dense else 0):
+            model = oracles.model_from_table(order, vocab, table, fallback)
+        assert isinstance(model._row_ids, partial) != dense
+        queries = keys + data.draw(st.lists(context, max_size=6), label="misses")
+        bad = data.draw(context, label="bad")
+        bad[data.draw(st.integers(0, order - 1), label="at")] = data.draw(
+            st.sampled_from([-1, vocab.num_symbols, vocab.num_symbols + 7]), label="symbol")
+        _check_against_dict_oracle(model, table, fallback, queries, bad,
+                                   tmp_path_factory.mktemp("packed"))
+
+    @pytest.mark.parametrize("order, code_dtype", [(8, np.int64), (23, object)])
+    def test_code_spaces_above_the_dense_cap(self, tmp_path, order, code_dtype):
+        # V=2 has 7 symbols: 7**8 is above the dense cap, 7**23 above 2**63.
+        vocab = Vocabulary(2)
+        assert vocab.num_symbols**order > models.DENSE_INDEX_MAX
+        assert (vocab.num_symbols**order > 2**63) == (code_dtype is object)
+        rng = np.random.default_rng(order)
+        keys = rng.integers(0, vocab.num_symbols, size=(10, order))
+        keys[0] = vocab.pad_id
+        keys[1] = vocab.num_symbols - 1 - np.arange(order) % 2
+        assert models.context_codes(keys, vocab.num_symbols).dtype == code_dtype
+        table = _dict_table(rng, vocab, keys.tolist())
+        fallback = oracles.sparse_row(vocab.size, rng)
+        model = oracles.model_from_table(order, vocab, table, fallback)
+        assert isinstance(model._row_ids, partial)
+        misses = rng.integers(0, vocab.num_symbols, size=(5, order)).tolist()
+        queries = keys.tolist() + misses + [[vocab.pad_id] * (order - 1) + [0]]
+        bad = [0] * (order - 1) + [vocab.num_symbols]
+        _check_against_dict_oracle(model, table, fallback, queries, bad, tmp_path)
+
+    @pytest.mark.parametrize("order", [1, 8, 23])
+    def test_duplicate_contexts_rejected(self, tmp_path, order):
+        vocab = Vocabulary(2)
+        keys = [(0,) * order, (1,) * order, (vocab.pad_id,) * order, (1,) * order]
+        rows = [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [0.25, 0.75]]
+        name = re.escape(str((1,) * order))
+        with pytest.raises(ValueError, match=rf"^duplicate row for context {name}$"):
+            TabularModel(order, vocab, keys, rows, [0.5, 0.5])
+        path = tmp_path / "dup.ngm"
+        lines = [f"ngram v=2 d={order}", _row_text(("*",), [0.5, 0.5])]
+        path.write_text("\n".join(lines + [_row_text(k, p) for k, p in zip(keys, rows)]) + "\n")
+        with pytest.raises(ValueError, match=rf"^duplicate row for context {name} in model file"):
+            load_model(path)
+
+    def test_table_is_a_view_whose_len_builds_nothing(self):
+        model = make_synthetic_target(2, vocab_size=3, order=2, concentration=0.5)
+        assert len(model.table) == len(model.contexts) == 16
+        assert list(model.table) == [tuple(c) for c in model.contexts.tolist()]
+        with pytest.raises(KeyError):
+            model.table[(model.vocab.mask_id, 0)]
+        with pytest.raises(KeyError):
+            model.table[(0,)]
+
+
+class TestSampleSequences:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_lockstep_matches_one_token_at_a_time(self, data, seed):
+        vocab_size = data.draw(st.integers(2, 5), label="vocab_size")
+        order = data.draw(st.integers(1, 4), label="order")
+        length = data.draw(st.sampled_from([1, 2, 64]), label="length")
+        count = data.draw(st.integers(1, 5), label="count")
+        if data.draw(st.booleans(), label="sparse"):
+            rng = np.random.default_rng(seed)
+            vocab = Vocabulary(vocab_size)
+            symbols = [*range(vocab_size), vocab.pad_id]
+            keys = rng.choice(symbols, size=(8, order)).tolist()
+            table = _dict_table(rng, vocab, dict.fromkeys(map(tuple, keys)))
+            model = oracles.model_from_table(order, vocab, table,
+                                             oracles.sparse_row(vocab_size, rng))
+        else:
+            model = make_synthetic_target(seed, vocab_size, order, 0.5)
+        # One generator shared by all sequences, as sample_corpus draws.
+        shared, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        tokens = sample_corpus(model, count, length, shared)
+        assert tokens == [generate_autoregressive(model, (), length, "sample", reference)
+                          for _ in range(count)]
+        assert shared.bit_generator.state == reference.bit_generator.state
+        # One generator per sequence, as gen --corpus and bench prompts draw.
+        own = [np.random.default_rng([seed, i]) for i in range(count)]
+        tokens = sample_sequences(model, np.array([g.random(length) for g in own]))
+        for i, g in enumerate(own):
+            reference = np.random.default_rng([seed, i])
+            assert tokens[i].tolist() == generate_autoregressive(
+                model, (), length, "sample", reference)
+            assert g.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("u", [0.0, 0.9999999999999])
+    def test_draws_at_the_cdf_ends_match_sample_token(self, u):
+        # A zero-probability first token and a CDF that tops out below 1:
+        # neither end of the uniform range may land on a zero-probability token.
+        vocab = Vocabulary(3)
+        table = {(0,): [0.0, 0.4, 0.6], (1,): [0.3, 0.7 - 1e-12, 0.0]}
+        model = oracles.model_from_table(1, vocab, table, [0.0, 1.0, 0.0])
+        expected = generate_autoregressive(model, (), 6, "sample", oracles.FixedUniform(u))
+        assert sample_sequences(model, np.full((2, 6), u)).tolist() == [expected] * 2

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import decay_weights, target_confidences
+from oracles import build_ngram_model, decay_weights, target_confidences
 from speclab.drafting import compute_feature, masked_context, masked_contexts, propose
 from speclab.models import (
-    TabularModel,
     Vocabulary,
-    build_ngram_model,
     make_synthetic_target,
     next_distribution,
     save_model,
@@ -40,7 +38,7 @@ class TestTargetConfidences:
         vocab = Vocabulary(3)
         eye = np.eye(3)
         table = {(t,): eye[(t + 1) % 3] for t in range(3)}
-        target = TabularModel(1, vocab, table, np.full(3, 1 / 3))
+        target = oracles.model_from_table(1, vocab, table, np.full(3, 1 / 3))
         seq = [0, 1, 2, 0, 1]
         assert target_confidences(target, seq, 1, 4) == [1.0] * 4
 
@@ -55,12 +53,12 @@ class TestTargetConfidences:
 
     def test_uniform_target(self):
         vocab = Vocabulary(4)
-        target = TabularModel(1, vocab, {}, np.full(4, 0.25))
+        target = oracles.model_from_table(1, vocab, {}, np.full(4, 0.25))
         assert target_confidences(target, [0, 1, 2, 3], 1, 3) == [0.25] * 3
 
     def test_window_outside_sequence_rejected(self):
         vocab = Vocabulary(2)
-        target = TabularModel(1, vocab, {}, np.full(2, 0.5))
+        target = oracles.model_from_table(1, vocab, {}, np.full(2, 0.5))
         with pytest.raises(ValueError):
             target_confidences(target, [0, 1], 1, 3)
 
@@ -148,7 +146,7 @@ class TestWindowLoss:
         vocab = Vocabulary(3)
         m = vocab.mask_id
         rows = {(0, 1): [0.6, 0.3, 0.1], (1, m): [0.2, 0.5, 0.3]}
-        drafter = TabularModel(2, vocab, rows, np.full(3, 1 / 3))
+        drafter = oracles.model_from_table(2, vocab, rows, np.full(3, 1 / 3))
         window = _window(
             3, (0, 1), (1, 1), [rows[(0, 1)], rows[(1, m)]], cat_weights([1.0, 1.0])
         )
@@ -159,7 +157,7 @@ class TestWindowLoss:
     def test_zero_weights_leave_single_position(self):
         vocab = Vocabulary(2)
         m = vocab.mask_id
-        drafter = TabularModel(
+        drafter = oracles.model_from_table(
             1, vocab, {(0,): [0.75, 0.25], (m,): [0.5, 0.5]}, np.full(2, 0.5)
         )
         window = _window(2, (0,), (1, 1), [[0.5, 0.5], [0.5, 0.5]], ((0.0, 0.0), (1.0, 0.0)))
@@ -197,7 +195,7 @@ class TestWindowLoss:
 
     def test_zero_mass_reports_overflow(self):
         vocab = Vocabulary(2)
-        drafter = TabularModel(1, vocab, {(0,): [1.0, 0.0]}, [1.0, 0.0])
+        drafter = oracles.model_from_table(1, vocab, {(0,): [1.0, 0.0]}, [1.0, 0.0])
         window = _window(2, (0,), (1,), [[0.0, 1.0]], cat_weights([1.0]))
         config = TrainConfig(draft_len=1, beta=1.0, kd_weight=0.0, smoothing=0.0)
         assert _loss(drafter, window, config) == math.inf
@@ -325,7 +323,8 @@ class TestMaskedContext:
                 for k, dist in enumerate(prop.dists):
                     ctx = oracles.rewritten_context(seq[:n], feature, k, drafter.vocab,
                                                     drafter_order)
-                    assert dist is drafter.table[ctx]
+                    # Rows of one array share memory only with themselves.
+                    assert np.shares_memory(dist, drafter.table[ctx])
 
 
 class TestTrainTabularDrafter:
@@ -399,7 +398,8 @@ class TestTrainTabularDrafter:
             for ctx, row in drafter.table.items():
                 jitter = np.clip(np.asarray(row) + rng.normal(0, 0.05, row.size), 1e-9, None)
                 noisy_table[ctx] = jitter / jitter.sum()
-            noisy = TabularModel(drafter.order, drafter.vocab, noisy_table, drafter.fallback)
+            noisy = oracles.model_from_table(drafter.order, drafter.vocab, noisy_table,
+                                             drafter.fallback)
             noisy_loss = window_losses(noisy, windows, config).sum()
             assert noisy_loss >= base_loss - 1e-9
 
@@ -624,7 +624,7 @@ def _draw_drafter(data, rng, windows, config):
         for w in records for k in range(len(w.future_tokens))
     })
     table = {ctx: oracles.sparse_row(vocab.size, rng) for ctx in contexts if rng.random() < 0.5}
-    return TabularModel(order, vocab, table, oracles.sparse_row(vocab.size, rng))
+    return oracles.model_from_table(order, vocab, table, oracles.sparse_row(vocab.size, rng))
 
 
 def _assert_losses_match_oracle(drafter, windows, config):
@@ -659,7 +659,7 @@ class TestWindowLossesMatchScalarOracle:
 
     def test_zero_mass_at_a_zero_weight_position_adds_nothing(self):
         vocab = Vocabulary(2)
-        drafter = TabularModel(1, vocab, {(0,): [0.5, 0.5]}, [1.0, 0.0])
+        drafter = oracles.model_from_table(1, vocab, {(0,): [0.5, 0.5]}, [1.0, 0.0])
         # Position 1 reads the fallback, which gives token 1 no mass.
         window = _window(2, (0,), (0, 1), [[0.5, 0.5], [0.0, 1.0]], ((0.0, 1.0), (1.0, 0.0)))
         config = TrainConfig(draft_len=2, beta=1.0)
@@ -669,7 +669,7 @@ class TestWindowLossesMatchScalarOracle:
 
     def test_drafter_of_another_order_rejected(self):
         window = _window(2, (0,), (1,), [[0.5, 0.5]], cat_weights([1.0]))
-        drafter = TabularModel(2, Vocabulary(2), {}, [0.5, 0.5])
+        drafter = oracles.model_from_table(2, Vocabulary(2), {}, [0.5, 0.5])
         with pytest.raises(ValueError, match="does not match the windows"):
             window_losses(drafter, oracles.stack_windows([window]), TrainConfig(draft_len=1))
 

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import prefix_reach_probs
+from oracles import expected_accept_length, prefix_reach_probs
 from speclab.drafting import propose
 from speclab.models import (
-    TabularModel,
     Vocabulary,
     as_distribution,
     make_synthetic_target,
@@ -22,7 +21,6 @@ from speclab.verification import (
     DecodeTrace,
     accept_prob,
     decode_loop,
-    expected_accept_length,
     residual_distribution,
     verify_greedy,
     verify_stochastic,
@@ -115,8 +113,8 @@ class TestVerifyStochastic:
         vocab = Vocabulary(3)
         p_row = [0.5, 0.3, 0.2]
         q_row = [0.2, 0.3, 0.5]
-        target = TabularModel(1, vocab, {(0,): p_row}, [1 / 3] * 3)
-        drafter = TabularModel(1, vocab, {(0,): q_row}, [1 / 3] * 3)
+        target = oracles.model_from_table(1, vocab, {(0,): p_row}, [1 / 3] * 3)
+        drafter = oracles.model_from_table(1, vocab, {(0,): q_row}, [1 / 3] * 3)
         rng = np.random.default_rng(2024)
         trials = 200_000
         counts = np.zeros(3)
@@ -131,8 +129,8 @@ class TestVerifyStochastic:
     def test_guaranteed_acceptance_when_target_dominates(self):
         # q >= p everywhere except one token: that token's ratio clamps to 1.
         vocab = Vocabulary(3)
-        target = TabularModel(1, vocab, {(0,): [0.6, 0.2, 0.2]}, [1 / 3] * 3)
-        drafter = TabularModel(1, vocab, {(0,): [0.2, 0.4, 0.4]}, [1 / 3] * 3)
+        target = oracles.model_from_table(1, vocab, {(0,): [0.6, 0.2, 0.2]}, [1 / 3] * 3)
+        drafter = oracles.model_from_table(1, vocab, {(0,): [0.2, 0.4, 0.4]}, [1 / 3] * 3)
         rng = np.random.default_rng(5)
         for _ in range(100):
             prop = propose(drafter, [0], 1, vocab.none_feature_id, mode="sample", rng=rng)
@@ -158,7 +156,7 @@ def _greedy_target():
     vocab = Vocabulary(4)
     eye = np.eye(4)
     table = {(t,): eye[(t + 1) % 4] for t in range(4)}
-    return TabularModel(1, vocab, table, np.full(4, 0.25))
+    return oracles.model_from_table(1, vocab, table, np.full(4, 0.25))
 
 
 def _fixed_proposal(tokens, vocab_size=4):
@@ -358,7 +356,7 @@ def _random_sparse_model(rng, vocab_size, order):
         for ctx in itertools.product(range(vocab.num_symbols), repeat=order)
         if rng.random() < 0.7
     }
-    return TabularModel(order=order, vocab=vocab, table=table,
+    return oracles.model_from_table(order, vocab, table,
                         fallback=oracles.sparse_row(vocab_size, rng))
 
 
