@@ -23,27 +23,8 @@ from .models import (
     sample_token,
     save_model,
 )
-from .drafting import (
-    DraftProposal,
-    GateConfig,
-    apply_gate,
-    compute_feature,
-    masked_context,
-    propose,
-)
-from .verification import (
-    DEPENDENT,
-    INDEPENDENT,
-    STOCHASTIC,
-    DecodeTrace,
-    PositionRecord,
-    VerificationOutcome,
-    accept_prob,
-    decode_loop,
-    residual_distribution,
-    verify_greedy,
-    verify_stochastic,
-)
+from .drafting import GateConfig, apply_gate
+from .verification import DEPENDENT, INDEPENDENT, STOCHASTIC, DecodeTrace, decode_loop
 from .training import (
     CAT,
     DECAY,

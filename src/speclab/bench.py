@@ -3,8 +3,8 @@
 Speedup is estimated with a wall-clock-free cost model: one verification
 round costs one target pass plus ``draft_cost`` drafter passes, so the
 estimate is committed-tokens-per-step / (1 + draft_cost). Per-prompt rngs are
-derived from (master seed, prompt index), so results do not depend on
-execution order.
+derived from (master seed, prompt index), so a prompt's result does not
+depend on the other prompts of its batch.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ import numpy as np
 from scipy import stats
 
 from .models import TabularModel, Token, sample_sequences
-from .verification import (
-    NUM_CONFIDENCE_BINS,
-    DecodeTrace,
-    decode_loop,
-)
+from .verification import NUM_CONFIDENCE_BINS, STOCHASTIC, DecodeTrace, decode_loop
 
 
 @dataclass(frozen=True)
@@ -109,6 +105,18 @@ class BenchReport:
         return out
 
 
+def sample_prompts(
+    target: TabularModel, num_prompts: int, prompt_len: int, seed: int
+) -> list[list[Token]]:
+    """Prompts sampled from the target in lockstep; prompt i draws from
+    ``default_rng([seed, i, 0])``."""
+    if num_prompts < 1 or prompt_len < 1:
+        raise ValueError("num_prompts and prompt_len must be >= 1")
+    uniforms = [np.random.default_rng([seed, i, 0]).random(prompt_len)
+                for i in range(num_prompts)]
+    return sample_sequences(target, np.array(uniforms)).tolist()
+
+
 def run_bench(
     target: TabularModel,
     drafter: TabularModel,
@@ -124,31 +132,17 @@ def run_bench(
     prompts: Sequence[Sequence[Token]] | None = None,
     config_extra: dict | None = None,
 ) -> BenchReport:
-    """Run the decode loop over one batch of prompts and aggregate the traces.
+    """Decode one batch of prompts in lockstep and report its trace.
 
-    Prompts are sampled from the target with per-index seeds unless given
-    explicitly. Position attempts are checked to be nonincreasing, which the
-    sequential verifier guarantees structurally.
+    Prompts come from :func:`sample_prompts` unless given explicitly.
+    Prompt i's verification draws come from ``default_rng([seed, i, 1])``.
     """
     if prompts is None:
-        if num_prompts < 1 or prompt_len < 1:
-            raise ValueError("num_prompts and prompt_len must be >= 1")
-        uniforms = [np.random.default_rng([seed, i, 0]).random(prompt_len)
-                    for i in range(num_prompts)]
-        prompts = sample_sequences(target, np.array(uniforms)).tolist()
-    elif len(prompts) == 0:
-        raise ValueError("prompts must be nonempty")
-    traces = []
-    for i, prompt in enumerate(prompts):
-        rng = np.random.default_rng([seed, i, 1])
-        _, trace = decode_loop(
-            target, drafter, prompt, max_tokens, draft_len, mode=mode, verify=verify, rng=rng
-        )
-        traces.append(trace)
-    merged = DecodeTrace.combine(traces)
-    attempts = merged.position_attempts
-    if any(attempts[k] < attempts[k + 1] for k in range(len(attempts) - 1)):
-        raise RuntimeError("position attempts must be nonincreasing across k")
+        prompts = sample_prompts(target, num_prompts, prompt_len, seed)
+    rngs = ([np.random.default_rng([seed, i, 1]) for i in range(len(prompts))]
+            if verify == STOCHASTIC else None)
+    _, trace = decode_loop(target, drafter, prompts, max_tokens, draft_len, mode=mode,
+                           verify=verify, rngs=rngs)
 
     config = {
         "vocab": target.vocab.size,
@@ -165,7 +159,7 @@ def run_bench(
     }
     if config_extra:
         config.update(config_extra)
-    return BenchReport(trace=merged, cost=cost, config=config)
+    return BenchReport(trace=trace, cost=cost, config=config)
 
 
 def write_report_json(report: BenchReport, path: str | Path) -> None:

@@ -254,9 +254,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _warn("drafter has no feature-bearing contexts (trained at rho=1?); "
               "dependent mode will hit the fallback on feature slots")
 
-    prompts = _read_corpus(args.prompt_file) if args.prompt_file is not None else None
-    if prompts == []:
-        raise ValueError(f"prompt file {args.prompt_file} holds no prompts")
+    start = time.perf_counter()
+    if args.prompt_file is not None:
+        prompts = _read_corpus(args.prompt_file)
+        if prompts == []:
+            raise ValueError(f"prompt file {args.prompt_file} holds no prompts")
+    else:
+        prompts = bench_mod.sample_prompts(target, args.prompts, args.prompt_len, args.seed)
+    sampled = time.perf_counter()
     try:
         cost = bench_mod.CostModel(draft_cost=args.draft_cost)
     except ValueError as exc:
@@ -275,6 +280,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         prompts=prompts,
         config_extra={"target_path": args.target, "drafter_path": args.drafter},
     )
+    decoded = time.perf_counter()
+    decode_s = decoded - sampled
+    print(f"time: prompts {sampled - start:.3f} s, decode {decode_s:.3f} s, "
+          f"{report.trace.total_tokens / max(decode_s, 1e-9):.0f} tok/s", file=sys.stderr)
     out = Path(args.out)
     bench_mod.write_report_json(report, out)
     positions_csv = args.positions_csv or str(out.with_suffix("")) + ".positions.csv"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -138,19 +138,25 @@ def _checked_rows(
     return keys, probs
 
 
+@cache
+def code_weights(num_symbols: int, order: int) -> np.ndarray:
+    """Place values ``num_symbols ** (order - 1 - j)`` of the order-wide
+    mixed-radix code: int64 while ``num_symbols ** order`` fits in it, Python
+    ints (an object array) above that, so no order overflows."""
+    dtype = np.int64 if num_symbols**order <= 2**63 else object
+    weights = np.array([num_symbols**j for j in range(order - 1, -1, -1)], dtype=dtype)
+    weights.setflags(write=False)
+    return weights
+
+
 def context_codes(contexts: ArrayLike, num_symbols: int) -> np.ndarray:
-    """Exact mixed-radix codes over ``num_symbols`` of (n, d) context rows.
+    """Exact mixed-radix codes over ``num_symbols`` of (..., d) context rows.
 
     Equal rows get equal codes, and code order is the rows' lexicographic
-    order. The codes are int64 while ``num_symbols ** d`` fits in it, and
-    Python ints (an object array) above that, so no order overflows.
+    order (see :func:`code_weights`).
     """
     contexts = np.asarray(contexts)
-    dtype = np.int64 if num_symbols ** contexts.shape[1] <= 2**63 else object
-    codes = np.zeros(len(contexts), dtype=dtype)
-    for column in contexts.T.astype(dtype):
-        codes = codes * num_symbols + column
-    return codes
+    return np.dot(contexts, code_weights(num_symbols, contexts.shape[-1]))
 
 
 #: Largest code space, ``num_symbols ** order``, that a model indexes with a
@@ -165,7 +171,9 @@ class TabularModel:
     ``rows`` is one read-only (R + 1, V) array whose last row is the
     fallback, and ``contexts`` the read-only (R, order) array of stored
     contexts in sorted order: row r of ``rows`` is the next-token
-    distribution of ``contexts[r]``. The constructor takes the contexts and
+    distribution of ``contexts[r]``. ``code_rows`` maps exact context codes
+    (:func:`context_codes`) to row ids, the fallback's for a code without a
+    stored row. The constructor takes the contexts and
     rows in any order, checks them, and rejects a context given twice.
     Immutable after construction; safe to share read-only across workers.
     """
@@ -197,14 +205,21 @@ class TabularModel:
         if num_symbols**order <= DENSE_INDEX_MAX:
             dense = np.full(num_symbols**order, len(codes), dtype=np.int32)
             dense[codes] = np.arange(len(codes))
-            self._row_ids = dense.__getitem__
+            self.code_rows = dense.__getitem__
         else:
-            self._row_ids = partial(_search_rows, np.append(codes, -1))
+            self.code_rows = partial(_search_rows, np.append(codes, -1))
 
     @property
     def table(self) -> Mapping[Context, np.ndarray]:
         """Read-only context -> row view over the arrays."""
         return _TableView(self)
+
+    @cached_property
+    def greedy_tokens(self) -> np.ndarray:
+        """Each row's :func:`greedy_token`, the fallback's last; read-only."""
+        tokens = self.rows.argmax(axis=1)
+        tokens.setflags(write=False)
+        return tokens
 
 
 def _search_rows(codes: np.ndarray, queries):
@@ -229,10 +244,20 @@ class _TableView(Mapping):
     def __getitem__(self, key: Context) -> np.ndarray:
         model = self._model
         if len(key) == model.order and all(0 <= s < model.vocab.num_symbols for s in key):
-            row = model._row_ids(context_codes([key], model.vocab.num_symbols))[0]
+            row = model.code_rows(context_codes([key], model.vocab.num_symbols))[0]
             if row < len(model.contexts):
                 return model.rows[row]
         raise KeyError(key)
+
+
+def row_ids(model: TabularModel, contexts: np.ndarray) -> np.ndarray:
+    """Ids in ``model.rows`` of (..., order) pad-filled contexts whose
+    symbols are already checked: a stored context's row, else the fallback's.
+
+    Nothing is checked, so hot loops over checked data read rows by exact
+    code alone; :func:`lookup_rows` is the checked form.
+    """
+    return model.code_rows(context_codes(contexts, model.vocab.num_symbols))
 
 
 def lookup_rows(model: TabularModel, contexts: ArrayLike) -> np.ndarray:
@@ -248,7 +273,7 @@ def lookup_rows(model: TabularModel, contexts: ArrayLike) -> np.ndarray:
     bad = (contexts < 0) | (contexts >= model.vocab.num_symbols)
     if bad.any():
         raise ValueError(f"context symbol out of range: {contexts[bad][0]}")
-    return model.rows[model._row_ids(context_codes(contexts, model.vocab.num_symbols))]
+    return model.rows[row_ids(model, contexts)]
 
 
 def next_distribution(model: TabularModel, context: Sequence[Symbol]) -> np.ndarray:
@@ -266,7 +291,7 @@ def next_distribution(model: TabularModel, context: Sequence[Symbol]) -> np.ndar
         if not 0 <= s < num_symbols:
             raise ValueError(f"context symbol out of range: {s}")
         code = code * num_symbols + s
-    return model.rows[model._row_ids(code)]
+    return model.rows[model.code_rows(code)]
 
 
 def sample_token(dist: np.ndarray, rng: RNG) -> Token:

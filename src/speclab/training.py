@@ -211,11 +211,8 @@ def _position_contexts(
     n, draft_len = windows.weights.shape
     order = windows.prefix_contexts.shape[1]
     distinct = min(draft_len, order + 1)
-    contexts = np.stack(
-        [masked_contexts(windows.prefix_contexts, windows.features, k, vocab, order)
-         for k in range(distinct)],
-        axis=1,
-    ).reshape(-1, order)
+    contexts = masked_contexts(windows.prefix_contexts, windows.features, np.arange(distinct),
+                               vocab, order).reshape(-1, order)
     # A context's id is the rank of its exact code among the distinct codes.
     codes = np.unique(context_codes(contexts, vocab.num_symbols), return_inverse=True)[1]
     keys = np.empty((codes.max(initial=-1) + 1, order), dtype=contexts.dtype)

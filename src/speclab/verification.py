@@ -1,34 +1,37 @@
-"""Lossless draft verification and the full draft/verify decode loop.
+"""Lossless draft verification: the batch draft/verify decode loop.
 
 Stochastic verification walks the drafted tokens in order, accepting token y
 with probability min(1, p(y)/q(y)) and sampling a correction from the
 normalized positive part of p - q on the first rejection; with a bonus token
 on full acceptance, the committed stream is distributed exactly as if the
 target had generated it alone. Greedy verification is the temperature-0
-counterpart: accept while the draft matches the target's argmax.
+counterpart: accept while the draft matches the target's argmax, so the
+committed stream is exactly the target's greedy continuation.
 
+:func:`decode_loop` decodes a whole batch of prompts in lockstep.
 Verification always conditions the target on real committed tokens; mask
-placeholders exist only inside the drafter.
+placeholders exist only inside the drafter. The one-prompt scalar round
+(propose, then verify) lives on in ``tests/oracles.py`` as the reference the
+batch loop is held to.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drafting import DraftProposal, compute_feature, propose
+from .drafting import masked_contexts
 from .models import (
     GREEDY,
     RNG,
-    SAMPLE,
     TabularModel,
     Token,
     next_distribution,
-    sample_token,
-    greedy_token,
 )
+from . import models
 
 STOCHASTIC = "stochastic"
 VERIFIERS = (STOCHASTIC, GREEDY)
@@ -40,207 +43,88 @@ MODES = (DEPENDENT, INDEPENDENT)
 #: Equal-width bins over the target's probability of the drafted token.
 NUM_CONFIDENCE_BINS = 10
 
-
-def accept_prob(p: np.ndarray, q: np.ndarray, token: Token) -> float:
-    """min(1, p[token]/q[token]); the drafter must give the token positive mass."""
-    qt = float(q[token])
-    if qt <= 0.0:
-        raise ValueError(f"drafter proposed an impossible token (q[{token}] = {qt})")
-    return min(1.0, float(p[token]) / qt)
-
-
-def residual_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Correction-token distribution normalize(max(0, p - q)).
-
-    Raises ValueError when p equals q coordinatewise (zero residual mass);
-    callers then sample from p directly, which is marginal-preserving because
-    the rejection probability is zero in that case.
-    """
-    diff = np.clip(np.asarray(p, dtype=np.float64) - q, 0.0, None)
-    mass = float(diff.sum())
-    if mass <= 0.0:
-        raise ValueError("identical distributions leave no residual to sample")
-    out = diff / mass
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class PositionRecord:
-    """One attempted draft position inside a verification round."""
-
-    position: int
-    token: Token
-    accept_prob: float
-    accepted: bool
-    #: Target's probability of the drafted token; drives confidence binning.
-    target_prob: float
-
-
-@dataclass(frozen=True)
-class VerificationOutcome:
-    """Result of one draft/verify round.
-
-    ``committed`` is the accepted prefix plus one extra token: the bonus on
-    full acceptance, the correction on rejection. Accepted flags always form
-    a contiguous true-prefix of the attempted positions.
-    """
-
-    accepted_len: int
-    committed: tuple[Token, ...]
-    per_position: tuple[PositionRecord, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.committed) != self.accepted_len + 1:
-            raise ValueError("committed must hold accepted_len + 1 tokens")
-
-
-def verify_stochastic(
-    target: TabularModel,
-    prefix: Sequence[Token],
-    proposal: DraftProposal,
-    rng: RNG,
-) -> VerificationOutcome:
-    """Accept the longest valid draft prefix; correct or extend with one token.
-
-    Target conditionals are recomputed with the accepted draft tokens (real
-    tokens) appended to the prefix. The committed stream is distributed
-    exactly as target-only sampling.
-    """
-    ctx = [int(t) for t in prefix]
-    records: list[PositionRecord] = []
-    committed: list[Token] = []
-    for k, (tok, q) in enumerate(zip(proposal.tokens, proposal.dists)):
-        p = next_distribution(target, ctx)
-        a = accept_prob(p, q, tok)
-        accepted = rng.random() < a
-        records.append(
-            PositionRecord(
-                position=k,
-                token=tok,
-                accept_prob=a,
-                accepted=accepted,
-                target_prob=float(p[tok]),
-            )
-        )
-        if not accepted:
-            try:
-                correction_dist = residual_distribution(p, q)
-            except ValueError:
-                correction_dist = p
-            committed.append(sample_token(correction_dist, rng))
-            return VerificationOutcome(
-                accepted_len=k,
-                committed=tuple(committed),
-                per_position=tuple(records),
-            )
-        ctx.append(tok)
-        committed.append(tok)
-    bonus = sample_token(next_distribution(target, ctx), rng)
-    committed.append(bonus)
-    return VerificationOutcome(
-        accepted_len=len(proposal.tokens),
-        committed=tuple(committed),
-        per_position=tuple(records),
-    )
-
-
-def verify_greedy(
-    target: TabularModel,
-    prefix: Sequence[Token],
-    proposal: DraftProposal,
-) -> VerificationOutcome:
-    """Temperature-0 verification: accept while the draft matches the argmax.
-
-    On the first mismatch the target's greedy token is committed instead; on
-    full acceptance the greedy bonus token is appended.
-    """
-    ctx = [int(t) for t in prefix]
-    records: list[PositionRecord] = []
-    committed: list[Token] = []
-    for k, tok in enumerate(proposal.tokens):
-        p = next_distribution(target, ctx)
-        best = greedy_token(p)
-        accepted = tok == best
-        records.append(
-            PositionRecord(
-                position=k,
-                token=tok,
-                accept_prob=1.0 if accepted else 0.0,
-                accepted=accepted,
-                target_prob=float(p[tok]),
-            )
-        )
-        if not accepted:
-            committed.append(best)
-            return VerificationOutcome(
-                accepted_len=k,
-                committed=tuple(committed),
-                per_position=tuple(records),
-            )
-        ctx.append(tok)
-        committed.append(tok)
-    committed.append(greedy_token(next_distribution(target, ctx)))
-    return VerificationOutcome(
-        accepted_len=len(proposal.tokens),
-        committed=tuple(committed),
-        per_position=tuple(records),
-    )
+#: Elements of one (prompts, positions, K) block of the greedy kernel.
+_GREEDY_BLOCK = 1 << 16
 
 
 @dataclass
 class DecodeTrace:
-    """Aggregate acceptance statistics across draft/verify rounds.
+    """Acceptance statistics over draft/verify rounds.
 
-    Counts merge by addition, so traces from independent prompts combine
-    associatively via :meth:`combine`.
+    ``accept_hist[a]`` counts the rounds that accepted ``a`` of the K
+    drafted tokens. A round attempts positions 0..min(a, K - 1) and commits
+    a + 1 tokens, so the round count, the committed tokens and the
+    per-position counts all follow from the histogram. The confidence bins
+    count attempted and accepted positions by the target's probability of
+    the drafted token. Counts merge by addition, so traces from independent
+    prompts combine associatively via :meth:`combine`.
     """
 
     draft_len: int
-    steps: int = 0
-    accepted_per_step: list[int] = field(default_factory=list)
-    position_attempts: np.ndarray = field(init=False)
-    position_accepts: np.ndarray = field(init=False)
+    accept_hist: np.ndarray = field(init=False)
     bin_attempts: np.ndarray = field(init=False)
     bin_accepts: np.ndarray = field(init=False)
-    total_tokens: int = 0
 
     def __post_init__(self) -> None:
         if self.draft_len < 1:
             raise ValueError(f"draft_len must be >= 1, got {self.draft_len}")
-        self.position_attempts = np.zeros(self.draft_len, dtype=np.int64)
-        self.position_accepts = np.zeros(self.draft_len, dtype=np.int64)
+        self.accept_hist = np.zeros(self.draft_len + 1, dtype=np.int64)
         self.bin_attempts = np.zeros(NUM_CONFIDENCE_BINS, dtype=np.int64)
         self.bin_accepts = np.zeros(NUM_CONFIDENCE_BINS, dtype=np.int64)
 
-    def record(self, outcome: VerificationOutcome) -> None:
-        self.steps += 1
-        self.accepted_per_step.append(outcome.accepted_len)
-        self.total_tokens += len(outcome.committed)
-        for rec in outcome.per_position:
-            self.position_attempts[rec.position] += 1
-            b = min(int(rec.target_prob * NUM_CONFIDENCE_BINS), NUM_CONFIDENCE_BINS - 1)
-            self.bin_attempts[b] += 1
-            if rec.accepted:
-                self.position_accepts[rec.position] += 1
-                self.bin_accepts[b] += 1
+    def record(self, accepted: np.ndarray, target_probs: np.ndarray) -> None:
+        """Add r rounds: their accepted lengths (r,) and the target's
+        probability of each drafted token (r, K). Entries past a round's
+        attempted positions are not read."""
+        k = np.arange(self.draft_len)
+        bins = np.minimum((target_probs * NUM_CONFIDENCE_BINS).astype(np.intp),
+                          NUM_CONFIDENCE_BINS - 1)
+        self.accept_hist += np.bincount(accepted, minlength=self.draft_len + 1)
+        self.bin_attempts += np.bincount(bins[k <= accepted[:, None]],
+                                         minlength=NUM_CONFIDENCE_BINS)
+        self.bin_accepts += np.bincount(bins[k < accepted[:, None]],
+                                        minlength=NUM_CONFIDENCE_BINS)
+
+    @property
+    def steps(self) -> int:
+        return int(self.accept_hist.sum())
+
+    @property
+    def accepted_total(self) -> int:
+        return int(np.arange(self.draft_len + 1) @ self.accept_hist)
+
+    @property
+    def total_tokens(self) -> int:
+        return self.steps + self.accepted_total
+
+    @property
+    def position_attempts(self) -> np.ndarray:
+        """Rounds that attempted position k: those that accepted >= k."""
+        return np.cumsum(self.accept_hist[::-1])[::-1][:-1]
+
+    @property
+    def position_accepts(self) -> np.ndarray:
+        """Rounds that accepted position k: those that accepted > k."""
+        return np.cumsum(self.accept_hist[::-1])[::-1][1:]
 
     @property
     def tau(self) -> float:
-        """Mean accepted draft tokens per round, bonus/correction excluded."""
-        if self.steps == 0:
-            return 0.0
-        return float(np.mean(self.accepted_per_step))
+        """Mean accepted draft tokens per round, bonus/correction excluded.
+
+        The accepted total is an exact integer, so this is the same float as
+        the mean of the per-round lengths.
+        """
+        steps = self.steps
+        return self.accepted_total / steps if steps else 0.0
 
     @property
     def committed_per_step(self) -> float:
-        if self.steps == 0:
-            return 0.0
-        return self.total_tokens / self.steps
+        steps = self.steps
+        return self.total_tokens / steps if steps else 0.0
 
     @classmethod
     def combine(cls, traces: Sequence["DecodeTrace"]) -> "DecodeTrace":
-        """Merge traces by pure count addition (order preserved for per-step lists)."""
+        """Merge traces by pure count addition."""
         if not traces:
             raise ValueError("need at least one trace to combine")
         draft_len = traces[0].draft_len
@@ -248,26 +132,19 @@ class DecodeTrace:
             raise ValueError("traces disagree on draft length")
         merged = cls(draft_len=draft_len)
         for t in traces:
-            merged.steps += t.steps
-            merged.accepted_per_step.extend(t.accepted_per_step)
-            merged.position_attempts += t.position_attempts
-            merged.position_accepts += t.position_accepts
+            merged.accept_hist += t.accept_hist
             merged.bin_attempts += t.bin_attempts
             merged.bin_accepts += t.bin_accepts
-            merged.total_tokens += t.total_tokens
         return merged
 
     def to_json_dict(self) -> dict:
+        attempts, accepts = self.position_attempts.tolist(), self.position_accepts.tolist()
         return {
             "steps": self.steps,
             "tau": self.tau,
             "committed_per_step": self.committed_per_step,
             "position_stats": [
-                {
-                    "k": k,
-                    "attempts": int(self.position_attempts[k]),
-                    "accepts": int(self.position_accepts[k]),
-                }
+                {"k": k, "attempts": attempts[k], "accepts": accepts[k]}
                 for k in range(self.draft_len)
             ],
             "confidence_bins": [
@@ -286,58 +163,261 @@ class DecodeTrace:
 def decode_loop(
     target: TabularModel,
     drafter: TabularModel,
-    prompt: Sequence[Token],
+    prompts: Sequence[Sequence[Token]],
     max_tokens: int,
     draft_len: int,
     mode: str,
     verify: str,
-    rng: RNG | None = None,
-) -> tuple[list[Token], DecodeTrace]:
-    """Run draft/verify rounds until at least ``max_tokens`` are committed.
+    rngs: Sequence[RNG] | None = None,
+) -> tuple[np.ndarray, DecodeTrace]:
+    """Decode every prompt until each has at least ``max_tokens`` committed.
 
-    In dependent mode the feature is recomputed from the committed prefix
-    before every proposal; in independent mode the drafter never touches the
-    target. Stochastic verification pairs with sampled drafts (required for
-    losslessness), greedy verification with greedy drafts. The returned token
-    list is truncated to ``max_tokens``; the trace keeps the untruncated
-    counts, so the loop overshoots by at most ``draft_len`` tokens.
+    In dependent mode the drafter's feature slot holds the target's greedy
+    token at the committed prefix; in independent mode the drafter never
+    touches the target. Stochastic verification pairs with sampled drafts
+    (required for losslessness) and draws prompt i's uniforms from
+    ``rngs[i]`` alone, in the order one prompt's scalar rounds draw them;
+    greedy verification pairs with greedy drafts and draws nothing.
 
-    The whole prompt is checked once, here. After that the loop carries only
-    the last max(target order, drafter order) committed tokens, which is all
-    any lookup reads, and hands that window to the feature, proposal and
-    verification steps, so a round costs the same however long the output
-    grows.
+    Returns the (n, ``max_tokens``) committed tokens and one trace of every
+    round. The trace keeps the untruncated counts, so a prompt overshoots by
+    at most ``draft_len`` tokens. Every input is checked here, once; the
+    rounds then read rows by exact context code, and a round costs the same
+    however long the output grows.
     """
-    if len(prompt) == 0:
-        raise ValueError("prompt must be nonempty")
+    if len(prompts) == 0:
+        raise ValueError("prompts must be nonempty")
+    if max_tokens < 1 or draft_len < 1:
+        raise ValueError(f"max_tokens and draft_len must be >= 1, got {max_tokens} "
+                         f"and {draft_len}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if verify not in VERIFIERS:
         raise ValueError(f"verify must be one of {VERIFIERS}, got {verify!r}")
     if target.vocab.size != drafter.vocab.size:
         raise ValueError("target and drafter must share a vocabulary size")
-    if verify == STOCHASTIC and rng is None:
-        raise ValueError("stochastic verification requires an rng")
-    for t in prompt:
-        if not target.vocab.is_real(int(t)):
-            raise ValueError(f"prompt must contain only real tokens, got {t}")
+    if verify == STOCHASTIC and rngs is None:
+        raise ValueError("stochastic verification requires rngs")
+    if rngs is not None:
+        if len(rngs) != len(prompts):
+            raise ValueError(f"got {len(rngs)} rngs for {len(prompts)} prompts")
+        if len({id(rng.bit_generator) for rng in rngs}) != len(rngs):
+            raise ValueError("every prompt needs an rng of its own")
+    lengths = np.array([len(p) for p in prompts])
+    if (lengths == 0).any():
+        raise ValueError("prompt must be nonempty")
+    vocab = target.vocab
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(prompts), dtype=np.int64,
+                           count=int(lengths.sum()))
+        real = bool(((flat >= 0) & (flat < vocab.size)).all())
+    except OverflowError:
+        real = False
+    if not real:
+        bad = next(t for t in itertools.chain.from_iterable(prompts) if not vocab.is_real(t))
+        raise ValueError(f"prompt must contain only real tokens, got {bad}")
 
-    draw_mode = SAMPLE if verify == STOCHASTIC else GREEDY
+    # Row i holds prompt i's last ``width`` tokens (pad-filled on the left),
+    # then its committed tokens; drafts are written past them and
+    # overwritten by the next round's.
     width = max(target.order, drafter.order)
-    window = [int(t) for t in prompt[-width:]]
-    generated: list[Token] = []
+    ends = np.cumsum(lengths)
+    take = ends[:, None] - width + np.arange(width)
+    seq = np.full((len(prompts), width + max_tokens + draft_len), vocab.pad_id,
+                  dtype=np.int64)
+    seq[:, :width] = np.where(take >= (ends - lengths)[:, None], flat[take.clip(0)],
+                              vocab.pad_id)
     trace = DecodeTrace(draft_len=draft_len)
-    while len(generated) < max_tokens:
-        if mode == DEPENDENT:
-            feature = compute_feature(target, window)
-        else:
-            feature = drafter.vocab.none_feature_id
-        proposal = propose(drafter, window, draft_len, feature, mode=draw_mode, rng=rng)
-        if verify == STOCHASTIC:
-            outcome = verify_stochastic(target, window, proposal, rng)
-        else:
-            outcome = verify_greedy(target, window, proposal)
-        trace.record(outcome)
-        window = (window + list(outcome.committed))[-width:]
-        generated.extend(outcome.committed)
-    return generated[:max_tokens], trace
+    kernel = _decode_stochastic if verify == STOCHASTIC else _decode_greedy
+    kernel(target, drafter, seq, max_tokens, draft_len, mode == DEPENDENT, trace, rngs)
+    return seq[:, width : width + max_tokens], trace
+
+
+def _drafter_code_terms(
+    drafter: TabularModel, draft_len: int, featured: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact codes of the drafter's own-context positions k < d, as
+    ``prefix @ weights + feature_token * feature_weights + offsets``.
+
+    Position k's context arranges the order-d prefix, the feature slot and
+    masks as :func:`~speclab.drafting.masked_contexts` lays them out, so its
+    code is affine in the prefix and feature symbols. The layout is read off
+    masked_contexts applied to placeholder labels past the symbol space.
+    """
+    vocab, order = drafter.vocab, drafter.order
+    ns = vocab.num_symbols
+    labels = ns + np.arange(order + 1)
+    feature = labels[order] if featured else vocab.none_feature_id
+    layout = masked_contexts(labels[None, :order], np.array([feature]),
+                             np.arange(min(draft_len, order)), vocab, order)[0]
+    place = models.code_weights(ns, order)
+    slots = layout[..., None] == labels                    # (k, slot j, label)
+    weights = (slots * place[:, None]).sum(axis=1).T       # (label, k)
+    offsets = (np.where(layout < ns, layout, 0) * place).sum(axis=1)
+    # A feature symbol is vocab.feature_for(token) = V + 1 + token.
+    return weights[:order], weights[order], offsets + (vocab.size + 1) * weights[order]
+
+
+def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace, rngs):
+    """Greedy verification commits exactly the target's greedy stream, so the
+    kernel works on positions: it computes every prompt's stream, drafts at
+    every position at once, takes each position's match length by one
+    compare, and walks the round starts s -> s + A(s) + 1."""
+    n, total = seq.shape
+    width = total - max_tokens - draft_len
+    d_t, d_d = target.order, drafter.order
+    # One dot and two gathers per position; the contexts are checked tokens.
+    greedy, place = target.greedy_tokens, models.code_weights(target.vocab.num_symbols, d_t)
+    for t in range(width, total):
+        seq[:, t] = greedy[target.code_rows(np.dot(seq[:, t - d_t : t], place))]
+    stream = seq[:, width:]
+    windows = np.lib.stride_tricks.sliding_window_view
+    target_rows = models.row_ids(target, windows(seq[:, width - d_t : -1], d_t, axis=1))
+    stream_probs = target.rows[target_rows, stream]
+
+    K = draft_len
+    weights, feature_weights, offsets = _drafter_code_terms(drafter, K, featured)
+    shared = models.greedy_token(next_distribution(drafter, (drafter.vocab.mask_id,) * d_d))
+    prefixes = windows(seq[:, width - d_d : width + max_tokens - 1], d_d, axis=1)
+    futures = windows(stream[:, : max_tokens + K - 1], K, axis=1)
+    accepted = np.empty((n, max_tokens), dtype=np.intp)
+    rejected_probs = np.empty((n, max_tokens))
+    block = max(1, _GREEDY_BLOCK // (n * K))
+    for s0 in range(0, max_tokens, block):
+        s1 = min(max_tokens, s0 + block)
+        codes = np.dot(prefixes[:, s0:s1], weights) + offsets
+        if featured:
+            codes += stream[:, s0:s1, None] * feature_weights
+        drafts = np.empty((n, s1 - s0, K), dtype=np.intp)
+        drafts[..., : codes.shape[-1]] = drafter.greedy_tokens[drafter.code_rows(codes)]
+        drafts[..., codes.shape[-1] :] = shared
+        acc = np.logical_and.accumulate(drafts == futures[:, s0:s1], axis=2).sum(axis=2)
+        accepted[:, s0:s1] = acc
+        # The target's probability of the first rejected draft, if any.
+        at = np.minimum(acc, K - 1)
+        pos = np.arange(s0, s1) + at
+        rejected_probs[:, s0:s1] = target.rows[
+            np.take_along_axis(target_rows, pos, axis=1),
+            np.take_along_axis(drafts, at[..., None], axis=2)[..., 0]]
+
+    # Round starts: one chain through the cells i * max_tokens + s of every
+    # prompt's positions, prompt after prompt, where a round that ends its
+    # prompt jumps to the next prompt's first cell; the walk is one integer
+    # step per round.
+    cells = np.arange(n * max_tokens).reshape(n, max_tokens)
+    ends = np.arange(max_tokens) + accepted + 1 >= max_tokens
+    nxt = np.where(ends, (np.arange(n)[:, None] + 1) * max_tokens, cells + accepted + 1)
+    nxt = nxt.ravel().tolist()
+    starts, cell = [], 0
+    while cell < len(nxt):
+        starts.append(cell)
+        cell = nxt[cell]
+    starts = np.array(starts, dtype=np.intp)
+    chunk = max(1, _GREEDY_BLOCK // K)
+    k = np.arange(K)
+    for r0 in range(0, len(starts), chunk):
+        row, s = np.divmod(starts[r0 : r0 + chunk], max_tokens)
+        acc = accepted[row, s]
+        # Accepted drafts are the stream's tokens; the first rejected one is
+        # read from its own column.
+        probs = stream_probs[row[:, None], s[:, None] + k]
+        probs = np.where(k == acc[:, None], rejected_probs[row, s][:, None], probs)
+        trace.record(acc, probs)
+
+
+def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, trace, rngs):
+    """Stochastic rounds of all live prompts in lockstep: feature, drafter
+    rows, the K draws, the K + 1 target rows, accept tests, correction and
+    bonus are each one array step.
+
+    Each prompt draws its uniforms ahead in blocks from its own generator. A
+    round reads K proposal draws, one accept draw per attempted position and
+    one correction or bonus draw: K + A + 2, or 2K + 1 on full acceptance. At
+    the end each generator is put back to its entry state and advanced by
+    what its prompt used.
+    """
+    n, total = seq.shape
+    width = total - max_tokens - draft_len
+    K = draft_len
+    d_t, d_d = target.order, drafter.order
+    own = min(K, d_d)
+    weights, feature_weights, offsets = _drafter_code_terms(drafter, K, featured)
+    # Positions k >= d_d all read the all-mask context: one row and one CDF
+    # for every prompt and round.
+    shared = next_distribution(drafter, (drafter.vocab.mask_id,) * d_d)
+    shared_cdf = np.cumsum(shared)
+    # Offsets into ``seq`` from a prompt's window start.
+    window_at = np.arange(width)
+    verify_at = width - d_t + np.arange(K + 1)[:, None] + np.arange(d_t)
+    draft_at = width + np.arange(K)
+    own_at = np.arange(own)
+    draws = 2 * K + 1
+    draw_at = np.arange(draws)
+
+    # Flat indices: ``head`` of each prompt's window in ``seq``, ``cursor``
+    # of its next unread uniform in its block.
+    block = 4 * (max_tokens + draws)
+    states = [rng.bit_generator.state for rng in rngs]
+    uniforms = np.stack([rng.random(block) for rng in rngs])
+    drawn = np.full(n, block)
+    flat, flat_u = seq.ravel(), uniforms.ravel()
+    head = np.arange(n) * total
+    stop = head + max_tokens
+    cursor = np.arange(n) * block
+    block_end = cursor + block
+    live = np.arange(n)
+    while len(live):
+        for i in live[cursor[live] + draws > block_end[live]].tolist():
+            rest = uniforms[i, cursor[i] - i * block :].copy()
+            uniforms[i, : len(rest)] = rest
+            uniforms[i, len(rest) :] = rngs[i].random(block - len(rest))
+            drawn[i] += block - len(rest)
+            cursor[i] = i * block
+        m = np.arange(len(live))
+        h = head[live]
+        u = flat_u[cursor[live][:, None] + draw_at]
+        window = flat[h[:, None] + window_at]
+
+        # Draft: own-context rows for k < d_d, the shared row after.
+        codes = np.dot(window[:, width - d_d :], weights) + offsets
+        if featured:
+            top = target.greedy_tokens[models.row_ids(target, window[:, width - d_t :])]
+            codes += top[:, None] * feature_weights
+        q_rows = drafter.rows[drafter.code_rows(codes)]
+        cdf = np.cumsum(q_rows, axis=2)
+        drafts = np.empty((len(live), K), dtype=np.intp)
+        drafts[:, :own] = (cdf <= (u[:, :own] * cdf[..., -1])[..., None]).sum(axis=2)
+        drafts[:, own:] = np.searchsorted(shared_cdf, u[:, own:K] * shared_cdf[-1],
+                                          side="right")
+        q = np.empty((len(live), K))
+        q[:, :own] = q_rows[m[:, None], own_at, drafts[:, :own]]
+        q[:, own:] = shared[drafts[:, own:]]
+        flat[h[:, None] + draft_at] = drafts
+
+        # Verify: the target's rows after each accepted-prefix length 0..K.
+        p_rows = models.row_ids(target, flat[h[:, None, None] + verify_at])
+        p = target.rows[p_rows[:, :K], drafts]
+        accepted = np.logical_and.accumulate(u[:, K : 2 * K] < np.minimum(1.0, p / q),
+                                             axis=1).sum(axis=1)
+        # The correction (from normalize(max(0, p - q)), or p when that is
+        # zero) or the bonus (from the target's row after all K drafts).
+        final = target.rows[p_rows[m, accepted]]
+        q_final = np.where((accepted < own)[:, None],
+                           q_rows[m, np.minimum(accepted, own - 1)], shared)
+        residual = np.maximum(final - q_final, 0.0)
+        mass = residual.sum(axis=1)
+        corrected = (accepted < K) & (mass > 0.0)
+        np.divide(residual, mass[:, None], out=final, where=corrected[:, None])
+        final_cdf = np.cumsum(final, axis=1)
+        used = K + np.minimum(accepted + 1, K)
+        final_u = u[m, used] * final_cdf[:, -1]
+        flat[h + width + accepted] = (final_cdf <= final_u[:, None]).sum(axis=1)
+
+        trace.record(accepted, p)
+        head[live] = h = h + accepted + 1
+        cursor[live] += used + 1
+        live = live[h < stop[live]]
+
+    for i, rng in enumerate(rngs):
+        rng.bit_generator.state = states[i]
+        rng.random(drawn[i] - (block_end[i] - cursor[i]))

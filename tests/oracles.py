@@ -12,20 +12,27 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from speclab.drafting import DraftProposal, compute_feature
 from speclab.models import (
     GREEDY,
+    RNG,
     SAMPLE,
+    Context,
+    Symbol,
     TabularModel,
+    Token,
     Vocabulary,
     greedy_token,
     next_distribution,
     sample_token,
 )
+from speclab.training import CAT, CONFIDENCE_EPS, DECAY, TrainingWindows
+from speclab.verification import DEPENDENT, MODES, NUM_CONFIDENCE_BINS, STOCHASTIC, VERIFIERS
 
 
 # --- dict-built tables and scalar model paths ---------------------------------
@@ -106,14 +113,6 @@ def build_ngram_model(corpus, order: int, vocab_size: int, smoothing: float = 0.
     }
     fallback = (unigram + smoothing) / (total + smoothing * vocab_size)
     return model_from_table(order, vocab, table, fallback)
-from speclab.training import CAT, CONFIDENCE_EPS, DECAY, TrainingWindows
-from speclab.verification import (
-    DEPENDENT,
-    STOCHASTIC,
-    DecodeTrace,
-    verify_greedy,
-    verify_stochastic,
-)
 
 
 # --- scalar weight and reach recursions ---------------------------------------
@@ -317,6 +316,331 @@ def sparse_order1_pair(
                  for table in (target, drafter))
 
 
+# --- scalar draft/verify round ----------------------------------------------
+#
+# One prompt and one round at a time, one row per lookup: the reference that
+# the batch decode loop is held to token for token.
+
+
+@dataclass(frozen=True)
+class DraftProposal:
+    """K drafted tokens plus the per-position drafter distributions."""
+
+    tokens: tuple[Token, ...]
+    dists: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.tokens) != len(self.dists):
+            raise ValueError("tokens and dists must have equal length")
+
+
+def compute_feature(target: TabularModel, prefix: Sequence[Token]) -> Symbol:
+    """Target's top-1 next-token prediction at the prefix end, as a feature symbol.
+
+    The symbol lies in ``vocab.feature_ids``. Deterministic per prefix; two
+    prefixes with the same order-d suffix yield the same feature.
+    """
+    if len(prefix) == 0:
+        raise ValueError("prefix must be nonempty")
+    top = greedy_token(next_distribution(target, prefix))
+    return target.vocab.feature_for(top)
+
+
+def masked_context(
+    prefix: Sequence[Token], feature: Symbol, k: int, vocab: Vocabulary, order: int
+) -> Context:
+    """Drafter context at position k: the pad-filled order-``order`` suffix
+    of (prefix ++ feature slot ++ k masks), for :func:`propose`.
+
+    The sentinel ``vocab.none_feature_id`` leaves no slot, so the
+    target-independent context carries zero residue of any target. Every
+    k >= ``order`` gives the all-mask context.
+    """
+    tail = tuple(prefix[-order:])
+    if feature != vocab.none_feature_id:
+        tail += (feature,)
+    tail += (vocab.mask_id,) * k
+    if len(tail) < order:
+        tail = (vocab.pad_id,) * (order - len(tail)) + tail
+    return tail[-order:]
+
+
+def propose(
+    drafter: TabularModel,
+    prefix: Sequence[Token],
+    draft_len: int,
+    feature: Symbol,
+    mode: str = GREEDY,
+    rng: RNG | None = None,
+) -> DraftProposal:
+    """Draft ``draft_len`` tokens in parallel from mask-placeholder contexts.
+
+    Position k sees :func:`masked_context`. No drafted token ever appears in
+    a context, which is what makes the K positions independently computable.
+
+    Every position k >= d sees the same all-mask context, so only the first
+    min(K, d + 1) distributions are looked up and the last one is reused.
+    Greedy mode takes one argmax per distinct distribution. Sample mode draws
+    all K uniforms with one ``rng.random(K)`` call, the same stream as K
+    single draws, and inverts the K CDFs at once exactly as
+    :func:`~speclab.models.sample_token` inverts one.
+    """
+    if draft_len < 1:
+        raise ValueError(f"draft_len must be >= 1, got {draft_len}")
+    if mode not in (GREEDY, SAMPLE):
+        raise ValueError(f"mode must be '{GREEDY}' or '{SAMPLE}', got {mode!r}")
+    if mode == SAMPLE and rng is None:
+        raise ValueError("sample mode requires an rng")
+    vocab = drafter.vocab
+    for t in prefix:
+        if not vocab.is_real(int(t)):
+            raise ValueError(f"prefix must contain only real tokens, got {t}")
+    if feature != vocab.none_feature_id and feature not in vocab.feature_ids:
+        raise ValueError(f"feature symbol out of range: {feature}")
+
+    distinct = [
+        next_distribution(drafter, masked_context(prefix, feature, k, vocab, drafter.order))
+        for k in range(min(draft_len, drafter.order + 1))
+    ]
+    repeats = draft_len - len(distinct)
+    dists = tuple(distinct) + (distinct[-1],) * repeats
+    if mode == GREEDY:
+        tops = [greedy_token(dist) for dist in distinct]
+        tokens = tuple(tops) + (tops[-1],) * repeats
+    else:
+        cdf = np.cumsum(np.stack(dists), axis=1)
+        # Row-wise searchsorted(side="right"): count the entries <= the draw.
+        u = rng.random(draft_len) * cdf[:, -1]
+        tokens = tuple((cdf <= u[:, None]).sum(axis=1).tolist())
+    return DraftProposal(tokens=tokens, dists=dists)
+
+
+def accept_prob(p: np.ndarray, q: np.ndarray, token: Token) -> float:
+    """min(1, p[token]/q[token]); the drafter must give the token positive mass."""
+    qt = float(q[token])
+    if qt <= 0.0:
+        raise ValueError(f"drafter proposed an impossible token (q[{token}] = {qt})")
+    return min(1.0, float(p[token]) / qt)
+
+
+def residual_distribution(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Correction-token distribution normalize(max(0, p - q)).
+
+    Raises ValueError when p equals q coordinatewise (zero residual mass);
+    callers then sample from p directly, which is marginal-preserving because
+    the rejection probability is zero in that case.
+    """
+    diff = np.clip(np.asarray(p, dtype=np.float64) - q, 0.0, None)
+    mass = float(diff.sum())
+    if mass <= 0.0:
+        raise ValueError("identical distributions leave no residual to sample")
+    out = diff / mass
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True)
+class PositionRecord:
+    """One attempted draft position inside a verification round."""
+
+    position: int
+    token: Token
+    accept_prob: float
+    accepted: bool
+    #: Target's probability of the drafted token; drives confidence binning.
+    target_prob: float
+
+
+@dataclass(frozen=True)
+class VerificationOutcome:
+    """Result of one draft/verify round.
+
+    ``committed`` is the accepted prefix plus one extra token: the bonus on
+    full acceptance, the correction on rejection. Accepted flags always form
+    a contiguous true-prefix of the attempted positions.
+    """
+
+    accepted_len: int
+    committed: tuple[Token, ...]
+    per_position: tuple[PositionRecord, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.committed) != self.accepted_len + 1:
+            raise ValueError("committed must hold accepted_len + 1 tokens")
+
+
+def verify_stochastic(
+    target: TabularModel,
+    prefix: Sequence[Token],
+    proposal: DraftProposal,
+    rng: RNG,
+) -> VerificationOutcome:
+    """Accept the longest valid draft prefix; correct or extend with one token.
+
+    Target conditionals are recomputed with the accepted draft tokens (real
+    tokens) appended to the prefix. The committed stream is distributed
+    exactly as target-only sampling.
+    """
+    ctx = [int(t) for t in prefix]
+    records: list[PositionRecord] = []
+    committed: list[Token] = []
+    for k, (tok, q) in enumerate(zip(proposal.tokens, proposal.dists)):
+        p = next_distribution(target, ctx)
+        a = accept_prob(p, q, tok)
+        accepted = rng.random() < a
+        records.append(
+            PositionRecord(
+                position=k,
+                token=tok,
+                accept_prob=a,
+                accepted=accepted,
+                target_prob=float(p[tok]),
+            )
+        )
+        if not accepted:
+            try:
+                correction_dist = residual_distribution(p, q)
+            except ValueError:
+                correction_dist = p
+            committed.append(sample_token(correction_dist, rng))
+            return VerificationOutcome(
+                accepted_len=k,
+                committed=tuple(committed),
+                per_position=tuple(records),
+            )
+        ctx.append(tok)
+        committed.append(tok)
+    bonus = sample_token(next_distribution(target, ctx), rng)
+    committed.append(bonus)
+    return VerificationOutcome(
+        accepted_len=len(proposal.tokens),
+        committed=tuple(committed),
+        per_position=tuple(records),
+    )
+
+
+def verify_greedy(
+    target: TabularModel,
+    prefix: Sequence[Token],
+    proposal: DraftProposal,
+) -> VerificationOutcome:
+    """Temperature-0 verification: accept while the draft matches the argmax.
+
+    On the first mismatch the target's greedy token is committed instead; on
+    full acceptance the greedy bonus token is appended.
+    """
+    ctx = [int(t) for t in prefix]
+    records: list[PositionRecord] = []
+    committed: list[Token] = []
+    for k, tok in enumerate(proposal.tokens):
+        p = next_distribution(target, ctx)
+        best = greedy_token(p)
+        accepted = tok == best
+        records.append(
+            PositionRecord(
+                position=k,
+                token=tok,
+                accept_prob=1.0 if accepted else 0.0,
+                accepted=accepted,
+                target_prob=float(p[tok]),
+            )
+        )
+        if not accepted:
+            committed.append(best)
+            return VerificationOutcome(
+                accepted_len=k,
+                committed=tuple(committed),
+                per_position=tuple(records),
+            )
+        ctx.append(tok)
+        committed.append(tok)
+    committed.append(greedy_token(next_distribution(target, ctx)))
+    return VerificationOutcome(
+        accepted_len=len(proposal.tokens),
+        committed=tuple(committed),
+        per_position=tuple(records),
+    )
+
+
+def trace_counts(outcomes, draft_len: int) -> dict:
+    """The counts a decode trace keeps, tallied one scalar round at a time."""
+    hist, attempts, accepts = [0] * (draft_len + 1), [0] * draft_len, [0] * draft_len
+    bin_attempts, bin_accepts = [0] * NUM_CONFIDENCE_BINS, [0] * NUM_CONFIDENCE_BINS
+    for outcome in outcomes:
+        hist[outcome.accepted_len] += 1
+        for rec in outcome.per_position:
+            b = min(int(rec.target_prob * NUM_CONFIDENCE_BINS), NUM_CONFIDENCE_BINS - 1)
+            attempts[rec.position] += 1
+            bin_attempts[b] += 1
+            if rec.accepted:
+                accepts[rec.position] += 1
+                bin_accepts[b] += 1
+    return {
+        "steps": len(outcomes),
+        "total_tokens": sum(len(o.committed) for o in outcomes),
+        "accept_hist": hist,
+        "position_attempts": attempts,
+        "position_accepts": accepts,
+        "bin_attempts": bin_attempts,
+        "bin_accepts": bin_accepts,
+    }
+
+
+def decode_loop(
+    target: TabularModel,
+    drafter: TabularModel,
+    prompt: Sequence[Token],
+    max_tokens: int,
+    draft_len: int,
+    mode: str,
+    verify: str,
+    rng: RNG | None = None,
+) -> tuple[list[Token], list[VerificationOutcome]]:
+    """Run one prompt's draft/verify rounds until at least ``max_tokens``
+    are committed; returns the first ``max_tokens`` tokens and every round.
+
+    In dependent mode the feature is recomputed from the committed prefix
+    before every proposal; in independent mode the drafter never touches the
+    target. Stochastic verification pairs with sampled drafts, greedy
+    verification with greedy drafts. The loop carries only the last
+    max(target order, drafter order) committed tokens, which is all any
+    lookup reads.
+    """
+    if len(prompt) == 0:
+        raise ValueError("prompt must be nonempty")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if verify not in VERIFIERS:
+        raise ValueError(f"verify must be one of {VERIFIERS}, got {verify!r}")
+    if target.vocab.size != drafter.vocab.size:
+        raise ValueError("target and drafter must share a vocabulary size")
+    if verify == STOCHASTIC and rng is None:
+        raise ValueError("stochastic verification requires an rng")
+    for t in prompt:
+        if not target.vocab.is_real(int(t)):
+            raise ValueError(f"prompt must contain only real tokens, got {t}")
+
+    draw_mode = SAMPLE if verify == STOCHASTIC else GREEDY
+    width = max(target.order, drafter.order)
+    window = [int(t) for t in prompt[-width:]]
+    generated: list[Token] = []
+    outcomes = []
+    while len(generated) < max_tokens:
+        if mode == DEPENDENT:
+            feature = compute_feature(target, window)
+        else:
+            feature = drafter.vocab.none_feature_id
+        proposal = propose(drafter, window, draft_len, feature, mode=draw_mode, rng=rng)
+        if verify == STOCHASTIC:
+            outcome = verify_stochastic(target, window, proposal, rng)
+        else:
+            outcome = verify_greedy(target, window, proposal)
+        outcomes.append(outcome)
+        window = (window + list(outcome.committed))[-width:]
+        generated.extend(outcome.committed)
+    return generated[:max_tokens], outcomes
+
+
 # --- full-prefix reference decode loop ---------------------------------------
 
 
@@ -340,13 +664,13 @@ def propose_per_position(drafter, prefix, draft_len, feature, mode, rng) -> Draf
 
 def decode_loop_full_prefix(
     target, drafter, prompt, max_tokens, draft_len, mode, verify, rng=None
-) -> tuple[list[int], DecodeTrace]:
+) -> tuple[list[int], list[VerificationOutcome]]:
     """Reference draft/verify loop that hands the whole committed prefix to
     every feature, proposal and verification step."""
     draw_mode = SAMPLE if verify == STOCHASTIC else GREEDY
     seq = [int(t) for t in prompt]
     generated: list[int] = []
-    trace = DecodeTrace(draft_len=draft_len)
+    outcomes = []
     while len(generated) < max_tokens:
         if mode == DEPENDENT:
             feature = compute_feature(target, seq)
@@ -357,10 +681,10 @@ def decode_loop_full_prefix(
             outcome = verify_stochastic(target, seq, proposal, rng)
         else:
             outcome = verify_greedy(target, seq, proposal)
-        trace.record(outcome)
+        outcomes.append(outcome)
         seq.extend(outcome.committed)
         generated.extend(outcome.committed)
-    return generated[:max_tokens], trace
+    return generated[:max_tokens], outcomes
 
 
 # --- perfect-drafter constructions ------------------------------------------

@@ -18,7 +18,13 @@ import pytest
 from scipy import optimize
 
 import oracles
-from oracles import decay_weights, expected_accept_length, prefix_reach_probs
+from oracles import (
+    accept_prob,
+    decay_weights,
+    expected_accept_length,
+    prefix_reach_probs,
+    residual_distribution,
+)
 from speclab.bench import run_bench, write_confidence_csv, write_position_csv
 from speclab.cli import main as cli_main
 from speclab.drafting import GateConfig, apply_gate
@@ -38,11 +44,7 @@ from speclab.training import (
     train_tabular_drafter,
     window_losses,
 )
-from speclab.verification import (
-    accept_prob,
-    decode_loop,
-    residual_distribution,
-)
+from speclab.verification import decode_loop
 
 
 @contextmanager
@@ -286,10 +288,11 @@ def test_c08_perfect_drafter_bound(tmp_path):
             rng = np.random.default_rng(59)
             prompt = list(rng.integers(0, vocab_size, size=model.order))
             _, trace = decode_loop(
-                model, model, prompt, 3 * (draft_len + 1), draft_len,
+                model, model, [prompt], 3 * (draft_len + 1), draft_len,
                 mode="independent", verify="greedy",
             )
-            assert all(acc == draft_len for acc in trace.accepted_per_step)
+            hist = trace.accept_hist
+            assert hist[:draft_len].sum() == 0 and hist[draft_len] == trace.steps
             assert trace.tau == float(draft_len)
 
         # Constant target run literally as its own drafter through the CLI.

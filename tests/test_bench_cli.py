@@ -37,7 +37,8 @@ class TestBenchReport:
 
     def test_tau_matches_recomputation(self, small_bench):
         r = small_bench
-        recomputed = float(np.mean(r.trace.accepted_per_step))
+        hist = r.trace.accept_hist
+        recomputed = float(np.mean(np.repeat(np.arange(len(hist)), hist)))
         assert abs(r.tau - recomputed) <= 1e-12
 
     def test_zero_draft_cost_identity(self):
@@ -83,6 +84,14 @@ class TestBenchReport:
         with pytest.raises(ValueError, match="prompts must be nonempty"):
             run_bench(target, drafter, draft_len=2, mode="independent", verify="greedy",
                       prompts=[])
+
+    @pytest.mark.parametrize("max_tokens, draft_len", [(0, 2), (-3, 2), (8, 0)])
+    def test_nonpositive_lengths_rejected_before_a_report(self, max_tokens, draft_len):
+        # Before, max_tokens = 0 gave a zero-step report with tau 0.0.
+        target = make_synthetic_target(1, vocab_size=4, order=1, concentration=0.5)
+        with pytest.raises(ValueError, match="max_tokens and draft_len must be >= 1"):
+            run_bench(target, target, draft_len=draft_len, mode="independent",
+                      verify="stochastic", num_prompts=2, prompt_len=2, max_tokens=max_tokens)
 
     def test_invalid_cost_rejected(self):
         with pytest.raises(ValueError):
@@ -271,6 +280,16 @@ class TestCLI:
         assert data["config"]["draft_len"] == 4
         assert (tmp_path / "rep.positions.csv").exists()
         assert (tmp_path / "rep.confidence.csv").exists()
+
+    def test_bench_prints_stage_times_to_stderr_only(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        capsys.readouterr()
+        self._bench(tmp_path, target, drafter)
+        captured = capsys.readouterr()
+        assert re.search(r"^time: prompts \d+\.\d{3} s, decode \d+\.\d{3} s, \d+ tok/s$",
+                         captured.err, re.M)
+        assert "time:" not in captured.out
 
     def test_bench_warns_for_featureless_drafter_in_dependent_mode(self, tmp_path, capsys):
         target = self._gen(tmp_path)

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from speclab.drafting import (
-    GateConfig,
-    apply_gate,
-    compute_feature,
-    has_feature_contexts,
-    propose,
-)
+from speclab.drafting import GateConfig, apply_gate, has_feature_contexts
 import oracles
+from oracles import compute_feature, propose
 from speclab.models import Vocabulary, as_distribution
 
 

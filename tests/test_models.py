@@ -494,7 +494,7 @@ class TestPackedLookup:
         fallback = oracles.sparse_row(vocab.size, rng)
         with mock.patch.object(models, "DENSE_INDEX_MAX", models.DENSE_INDEX_MAX if dense else 0):
             model = oracles.model_from_table(order, vocab, table, fallback)
-        assert isinstance(model._row_ids, partial) != dense
+        assert isinstance(model.code_rows, partial) != dense
         queries = keys + data.draw(st.lists(context, max_size=6), label="misses")
         bad = data.draw(context, label="bad")
         bad[data.draw(st.integers(0, order - 1), label="at")] = data.draw(
@@ -516,7 +516,7 @@ class TestPackedLookup:
         table = _dict_table(rng, vocab, keys.tolist())
         fallback = oracles.sparse_row(vocab.size, rng)
         model = oracles.model_from_table(order, vocab, table, fallback)
-        assert isinstance(model._row_ids, partial)
+        assert isinstance(model.code_rows, partial)
         misses = rng.integers(0, vocab.num_symbols, size=(5, order)).tolist()
         queries = keys.tolist() + misses + [[vocab.pad_id] * (order - 1) + [0]]
         bad = [0] * (order - 1) + [vocab.num_symbols]

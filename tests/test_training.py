@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import build_ngram_model, decay_weights, target_confidences
-from speclab.drafting import compute_feature, masked_context, masked_contexts, propose
+from oracles import (
+    build_ngram_model,
+    compute_feature,
+    decay_weights,
+    masked_context,
+    propose,
+    target_confidences,
+)
+from speclab.drafting import masked_contexts
 from speclab.models import (
     Vocabulary,
     make_synthetic_target,
@@ -278,7 +285,8 @@ class TestBuildTrainingWindows:
 
 
 class TestMaskedContext:
-    """The trainer and ``propose`` share one context layout, the oracle's."""
+    """The decoder, the trainer and the scalar ``propose`` share one context
+    layout, the oracle's."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -295,10 +303,12 @@ class TestMaskedContext:
         k = data.draw(st.integers(0, draft_len - 1), label="k")
         expected = oracles.rewritten_context(prefix, feature, k, vocab, order)
         assert masked_context(prefix, feature, k, vocab, order) == expected
-        # The trainer's array form, on the pad-filled order-wide prefix.
+        # The array form, on the pad-filled order-wide prefix, at every
+        # position at once.
         padded = oracles.rewritten_context(prefix, vocab.none_feature_id, 0, vocab, order)
-        rows = masked_contexts(np.array([padded]), np.array([feature]), k, vocab, order)
-        assert tuple(rows[0].tolist()) == expected
+        rows = masked_contexts(np.array([padded]), np.array([feature]), np.arange(draft_len),
+                               vocab, order)
+        assert tuple(rows[0, k].tolist()) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16), data=st.data())

@@ -8,23 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import expected_accept_length, prefix_reach_probs
-from speclab.drafting import propose
+from oracles import (
+    accept_prob,
+    expected_accept_length,
+    prefix_reach_probs,
+    propose,
+    residual_distribution,
+    verify_greedy,
+    verify_stochastic,
+)
 from speclab.models import (
     Vocabulary,
     as_distribution,
     make_synthetic_target,
 )
-from speclab.verification import (
-    MODES,
-    VERIFIERS,
-    DecodeTrace,
-    accept_prob,
-    decode_loop,
-    residual_distribution,
-    verify_greedy,
-    verify_stochastic,
-)
+from speclab.verification import MODES, VERIFIERS, DecodeTrace, decode_loop
 
 
 class TestAcceptProb:
@@ -161,9 +159,7 @@ def _greedy_target():
 
 def _fixed_proposal(tokens, vocab_size=4):
     dists = tuple(as_distribution(np.full(vocab_size, 1.0 / vocab_size), vocab_size) for _ in tokens)
-    from speclab.drafting import DraftProposal
-
-    return DraftProposal(tokens=tuple(tokens), dists=dists)
+    return oracles.DraftProposal(tokens=tuple(tokens), dists=dists)
 
 
 class TestLosslessOverSparseTables:
@@ -247,21 +243,35 @@ class TestDecodeTrace:
         traces = []
         for start in (0, 1, 2):
             _, tr = decode_loop(
-                target, drafter, [start], 20, 3, mode="independent", verify="stochastic", rng=rng
+                target, drafter, [[start]], 20, 3, mode="independent", verify="stochastic",
+                rngs=[rng],
             )
             traces.append(tr)
         merged = DecodeTrace.combine(traces)
         assert merged.steps == sum(t.steps for t in traces)
         assert merged.total_tokens == sum(t.total_tokens for t in traces)
+        np.testing.assert_array_equal(merged.accept_hist, sum(t.accept_hist for t in traces))
         np.testing.assert_array_equal(
             merged.position_attempts, sum(t.position_attempts for t in traces)
         )
+        np.testing.assert_array_equal(merged.bin_accepts, sum(t.bin_accepts for t in traces))
+
+    def test_counts_follow_from_the_histogram(self):
+        # Two rounds at K = 3: one accepts 1 draft (attempts 0, 1), one all 3.
+        trace = DecodeTrace(draft_len=3)
+        trace.record(np.array([1, 3]), np.array([[0.95, 0.05, 0.5], [0.3, 0.3, 0.61]]))
+        assert trace.accept_hist.tolist() == [0, 1, 0, 1]
+        assert (trace.steps, trace.total_tokens, trace.tau) == (2, 6, 2.0)
+        assert trace.position_attempts.tolist() == [2, 2, 1]
+        assert trace.position_accepts.tolist() == [2, 1, 1]
+        assert trace.bin_attempts.tolist() == [1, 0, 0, 2, 0, 0, 1, 0, 0, 1]
+        assert trace.bin_accepts.tolist() == [0, 0, 0, 2, 0, 0, 1, 0, 0, 1]
 
     def test_json_schema(self):
         target, drafter = _order1_pair(5)
         _, tr = decode_loop(
-            target, drafter, [0], 10, 3, mode="independent", verify="stochastic",
-            rng=np.random.default_rng(0),
+            target, drafter, [[0]], 10, 3, mode="independent", verify="stochastic",
+            rngs=[np.random.default_rng(0)],
         )
         data = tr.to_json_dict()
         assert set(data) == {
@@ -278,35 +288,40 @@ class TestDecodeLoop:
     def test_perfect_constant_drafter(self):
         model = oracles.constant_model(4, 2, token=3)
         out, trace = decode_loop(
-            model, model, [3, 3], 30, 5, mode="independent", verify="greedy"
+            model, model, [[3, 3]], 30, 5, mode="independent", verify="greedy"
         )
-        assert out == [3] * 30
-        assert all(acc == 5 for acc in trace.accepted_per_step)
+        assert out.tolist() == [[3] * 30]
+        assert trace.accept_hist[:5].sum() == 0 and trace.accept_hist[5] == trace.steps
         assert trace.tau == 5.0
 
     def test_truncation_bound(self):
         target, drafter = _order1_pair(9)
         rng = np.random.default_rng(10)
         out, trace = decode_loop(
-            target, drafter, [0], 25, 4, mode="independent", verify="stochastic", rng=rng
+            target, drafter, [[0]], 25, 4, mode="independent", verify="stochastic", rngs=[rng]
         )
-        assert len(out) == 25
+        assert out.shape == (1, 25)
         assert trace.total_tokens >= 25
         assert trace.total_tokens - 25 < 4 + 1
 
     def test_token_accounting(self):
         target, drafter = _order1_pair(11)
-        rng = np.random.default_rng(12)
         _, trace = decode_loop(
-            target, drafter, [1], 40, 3, mode="independent", verify="stochastic", rng=rng
+            target, drafter, [[1]], 40, 3, mode="independent", verify="stochastic",
+            rngs=[np.random.default_rng(12)],
         )
-        assert trace.total_tokens == sum(trace.accepted_per_step) + trace.steps
+        _, outcomes = oracles.decode_loop(
+            target, drafter, [1], 40, 3, mode="independent", verify="stochastic",
+            rng=np.random.default_rng(12),
+        )
+        assert trace.total_tokens == sum(len(o.committed) for o in outcomes)
+        assert trace.steps == len(outcomes)
 
     def test_attempts_nonincreasing(self):
         target, drafter = _order1_pair(15)
         rng = np.random.default_rng(16)
         _, trace = decode_loop(
-            target, drafter, [2], 60, 5, mode="independent", verify="stochastic", rng=rng
+            target, drafter, [[2]], 60, 5, mode="independent", verify="stochastic", rngs=[rng]
         )
         attempts = trace.position_attempts
         assert all(attempts[k] >= attempts[k + 1] for k in range(len(attempts) - 1))
@@ -315,36 +330,61 @@ class TestDecodeLoop:
         target = make_synthetic_target(8, vocab_size=4, order=2, concentration=0.3)
         rng = np.random.default_rng(19)
         out, trace = decode_loop(
-            target, target, [0, 1], 15, 3, mode="dependent", verify="stochastic", rng=rng
+            target, target, [[0, 1]], 15, 3, mode="dependent", verify="stochastic", rngs=[rng]
         )
-        assert len(out) == 15
+        assert out.shape == (1, 15)
         assert trace.steps > 0
 
     def test_empty_prompt_rejected(self):
         target, drafter = _order1_pair(20)
-        with pytest.raises(ValueError, match="prompt"):
+        with pytest.raises(ValueError, match="prompt must be nonempty"):
+            decode_loop(target, drafter, [[0], []], 10, 2, mode="independent", verify="greedy")
+
+    def test_empty_prompt_list_rejected(self):
+        target, drafter = _order1_pair(20)
+        with pytest.raises(ValueError, match="prompts must be nonempty"):
             decode_loop(target, drafter, [], 10, 2, mode="independent", verify="greedy")
+
+    @pytest.mark.parametrize("max_tokens, draft_len", [(0, 2), (-3, 2), (5, 0)])
+    def test_nonpositive_lengths_rejected(self, max_tokens, draft_len):
+        target, drafter = _order1_pair(20)
+        with pytest.raises(ValueError, match="max_tokens and draft_len must be >= 1"):
+            decode_loop(target, drafter, [[0]], max_tokens, draft_len, mode="independent",
+                        verify="greedy")
+
+    def test_rng_count_and_sharing_rejected(self):
+        target, drafter = _order1_pair(20)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="1 rngs for 2 prompts"):
+            decode_loop(target, drafter, [[0], [1]], 5, 2, mode="independent",
+                        verify="stochastic", rngs=[rng])
+        with pytest.raises(ValueError, match="rng of its own"):
+            decode_loop(target, drafter, [[0], [1]], 5, 2, mode="independent",
+                        verify="stochastic", rngs=[rng, rng])
+        with pytest.raises(ValueError, match="requires rngs"):
+            decode_loop(target, drafter, [[0]], 5, 2, mode="independent", verify="stochastic")
 
     def test_vocab_mismatch_rejected(self):
         target, _ = _order1_pair(21, vocab_size=4)
         other, _ = _order1_pair(22, vocab_size=5)
         with pytest.raises(ValueError, match="vocabulary"):
-            decode_loop(target, other, [0], 10, 2, mode="independent", verify="greedy")
+            decode_loop(target, other, [[0]], 10, 2, mode="independent", verify="greedy")
 
     def test_non_real_prompt_token_rejected_at_entry(self):
         # The bad token lies far outside the last max(d_target, d_drafter)
         # tokens the loop carries, so only the entry check can see it.
         target, drafter = _order1_pair(24)
         prompt = [target.vocab.mask_id] + [0] * 8
-        with pytest.raises(ValueError, match="real tokens"):
-            decode_loop(target, drafter, prompt, 5, 2, mode="independent", verify="greedy")
+        with pytest.raises(ValueError, match=f"real tokens, got {target.vocab.mask_id}"):
+            decode_loop(target, drafter, [[1], prompt], 5, 2, mode="independent",
+                        verify="greedy")
 
     def test_bad_mode_and_verifier_rejected(self):
         target, drafter = _order1_pair(23)
         with pytest.raises(ValueError, match="mode"):
-            decode_loop(target, drafter, [0], 5, 2, mode="dual", verify="greedy")
+            decode_loop(target, drafter, [[0]], 5, 2, mode="dual", verify="greedy")
         with pytest.raises(ValueError, match="verify"):
-            decode_loop(target, drafter, [0], 5, 2, mode="independent", verify="exact")
+            decode_loop(target, drafter, [[0]], 5, 2, mode="independent", verify="exact")
 
 
 def _random_sparse_model(rng, vocab_size, order):
@@ -358,6 +398,113 @@ def _random_sparse_model(rng, vocab_size, order):
     }
     return oracles.model_from_table(order, vocab, table,
                         fallback=oracles.sparse_row(vocab_size, rng))
+
+
+def _random_dense_model(rng, vocab_size, order):
+    """Model with a full-support row for every order-d context of the
+    vocabulary's symbols, and a full-support fallback."""
+    vocab = Vocabulary(vocab_size)
+    contexts = list(itertools.product(range(vocab.num_symbols), repeat=order))
+    rows = rng.dirichlet(np.ones(vocab_size), size=len(contexts) + 1)
+    return oracles.TabularModel(order, vocab, contexts, rows[1:], rows[0])
+
+
+def _trace_counts(trace):
+    return {
+        "steps": trace.steps,
+        "total_tokens": trace.total_tokens,
+        "accept_hist": trace.accept_hist.tolist(),
+        "position_attempts": trace.position_attempts.tolist(),
+        "position_accepts": trace.position_accepts.tolist(),
+        "bin_attempts": trace.bin_attempts.tolist(),
+        "bin_accepts": trace.bin_accepts.tolist(),
+    }
+
+
+def _assert_batch_matches_scalar(target, drafter, prompts, max_tokens, k, mode, verify, seed,
+                                 loop=oracles.decode_loop):
+    """The batch loop against one scalar oracle loop per prompt: tokens,
+    trace counts, tau bytes and every prompt's final rng state."""
+    batch_rngs = [np.random.default_rng([seed, i]) for i in range(len(prompts))]
+    scalar_rngs = [np.random.default_rng([seed, i]) for i in range(len(prompts))]
+    stochastic = verify == "stochastic"
+    tokens, trace = decode_loop(target, drafter, prompts, max_tokens, k, mode=mode,
+                                verify=verify, rngs=batch_rngs if stochastic else None)
+    outcomes = []
+    for i, prompt in enumerate(prompts):
+        want, rounds = loop(target, drafter, prompt, max_tokens, k, mode=mode, verify=verify,
+                            rng=scalar_rngs[i])
+        assert tokens[i].tolist() == want
+        outcomes += rounds
+    assert _trace_counts(trace) == oracles.trace_counts(outcomes, k)
+    assert trace.tau == float(np.mean([o.accepted_len for o in outcomes]))
+    for got, want in zip(batch_rngs, scalar_rngs):
+        assert got.bit_generator.state == want.bit_generator.state
+    return trace
+
+
+class TestDecodeLoopMatchesScalarOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        table=st.sampled_from(["dense", "sparse", "sparse order-1 pair"]),
+        vocab_size=st.sampled_from([2, 3, 4]),
+        target_order=st.integers(1, 3),
+        drafter_order=st.integers(1, 3),
+        draft_len=st.sampled_from(["1", "d", "d+1", "16"]),
+        num_prompts=st.sampled_from([1, 2, 7]),
+        mode=st.sampled_from(MODES),
+        verify=st.sampled_from(VERIFIERS),
+        max_tokens=st.integers(1, 40),
+    )
+    def test_same_tokens_trace_and_rng_state(
+        self, seed, table, vocab_size, target_order, drafter_order, draft_len, num_prompts,
+        mode, verify, max_tokens,
+    ):
+        rng = np.random.default_rng(seed)
+        if table == "sparse order-1 pair":
+            vocab_size = max(vocab_size, 3)
+            target, drafter = oracles.sparse_order1_pair(vocab_size, rng)
+        else:
+            make = _random_dense_model if table == "dense" else _random_sparse_model
+            target = make(rng, vocab_size, target_order)
+            drafter = make(rng, vocab_size, drafter_order)
+        d = drafter.order
+        k = {"1": 1, "d": d, "d+1": d + 1, "16": 16}[draft_len]
+        # Ragged prompts, some shorter than both orders so pads reach both.
+        window = max(target.order, d)
+        lengths = rng.integers(1, window + k + 3, size=num_prompts)
+        lengths[0] = 1
+        prompts = [rng.integers(0, vocab_size, size=n).tolist() for n in lengths]
+        _assert_batch_matches_scalar(target, drafter, prompts, max_tokens, k, mode, verify,
+                                     seed)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_residual_sum_past_the_pairwise_block(self, mode):
+        # V = 130 rows are summed past numpy's 128-element pairwise block.
+        rng = np.random.default_rng(130)
+        target, drafter = _random_dense_model(rng, 130, 1), _random_dense_model(rng, 130, 1)
+        prompts = [[int(t)] for t in rng.integers(0, 130, size=5)]
+        trace = _assert_batch_matches_scalar(target, drafter, prompts, 30, 3, mode,
+                                             "stochastic", 7)
+        assert trace.accept_hist[0] > 0
+
+    def test_greedy_kernel_accepts_every_draft_of_a_self_drafter(self):
+        base = make_synthetic_target(5, 3, 1, 0.5)
+        model = oracles.mask_closed_self_drafter(base, 6)
+        prompts = [[0] * 6, [1] * 6, [2, 1, 0, 2, 1, 0]]
+        trace = _assert_batch_matches_scalar(model, model, prompts, 50, 6, "independent",
+                                             "greedy", 0)
+        assert trace.accept_hist[:6].sum() == 0 and trace.accept_hist[6] == trace.steps
+
+    def test_long_decode_refills_the_uniform_block(self):
+        # A weak drafter uses about K + 2 draws per committed token, so 200
+        # tokens at K = 16 need several blocks of 4 * (max_tokens + 2K + 1).
+        rng = np.random.default_rng(3)
+        target, drafter = _random_dense_model(rng, 4, 2), _random_dense_model(rng, 4, 1)
+        for mode in MODES:
+            _assert_batch_matches_scalar(target, drafter, [[0, 1], [2], [3, 3, 3]], 200, 16,
+                                         mode, "stochastic", 11)
 
 
 class TestDecodeLoopMatchesFullPrefixOracle:
@@ -386,12 +533,5 @@ class TestDecodeLoopMatchesFullPrefixOracle:
         n = {"shorter than d": max(1, d - 1), "d": d,
              "longer than the window": window + k + 2}[prompt_len]
         prompt = rng.integers(0, vocab_size, size=n).tolist()
-
-        got = decode_loop(target, drafter, prompt, max_tokens, k, mode=mode, verify=verify,
-                          rng=np.random.default_rng([seed, 1]))
-        want = oracles.decode_loop_full_prefix(
-            target, drafter, prompt, max_tokens, k, mode=mode, verify=verify,
-            rng=np.random.default_rng([seed, 1]))
-        assert got[0] == want[0]
-        assert got[1].accepted_per_step == want[1].accepted_per_step
-        assert got[1].to_json_dict() == want[1].to_json_dict()
+        _assert_batch_matches_scalar(target, drafter, [prompt], max_tokens, k, mode, verify,
+                                     seed, loop=oracles.decode_loop_full_prefix)
