@@ -10,17 +10,14 @@ pipeline end to end.
 
 from .models import (
     GREEDY,
-    SAMPLE,
     TabularModel,
     Vocabulary,
     as_distribution,
-    greedy_token,
     load_model,
     lookup_rows,
     make_synthetic_target,
     next_distribution,
     sample_sequences,
-    sample_token,
     save_model,
 )
 from .drafting import GateConfig, apply_gate
@@ -37,6 +34,6 @@ from .training import (
     train_tabular_drafter,
     window_losses,
 )
-from .bench import BenchReport, CostModel, run_bench
+from .bench import BenchReport, run_bench
 
 __version__ = "0.1.0"

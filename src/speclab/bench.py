@@ -1,4 +1,4 @@
-"""Benchmark runner: drives decode loops, aggregates traces, writes reports.
+"""Benchmark runner: decodes a prompt batch, lays out and writes its report.
 
 Speedup is estimated with a wall-clock-free cost model: one verification
 round costs one target pass plus ``draft_cost`` drafter passes, so the
@@ -10,6 +10,7 @@ depend on the other prompts of its batch.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -21,17 +22,6 @@ from scipy import stats
 
 from .models import TabularModel, Token, sample_sequences
 from .verification import NUM_CONFIDENCE_BINS, STOCHASTIC, DecodeTrace, decode_loop
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Cost of one parallel drafter pass relative to one target pass (= 1)."""
-
-    draft_cost: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.draft_cost < 0.0:
-            raise ValueError(f"draft_cost must be >= 0, got {self.draft_cost}")
 
 
 def spearman_correlation(xs: Sequence[float], ys: Sequence[float]) -> float | None:
@@ -48,10 +38,13 @@ def spearman_correlation(xs: Sequence[float], ys: Sequence[float]) -> float | No
 
 @dataclass
 class BenchReport:
-    """Aggregated metrics for one benchmark run."""
+    """Aggregated metrics for one benchmark run, and the one owner of the
+    report layout: the JSON report and both CSVs are written from the same
+    per-position and per-bin rows."""
 
     trace: DecodeTrace
-    cost: CostModel
+    #: Cost of one parallel drafter pass relative to one target pass (= 1).
+    draft_cost: float
     config: dict = field(default_factory=dict)
 
     @property
@@ -60,11 +53,12 @@ class BenchReport:
 
     @property
     def committed_per_step(self) -> float:
-        return self.trace.committed_per_step
+        steps = self.trace.steps
+        return self.trace.total_tokens / steps if steps else 0.0
 
     @property
     def speedup_estimate(self) -> float:
-        return self.committed_per_step / (1.0 + self.cost.draft_cost)
+        return self.committed_per_step / (1.0 + self.draft_cost)
 
     @cached_property
     def position_rows(self) -> list[tuple[int, int, int, float]]:
@@ -90,19 +84,24 @@ class BenchReport:
         return spearman_correlation(centers, rates)
 
     def to_json_dict(self) -> dict:
-        out = self.trace.to_json_dict()
-        out["speedup_estimate"] = self.speedup_estimate
-        out["draft_cost"] = self.cost.draft_cost
-        out["correlation"] = self.correlation
-        out["position_curve"] = [
-            {"k": k, "rate": rate} for k, _attempts, _accepts, rate in self.position_rows
-        ]
-        out["confidence_curve"] = [
-            {"center": (lo + hi) / 2.0, "rate": rate}
-            for lo, hi, _attempts, _accepts, rate in self.confidence_rows
-        ]
-        out["config"] = self.config
-        return out
+        positions, bins = self.position_rows, self.confidence_rows
+        return {
+            "steps": self.trace.steps,
+            "tau": self.tau,
+            "committed_per_step": self.committed_per_step,
+            "position_stats": [{"k": k, "attempts": n, "accepts": a}
+                               for k, n, a, _rate in positions],
+            "confidence_bins": [{"lo": lo, "hi": hi, "attempts": n, "accepts": a}
+                                for lo, hi, n, a, _rate in bins],
+            "total_tokens": self.trace.total_tokens,
+            "speedup_estimate": self.speedup_estimate,
+            "draft_cost": self.draft_cost,
+            "correlation": self.correlation,
+            "position_curve": [{"k": k, "rate": rate} for k, _n, _a, rate in positions],
+            "confidence_curve": [{"center": (lo + hi) / 2.0, "rate": rate}
+                                 for lo, hi, _n, _a, rate in bins],
+            "config": self.config,
+        }
 
 
 def sample_prompts(
@@ -128,7 +127,7 @@ def run_bench(
     prompt_len: int = 8,
     max_tokens: int = 256,
     seed: int = 0,
-    cost: CostModel = CostModel(),
+    draft_cost: float = 0.1,
     prompts: Sequence[Sequence[Token]] | None = None,
     config_extra: dict | None = None,
 ) -> BenchReport:
@@ -136,7 +135,10 @@ def run_bench(
 
     Prompts come from :func:`sample_prompts` unless given explicitly.
     Prompt i's verification draws come from ``default_rng([seed, i, 1])``.
+    ``draft_cost`` must be finite and >= 0.
     """
+    if not 0.0 <= draft_cost < math.inf:
+        raise ValueError(f"draft_cost must be finite and >= 0, got {draft_cost}")
     if prompts is None:
         prompts = sample_prompts(target, num_prompts, prompt_len, seed)
     rngs = ([np.random.default_rng([seed, i, 1]) for i in range(len(prompts))]
@@ -155,11 +157,11 @@ def run_bench(
         "prompt_len": len(prompts[0]),
         "max_tokens": max_tokens,
         "seed": seed,
-        "draft_cost": cost.draft_cost,
+        "draft_cost": draft_cost,
     }
     if config_extra:
         config.update(config_extra)
-    return BenchReport(trace=trace, cost=cost, config=config)
+    return BenchReport(trace=trace, draft_cost=draft_cost, config=config)
 
 
 def write_report_json(report: BenchReport, path: str | Path) -> None:

@@ -7,6 +7,7 @@ A key=value config file can supply any flag (command line wins). Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -78,10 +79,13 @@ def _write_corpus(path: str, sequences: list[list[int]]) -> None:
 
 def _read_corpus(path: str) -> list[list[int]]:
     sequences = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            sequences.append([int(t) for t in line.split()])
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            tokens = [int(t) for t in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
+        if tokens:
+            sequences.append(tokens)
     return sequences
 
 
@@ -107,8 +111,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     _default(args, "seed", 0)
     if args.out is None:
         raise UsageError("gen requires --out")
-    if args.vocab < 2 or args.order < 1 or args.alpha <= 0:
-        raise UsageError("gen needs --vocab >= 2, --order >= 1, --alpha > 0")
+    if args.vocab < 2 or args.order < 1 or not 0 < args.alpha < math.inf:
+        raise UsageError("gen needs --vocab >= 2, --order >= 1, a finite --alpha > 0")
     model = make_synthetic_target(args.seed, args.vocab, args.order, args.alpha)
     save_model(model, args.out)
     print(f"wrote target model: {args.out}")
@@ -247,6 +251,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError("--K and --max-tokens must be >= 1")
     if args.prompt_file is None and (args.prompts < 1 or args.prompt_len < 1):
         raise UsageError("--prompts and --prompt-len must be >= 1")
+    if not 0.0 <= args.draft_cost < math.inf:
+        raise UsageError(f"--draft-cost must be finite and >= 0, got {args.draft_cost}")
 
     target = load_model(args.target)
     drafter = load_model(args.drafter)
@@ -262,21 +268,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         prompts = bench_mod.sample_prompts(target, args.prompts, args.prompt_len, args.seed)
     sampled = time.perf_counter()
-    try:
-        cost = bench_mod.CostModel(draft_cost=args.draft_cost)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     report = bench_mod.run_bench(
         target,
         drafter,
         draft_len=args.draft_len,
         mode=args.mode,
         verify=args.verify,
-        num_prompts=args.prompts,
-        prompt_len=args.prompt_len,
         max_tokens=args.max_tokens,
         seed=args.seed,
-        cost=cost,
+        draft_cost=args.draft_cost,
         prompts=prompts,
         config_extra={"target_path": args.target, "drafter_path": args.drafter},
     )

@@ -18,6 +18,7 @@ left-fills short histories so context keys stay fixed width.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -35,7 +36,6 @@ RNG = np.random.Generator
 PROB_SUM_TOL = 1e-9
 
 GREEDY = "greedy"
-SAMPLE = "sample"
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,8 @@ class TabularModel:
 
     @cached_property
     def greedy_tokens(self) -> np.ndarray:
-        """Each row's :func:`greedy_token`, the fallback's last; read-only."""
+        """Each row's argmax token (ties to the lowest id), the fallback's
+        last; read-only."""
         tokens = self.rows.argmax(axis=1)
         tokens.setflags(write=False)
         return tokens
@@ -267,57 +268,48 @@ def lookup_rows(model: TabularModel, contexts: ArrayLike) -> np.ndarray:
     that context, else the fallback. A symbol outside the model's symbol
     space raises ValueError naming the first one in row order.
     """
+    return model.rows[_checked_row_ids(model, contexts)]
+
+
+def _checked_row_ids(model: TabularModel, contexts: ArrayLike) -> np.ndarray:
+    """:func:`row_ids` of (n, order) contexts after the checks of
+    :func:`lookup_rows`."""
     contexts = np.asarray(contexts)
     if contexts.ndim != 2 or contexts.shape[1] != model.order:
         raise ValueError(f"contexts must have shape (n, {model.order}), got {contexts.shape}")
     bad = (contexts < 0) | (contexts >= model.vocab.num_symbols)
     if bad.any():
         raise ValueError(f"context symbol out of range: {contexts[bad][0]}")
-    return model.rows[row_ids(model, contexts)]
+    return row_ids(model, contexts)
 
 
 def next_distribution(model: TabularModel, context: Sequence[Symbol]) -> np.ndarray:
     """Conditional next-token distribution for the order-d suffix of ``context``.
 
-    The one-context case of :func:`lookup_rows`: short contexts are
-    left-padded and unseen ones get the fallback. Only the padded order-d
-    key is read and range-checked (ValueError), so the cost is O(d),
-    whatever the length of ``context``.
+    The one-context case of :func:`lookup_rows`, with its checks: short
+    contexts are left-padded and unseen ones get the fallback. Only the
+    padded order-d key is read and range-checked (ValueError), so the cost
+    is O(d), whatever the length of ``context``. The result is the stored
+    row itself, a read-only view.
     """
-    order, num_symbols = model.order, model.vocab.num_symbols
-    code = 0
-    for s in (model.vocab.pad_id,) * (order - len(context)) + tuple(context[-order:]):
-        s = int(s)
-        if not 0 <= s < num_symbols:
-            raise ValueError(f"context symbol out of range: {s}")
-        code = code * num_symbols + s
-    return model.rows[model.code_rows(code)]
-
-
-def sample_token(dist: np.ndarray, rng: RNG) -> Token:
-    """Draw one token by inverse CDF over token ids.
-
-    Cumulative sums run in token-id order, so draws are bit-reproducible for
-    a given seed. The uniform draw is scaled by the CDF's own total, which
-    keeps it below the last cumulative sum even when rounding leaves that
-    sum under one, so a draw never lands on a zero-probability token.
-    """
-    cdf = np.cumsum(dist)
-    return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-
-
-def greedy_token(dist: np.ndarray) -> Token:
-    """Argmax token id; ties break toward the lowest id."""
-    return int(np.argmax(dist))
+    order = model.order
+    tail = list(context[-order:])
+    key = [model.vocab.pad_id] * (order - len(tail)) + tail
+    try:
+        key = np.array(key, dtype=np.int64)
+    except OverflowError:  # a symbol beyond int64, out of range below
+        key = np.array(key, dtype=object)
+    return model.rows[_checked_row_ids(model, key[None])[0]]
 
 
 def sample_sequences(model: TabularModel, uniforms: ArrayLike) -> np.ndarray:
     """(N, L) tokens: one sequence per row of ``uniforms``, all in lockstep.
 
     Every sequence starts from the empty prefix. Token t of sequence i
-    inverts its row's CDF at ``uniforms[i, t]`` exactly as
-    :func:`sample_token` does, so ``rng.random((N, L))`` gives the tokens
-    and rng state of N * L ``sample_token`` calls, sequence by sequence.
+    inverts its row's CDF, in token-id order, at ``uniforms[i, t]`` scaled
+    by the CDF's own total; the scaling keeps a draw below the last
+    cumulative sum even when rounding leaves that sum under one, so a draw
+    never lands on a zero-probability token.
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
     length, order = uniforms.shape[1], model.order
@@ -350,8 +342,8 @@ def make_synthetic_target(
         raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if concentration <= 0:
-        raise ValueError(f"concentration must be > 0, got {concentration}")
+    if not 0 < concentration < math.inf:
+        raise ValueError(f"concentration must be finite and > 0, got {concentration}")
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(vocab_size)
     alpha = np.full(vocab_size, float(concentration))
@@ -397,7 +389,6 @@ def load_model(path: str | Path) -> TabularModel:
     fallback: np.ndarray | None = None
     contexts: list[Context] = []
     rows: list[np.ndarray] = []
-    seen: set[Context] = set()
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -410,12 +401,13 @@ def load_model(path: str | Path) -> TabularModel:
                 raise ValueError(f"duplicate fallback row in model file: {path}")
             fallback = probs
         else:
-            ctx = tuple(int(s) for s in key.split())
-            if ctx in seen:
-                raise ValueError(f"duplicate row for context {ctx} in model file: {path}")
-            seen.add(ctx)
-            contexts.append(ctx)
+            contexts.append(tuple(int(s) for s in key.split()))
             rows.append(probs)
     if fallback is None:
         raise ValueError(f"model file missing fallback line: {path}")
-    return TabularModel(order, Vocabulary(vocab_size), contexts, rows, fallback)
+    try:
+        return TabularModel(order, Vocabulary(vocab_size), contexts, rows, fallback)
+    except ValueError as exc:
+        if str(exc).startswith("duplicate row"):
+            raise ValueError(f"{exc} in model file: {path}") from None
+        raise

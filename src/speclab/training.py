@@ -17,6 +17,7 @@ stop-gradient semantics without any autodiff.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -93,16 +94,16 @@ class TrainConfig:
             raise ValueError(f"drafter_order must be >= 1, got {self.drafter_order}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.smoothing < 0.0:
-            raise ValueError(f"smoothing must be >= 0, got {self.smoothing}")
-        if self.kd_weight < 0.0:
-            raise ValueError(f"kd_weight must be >= 0, got {self.kd_weight}")
+        if not 0.0 <= self.smoothing < math.inf:
+            raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing}")
+        if not 0.0 <= self.kd_weight < math.inf:
+            raise ValueError(f"kd_weight must be finite and >= 0, got {self.kd_weight}")
 
 
 @dataclass(frozen=True, eq=False)

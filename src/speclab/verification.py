@@ -56,8 +56,8 @@ class DecodeTrace:
     a + 1 tokens, so the round count, the committed tokens and the
     per-position counts all follow from the histogram. The confidence bins
     count attempted and accepted positions by the target's probability of
-    the drafted token. Counts merge by addition, so traces from independent
-    prompts combine associatively via :meth:`combine`.
+    the drafted token. The trace holds counts only; the bench report lays
+    them out.
     """
 
     draft_len: int
@@ -116,48 +116,6 @@ class DecodeTrace:
         """
         steps = self.steps
         return self.accepted_total / steps if steps else 0.0
-
-    @property
-    def committed_per_step(self) -> float:
-        steps = self.steps
-        return self.total_tokens / steps if steps else 0.0
-
-    @classmethod
-    def combine(cls, traces: Sequence["DecodeTrace"]) -> "DecodeTrace":
-        """Merge traces by pure count addition."""
-        if not traces:
-            raise ValueError("need at least one trace to combine")
-        draft_len = traces[0].draft_len
-        if any(t.draft_len != draft_len for t in traces):
-            raise ValueError("traces disagree on draft length")
-        merged = cls(draft_len=draft_len)
-        for t in traces:
-            merged.accept_hist += t.accept_hist
-            merged.bin_attempts += t.bin_attempts
-            merged.bin_accepts += t.bin_accepts
-        return merged
-
-    def to_json_dict(self) -> dict:
-        attempts, accepts = self.position_attempts.tolist(), self.position_accepts.tolist()
-        return {
-            "steps": self.steps,
-            "tau": self.tau,
-            "committed_per_step": self.committed_per_step,
-            "position_stats": [
-                {"k": k, "attempts": attempts[k], "accepts": accepts[k]}
-                for k in range(self.draft_len)
-            ],
-            "confidence_bins": [
-                {
-                    "lo": b / NUM_CONFIDENCE_BINS,
-                    "hi": (b + 1) / NUM_CONFIDENCE_BINS,
-                    "attempts": int(self.bin_attempts[b]),
-                    "accepts": int(self.bin_accepts[b]),
-                }
-                for b in range(NUM_CONFIDENCE_BINS)
-            ],
-            "total_tokens": self.total_tokens,
-        }
 
 
 def decode_loop(
@@ -277,7 +235,7 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace,
 
     K = draft_len
     weights, feature_weights, offsets = _drafter_code_terms(drafter, K, featured)
-    shared = models.greedy_token(next_distribution(drafter, (drafter.vocab.mask_id,) * d_d))
+    shared = drafter.greedy_tokens[models.row_ids(drafter, np.full(d_d, drafter.vocab.mask_id))]
     prefixes = windows(seq[:, width - d_d : width + max_tokens - 1], d_d, axis=1)
     futures = windows(stream[:, : max_tokens + K - 1], K, axis=1)
     accepted = np.empty((n, max_tokens), dtype=np.intp)

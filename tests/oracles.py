@@ -21,21 +21,38 @@ import numpy as np
 from speclab.models import (
     GREEDY,
     RNG,
-    SAMPLE,
     Context,
     Symbol,
     TabularModel,
     Token,
     Vocabulary,
-    greedy_token,
     next_distribution,
-    sample_token,
 )
 from speclab.training import CAT, CONFIDENCE_EPS, DECAY, TrainingWindows
 from speclab.verification import DEPENDENT, MODES, NUM_CONFIDENCE_BINS, STOCHASTIC, VERIFIERS
 
 
 # --- dict-built tables and scalar model paths ---------------------------------
+
+SAMPLE = "sample"
+
+
+def sample_token(dist: np.ndarray, rng: RNG) -> Token:
+    """Draw one token by inverse CDF over token ids.
+
+    Cumulative sums run in token-id order, so draws are bit-reproducible for
+    a given seed. The uniform draw is scaled by the CDF's own total, which
+    keeps it below the last cumulative sum even when rounding leaves that
+    sum under one, so a draw never lands on a zero-probability token.
+    """
+    cdf = np.cumsum(dist)
+    return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+
+
+def greedy_token(dist: np.ndarray) -> Token:
+    """Argmax token id; ties break toward the lowest id."""
+    return int(np.argmax(dist))
+
 
 
 def model_from_table(order: int, vocab: Vocabulary, table: dict, fallback) -> TabularModel:
@@ -383,7 +400,7 @@ def propose(
     Greedy mode takes one argmax per distinct distribution. Sample mode draws
     all K uniforms with one ``rng.random(K)`` call, the same stream as K
     single draws, and inverts the K CDFs at once exactly as
-    :func:`~speclab.models.sample_token` inverts one.
+    :func:`sample_token` inverts one.
     """
     if draft_len < 1:
         raise ValueError(f"draft_len must be >= 1, got {draft_len}")

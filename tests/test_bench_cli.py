@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from speclab.bench import (
-    CostModel,
     analyze_reports,
     format_analysis,
     run_bench,
@@ -33,7 +32,7 @@ def small_bench():
 class TestBenchReport:
     def test_speedup_identity(self, small_bench):
         r = small_bench
-        assert abs(r.speedup_estimate * (1 + r.cost.draft_cost) - r.committed_per_step) <= 1e-12
+        assert abs(r.speedup_estimate * (1 + r.draft_cost) - r.committed_per_step) <= 1e-12
 
     def test_tau_matches_recomputation(self, small_bench):
         r = small_bench
@@ -45,7 +44,7 @@ class TestBenchReport:
         target = make_synthetic_target(1, vocab_size=4, order=1, concentration=0.5)
         r = run_bench(
             target, target, draft_len=2, mode="independent", verify="stochastic",
-            num_prompts=2, prompt_len=2, max_tokens=10, seed=0, cost=CostModel(0.0),
+            num_prompts=2, prompt_len=2, max_tokens=10, seed=0, draft_cost=0.0,
         )
         assert r.speedup_estimate == r.committed_per_step
 
@@ -64,6 +63,18 @@ class TestBenchReport:
         ):
             assert key in data
         assert data["config"]["vocab"] == 6
+
+    def test_json_schema(self, small_bench):
+        data = small_bench.to_json_dict()
+        assert list(data) == [
+            "steps", "tau", "committed_per_step", "position_stats", "confidence_bins",
+            "total_tokens", "speedup_estimate", "draft_cost", "correlation",
+            "position_curve", "confidence_curve", "config",
+        ]
+        assert len(data["position_stats"]) == 4
+        assert len(data["confidence_bins"]) == 10
+        assert set(data["position_stats"][0]) == {"k", "attempts", "accepts"}
+        assert set(data["confidence_bins"][0]) == {"lo", "hi", "attempts", "accepts"}
 
     def test_csv_schemas(self, small_bench, tmp_path):
         ppath, cpath = tmp_path / "p.csv", tmp_path / "c.csv"
@@ -94,8 +105,12 @@ class TestBenchReport:
                       verify="stochastic", num_prompts=2, prompt_len=2, max_tokens=max_tokens)
 
     def test_invalid_cost_rejected(self):
-        with pytest.raises(ValueError):
-            CostModel(-0.5)
+        # Unchecked, NaN and Infinity would be written into the report.
+        target = make_synthetic_target(1, vocab_size=4, order=1, concentration=0.5)
+        for draft_cost in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="draft_cost must be finite and >= 0"):
+                run_bench(target, target, draft_len=2, mode="independent", verify="greedy",
+                          draft_cost=draft_cost)
 
 
 class TestSpearman:
@@ -281,6 +296,28 @@ class TestCLI:
         assert (tmp_path / "rep.positions.csv").exists()
         assert (tmp_path / "rep.confidence.csv").exists()
 
+    def test_report_rows_match_the_csvs(self, tmp_path):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        data = json.loads(self._bench(tmp_path, target, drafter, "rep.json",
+                                      "--verify", "stochastic").read_text())
+        positions = [line.split(",") for line in
+                     (tmp_path / "rep.positions.csv").read_text().splitlines()[1:]]
+        assert len(positions) == len(data["position_stats"]) == len(data["position_curve"]) == 4
+        for (k, attempts, accepts, rate), stats, curve in zip(
+                positions, data["position_stats"], data["position_curve"]):
+            assert stats == {"k": int(k), "attempts": int(attempts), "accepts": int(accepts)}
+            assert curve == {"k": int(k), "rate": float(rate)}
+        bins = [line.split(",") for line in
+                (tmp_path / "rep.confidence.csv").read_text().splitlines()[1:]]
+        assert len(bins) == len(data["confidence_bins"]) == len(data["confidence_curve"]) == 10
+        for (lo, hi, attempts, accepts, rate), stats, curve in zip(
+                bins, data["confidence_bins"], data["confidence_curve"]):
+            assert stats == {"lo": float(lo), "hi": float(hi), "attempts": int(attempts),
+                             "accepts": int(accepts)}
+            assert curve == {"center": (float(lo) + float(hi)) / 2.0, "rate": float(rate)}
+        assert sum(int(row[2]) for row in positions) > 0
+
     def test_bench_prints_stage_times_to_stderr_only(self, tmp_path, capsys):
         target = self._gen(tmp_path)
         drafter = self._train(tmp_path, target, "d.ngm")
@@ -317,6 +354,29 @@ class TestCLI:
         assert "real tokens" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bench_prompt_file_bad_token_names_the_line_exit_3(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("0 1 2\n\n1 2 x\n")
+        out = tmp_path / "rep.json"
+        code = main(["bench", "--target", str(target), "--drafter", str(drafter),
+                     "--out", str(out), "--K", "4", "--prompt-file", str(prompts)])
+        assert code == 3
+        assert f"{prompts} line 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_corpus_bad_token_names_the_line_exit_3(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("0 1 2 3 4 5\n1 2 3.5 4 5 6\n")
+        out = tmp_path / "d.ngm"
+        code = main(["train", "--target", str(target), "--out", str(out),
+                     "--K", "4", "--corpus", str(corpus)])
+        assert code == 3
+        assert f"{corpus} line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_empty_prompt_file_exit_3(self, tmp_path, capsys):
         target = self._gen(tmp_path)
         drafter = self._train(tmp_path, target, "d.ngm")
@@ -338,6 +398,46 @@ class TestCLI:
                      "--out", str(out), "--K", "4", flag, "0"])
         assert code == 1
         assert "--prompts and --prompt-len must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gen_non_finite_alpha_exit_1(self, tmp_path, capsys, value):
+        out = tmp_path / "t.ngm"
+        assert main(["gen", "--alpha", value, "--out", str(out)]) == 1
+        assert "--alpha" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--beta", "inf"),
+                                             ("--smoothing", "nan"), ("--smoothing", "inf")])
+    def test_train_non_finite_coefficient_exit_1(self, tmp_path, capsys, flag, value):
+        # NaN passes a plain ">= 0" test and turns its term off; the others
+        # would fail only later, as "distribution sums to nan" (exit 3).
+        target = self._gen(tmp_path)
+        out = tmp_path / "d.ngm"
+        code = main(["train", "--target", str(target), "--out", str(out), flag, value])
+        assert code == 1
+        assert f"{flag[2:]} must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_config_non_finite_kd_weight_exit_1(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        sheet = tmp_path / "hparams.cfg"
+        sheet.write_text("kd_weight = nan\n")
+        out = tmp_path / "d.ngm"
+        code = main(["train", "--target", str(target), "--out", str(out),
+                     "--train-config", str(sheet)])
+        assert code == 1
+        assert "kd_weight must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bench_bad_draft_cost_exit_1(self, tmp_path, capsys, value):
+        target = self._gen(tmp_path)
+        out = tmp_path / "rep.json"
+        code = main(["bench", "--target", str(target), "--drafter", str(target),
+                     "--out", str(out), "--draft-cost", value])
+        assert code == 1
+        assert "--draft-cost must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_analyze_unknown_baseline_exit_1(self, tmp_path, capsys):

@@ -10,19 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import build_ngram_model, generate_autoregressive, padded_suffix
+from oracles import (
+    build_ngram_model,
+    generate_autoregressive,
+    greedy_token,
+    padded_suffix,
+    sample_token,
+)
 from speclab import models
 from speclab.models import (
     TabularModel,
     Vocabulary,
     as_distribution,
-    greedy_token,
     load_model,
     lookup_rows,
     make_synthetic_target,
     next_distribution,
     sample_sequences,
-    sample_token,
     save_model,
 )
 from speclab.training import sample_corpus
@@ -111,6 +115,12 @@ class TestNextDistribution:
         model = _tiny_model()
         with pytest.raises(ValueError, match="out of range"):
             next_distribution(model, [0, 99])
+
+    @pytest.mark.parametrize("symbol", [2**70, -(2**70)])
+    def test_symbol_beyond_int64_is_a_value_error(self, symbol):
+        model = _tiny_model()
+        with pytest.raises(ValueError, match=f"^context symbol out of range: {symbol}$"):
+            next_distribution(model, [0, symbol])
 
     def test_only_the_order_d_key_is_read(self):
         # Symbols before the last d never enter the key, so they are not checked.
@@ -260,6 +270,13 @@ class TestSyntheticTarget:
         model = make_synthetic_target(11, vocab_size=8, order=2, concentration=1000.0)
         mean_max = np.mean([dist.max() for dist in model.table.values()])
         assert mean_max < 2 / 8 + 0.05
+
+    @pytest.mark.parametrize("concentration", [float("nan"), float("inf")])
+    def test_concentration_must_be_finite_and_positive(self, concentration):
+        # Unchecked, a NaN or infinite alpha reaches the Dirichlet draw and
+        # fails only later, as "distribution sums to nan".
+        with pytest.raises(ValueError, match="concentration must be finite and > 0"):
+            make_synthetic_target(0, vocab_size=3, order=1, concentration=concentration)
 
     def test_same_seed_identical_tables(self):
         a = make_synthetic_target(21, vocab_size=5, order=2, concentration=0.3)

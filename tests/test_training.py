@@ -710,6 +710,13 @@ class TestTrainConfig:
             {"smoothing": -0.5},
             {"kd_weight": -0.1},
             {"drafter_order": 0},
+            # NaN passes a plain ">= 0" test, and switched its term off.
+            {"beta": float("nan")},
+            {"beta": float("inf")},
+            {"smoothing": float("nan")},
+            {"smoothing": float("inf")},
+            {"kd_weight": float("nan")},
+            {"kd_weight": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

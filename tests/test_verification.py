@@ -237,25 +237,6 @@ class TestPrefixReachProbs:
 
 
 class TestDecodeTrace:
-    def test_combine_adds_counts(self):
-        target, drafter = _order1_pair(3)
-        rng = np.random.default_rng(4)
-        traces = []
-        for start in (0, 1, 2):
-            _, tr = decode_loop(
-                target, drafter, [[start]], 20, 3, mode="independent", verify="stochastic",
-                rngs=[rng],
-            )
-            traces.append(tr)
-        merged = DecodeTrace.combine(traces)
-        assert merged.steps == sum(t.steps for t in traces)
-        assert merged.total_tokens == sum(t.total_tokens for t in traces)
-        np.testing.assert_array_equal(merged.accept_hist, sum(t.accept_hist for t in traces))
-        np.testing.assert_array_equal(
-            merged.position_attempts, sum(t.position_attempts for t in traces)
-        )
-        np.testing.assert_array_equal(merged.bin_accepts, sum(t.bin_accepts for t in traces))
-
     def test_counts_follow_from_the_histogram(self):
         # Two rounds at K = 3: one accepts 1 draft (attempts 0, 1), one all 3.
         trace = DecodeTrace(draft_len=3)
@@ -267,21 +248,10 @@ class TestDecodeTrace:
         assert trace.bin_attempts.tolist() == [1, 0, 0, 2, 0, 0, 1, 0, 0, 1]
         assert trace.bin_accepts.tolist() == [0, 0, 0, 2, 0, 0, 1, 0, 0, 1]
 
-    def test_json_schema(self):
-        target, drafter = _order1_pair(5)
-        _, tr = decode_loop(
-            target, drafter, [[0]], 10, 3, mode="independent", verify="stochastic",
-            rngs=[np.random.default_rng(0)],
-        )
-        data = tr.to_json_dict()
-        assert set(data) == {
-            "steps", "tau", "committed_per_step", "position_stats",
-            "confidence_bins", "total_tokens",
-        }
-        assert len(data["position_stats"]) == 3
-        assert len(data["confidence_bins"]) == 10
-        assert set(data["position_stats"][0]) == {"k", "attempts", "accepts"}
-        assert set(data["confidence_bins"][0]) == {"lo", "hi", "attempts", "accepts"}
+    def test_trace_keeps_counts_only(self):
+        # The bench report owns the layout and the derived rates.
+        for name in ("to_json_dict", "combine", "committed_per_step"):
+            assert not hasattr(DecodeTrace, name)
 
 
 class TestDecodeLoop:
