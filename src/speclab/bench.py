@@ -185,9 +185,15 @@ def write_confidence_csv(report: BenchReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> dict:
+    """Read a report, checking every field :func:`analyze_reports` reads."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "tau" not in data or "config" not in data:
-        raise ValueError(f"not a benchmark report: {path}")
+    if not isinstance(data, dict):
+        raise ValueError(f"not a benchmark report: {path} is not a JSON object")
+    for key in ("tau", "committed_per_step", "speedup_estimate"):
+        if not isinstance(data.get(key), (int, float)):
+            raise ValueError(f"not a benchmark report: {path} has no numeric {key!r}")
+    if not isinstance(data.get("config"), dict):
+        raise ValueError(f"not a benchmark report: {path} has no 'config' object")
     return data
 
 

@@ -1,7 +1,13 @@
 """Command-line experiment runner: gen, train, bench, analyze.
 
-A key=value config file can supply any flag (command line wins). Exit codes:
-0 success, 1 usage error, 2 I/O error, 3 numeric or validation error.
+Each flag's type and default are declared once, in :func:`build_parser`. A
+key=value ``--config`` file can set any option of its subcommand except
+``--config`` and ``--train-config``. Its keys are the option names, with
+dashes or underscores (``--K`` is ``draft_len``), and its values become the
+subcommand's defaults, so the command line wins. For ``train`` the order is
+command line > ``--config`` > ``--train-config`` sheet > ``TrainConfig``
+defaults. Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric or
+validation error.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -47,29 +54,18 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _merge_config(args: argparse.Namespace, parser_dests: dict[str, type]) -> None:
-    """Fill None-valued args from the config file; the command line wins."""
-    if not getattr(args, "config", None):
-        return
+def _read_config(args: argparse.Namespace) -> dict[str, str]:
+    """The ``--config`` file's raw values by option name, each an option of the command."""
     text = Path(args.config).read_text(encoding="utf-8")
     try:
         values = {norm: value for _key, norm, value in read_key_values(text)}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    for key, raw in values.items():
-        if key not in parser_dests:
+    settable = vars(args).keys() - {"command", "func", "parser", "config", "train_config"}
+    for key in values:
+        if key not in settable:
             raise UsageError(f"unknown config key for this command: {key!r}")
-        if getattr(args, key) is None:
-            caster = parser_dests[key]
-            try:
-                setattr(args, key, caster(raw))
-            except ValueError as exc:
-                raise UsageError(f"bad config value for {key}: {raw!r}") from exc
-
-
-def _default(args: argparse.Namespace, name: str, value) -> None:
-    if getattr(args, name) is None:
-        setattr(args, name, value)
+    return values
 
 
 def _write_corpus(path: str, sequences: list[list[int]]) -> None:
@@ -91,33 +87,16 @@ def _read_corpus(path: str) -> list[list[int]]:
 
 # --- gen -------------------------------------------------------------------
 
-_GEN_DESTS = {
-    "vocab": int,
-    "order": int,
-    "alpha": float,
-    "seed": int,
-    "out": str,
-    "corpus": str,
-    "corpus_out": str,
-    "corpus_seed": int,
-}
-
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    _merge_config(args, _GEN_DESTS)
-    _default(args, "vocab", 16)
-    _default(args, "order", 2)
-    _default(args, "alpha", 0.3)
-    _default(args, "seed", 0)
     if args.out is None:
         raise UsageError("gen requires --out")
     if args.vocab < 2 or args.order < 1 or not 0 < args.alpha < math.inf:
         raise UsageError("gen needs --vocab >= 2, --order >= 1, a finite --alpha > 0")
-    model = make_synthetic_target(args.seed, args.vocab, args.order, args.alpha)
-    save_model(model, args.out)
-    print(f"wrote target model: {args.out}")
-
-    if args.corpus is not None:
+    if args.corpus is None:
+        if args.corpus_out is not None or args.corpus_seed is not None:
+            raise UsageError("--corpus-out and --corpus-seed require --corpus")
+    else:
         if args.corpus_out is None:
             raise UsageError("--corpus requires --corpus-out")
         try:
@@ -127,6 +106,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise UsageError(f"--corpus must look like NxL, got {args.corpus!r}") from exc
         if n_seqs < 1 or seq_len < 1:
             raise UsageError("--corpus dimensions must be >= 1")
+    model = make_synthetic_target(args.seed, args.vocab, args.order, args.alpha)
+    save_model(model, args.out)
+    print(f"wrote target model: {args.out}")
+
+    if args.corpus is not None:
         corpus_seed = args.corpus_seed if args.corpus_seed is not None else args.seed
         uniforms = [np.random.default_rng([corpus_seed, i]).random(seq_len)
                     for i in range(n_seqs)]
@@ -137,49 +121,21 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 # --- train -----------------------------------------------------------------
 
-_TRAIN_DESTS = {
-    "target": str,
-    "out": str,
-    "weighting": str,
-    "gamma": float,
-    "draft_len": int,
-    "rho": float,
-    "beta": float,
-    "smoothing": float,
-    "drafter_order": int,
-    "seed": int,
-    "data_seqs": int,
-    "data_len": int,
-    "corpus": str,
-}
-
 
 def cmd_train(args: argparse.Namespace) -> int:
-    _merge_config(args, _TRAIN_DESTS)
     if args.target is None or args.out is None:
         raise UsageError("train requires --target and --out")
-    file_kwargs: dict = {}
+    kwargs: dict = {}
     if args.train_config is not None:
-        file_kwargs, ignored = parse_train_config_file(
+        kwargs, ignored = parse_train_config_file(
             Path(args.train_config).read_text(encoding="utf-8")
         )
         for key in ignored:
             _warn(f"ignoring gradient-trainer config key {key!r} (no gradient trainer exists)")
-    overrides = {
-        "draft_len": args.draft_len,
-        "rho": args.rho,
-        "beta": args.beta,
-        "weighting": args.weighting,
-        "gamma": args.gamma,
-        "smoothing": args.smoothing,
-        "drafter_order": args.drafter_order,
-        "seed": args.seed,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            file_kwargs[key] = value
+    kwargs.update((field.name, getattr(args, field.name)) for field in fields(TrainConfig)
+                  if getattr(args, field.name, None) is not None)
     try:
-        config = TrainConfig(**file_kwargs)
+        config = TrainConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -188,11 +144,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.corpus is not None:
         corpus = _read_corpus(args.corpus)
     else:
-        n_seqs = args.data_seqs if args.data_seqs is not None else 256
-        seq_len = args.data_len if args.data_len is not None else 64
-        if n_seqs < 1 or seq_len < config.draft_len + 1:
+        if args.data_seqs < 1 or args.data_len < config.draft_len + 1:
             raise UsageError("--data-seqs must be >= 1 and --data-len >= draft length + 1")
-        corpus = sample_corpus(target, n_seqs, seq_len, np.random.default_rng([config.seed, 0]))
+        corpus = sample_corpus(target, args.data_seqs, args.data_len,
+                               np.random.default_rng([config.seed, 0]))
     sampled = time.perf_counter()
     windows = build_training_windows(
         target, corpus, config, np.random.default_rng([config.seed, 1])
@@ -213,36 +168,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 # --- bench -----------------------------------------------------------------
 
-_BENCH_DESTS = {
-    "target": str,
-    "drafter": str,
-    "out": str,
-    "mode": str,
-    "verify": str,
-    "draft_len": int,
-    "prompts": int,
-    "prompt_len": int,
-    "max_tokens": int,
-    "seed": int,
-    "draft_cost": float,
-    "prompt_file": str,
-    "positions_csv": str,
-    "confidence_csv": str,
-}
-
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    _merge_config(args, _BENCH_DESTS)
     if args.target is None or args.drafter is None or args.out is None:
         raise UsageError("bench requires --target, --drafter, and --out")
-    _default(args, "mode", DEPENDENT)
-    _default(args, "verify", GREEDY)
-    _default(args, "draft_len", 16)
-    _default(args, "prompts", 64)
-    _default(args, "prompt_len", 8)
-    _default(args, "max_tokens", 256)
-    _default(args, "seed", 0)
-    _default(args, "draft_cost", 0.1)
     if args.mode not in MODES:
         raise UsageError(f"--mode must be one of {MODES}")
     if args.verify not in VERIFIERS:
@@ -330,63 +259,62 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("gen", help="generate a synthetic target model")
-    gen.add_argument("--vocab", type=int, default=None)
-    gen.add_argument("--order", type=int, default=None)
-    gen.add_argument("--alpha", type=float, default=None)
-    gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--out", type=str, default=None)
-    gen.add_argument("--corpus", type=str, default=None, metavar="NxL")
-    gen.add_argument("--corpus-out", type=str, default=None)
-    gen.add_argument("--corpus-seed", type=int, default=None)
-    gen.add_argument("--config", type=str, default=None)
-    gen.set_defaults(func=cmd_gen)
+    gen.add_argument("--vocab", type=int, default=16)
+    gen.add_argument("--order", type=int, default=2)
+    gen.add_argument("--alpha", type=float, default=0.3)
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--out")
+    gen.add_argument("--corpus", metavar="NxL")
+    gen.add_argument("--corpus-out")
+    gen.add_argument("--corpus-seed", type=int, help="corpus seed (default: --seed)")
+    gen.add_argument("--config")
+    gen.set_defaults(func=cmd_gen, parser=gen)
 
+    # TrainConfig-bound flags default to None, so the sheet and the dataclass
+    # defaults apply below them.
     train = sub.add_parser("train", help="train a drafter from a target")
-    train.add_argument("--target", type=str, default=None)
-    train.add_argument("--out", type=str, default=None)
-    train.add_argument("--weighting", type=str, default=None,
-                       choices=["uniform", "decay", "cat"])
-    train.add_argument("--gamma", type=float, default=None)
-    train.add_argument("--K", dest="draft_len", type=int, default=None)
-    train.add_argument("--rho", type=float, default=None)
-    train.add_argument("--beta", type=float, default=None)
-    train.add_argument("--smoothing", type=float, default=None)
-    train.add_argument("--drafter-order", type=int, default=None,
+    train.add_argument("--target")
+    train.add_argument("--out")
+    train.add_argument("--weighting", choices=["uniform", "decay", "cat"])
+    train.add_argument("--gamma", type=float)
+    train.add_argument("--K", dest="draft_len", type=int)
+    train.add_argument("--rho", type=float)
+    train.add_argument("--beta", type=float)
+    train.add_argument("--smoothing", type=float)
+    train.add_argument("--drafter-order", type=int,
                        help="train the drafter at a lower order than the target")
-    train.add_argument("--seed", type=int, default=None)
-    train.add_argument("--data-seqs", type=int, default=None)
-    train.add_argument("--data-len", type=int, default=None)
-    train.add_argument("--corpus", type=str, default=None,
-                       help="train on this corpus file instead of self-sampled data")
-    train.add_argument("--train-config", type=str, default=None,
-                       help="hyperparameter sheet (key=value lines)")
-    train.add_argument("--config", type=str, default=None)
-    train.set_defaults(func=cmd_train)
+    train.add_argument("--seed", type=int)
+    train.add_argument("--data-seqs", type=int, default=256)
+    train.add_argument("--data-len", type=int, default=64)
+    train.add_argument("--corpus", help="train on this corpus file instead of self-sampled data")
+    train.add_argument("--train-config", help="hyperparameter sheet (key=value lines)")
+    train.add_argument("--config")
+    train.set_defaults(func=cmd_train, parser=train)
 
     bench = sub.add_parser("bench", help="benchmark a target/drafter pair")
-    bench.add_argument("--target", type=str, default=None)
-    bench.add_argument("--drafter", type=str, default=None)
-    bench.add_argument("--out", type=str, default=None)
-    bench.add_argument("--mode", type=str, default=None)
-    bench.add_argument("--verify", type=str, default=None)
-    bench.add_argument("--K", dest="draft_len", type=int, default=None)
-    bench.add_argument("--prompts", type=int, default=None)
-    bench.add_argument("--prompt-len", type=int, default=None)
-    bench.add_argument("--max-tokens", type=int, default=None)
-    bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--draft-cost", type=float, default=None)
-    bench.add_argument("--prompt-file", type=str, default=None)
-    bench.add_argument("--positions-csv", type=str, default=None)
-    bench.add_argument("--confidence-csv", type=str, default=None)
-    bench.add_argument("--config", type=str, default=None)
-    bench.set_defaults(func=cmd_bench)
+    bench.add_argument("--target")
+    bench.add_argument("--drafter")
+    bench.add_argument("--out")
+    bench.add_argument("--mode", default=DEPENDENT)
+    bench.add_argument("--verify", default=GREEDY)
+    bench.add_argument("--K", dest="draft_len", type=int, default=16)
+    bench.add_argument("--prompts", type=int, default=64)
+    bench.add_argument("--prompt-len", type=int, default=8)
+    bench.add_argument("--max-tokens", type=int, default=256)
+    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--draft-cost", type=float, default=0.1)
+    bench.add_argument("--prompt-file")
+    bench.add_argument("--positions-csv")
+    bench.add_argument("--confidence-csv")
+    bench.add_argument("--config")
+    bench.set_defaults(func=cmd_bench, parser=bench)
 
     analyze = sub.add_parser("analyze", help="compare benchmark reports")
     analyze.add_argument("reports", nargs="*")
-    analyze.add_argument("--baseline", type=str, default=None,
+    analyze.add_argument("--baseline",
                          help="report (path or stem) the deltas are measured against")
-    analyze.add_argument("--format", type=str, default="markdown", choices=["markdown", "csv"])
-    analyze.add_argument("--out", type=str, default=None)
+    analyze.add_argument("--format", default="markdown", choices=["markdown", "csv"])
+    analyze.add_argument("--out")
     analyze.set_defaults(func=cmd_analyze)
 
     return parser
@@ -396,6 +324,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # The file's values become the subcommand's defaults: argparse
+            # casts each with its flag's type, and the command line wins.
+            args.parser.set_defaults(**_read_config(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

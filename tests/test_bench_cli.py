@@ -531,3 +531,154 @@ class TestCLI:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frobnicate = 3\n")
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "t.ngm")]) == 1
+
+    def test_train_config_file_matches_the_flags(self, tmp_path):
+        target = self._gen(tmp_path)
+        flags = self._train(tmp_path, target, "flags.ngm", "--weighting", "decay",
+                            "--gamma", "0.8", "--rho", "0.3", "--beta", "0.2",
+                            "--smoothing", "0.05", "--drafter-order", "1")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"target = {target}\nout = {tmp_path / 'cfg.ngm'}\nweighting = decay\n"
+                       "gamma = 0.8\ndraft_len = 4\nrho = 0.3\nbeta = 0.2\nsmoothing = 0.05\n"
+                       "drafter-order = 1\nseed = 3\ndata-seqs = 24\ndata_len = 16\n")
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert (tmp_path / "cfg.ngm").read_bytes() == flags.read_bytes()
+
+    def test_bench_config_file_matches_the_flags(self, tmp_path):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        self._bench(tmp_path, target, drafter, "flags.json", "--mode", "independent",
+                    "--verify", "stochastic", "--draft-cost", "0.3",
+                    "--positions-csv", str(tmp_path / "flags.pos.csv"),
+                    "--confidence-csv", str(tmp_path / "flags.conf.csv"))
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"target = {target}\ndrafter = {drafter}\nout = {tmp_path / 'cfg.json'}\n"
+                       "mode = independent\nverify = stochastic\ndraft_len = 4\nprompts = 4\n"
+                       "prompt-len = 4\nmax_tokens = 24\nseed = 2\ndraft-cost = 0.3\n"
+                       f"positions_csv = {tmp_path / 'cfg.pos.csv'}\n"
+                       f"confidence-csv = {tmp_path / 'cfg.conf.csv'}\n")
+        assert main(["bench", "--config", str(cfg)]) == 0
+        for flags_name, cfg_name in [("flags.json", "cfg.json"), ("flags.pos.csv", "cfg.pos.csv"),
+                                     ("flags.conf.csv", "cfg.conf.csv")]:
+            assert (tmp_path / cfg_name).read_bytes() == (tmp_path / flags_name).read_bytes()
+
+    @pytest.mark.parametrize("command, key, value", [
+        *[("gen", key, value) for key, value in [
+            ("vocab", "4"), ("order", "1"), ("alpha", "0.5"), ("seed", "1"), ("out", "PATH"),
+            ("corpus", "2x3"), ("corpus_out", "PATH"), ("corpus_seed", "1")]],
+        *[("train", key, value) for key, value in [
+            ("target", "PATH"), ("out", "PATH"), ("weighting", "cat"), ("gamma", "0.5"),
+            ("draft_len", "2"), ("rho", "0.5"), ("beta", "0.5"), ("smoothing", "0.5"),
+            ("drafter_order", "1"), ("seed", "1"), ("data_seqs", "2"), ("data_len", "3"),
+            ("corpus", "PATH")]],
+        *[("bench", key, value) for key, value in [
+            ("target", "PATH"), ("drafter", "PATH"), ("out", "PATH"), ("mode", "independent"),
+            ("verify", "stochastic"), ("draft_len", "2"), ("prompts", "2"), ("prompt_len", "2"),
+            ("max_tokens", "2"), ("seed", "1"), ("draft_cost", "0.5"), ("prompt_file", "PATH"),
+            ("positions_csv", "PATH"), ("confidence_csv", "PATH")]],
+    ])
+    def test_every_option_is_a_config_key(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key.replace('_', '-')} = {value.replace('PATH', str(tmp_path / 'f'))}\n")
+        main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert "config key" not in err and "invalid" not in err
+
+    @pytest.mark.parametrize("command, key", [("gen", "config"), ("train", "config"),
+                                              ("train", "train_config"), ("bench", "config"),
+                                              ("bench", "train-config")])
+    def test_config_file_options_are_not_config_keys(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {tmp_path / 'other.cfg'}\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_train_draft_len_precedence(self, tmp_path):
+        # command line > --config > --train-config > TrainConfig default (16)
+        target = self._gen(tmp_path)
+        (tmp_path / "run.cfg").write_text("draft_len = 5\n")
+        (tmp_path / "sheet.cfg").write_text("K = 6\n")
+        config = ["--config", str(tmp_path / "run.cfg")]
+        sheet = ["--train-config", str(tmp_path / "sheet.cfg")]
+
+        def train(name, *flags):
+            out = tmp_path / name
+            assert main(["train", "--target", str(target), "--out", str(out), "--seed", "3",
+                         "--data-seqs", "8", "--data-len", "20", *flags]) == 0
+            return out.read_bytes()
+
+        expected = {k: train(f"k{k}.ngm", "--K", str(k)) for k in (3, 5, 6, 16)}
+        assert len(set(expected.values())) == 4
+        assert train("cli.ngm", "--K", "3", *config, *sheet) == expected[3]
+        assert train("config.ngm", *config, *sheet) == expected[5]
+        assert train("sheet.ngm", *sheet) == expected[6]
+        assert train("default.ngm") == expected[16]
+
+    def test_bench_draft_len_precedence(self, tmp_path):
+        # command line > --config > default (16)
+        target = self._gen(tmp_path)
+        (tmp_path / "run.cfg").write_text("draft_len = 5\n")
+
+        def draft_len(*flags):
+            out = tmp_path / "rep.json"
+            assert main(["bench", "--target", str(target), "--drafter", str(target),
+                         "--out", str(out), "--mode", "independent", "--prompts", "2",
+                         "--max-tokens", "8", *flags]) == 0
+            return json.loads(out.read_text())["config"]["draft_len"]
+
+        assert draft_len("--K", "3", "--config", str(tmp_path / "run.cfg")) == 3
+        assert draft_len("--config", str(tmp_path / "run.cfg")) == 5
+        assert draft_len() == 16
+
+    @pytest.mark.parametrize("command, key", [("gen", "vocab"), ("train", "rho"),
+                                              ("bench", "max_tokens"), ("bench", "draft_len")])
+    def test_bad_config_value_exit_1(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = x\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "'x'" in capsys.readouterr().err
+
+    def test_corpus_seed_changes_the_corpus_not_the_target(self, tmp_path):
+        def gen(name, *flags):
+            self._gen(tmp_path, f"{name}.ngm",
+                      ["--corpus", "5x6", "--corpus-out", str(tmp_path / f"{name}.txt"), *flags])
+            return (tmp_path / f"{name}.ngm").read_bytes(), (tmp_path / f"{name}.txt").read_text()
+
+        default = gen("default")
+        other = gen("other", "--corpus-seed", "3")
+        same = gen("same", "--corpus-seed", "7")  # _gen passes --seed 7
+        assert other[0] == default[0] and other[1] != default[1]
+        assert same == default
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--corpus-out", "c.txt"], "require --corpus"),
+        (["--corpus-seed", "3"], "require --corpus"),
+        (["--corpus", "2x3"], "--corpus requires --corpus-out"),
+    ], ids=["corpus-out", "corpus-seed", "corpus"])
+    def test_gen_corpus_flags_without_their_partner_exit_1(self, tmp_path, capsys, flags,
+                                                           message):
+        out = tmp_path / "t.ngm"
+        flags = [str(tmp_path / flag) if flag.endswith(".txt") else flag for flag in flags]
+        assert main(["gen", "--out", str(out), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "c.txt").exists()
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"tau": 1.0, "config": {"vocab": 8, "target_order": 2}}, "committed_per_step"),
+        (["tau", "config"], "object"),
+        ({"tau": 1.0, "committed_per_step": 2.0, "speedup_estimate": 1.5, "config": None},
+         "config"),
+        ({"tau": "1.0", "committed_per_step": 2.0, "speedup_estimate": 1.5,
+          "config": {"vocab": 8, "target_order": 2}}, "tau"),
+    ], ids=["missing-field", "list", "null-config", "string-tau"])
+    def test_analyze_malformed_report_exit_3(self, tmp_path, capsys, payload, key):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"tau": 1.0, "committed_per_step": 2.0,
+                                    "speedup_estimate": 1.5,
+                                    "config": {"vocab": 8, "target_order": 2}}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["analyze", str(good), str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and key in err
