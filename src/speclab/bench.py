@@ -11,29 +11,27 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .models import TabularModel, Token, sample_sequences
 from .verification import NUM_CONFIDENCE_BINS, STOCHASTIC, DecodeTrace, decode_loop
 
 
 def spearman_correlation(xs: Sequence[float], ys: Sequence[float]) -> float | None:
-    """Spearman rank correlation, or None when undefined (constant input, n < 2)."""
-    if len(xs) < 2:
+    """Spearman rank correlation, or None when undefined (n < 2, a constant
+    input or a NaN). Tied values share the mean of their ranks, and the ranks
+    go through the ``np.corrcoef`` call ``scipy.stats.spearmanr`` makes."""
+    data = np.column_stack((xs, ys))
+    if len(data) < 2 or np.isnan(data).any() or (data == data[0]).all(axis=0).any():
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", stats.ConstantInputWarning)
-        rho = stats.spearmanr(xs, ys).statistic
-    if rho is None or np.isnan(rho):
-        return None
-    return float(rho)
+    ranks = [(np.searchsorted(ordered, col, "left") + np.searchsorted(ordered, col, "right") + 1)
+             / 2 for ordered, col in zip(np.sort(data, axis=0).T, data.T)]
+    return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
 
 
 @dataclass
@@ -76,12 +74,8 @@ class BenchReport:
     @property
     def correlation(self) -> float | None:
         """Spearman correlation between bin center and acceptance rate."""
-        centers, rates = [], []
-        for lo, hi, attempts, _accepts, rate in self.confidence_rows:
-            if attempts > 0:
-                centers.append((lo + hi) / 2.0)
-                rates.append(rate)
-        return spearman_correlation(centers, rates)
+        observed = [((lo + hi) / 2.0, rate) for lo, hi, n, _a, rate in self.confidence_rows if n]
+        return spearman_correlation([c for c, _r in observed], [r for _c, r in observed])
 
     def to_json_dict(self) -> dict:
         positions, bins = self.position_rows, self.confidence_rows
@@ -129,7 +123,6 @@ def run_bench(
     seed: int = 0,
     draft_cost: float = 0.1,
     prompts: Sequence[Sequence[Token]] | None = None,
-    config_extra: dict | None = None,
 ) -> BenchReport:
     """Decode one batch of prompts in lockstep and report its trace.
 
@@ -146,7 +139,7 @@ def run_bench(
     _, trace = decode_loop(target, drafter, prompts, max_tokens, draft_len, mode=mode,
                            verify=verify, rngs=rngs)
 
-    config = {
+    return BenchReport(trace=trace, draft_cost=draft_cost, config={
         "vocab": target.vocab.size,
         "target_order": target.order,
         "drafter_order": drafter.order,
@@ -158,10 +151,7 @@ def run_bench(
         "max_tokens": max_tokens,
         "seed": seed,
         "draft_cost": draft_cost,
-    }
-    if config_extra:
-        config.update(config_extra)
-    return BenchReport(trace=trace, draft_cost=draft_cost, config=config)
+    })
 
 
 def write_report_json(report: BenchReport, path: str | Path) -> None:

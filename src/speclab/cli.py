@@ -108,13 +108,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise UsageError("--corpus dimensions must be >= 1")
     model = make_synthetic_target(args.seed, args.vocab, args.order, args.alpha)
     save_model(model, args.out)
-    print(f"wrote target model: {args.out}")
-
     if args.corpus is not None:
         corpus_seed = args.corpus_seed if args.corpus_seed is not None else args.seed
         uniforms = [np.random.default_rng([corpus_seed, i]).random(seq_len)
                     for i in range(n_seqs)]
-        _write_corpus(args.corpus_out, sample_sequences(model, np.array(uniforms)).tolist())
+        try:
+            _write_corpus(args.corpus_out, sample_sequences(model, np.array(uniforms)).tolist())
+        except OSError:
+            Path(args.out).unlink()  # a failed gen leaves no output file behind
+            raise
+    print(f"wrote target model: {args.out}")
+    if args.corpus is not None:
         print(f"wrote corpus ({n_seqs}x{seq_len}): {args.corpus_out}")
     return EXIT_OK
 
@@ -127,9 +131,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError("train requires --target and --out")
     kwargs: dict = {}
     if args.train_config is not None:
-        kwargs, ignored = parse_train_config_file(
-            Path(args.train_config).read_text(encoding="utf-8")
-        )
+        try:
+            kwargs, ignored = parse_train_config_file(
+                Path(args.train_config).read_text(encoding="utf-8")
+            )
+        except ValueError as exc:
+            raise ValueError(f"{args.train_config}: {exc}") from None
         for key in ignored:
             _warn(f"ignoring gradient-trainer config key {key!r} (no gradient trainer exists)")
     kwargs.update((field.name, getattr(args, field.name)) for field in fields(TrainConfig)
@@ -207,10 +214,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         draft_cost=args.draft_cost,
         prompts=prompts,
-        config_extra={"target_path": args.target, "drafter_path": args.drafter},
     )
-    decoded = time.perf_counter()
-    decode_s = decoded - sampled
+    decode_s = time.perf_counter() - sampled
+    report.config.update(target_path=args.target, drafter_path=args.drafter)
     print(f"time: prompts {sampled - start:.3f} s, decode {decode_s:.3f} s, "
           f"{report.trace.total_tokens / max(decode_s, 1e-9):.0f} tok/s", file=sys.stderr)
     out = Path(args.out)

@@ -405,10 +405,10 @@ def parse_train_config_file(text: str) -> tuple[dict, list[str]]:
         if norm not in _CONFIG_ALIASES:
             raise ValueError(f"unknown training config key: {key!r}")
         field_name = _CONFIG_ALIASES[norm]
-        if field_name in _INT_FIELDS:
-            kwargs[field_name] = int(value)
-        elif field_name in _FLOAT_FIELDS:
-            kwargs[field_name] = float(value)
-        else:
-            kwargs[field_name] = value
+        cast = int if field_name in _INT_FIELDS else float if field_name in _FLOAT_FIELDS else str
+        try:
+            kwargs[field_name] = cast(value)
+        except ValueError:
+            raise ValueError(f"bad value for training config key {key!r}: {value!r} "
+                             f"(expected {cast.__name__})") from None
     return kwargs, ignored

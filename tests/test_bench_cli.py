@@ -1,10 +1,15 @@
 """Tests for the benchmark runner, report files, and the CLI."""
 
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 import oracles
 from speclab.bench import (
@@ -17,6 +22,7 @@ from speclab.bench import (
 )
 from speclab.cli import main
 from speclab.models import load_model, make_synthetic_target
+from speclab.verification import NUM_CONFIDENCE_BINS
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +131,42 @@ class TestSpearman:
 
     def test_too_few_points_is_undefined(self):
         assert spearman_correlation([1.0], [0.5]) is None
+
+    @staticmethod
+    def _scipy(xs, ys):
+        """The reference: scipy's statistic, None where it is NaN or n < 2."""
+        if len(xs) < 2:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rho = stats.spearmanr(xs, ys).statistic
+        return None if math.isnan(rho) else float(rho)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sets(st.integers(0, NUM_CONFIDENCE_BINS - 1)),
+           st.lists(st.integers(1, 6).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))),
+                    min_size=NUM_CONFIDENCE_BINS, max_size=NUM_CONFIDENCE_BINS))
+    def test_bench_shaped_input_equals_scipy(self, bins, counts):
+        # Distinct increasing bin centers, as BenchReport.correlation passes
+        # them, and rates a/n that tie often.
+        bins = sorted(bins)
+        xs = [(b / NUM_CONFIDENCE_BINS + (b + 1) / NUM_CONFIDENCE_BINS) / 2.0 for b in bins]
+        ys = [counts[b][0] / counts[b][1] for b in bins]
+        assert spearman_correlation(xs, ys) == self._scipy(xs, ys)
+
+    _VALUES = st.one_of(st.integers(-3, 3),
+                        st.sampled_from([0.5, -0.0, math.inf, -math.inf, math.nan]),
+                        st.floats(allow_nan=True))
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(st.tuples(_VALUES, _VALUES), max_size=12), st.sampled_from([None, 0, 1]))
+    def test_general_input_equals_scipy(self, pairs, constant):
+        # Integer ties, infinities, NaN, and (when `constant` names a column)
+        # a constant column.
+        columns = [[pair[j] for pair in pairs] for j in (0, 1)]
+        if constant is not None and pairs:
+            columns[constant] = [columns[constant][0]] * len(pairs)
+        assert spearman_correlation(*columns) == self._scipy(*columns)
 
 
 class TestAnalyze:
@@ -663,6 +705,29 @@ class TestCLI:
         assert message in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "c.txt").exists()
+
+    def test_gen_failed_corpus_write_leaves_no_target(self, tmp_path, capsys):
+        out, corpus = tmp_path / "t.ngm", tmp_path / "c.txt"
+        assert main(["gen", "--out", str(out), "--corpus", "2x3",
+                     "--corpus-out", str(tmp_path / "nodir" / "c.txt")]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+        assert main(["gen", "--out", str(out), "--corpus", "2x3", "--corpus-out", str(corpus)]) == 0
+        assert capsys.readouterr().out == (f"wrote target model: {out}\n"
+                                           f"wrote corpus (2x3): {corpus}\n")
+
+    @pytest.mark.parametrize("line, key, value", [
+        ("K = x", "'K'", "'x'"), ("rho = high", "'rho'", "'high'"),
+    ])
+    def test_bad_train_config_value_names_key_value_and_sheet(self, tmp_path, capsys, line,
+                                                               key, value):
+        target = self._gen(tmp_path)
+        sheet = tmp_path / "sheet.cfg"
+        sheet.write_text(line + "\n")
+        assert main(["train", "--target", str(target), "--out", str(tmp_path / "d.ngm"),
+                     "--train-config", str(sheet)]) == 3
+        err = capsys.readouterr().err
+        assert str(sheet) in err and key in err and value in err
 
     @pytest.mark.parametrize("payload, key", [
         ({"tau": 1.0, "config": {"vocab": 8, "target_order": 2}}, "committed_per_step"),

@@ -1,6 +1,10 @@
-"""Tests for the package's public names."""
+"""Tests for the package's public names and what importing it loads."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +47,14 @@ def test_removed_name_is_gone(name):
     for module in ("speclab", "speclab.models", "speclab.drafting", "speclab.training",
                    "speclab.verification", "speclab.bench"):
         assert not hasattr(importlib.import_module(module), name)
+
+
+def test_importing_speclab_loads_no_scipy():
+    # NumPy is the one runtime dependency; scipy is for tests and perfbench.
+    code = ("import speclab, speclab.cli, sys; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    src = str(Path(speclab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "[]"
