@@ -25,6 +25,7 @@ from . import bench as bench_mod
 from .drafting import has_feature_contexts
 from .models import load_model, make_synthetic_target, sample_sequences, save_model
 from .training import (
+    WEIGHTINGS,
     TrainConfig,
     build_training_windows,
     parse_train_config_file,
@@ -281,7 +282,7 @@ def build_parser() -> _Parser:
     train = sub.add_parser("train", help="train a drafter from a target")
     train.add_argument("--target")
     train.add_argument("--out")
-    train.add_argument("--weighting", choices=["uniform", "decay", "cat"])
+    train.add_argument("--weighting", choices=WEIGHTINGS)
     train.add_argument("--gamma", type=float)
     train.add_argument("--K", dest="draft_len", type=int)
     train.add_argument("--rho", type=float)

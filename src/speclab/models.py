@@ -73,7 +73,7 @@ class Vocabulary:
         return 2 * self.size + 3
 
     def is_real(self, symbol: Symbol) -> bool:
-        return 0 <= symbol < self.size
+        return isinstance(symbol, (int, np.integer)) and 0 <= symbol < self.size
 
     def feature_for(self, token: Token) -> Symbol:
         """Lift a real token id into the reserved feature range."""
@@ -105,10 +105,10 @@ def _checked_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stored contexts (R, order) and rows (R, V) as arrays, checked.
 
-    The checks of a row (context width, context symbols, then the
-    distribution) run in one pass over the whole arrays. If any row fails
-    them, the rows are checked again one by one in the given order, so the
-    error raised is the one of the first faulty row.
+    The checks of a row (parsing text as ``int()`` and ``float()`` do, context
+    width, context symbols, then the distribution) run in one pass over the
+    whole arrays. If any row fails them, the rows are checked again one by one
+    in the given order, so the error raised is the one of the first faulty row.
     """
     V = vocab.size
     try:
@@ -306,12 +306,15 @@ def sample_sequences(model: TabularModel, uniforms: ArrayLike) -> np.ndarray:
     """(N, L) tokens: one sequence per row of ``uniforms``, all in lockstep.
 
     Every sequence starts from the empty prefix. Token t of sequence i
-    inverts its row's CDF, in token-id order, at ``uniforms[i, t]`` scaled
-    by the CDF's own total; the scaling keeps a draw below the last
-    cumulative sum even when rounding leaves that sum under one, so a draw
-    never lands on a zero-probability token.
+    inverts its row's CDF, in token-id order, at ``uniforms[i, t]`` (in
+    [0, 1), else ValueError) scaled by the CDF's own total; the scaling
+    keeps a draw below the last cumulative sum even when rounding leaves
+    that sum under one, so a draw never lands on a zero-probability token.
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
+    bad = ~((uniforms >= 0.0) & (uniforms < 1.0))
+    if bad.any():
+        raise ValueError(f"uniform out of [0, 1): {float(uniforms[bad][0])}")
     length, order = uniforms.shape[1], model.order
     seqs = np.full((len(uniforms), order + length), model.vocab.pad_id, dtype=np.int64)
     for t in range(length):
@@ -373,7 +376,7 @@ def save_model(model: TabularModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> TabularModel:
     """Read a model written by :func:`save_model`; validates on construction.
 
-    A context (or the fallback) given on two rows raises ValueError.
+    The first faulty row, or a repeated one, raises ValueError naming the file.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -386,28 +389,25 @@ def load_model(path: str | Path) -> TabularModel:
         order = int(header[2].removeprefix("d="))
     except ValueError as exc:
         raise ValueError(f"bad model header: {lines[0]!r}") from exc
-    fallback: np.ndarray | None = None
-    contexts: list[Context] = []
-    rows: list[np.ndarray] = []
+    fallback: list[str] | None = None
+    contexts: list[list[str]] = []
+    rows: list[list[str]] = []
     for line in lines[1:]:
         if not line.strip():
             continue
         key, sep, tail = line.partition("\t")
         if not sep:
             raise ValueError(f"malformed model line: {line!r}")
-        probs = np.array([float(x) for x in tail.split()], dtype=np.float64)
         if key == _FALLBACK_KEY:
             if fallback is not None:
                 raise ValueError(f"duplicate fallback row in model file: {path}")
-            fallback = probs
+            fallback = tail.split()
         else:
-            contexts.append(tuple(int(s) for s in key.split()))
-            rows.append(probs)
+            contexts.append(key.split())
+            rows.append(tail.split())
     if fallback is None:
         raise ValueError(f"model file missing fallback line: {path}")
     try:
         return TabularModel(order, Vocabulary(vocab_size), contexts, rows, fallback)
     except ValueError as exc:
-        if str(exc).startswith("duplicate row"):
-            raise ValueError(f"{exc} in model file: {path}") from None
-        raise
+        raise ValueError(f"{exc} in model file: {path}") from None

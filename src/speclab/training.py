@@ -18,8 +18,10 @@ stop-gradient semantics without any autodiff.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,10 +62,9 @@ def cat_weights(confidences: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         raise ValueError(f"confidence out of [0, 1]: {float(confidences[bad][0])}")
     clamped = np.clip(confidences, CONFIDENCE_EPS, 1.0)
-    weights = np.ones_like(clamped)
-    for k in range(1, clamped.shape[-1]):
-        weights[..., k] = weights[..., k - 1] * clamped[..., k - 1]
-    return clamped, weights
+    # cumprod multiplies left to right: the recursion's floats, exactly.
+    shifted = np.concatenate([np.ones_like(clamped[..., :1]), clamped[..., :-1]], axis=-1)
+    return clamped, np.cumprod(shifted, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,7 @@ class TrainConfig:
             raise ValueError(f"draft_len must be >= 1, got {self.draft_len}")
         if self.drafter_order is not None and self.drafter_order < 1:
             raise ValueError(f"drafter_order must be >= 1, got {self.drafter_order}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
+        GateConfig(self.rho)  # checks rho
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.weighting not in WEIGHTINGS:
@@ -165,10 +165,14 @@ def build_training_windows(
     events = [np.zeros((0, d + 1), dtype=np.intp)]
     prefixes = [np.zeros((0, d_drafter), dtype=np.intp)]
     offset = 0
-    for seq in corpus:
-        seq = [int(t) for t in seq]
-        if seq and not (min(seq) >= 0 and max(seq) < vocab.size):
-            bad = next(t for t in seq if not vocab.is_real(t))
+    for tokens in corpus:
+        try:
+            seq = list(map(operator.index, tokens))
+            real = not seq or (min(seq) >= 0 and max(seq) < vocab.size)
+        except TypeError:  # a token that is not an integer
+            real = False
+        if not real:
+            bad = next(t for t in tokens if not vocab.is_real(t))
             raise ValueError(f"corpus token out of range [0, {vocab.size}): {bad}")
         if len(seq) < K + 1:
             continue
@@ -345,18 +349,9 @@ def window_losses(
 
 _CONFIG_ALIASES = {
     "k": "draft_len",
-    "draft_len": "draft_len",
     "training_draft_length_k": "draft_len",
-    "rho": "rho",
     "stochastic_gating_ratio": "rho",
-    "beta": "beta",
     "ce_loss_coefficient": "beta",
-    "weighting": "weighting",
-    "gamma": "gamma",
-    "smoothing": "smoothing",
-    "kd_weight": "kd_weight",
-    "drafter_order": "drafter_order",
-    "seed": "seed",
 }
 
 _GRADIENT_ONLY_KEYS = {
@@ -369,8 +364,7 @@ _GRADIENT_ONLY_KEYS = {
     "max_seq_length",
 }
 
-_INT_FIELDS = {"draft_len", "drafter_order", "seed"}
-_FLOAT_FIELDS = {"rho", "beta", "gamma", "smoothing", "kd_weight"}
+_FIELD_TYPES = {k: (get_args(t) or (t,))[0] for k, t in get_type_hints(TrainConfig).items()}
 
 
 def read_key_values(text: str) -> Iterator[tuple[str, str, str]]:
@@ -393,8 +387,8 @@ def read_key_values(text: str) -> Iterator[tuple[str, str, str]]:
 def parse_train_config_file(text: str) -> tuple[dict, list[str]]:
     """Parse key=value lines into TrainConfig kwargs plus ignored-key names.
 
-    Unknown keys raise ValueError; gradient-trainer keys are returned in the
-    ignored list so callers can warn.
+    Keys are TrainConfig field names or aliases, cast by the field's type.
+    Unknown keys raise ValueError; gradient-trainer keys are returned as ignored.
     """
     kwargs: dict = {}
     ignored: list[str] = []
@@ -402,10 +396,10 @@ def parse_train_config_file(text: str) -> tuple[dict, list[str]]:
         if norm in _GRADIENT_ONLY_KEYS:
             ignored.append(key)
             continue
-        if norm not in _CONFIG_ALIASES:
+        field_name = _CONFIG_ALIASES.get(norm, norm)
+        if field_name not in _FIELD_TYPES:
             raise ValueError(f"unknown training config key: {key!r}")
-        field_name = _CONFIG_ALIASES[norm]
-        cast = int if field_name in _INT_FIELDS else float if field_name in _FLOAT_FIELDS else str
+        cast = _FIELD_TYPES[field_name]
         try:
             kwargs[field_name] = cast(value)
         except ValueError:

@@ -18,6 +18,7 @@ batch loop is held to.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -166,10 +167,10 @@ def decode_loop(
         raise ValueError("prompt must be nonempty")
     vocab = target.vocab
     try:
-        flat = np.fromiter(itertools.chain.from_iterable(prompts), dtype=np.int64,
-                           count=int(lengths.sum()))
+        flat = np.fromiter(map(operator.index, itertools.chain.from_iterable(prompts)),
+                           dtype=np.int64, count=int(lengths.sum()))
         real = bool(((flat >= 0) & (flat < vocab.size)).all())
-    except OverflowError:
+    except (OverflowError, TypeError):  # a token beyond int64, or not an integer
         real = False
     if not real:
         bad = next(t for t in itertools.chain.from_iterable(prompts) if not vocab.is_real(t))

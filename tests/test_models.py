@@ -455,6 +455,30 @@ class TestTableRows:
         with pytest.raises(ValueError, match=rf"duplicate.*{re.escape(name)}"):
             load_model(path)
 
+    def test_earlier_bad_sum_reported_before_later_unparsable_number(self, tmp_path):
+        path = tmp_path / "m.ngm"
+        path.write_text("ngram v=2 d=1\n*\t0.5 0.5\n0\t0.5 0.4\n1\t0.5 abc\n")
+        with pytest.raises(ValueError, match="sums to"):
+            load_model(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("*\t0.5 0.5\n0\t0.9 0.3\n", "sums to"),
+        ("*\t0.5 0.5\n0\t1.5 -0.5\n", "negative"),
+        ("*\t0.5 0.5\n0\t1\n", "shape"),
+        ("*\t0.5 0.5\n0\t0.5 abc\n", "could not convert string to float: 'abc'"),
+        ("*\t0.5 abc\n", "could not convert string to float: 'abc'"),
+        ("*\t0.5 0.5\n1.5\t0.5 0.5\n", "invalid literal for int"),
+        ("*\t0.5 0.5\n99\t0.5 0.5\n", "context symbol out of range: 99"),
+        ("*\t0.5 0.5\n0 1\t0.5 0.5\n", "does not match model order 1"),
+        ("*\t0.9 0.3\n", "sums to"),
+    ], ids=["bad-sum", "negative", "short", "unparsable-number", "unparsable-fallback",
+            "unparsable-symbol", "symbol-range", "order", "fallback-sum"])
+    def test_every_check_error_names_the_file(self, tmp_path, body, message):
+        path = tmp_path / "m.ngm"
+        path.write_text("ngram v=2 d=1\n" + body)
+        with pytest.raises(ValueError, match=rf"{message}.* in model file: {re.escape(str(path))}$"):
+            load_model(path)
+
 
 class TestPaddedSuffix:
     def test_pads_short_histories(self):
@@ -605,3 +629,10 @@ class TestSampleSequences:
         model = oracles.model_from_table(1, vocab, table, [0.0, 1.0, 0.0])
         expected = generate_autoregressive(model, (), 6, "sample", oracles.FixedUniform(u))
         assert sample_sequences(model, np.full((2, 6), u)).tolist() == [expected] * 2
+
+    @pytest.mark.parametrize("uniforms", [[[-0.5, 1.5]], [[0.5, 1.0]], [[0.5, np.nan]]])
+    def test_uniforms_outside_the_unit_interval_rejected(self, uniforms):
+        # Above the CDF's total a draw would invert to V, the mask symbol.
+        model = make_synthetic_target(0, vocab_size=4, order=1, concentration=0.5)
+        with pytest.raises(ValueError, match=r"uniform out of \[0, 1\)"):
+            sample_sequences(model, uniforms)

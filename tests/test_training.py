@@ -1,6 +1,8 @@
 """Tests for confidence weighting, window losses, and the closed-form trainer."""
 
+import dataclasses
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from oracles import (
     propose,
     target_confidences,
 )
+from speclab import training
 from speclab.drafting import masked_contexts
 from speclab.models import (
     Vocabulary,
@@ -282,6 +285,15 @@ class TestBuildTrainingWindows:
             for corpus in ([[0, 1, 2, bad]], [[bad]]):
                 with pytest.raises(ValueError, match="corpus token out of range"):
                     build_training_windows(target, corpus, config, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [1.7, "1"])
+    def test_non_integer_corpus_tokens_rejected(self, bad):
+        # A float or a string is not a token, even where int() would parse it.
+        target = self._target()
+        config = TrainConfig(draft_len=2)
+        for corpus in ([[0, 1, 2, bad]], [[bad]]):
+            with pytest.raises(ValueError, match=rf"corpus token out of range.*: {bad}$"):
+                build_training_windows(target, corpus, config, np.random.default_rng(0))
 
 
 class TestMaskedContext:
@@ -751,6 +763,18 @@ class TestConfigFileParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             parse_train_config_file("dropout = 0.5\n")
+
+    def test_every_field_name_is_a_key_cast_to_its_declared_type(self):
+        # The sheet reads its keys and casts off TrainConfig, so the two
+        # cannot drift apart: the alias table holds only other names.
+        hints = typing.get_type_hints(TrainConfig)
+        assert not set(training._CONFIG_ALIASES) & set(hints)
+        assert set(training._CONFIG_ALIASES.values()) <= set(hints)
+        for field in dataclasses.fields(TrainConfig):
+            cast = (typing.get_args(hints[field.name]) or (hints[field.name],))[0]
+            kwargs, _ = parse_train_config_file(f"{field.name} = 1\n")
+            assert kwargs == {field.name: cast("1")}
+            assert type(kwargs[field.name]) is cast
 
     def test_comments_and_blank_lines_skipped(self):
         kwargs, _ = parse_train_config_file("# comment\n\nrho = 0.4  # trailing\n")

@@ -349,6 +349,14 @@ class TestDecodeLoop:
             decode_loop(target, drafter, [[1], prompt], 5, 2, mode="independent",
                         verify="greedy")
 
+    @pytest.mark.parametrize("prompt, bad", [([1.7, 2], "1.7"), (["1", 2], "1")])
+    def test_non_integer_prompt_token_rejected(self, prompt, bad):
+        # A float or a string is not a token, even where int() would parse it.
+        target, drafter = _order1_pair(25)
+        with pytest.raises(ValueError, match=f"real tokens, got {bad}$"):
+            decode_loop(target, drafter, [prompt], 4, 2, mode="independent",
+                        verify="greedy")
+
     def test_bad_mode_and_verifier_rejected(self):
         target, drafter = _order1_pair(23)
         with pytest.raises(ValueError, match="mode"):
