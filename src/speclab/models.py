@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -106,19 +107,22 @@ def _checked_rows(
     """Stored contexts (R, order) and rows (R, V) as arrays, checked.
 
     The checks of a row (parsing text as ``int()`` and ``float()`` do, context
-    width, context symbols, then the distribution) run in one pass over the
+    width, integer symbols, then the distribution) run in one pass over the
     whole arrays. If any row fails them, the rows are checked again one by one
     in the given order, so the error raised is the one of the first faulty row.
     """
     V = vocab.size
     try:
         probs = np.array(rows, dtype=np.float64) if len(rows) else np.zeros((0, V))
-        keys = (np.array(contexts, dtype=np.int64) if len(contexts)
+        # Text is parsed as int() parses it; any other symbol must be an integer.
+        text = all(map(isinstance, itertools.chain.from_iterable(contexts), itertools.repeat(str)))
+        keys = (np.array(contexts, dtype=np.int64 if text else None) if len(contexts)
                 else np.zeros((0, order), np.int64))
+        keys = keys.astype(np.int64, copy=False) if keys.dtype.kind in "biu" else None
     except (ValueError, OverflowError, TypeError):  # ragged rows or keys, or non-numbers
         probs = keys = None
     valid = (
-        probs is not None
+        keys is not None
         and probs.shape == (len(contexts), V)
         and keys.shape == (len(contexts), order)
         and bool(np.all((keys >= 0) & (keys < vocab.num_symbols)))
@@ -127,7 +131,7 @@ def _checked_rows(
     )
     if not valid:
         for key, row in zip(contexts, rows):
-            key = tuple(map(int, key))
+            key = tuple(int(s) if isinstance(s, str) else _symbol(s) for s in key)
             if len(key) != order:
                 raise ValueError(f"context {key} does not match model order {order}")
             for s in key:
@@ -136,6 +140,14 @@ def _checked_rows(
             as_distribution(row, V)
         raise ValueError(f"contexts must have shape (R, {order}) and rows (R, {V})")
     return keys, probs
+
+
+def _symbol(symbol) -> int:
+    """``operator.index(symbol)``; ValueError if the symbol is not an integer."""
+    try:
+        return operator.index(symbol)
+    except TypeError:
+        raise ValueError(f"context symbol is not an integer: {symbol}") from None
 
 
 @cache
@@ -274,13 +286,16 @@ def lookup_rows(model: TabularModel, contexts: ArrayLike) -> np.ndarray:
 def _checked_row_ids(model: TabularModel, contexts: ArrayLike) -> np.ndarray:
     """:func:`row_ids` of (n, order) contexts after the checks of
     :func:`lookup_rows`."""
-    contexts = np.asarray(contexts)
-    if contexts.ndim != 2 or contexts.shape[1] != model.order:
-        raise ValueError(f"contexts must have shape (n, {model.order}), got {contexts.shape}")
-    bad = (contexts < 0) | (contexts >= model.vocab.num_symbols)
+    symbols = np.asarray(contexts)
+    if symbols.ndim != 2 or symbols.shape[1] != model.order:
+        raise ValueError(f"contexts must have shape (n, {model.order}), got {symbols.shape}")
+    if symbols.dtype.kind not in "biu":  # name a bad symbol as given, not as converted
+        given = np.array(contexts, dtype=object).tolist()
+        symbols = np.array([list(map(_symbol, row)) for row in given])
+    bad = (symbols < 0) | (symbols >= model.vocab.num_symbols)
     if bad.any():
-        raise ValueError(f"context symbol out of range: {contexts[bad][0]}")
-    return row_ids(model, contexts)
+        raise ValueError(f"context symbol out of range: {symbols[bad][0]}")
+    return row_ids(model, symbols)
 
 
 def next_distribution(model: TabularModel, context: Sequence[Symbol]) -> np.ndarray:
@@ -295,11 +310,7 @@ def next_distribution(model: TabularModel, context: Sequence[Symbol]) -> np.ndar
     order = model.order
     tail = list(context[-order:])
     key = [model.vocab.pad_id] * (order - len(tail)) + tail
-    try:
-        key = np.array(key, dtype=np.int64)
-    except OverflowError:  # a symbol beyond int64, out of range below
-        key = np.array(key, dtype=object)
-    return model.rows[_checked_row_ids(model, key[None])[0]]
+    return model.rows[_checked_row_ids(model, [key])[0]]
 
 
 def sample_sequences(model: TabularModel, uniforms: ArrayLike) -> np.ndarray:

@@ -192,19 +192,18 @@ def decode_loop(
     return seq[:, width : width + max_tokens], trace
 
 
-def _drafter_code_terms(
-    drafter: TabularModel, draft_len: int, featured: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact codes of the drafter's own-context positions k < d, as
-    ``prefix @ weights + feature_token * feature_weights + offsets``.
+def _drafter_step(target, drafter, draft_len, featured):
+    """The draft step of both kernels: ``own_rows`` maps (..., width) round-start
+    windows to the drafter's row ids (..., min(K, d_d)) at positions k < d_d,
+    and the shared row is the one all positions k >= d_d read.
 
-    Position k's context arranges the order-d prefix, the feature slot and
-    masks as :func:`~speclab.drafting.masked_contexts` lays them out, so its
-    code is affine in the prefix and feature symbols. The layout is read off
-    masked_contexts applied to placeholder labels past the symbol space.
+    Position k's context lays out the window's last d_d symbols, the feature
+    slot (the target's greedy token at the window, in dependent mode) and
+    masks as :func:`~speclab.drafting.masked_contexts` does, so its code is
+    affine in those symbols; the layout is read off masked_contexts applied
+    to placeholder labels past the symbol space.
     """
-    vocab, order = drafter.vocab, drafter.order
-    ns = vocab.num_symbols
+    vocab, order, ns = drafter.vocab, drafter.order, drafter.vocab.num_symbols
     labels = ns + np.arange(order + 1)
     feature = labels[order] if featured else vocab.none_feature_id
     layout = masked_contexts(labels[None, :order], np.array([feature]),
@@ -213,8 +212,16 @@ def _drafter_code_terms(
     slots = layout[..., None] == labels                    # (k, slot j, label)
     weights = (slots * place[:, None]).sum(axis=1).T       # (label, k)
     offsets = (np.where(layout < ns, layout, 0) * place).sum(axis=1)
-    # A feature symbol is vocab.feature_for(token) = V + 1 + token.
-    return weights[:order], weights[order], offsets + (vocab.size + 1) * weights[order]
+
+    def own_rows(windows: np.ndarray) -> np.ndarray:
+        codes = np.dot(windows[..., -order:], weights[:order]) + offsets
+        if featured:
+            top = target.greedy_tokens[models.row_ids(target, windows[..., -target.order:])]
+            # The feature symbol is vocab.feature_for(top) = V + 1 + top.
+            codes += (vocab.size + 1 + top[..., None]) * weights[order]
+        return drafter.code_rows(codes)
+
+    return own_rows, next_distribution(drafter, (vocab.mask_id,) * order)
 
 
 def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace, rngs):
@@ -224,40 +231,32 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace,
     compare, and walks the round starts s -> s + A(s) + 1."""
     n, total = seq.shape
     width = total - max_tokens - draft_len
-    d_t, d_d = target.order, drafter.order
+    d_t = target.order
     # One dot and two gathers per position; the contexts are checked tokens.
     greedy, place = target.greedy_tokens, models.code_weights(target.vocab.num_symbols, d_t)
     for t in range(width, total):
         seq[:, t] = greedy[target.code_rows(np.dot(seq[:, t - d_t : t], place))]
-    stream = seq[:, width:]
     windows = np.lib.stride_tricks.sliding_window_view
     target_rows = models.row_ids(target, windows(seq[:, width - d_t : -1], d_t, axis=1))
-    stream_probs = target.rows[target_rows, stream]
 
-    K = draft_len
-    weights, feature_weights, offsets = _drafter_code_terms(drafter, K, featured)
-    shared = drafter.greedy_tokens[models.row_ids(drafter, np.full(d_d, drafter.vocab.mask_id))]
-    prefixes = windows(seq[:, width - d_d : width + max_tokens - 1], d_d, axis=1)
-    futures = windows(stream[:, : max_tokens + K - 1], K, axis=1)
+    K, own = draft_len, min(draft_len, drafter.order)
+    own_rows, shared = _drafter_step(target, drafter, K, featured)
+
+    def drafts_at(states):
+        """The K greedy drafts from (..., width) round-start windows."""
+        drafts = np.full(states.shape[:-1] + (K,), shared.argmax())
+        drafts[..., :own] = drafter.greedy_tokens[own_rows(states)]
+        return drafts
+
+    # The committed window before each position s, and the stream from s on.
+    states = windows(seq[:, : width + max_tokens - 1], width, axis=1)
+    futures = windows(seq[:, width:-1], K, axis=1)
     accepted = np.empty((n, max_tokens), dtype=np.intp)
-    rejected_probs = np.empty((n, max_tokens))
     block = max(1, _GREEDY_BLOCK // (n * K))
     for s0 in range(0, max_tokens, block):
         s1 = min(max_tokens, s0 + block)
-        codes = np.dot(prefixes[:, s0:s1], weights) + offsets
-        if featured:
-            codes += stream[:, s0:s1, None] * feature_weights
-        drafts = np.empty((n, s1 - s0, K), dtype=np.intp)
-        drafts[..., : codes.shape[-1]] = drafter.greedy_tokens[drafter.code_rows(codes)]
-        drafts[..., codes.shape[-1] :] = shared
-        acc = np.logical_and.accumulate(drafts == futures[:, s0:s1], axis=2).sum(axis=2)
-        accepted[:, s0:s1] = acc
-        # The target's probability of the first rejected draft, if any.
-        at = np.minimum(acc, K - 1)
-        pos = np.arange(s0, s1) + at
-        rejected_probs[:, s0:s1] = target.rows[
-            np.take_along_axis(target_rows, pos, axis=1),
-            np.take_along_axis(drafts, at[..., None], axis=2)[..., 0]]
+        matches = drafts_at(states[:, s0:s1]) == futures[:, s0:s1]
+        accepted[:, s0:s1] = np.logical_and.accumulate(matches, axis=2).sum(axis=2)
 
     # Round starts: one chain through the cells i * max_tokens + s of every
     # prompt's positions, prompt after prompt, where a round that ends its
@@ -276,12 +275,10 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace,
     k = np.arange(K)
     for r0 in range(0, len(starts), chunk):
         row, s = np.divmod(starts[r0 : r0 + chunk], max_tokens)
-        acc = accepted[row, s]
-        # Accepted drafts are the stream's tokens; the first rejected one is
-        # read from its own column.
-        probs = stream_probs[row[:, None], s[:, None] + k]
-        probs = np.where(k == acc[:, None], rejected_probs[row, s][:, None], probs)
-        trace.record(acc, probs)
+        # The target's probability of each drafted token: its row after the
+        # accepted prefix, as in the stochastic kernel.
+        p = target.rows[target_rows[row[:, None], s[:, None] + k], drafts_at(states[row, s])]
+        trace.record(accepted[row, s], p)
 
 
 def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, trace, rngs):
@@ -297,14 +294,9 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
     """
     n, total = seq.shape
     width = total - max_tokens - draft_len
-    K = draft_len
-    d_t, d_d = target.order, drafter.order
-    own = min(K, d_d)
-    weights, feature_weights, offsets = _drafter_code_terms(drafter, K, featured)
-    # Positions k >= d_d all read the all-mask context: one row and one CDF
-    # for every prompt and round.
-    shared = next_distribution(drafter, (drafter.vocab.mask_id,) * d_d)
-    shared_cdf = np.cumsum(shared)
+    K, d_t, own = draft_len, target.order, min(draft_len, drafter.order)
+    own_rows, shared = _drafter_step(target, drafter, K, featured)
+    shared_cdf = np.cumsum(shared)  # one CDF for every prompt and round
     # Offsets into ``seq`` from a prompt's window start.
     window_at = np.arange(width)
     verify_at = width - d_t + np.arange(K + 1)[:, None] + np.arange(d_t)
@@ -338,11 +330,7 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
         window = flat[h[:, None] + window_at]
 
         # Draft: own-context rows for k < d_d, the shared row after.
-        codes = np.dot(window[:, width - d_d :], weights) + offsets
-        if featured:
-            top = target.greedy_tokens[models.row_ids(target, window[:, width - d_t :])]
-            codes += top[:, None] * feature_weights
-        q_rows = drafter.rows[drafter.code_rows(codes)]
+        q_rows = drafter.rows[own_rows(window)]
         cdf = np.cumsum(q_rows, axis=2)
         drafts = np.empty((len(live), K), dtype=np.intp)
         drafts[:, :own] = (cdf <= (u[:, :own] * cdf[..., -1])[..., None]).sum(axis=2)

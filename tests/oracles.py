@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from speclab.models import (
     TabularModel,
     Token,
     Vocabulary,
-    next_distribution,
 )
 from speclab.training import CAT, CONFIDENCE_EPS, DECAY, TrainingWindows
 from speclab.verification import DEPENDENT, MODES, NUM_CONFIDENCE_BINS, STOCHASTIC, VERIFIERS
@@ -75,10 +75,24 @@ def padded_suffix(symbols, order: int, pad_id: int) -> tuple:
     return tail
 
 
+_ROW_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def next_row(model: TabularModel, context) -> np.ndarray:
+    """The model's row for the pad-filled order-d suffix of ``context``, else
+    its fallback, read from a dict built once per model from
+    ``model.contexts`` and ``model.rows``. The scalar oracles read rows here,
+    not through the library lookup that they are used to check."""
+    table = _ROW_TABLES.get(model)
+    if table is None:
+        table = _ROW_TABLES[model] = dict(zip(map(tuple, model.contexts.tolist()), model.rows))
+    return table.get(padded_suffix(context, model.order, model.vocab.pad_id), model.fallback)
+
+
 def generate_autoregressive(model: TabularModel, prefix, n: int, mode: str = GREEDY,
                             rng=None) -> list[int]:
     """Generate ``n`` tokens one at a time, each conditioned on the running
-    suffix: one ``next_distribution`` and one draw per token."""
+    suffix: one :func:`next_row` and one draw per token."""
     if mode not in (GREEDY, SAMPLE):
         raise ValueError(f"mode must be one of {(GREEDY, SAMPLE)}, got {mode!r}")
     if mode == SAMPLE and rng is None:
@@ -89,7 +103,7 @@ def generate_autoregressive(model: TabularModel, prefix, n: int, mode: str = GRE
     seq = [int(t) for t in prefix]
     out: list[int] = []
     for _ in range(n):
-        dist = next_distribution(model, seq)
+        dist = next_row(model, seq)
         tok = greedy_token(dist) if mode == GREEDY else sample_token(dist, rng)
         seq.append(tok)
         out.append(tok)
@@ -188,13 +202,13 @@ def round_block_distribution(
     """
     vocab = drafter.vocab
     qs = [
-        next_distribution(drafter, tuple(context) + (vocab.mask_id,) * k)
+        next_row(drafter, tuple(context) + (vocab.mask_id,) * k)
         for k in range(draft_len)
     ]
     out: dict[tuple, float] = defaultdict(float)
 
     def walk(k: int, accepted: tuple, prob: float) -> None:
-        p = next_distribution(target, tuple(context) + accepted)
+        p = next_row(target, tuple(context) + accepted)
         if k == draft_len:
             for b, pb in enumerate(p):
                 if pb > 0.0:
@@ -266,7 +280,7 @@ def ar_sequence_distribution(
         if len(tail) == horizon:
             final[tail] = prob
             return
-        p = next_distribution(target, tuple(prefix) + tail)
+        p = next_row(target, tuple(prefix) + tail)
         for y, py in enumerate(p):
             if py > 0.0:
                 go(tail + (y,), prob * float(py))
@@ -359,7 +373,7 @@ def compute_feature(target: TabularModel, prefix: Sequence[Token]) -> Symbol:
     """
     if len(prefix) == 0:
         raise ValueError("prefix must be nonempty")
-    top = greedy_token(next_distribution(target, prefix))
+    top = greedy_token(next_row(target, prefix))
     return target.vocab.feature_for(top)
 
 
@@ -416,7 +430,7 @@ def propose(
         raise ValueError(f"feature symbol out of range: {feature}")
 
     distinct = [
-        next_distribution(drafter, masked_context(prefix, feature, k, vocab, drafter.order))
+        next_row(drafter, masked_context(prefix, feature, k, vocab, drafter.order))
         for k in range(min(draft_len, drafter.order + 1))
     ]
     repeats = draft_len - len(distinct)
@@ -502,7 +516,7 @@ def verify_stochastic(
     records: list[PositionRecord] = []
     committed: list[Token] = []
     for k, (tok, q) in enumerate(zip(proposal.tokens, proposal.dists)):
-        p = next_distribution(target, ctx)
+        p = next_row(target, ctx)
         a = accept_prob(p, q, tok)
         accepted = rng.random() < a
         records.append(
@@ -527,7 +541,7 @@ def verify_stochastic(
             )
         ctx.append(tok)
         committed.append(tok)
-    bonus = sample_token(next_distribution(target, ctx), rng)
+    bonus = sample_token(next_row(target, ctx), rng)
     committed.append(bonus)
     return VerificationOutcome(
         accepted_len=len(proposal.tokens),
@@ -550,7 +564,7 @@ def verify_greedy(
     records: list[PositionRecord] = []
     committed: list[Token] = []
     for k, tok in enumerate(proposal.tokens):
-        p = next_distribution(target, ctx)
+        p = next_row(target, ctx)
         best = greedy_token(p)
         accepted = tok == best
         records.append(
@@ -571,7 +585,7 @@ def verify_greedy(
             )
         ctx.append(tok)
         committed.append(tok)
-    committed.append(greedy_token(next_distribution(target, ctx)))
+    committed.append(greedy_token(next_row(target, ctx)))
     return VerificationOutcome(
         accepted_len=len(proposal.tokens),
         committed=tuple(committed),
@@ -673,7 +687,7 @@ def propose_per_position(drafter, prefix, draft_len, feature, mode, rng) -> Draf
         base = base + (feature,)
     tokens, dists = [], []
     for k in range(draft_len):
-        dist = next_distribution(drafter, base + (vocab.mask_id,) * k)
+        dist = next_row(drafter, base + (vocab.mask_id,) * k)
         tokens.append(greedy_token(dist) if mode == GREEDY else sample_token(dist, rng))
         dists.append(dist)
     return DraftProposal(tokens=tuple(tokens), dists=tuple(dists))
@@ -735,7 +749,7 @@ def mask_closed_self_drafter(base: TabularModel, draft_len: int) -> TabularModel
     for s in range(V):
         seq = [s]
         for _ in range(draft_len + 1):
-            seq.append(greedy_token(next_distribution(base, seq)))
+            seq.append(greedy_token(next_row(base, seq)))
         rollouts[s] = seq[1:]
     onehots = []
     for t in range(V):
@@ -744,7 +758,7 @@ def mask_closed_self_drafter(base: TabularModel, draft_len: int) -> TabularModel
         onehots.append(v)
     table: dict[tuple, np.ndarray] = {}
     for r in itertools.product(range(V), repeat=order):
-        table[r] = next_distribution(base, r)
+        table[r] = next_row(base, r)
     for k in range(1, draft_len):
         for r in itertools.product(range(V), repeat=order - k):
             table[r + (vocab.mask_id,) * k] = onehots[rollouts[r[-1]][k]]
@@ -809,7 +823,7 @@ def target_confidences(target: TabularModel, sequence, n: int, draft_len: int) -
         raise ValueError("window [n, n + draft_len) must lie inside the sequence")
     d = target.order
     return [
-        float(next_distribution(target, sequence[max(0, n + k - d) : n + k])[sequence[n + k]])
+        float(next_row(target, sequence[max(0, n + k - d) : n + k])[sequence[n + k]])
         for k in range(draft_len)
     ]
 
@@ -876,10 +890,10 @@ def scalar_training_windows(target: TabularModel, corpus, config, rng) -> list[W
             continue
         for n in range(1, len(seq) - K + 1):
             dists = tuple(
-                next_distribution(target, seq[max(0, n + k - d) : n + k]) for k in range(K)
+                next_row(target, seq[max(0, n + k - d) : n + k]) for k in range(K)
             )
             future = tuple(seq[n : n + K])
-            feature = vocab.feature_for(greedy_token(next_distribution(target, seq[:n])))
+            feature = vocab.feature_for(greedy_token(next_row(target, seq[:n])))
             if 0.0 < config.rho < 1.0:
                 if rng.random() < config.rho:
                     feature = vocab.none_feature_id
@@ -970,7 +984,7 @@ def window_loss(drafter: TabularModel, windows: TrainingWindows, i: int, config)
         if s == 0.0:
             continue
         ctx = rewritten_context(w.prefix_context, w.feature, k, vocab, drafter.order)
-        q = next_distribution(drafter, ctx)
+        q = next_row(drafter, ctx)
         term = 0.0
         if config.beta > 0.0:
             qy = float(q[y])

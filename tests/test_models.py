@@ -122,6 +122,17 @@ class TestNextDistribution:
         with pytest.raises(ValueError, match=f"^context symbol out of range: {symbol}$"):
             next_distribution(model, [0, symbol])
 
+    def test_float_symbol_is_a_value_error(self):
+        # A float is not truncated to the row of its integer part.
+        model = _tiny_model()
+        with pytest.raises(ValueError, match="^context symbol is not an integer: 1.7$"):
+            next_distribution(model, [0, 1.7])
+
+    def test_float_symbol_in_lookup_rows_is_a_value_error(self):
+        model = _tiny_model()
+        with pytest.raises(ValueError, match="^context symbol is not an integer: 1.7$"):
+            lookup_rows(model, [[0, 1], [0, 1.7]])
+
     def test_only_the_order_d_key_is_read(self):
         # Symbols before the last d never enter the key, so they are not checked.
         model = _tiny_model()
@@ -138,14 +149,6 @@ class TestSampleToken:
         dist = as_distribution([0.0, 1.0, 0.0], 3)
         for seed in range(20):
             assert sample_token(dist, np.random.default_rng(seed)) == 1
-
-    def test_empirical_frequency_within_bound(self):
-        # Stated bound 0.002 is looser than the binomial 3-sigma 0.0015.
-        dist = as_distribution([0.5, 0.5], 2)
-        rng = np.random.default_rng(123)
-        draws = [sample_token(dist, rng) for _ in range(10**6)]
-        freq0 = draws.count(0) / len(draws)
-        assert abs(freq0 - 0.5) <= 0.002
 
     def test_same_seed_same_sequence(self):
         dist = as_distribution([0.2, 0.3, 0.5], 3)
@@ -437,7 +440,8 @@ class TestTableRows:
             load_model(path)
 
     @pytest.mark.parametrize("key, message", [((0,), "order"), ((0, 99), "out of range"),
-                                              ((-1, 0), "out of range")])
+                                              ((-1, 0), "out of range"),
+                                              ((0, 0.7), "^context symbol is not an integer: 0.7$")])
     def test_faulty_keys_rejected(self, key, message):
         vocab = Vocabulary(2)
         table = {(0, 1): [0.5, 0.5], key: [0.5, 0.5], (1, 1): [0.0, 1.0]}
@@ -619,6 +623,13 @@ class TestSampleSequences:
             assert tokens[i].tolist() == generate_autoregressive(
                 model, (), length, "sample", reference)
             assert g.bit_generator.state == reference.bit_generator.state
+
+    def test_empirical_frequency_within_bound(self):
+        # Stated bound 0.002 is looser than the binomial 3-sigma 0.0015.
+        model = TabularModel(1, Vocabulary(2), [], [], [0.5, 0.5])
+        tokens = sample_sequences(model, np.random.default_rng(123).random((10**6, 1)))
+        assert tokens.shape == (10**6, 1)
+        assert abs(np.mean(tokens == 0) - 0.5) <= 0.002
 
     @pytest.mark.parametrize("u", [0.0, 0.9999999999999])
     def test_draws_at_the_cdf_ends_match_sample_token(self, u):

@@ -18,6 +18,7 @@ from oracles import (
     verify_stochastic,
 )
 from speclab.models import (
+    TabularModel,
     Vocabulary,
     as_distribution,
     make_synthetic_target,
@@ -106,23 +107,6 @@ class TestVerifyStochastic:
         expected = oracles.ar_sequence_distribution(target, (2,), 1)
         for seq, prob in expected.items():
             assert abs(dist.get(seq, 0.0) - prob) <= 1e-12
-
-    def test_single_step_marginal_monte_carlo(self):
-        vocab = Vocabulary(3)
-        p_row = [0.5, 0.3, 0.2]
-        q_row = [0.2, 0.3, 0.5]
-        target = oracles.model_from_table(1, vocab, {(0,): p_row}, [1 / 3] * 3)
-        drafter = oracles.model_from_table(1, vocab, {(0,): q_row}, [1 / 3] * 3)
-        rng = np.random.default_rng(2024)
-        trials = 200_000
-        counts = np.zeros(3)
-        for _ in range(trials):
-            prop = propose(drafter, [0], 1, vocab.none_feature_id, mode="sample", rng=rng)
-            out = verify_stochastic(target, [0], prop, rng)
-            counts[out.committed[0]] += 1
-        freqs = counts / trials
-        sigma = np.sqrt(np.array(p_row) * (1 - np.array(p_row)) / trials)
-        assert np.all(np.abs(freqs - p_row) <= 3 * sigma)
 
     def test_guaranteed_acceptance_when_target_dominates(self):
         # q >= p everywhere except one token: that token's ratio clamps to 1.
@@ -295,6 +279,25 @@ class TestDecodeLoop:
         )
         attempts = trace.position_attempts
         assert all(attempts[k] >= attempts[k + 1] for k in range(len(attempts) - 1))
+
+    def test_committed_marginal_monte_carlo(self):
+        # No context has a row of its own, so every context reads the
+        # fallback p and each committed token is an independent draw from p;
+        # the one-token drafts from q are often rejected.
+        vocab = Vocabulary(3)
+        p_row = np.array([0.5, 0.3, 0.2])
+        q_row = [0.2, 0.3, 0.5]
+        target = TabularModel(1, vocab, [], [], p_row)
+        drafter = TabularModel(1, vocab, [], [], q_row)
+        prompts, max_tokens = [[0]] * 1000, 200
+        rngs = [np.random.default_rng([2024, i]) for i in range(len(prompts))]
+        tokens, trace = decode_loop(target, drafter, prompts, max_tokens, 1,
+                                    mode="independent", verify="stochastic", rngs=rngs)
+        trials = tokens.size
+        assert trials == 200_000 and trace.accept_hist[0] > 0
+        freqs = np.bincount(tokens.ravel(), minlength=3) / trials
+        sigma = np.sqrt(p_row * (1 - p_row) / trials)
+        assert np.all(np.abs(freqs - p_row) <= 3 * sigma)
 
     def test_dependent_mode_runs_and_differs_by_feature_slot(self):
         target = make_synthetic_target(8, vocab_size=4, order=2, concentration=0.3)
