@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import warnings
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -113,11 +114,16 @@ def _checked_rows(
     """
     V = vocab.size
     try:
-        probs = np.array(rows, dtype=np.float64) if len(rows) else np.zeros((0, V))
-        # Text is parsed as int() parses it; any other symbol must be an integer.
-        text = all(map(isinstance, itertools.chain.from_iterable(contexts), itertools.repeat(str)))
-        keys = (np.array(contexts, dtype=np.int64 if text else None) if len(contexts)
-                else np.zeros((0, order), np.int64))
+        probs = np.asarray(rows, dtype=np.float64) if len(rows) else np.zeros((0, V))
+        if not len(contexts):
+            keys = np.zeros((0, order), np.int64)
+        elif isinstance(contexts, np.ndarray) and contexts.dtype.kind in "biu":
+            keys = contexts  # an integer array needs no per-symbol scan
+        else:
+            # Text is parsed as int() parses it; any other symbol must be an integer.
+            text = all(map(isinstance, itertools.chain.from_iterable(contexts),
+                           itertools.repeat(str)))
+            keys = np.array(contexts, dtype=np.int64 if text else None)
         keys = keys.astype(np.int64, copy=False) if keys.dtype.kind in "biu" else None
     except (ValueError, OverflowError, TypeError):  # ragged rows or keys, or non-numbers
         probs = keys = None
@@ -350,7 +356,8 @@ def make_synthetic_target(
     near uniform. Contexts cover every combination of real tokens and the pad
     symbol so padded lookups hit real entries. Deterministic per seed: one
     ``rng.dirichlet`` call draws the fallback first, then the contexts in
-    ``itertools.product`` order, the same stream as one call per row.
+    lexicographic (``itertools.product``) order, the same stream as one call
+    per row.
     """
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
@@ -361,8 +368,8 @@ def make_synthetic_target(
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(vocab_size)
     alpha = np.full(vocab_size, float(concentration))
-    symbols = list(range(vocab_size)) + [vocab.pad_id]
-    contexts = list(itertools.product(symbols, repeat=order))
+    symbols = np.array([*range(vocab_size), vocab.pad_id])
+    contexts = symbols[np.indices((len(symbols),) * order).reshape(order, -1).T]
     rows = rng.dirichlet(alpha, size=len(contexts) + 1)
     return TabularModel(order, vocab, contexts, rows[1:], rows[0])
 
@@ -389,7 +396,10 @@ def load_model(path: str | Path) -> TabularModel:
 
     The first faulty row, or a repeated one, raises ValueError naming the file.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    text = Path(path).read_text(encoding="utf-8")
+    ascii_text = text.isascii()
+    lines = text.splitlines()
+    del text  # each copy of a large model's text is megabytes: free each once read
     if not lines:
         raise ValueError(f"empty model file: {path}")
     header = lines[0].split()
@@ -401,8 +411,8 @@ def load_model(path: str | Path) -> TabularModel:
     except ValueError as exc:
         raise ValueError(f"bad model header: {lines[0]!r}") from exc
     fallback: list[str] | None = None
-    contexts: list[list[str]] = []
-    rows: list[list[str]] = []
+    keys: list[str] = []
+    tails: list[str] = []
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -414,11 +424,50 @@ def load_model(path: str | Path) -> TabularModel:
                 raise ValueError(f"duplicate fallback row in model file: {path}")
             fallback = tail.split()
         else:
-            contexts.append(key.split())
-            rows.append(tail.split())
+            keys.append(key)
+            tails.append(tail)
+    del lines
     if fallback is None:
         raise ValueError(f"model file missing fallback line: {path}")
+    contexts, rows = _parsed_rows(keys, tails, order, vocab_size, ascii_text)
+    del keys, tails
     try:
         return TabularModel(order, Vocabulary(vocab_size), contexts, rows, fallback)
     except ValueError as exc:
         raise ValueError(f"{exc} in model file: {path}") from None
+
+
+def _parsed_rows(keys: list[str], tails: list[str], order: int, vocab_size: int,
+                 ascii_text: bool) -> tuple:
+    """Each row's context and probabilities from its key and tail text.
+
+    NumPy's text reader parses ASCII text in one C pass per array, to the
+    values ``int()`` and ``float()`` give; what it rejects, or the blank
+    entries it skips (hence the shape check), goes to :func:`_split_rows`.
+    Non-ASCII text goes there too: the reader takes some non-ASCII letters
+    for digits. A NumPy that still has the int-via-float fallback (deprecated
+    in 1.23) truncates a key such as ``1.5``, which ``int()`` rejects, and
+    only warns; that DeprecationWarning is raised as an error here, so such a
+    key goes to the split walk too.
+    """
+    if not keys:
+        return keys, tails
+    if ascii_text:
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", ".*input contained no data")  # all-blank text
+                warnings.simplefilter("error", DeprecationWarning)  # an int parsed via float
+                contexts = np.loadtxt(keys, dtype=np.int64, comments=None, ndmin=2)
+                rows = np.loadtxt(tails, dtype=np.float64, comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning):
+            pass
+        else:
+            if contexts.shape == (len(keys), order) and rows.shape == (len(tails), vocab_size):
+                return contexts, rows
+    return _split_rows(keys, tails)
+
+
+def _split_rows(keys: list[str], tails: list[str]) -> tuple[list, list]:
+    """Each row's key and tail split into tokens, for :class:`TabularModel`
+    to convert and check row by row, so that a fault is named in row order."""
+    return [key.split() for key in keys], [tail.split() for tail in tails]

@@ -16,9 +16,11 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 
+from speclab import models
 from speclab.models import (
     GREEDY,
     RNG,
@@ -58,6 +60,17 @@ def greedy_token(dist: np.ndarray) -> Token:
 def model_from_table(order: int, vocab: Vocabulary, table: dict, fallback) -> TabularModel:
     """The array model of a context -> row dict, in the dict's order."""
     return TabularModel(order, vocab, list(table), list(table.values()), fallback)
+
+
+def load_model_by_split(path) -> TabularModel:
+    """A model file read by ``models.load_model`` with every row split into
+    Python strings, which :class:`TabularModel` then converts and checks row
+    by row: the reference for the one-pass parse of ``models.load_model``."""
+    def split_only(keys, tails, *_):
+        return models._split_rows(keys, tails)
+
+    with mock.patch.object(models, "_parsed_rows", split_only):
+        return models.load_model(path)
 
 
 def token_of_feature(vocab: Vocabulary, symbol: int) -> int:

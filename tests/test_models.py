@@ -1,6 +1,7 @@
 """Tests for the tabular model substrate."""
 
 import re
+import warnings
 from functools import partial
 from unittest import mock
 
@@ -308,6 +309,13 @@ class TestSyntheticTarget:
             make_synthetic_target(0, **kwargs)
 
 
+def _one_pass_parse_only():
+    """Make ``load_model``'s split walk raise: a well-formed file must load
+    through the one-pass parse, not silently through the slow path."""
+    return mock.patch.object(models, "_split_rows", side_effect=AssertionError(
+        "a well-formed model file fell back to the split walk"))
+
+
 class TestSerialization:
     def test_round_trip_is_lossless(self, tmp_path):
         model = make_synthetic_target(42, vocab_size=6, order=2, concentration=0.4)
@@ -325,7 +333,8 @@ class TestSerialization:
         model = make_synthetic_target(4, vocab_size=5, order=1, concentration=0.7)
         p1, p2 = tmp_path / "a.ngm", tmp_path / "b.ngm"
         save_model(model, p1)
-        save_model(load_model(p1), p2)
+        with _one_pass_parse_only():
+            save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_format(self, tmp_path):
@@ -409,7 +418,8 @@ class TestTableRows:
         model = oracles.model_from_table(order, vocab, table, fallback=fallback)
         root = tmp_path_factory.mktemp("roundtrip")
         save_model(model, root / "a.ngm")
-        loaded = load_model(root / "a.ngm")
+        with _one_pass_parse_only():
+            loaded = load_model(root / "a.ngm")
         save_model(loaded, root / "b.ngm")
         assert (root / "a.ngm").read_bytes() == (root / "b.ngm").read_bytes()
         assert set(loaded.table) == set(table)
@@ -481,6 +491,160 @@ class TestTableRows:
         path = tmp_path / "m.ngm"
         path.write_text("ngram v=2 d=1\n" + body)
         with pytest.raises(ValueError, match=rf"{message}.* in model file: {re.escape(str(path))}$"):
+            load_model(path)
+
+
+# Mutations of a saved model file's lines: [header, fallback row, context rows].
+
+def _row_index(lines, draw):
+    """A context row, else the fallback row."""
+    return draw(st.integers(2, len(lines) - 1)) if len(lines) > 2 else 1
+
+
+def _move_tab(lines, draw):
+    """Same token count, wrong key width: the tab lands between other tokens."""
+    i = _row_index(lines, draw)
+    tokens = lines[i].split()
+    at = draw(st.integers(0, len(tokens)))
+    lines[i] = " ".join(tokens[:at]) + "\t" + " ".join(tokens[at:])
+
+
+def _double_space(lines, draw):
+    i = _row_index(lines, draw)
+    spaces = [m.start() for m in re.finditer(" ", lines[i])]
+    if spaces:
+        at = draw(st.sampled_from(spaces))
+        lines[i] = lines[i][:at] + " " + lines[i][at:]
+
+
+def _insert_text(lines, draw):
+    """One character or token-like text anywhere; NumPy's int64 text parser
+    reads U+01FE, a letter, as a digit (``"1\\u01fe2"`` as 4722)."""
+    i = draw(st.integers(1, len(lines) - 1))
+    at = draw(st.integers(0, len(lines[i])))
+    text = draw(st.sampled_from([" ", "#", " # ", "\x00", "\x1f", "\xa0", "\u3000", "\u01fe",
+                                 "\u0663", "_", "+", "-", "e", ".", "0"]))
+    lines[i] = lines[i][:at] + text + lines[i][at:]
+
+
+def _comment_mark(lines, draw):
+    """A "#" at the end of a token: text that a comment-aware reader would drop."""
+    i = draw(st.integers(1, len(lines) - 1))
+    ends = [m.end() for m in re.finditer(r"\S+", lines[i])]
+    if ends:
+        at = draw(st.sampled_from(ends))
+        lines[i] = lines[i][:at] + draw(st.sampled_from(["#", "#0", " #"])) + lines[i][at:]
+
+
+def _insert_blank_line(lines, draw):
+    lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", " \t ", "\xa0"])))
+
+
+def _blank_key_or_tail(lines, draw):
+    i = _row_index(lines, draw)
+    key, _, tail = lines[i].partition("\t")
+    blank = draw(st.sampled_from(["", " ", "  "]))
+    lines[i] = blank + "\t" + tail if draw(st.booleans()) else key + "\t" + blank
+
+
+def _replace_symbol(lines, draw):
+    if len(lines) > 2:
+        i = _row_index(lines, draw)
+        key, _, tail = lines[i].partition("\t")
+        tokens = key.split() or [""]
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(
+            ["+1", "01", "1_0", "\u0663", "1.0", "9223372036854775808", "-1", "1\u01fe"]))
+        lines[i] = " ".join(tokens) + "\t" + tail
+
+
+def _replace_number(lines, draw):
+    i = draw(st.integers(1, len(lines) - 1))
+    key, _, tail = lines[i].partition("\t")
+    tokens = tail.split() or [""]
+    at = draw(st.integers(0, len(tokens) - 1))
+    tokens[at] = draw(st.sampled_from(
+        ["1_0", "Infinity", "nan", "1e400", "-0", "+{}", "0{}", "{}e0", "{}0"])).format(tokens[at])
+    lines[i] = key + "\t" + " ".join(tokens)
+
+
+def _ragged_pair(lines, draw):
+    """Two rows one token short and one long: 2 * V tokens between them."""
+    if len(lines) > 3:
+        i = draw(st.integers(2, len(lines) - 2))
+        key, _, tail = lines[i].partition("\t")
+        tokens = tail.split() or [""]
+        lines[i] = key + "\t" + " ".join(tokens[:-1])
+        lines[i + 1] += " " + tokens[-1]
+
+
+def _fallback_last(lines, draw):
+    lines.append(lines.pop(1))
+
+
+def _repeat_row(lines, draw):
+    lines.append(lines[draw(st.integers(1, len(lines) - 1))])
+
+
+def _no_context_rows(lines, draw):
+    del lines[2:]
+
+
+FILE_MUTATIONS = [_move_tab, _double_space, _insert_text, _comment_mark, _insert_blank_line,
+                  _blank_key_or_tail, _replace_symbol, _replace_number, _ragged_pair,
+                  _fallback_last, _repeat_row, _no_context_rows]
+
+
+class TestLoadParse:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_load_matches_split_oracle_on_mutated_files(self, tmp_path_factory, data):
+        vocab = Vocabulary(data.draw(st.integers(1, 4), label="vocab_size"))
+        order = data.draw(st.integers(1, 3), label="order")
+        fallback = np.full(vocab.size, 1.0 / vocab.size)
+        model = oracles.model_from_table(order, vocab, _random_table(data, vocab, order), fallback)
+        path = tmp_path_factory.mktemp("mutated") / "m.ngm"
+        save_model(model, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for mutate in data.draw(st.lists(st.sampled_from(FILE_MUTATIONS), min_size=1, max_size=2),
+                                label="mutations"):
+            mutate(lines, data.draw)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            expected = oracles.load_model_by_split(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                load_model(path)
+            assert str(raised.value) == str(exc)
+        else:
+            loaded = load_model(path)
+            assert (loaded.order, loaded.vocab) == (expected.order, expected.vocab)
+            for name in ("contexts", "rows", "fallback"):
+                got, want = getattr(loaded, name), getattr(expected, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes(), name
+
+
+    @pytest.mark.parametrize("key", ["1.5", "1.0"])
+    def test_key_parsed_via_float_by_an_older_numpy_is_rejected(self, tmp_path, key):
+        # NumPy releases with the deprecated int-via-float fallback (1.23 on)
+        # truncate such a key to an int and only warn; int() rejects it.
+        loadtxt = np.loadtxt
+
+        def int_via_float(text, dtype=float, **kwargs):
+            try:
+                return loadtxt(text, dtype=dtype, **kwargs)
+            except ValueError:
+                if np.dtype(dtype).kind != "i":
+                    raise
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+                return loadtxt(text, dtype=np.float64, **kwargs).astype(dtype)
+
+        path = tmp_path / "m.ngm"
+        path.write_text(f"ngram v=2 d=1\n*\t0.5 0.5\n{key}\t0.5 0.5\n")
+        with mock.patch.object(np, "loadtxt", int_via_float), \
+                pytest.raises(ValueError, match=rf"^invalid literal for int\(\) with base 10: "
+                                                rf"'{re.escape(key)}' in model file: "):
             load_model(path)
 
 
