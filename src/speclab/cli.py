@@ -7,7 +7,7 @@ dashes or underscores (``--K`` is ``draft_len``), and its values become the
 subcommand's defaults, so the command line wins. For ``train`` the order is
 command line > ``--config`` > ``--train-config`` sheet > ``TrainConfig``
 defaults. Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric or
-validation error.
+validation error, an allocation failure included.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .drafting import has_feature_contexts
-from .models import load_model, make_synthetic_target, sample_sequences, save_model
+from .models import MAX_ORDER, load_model, make_synthetic_target, sample_sequences, save_model
 from .training import (
     WEIGHTINGS,
     TrainConfig,
@@ -92,8 +92,9 @@ def _read_corpus(path: str) -> list[list[int]]:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.out is None:
         raise UsageError("gen requires --out")
-    if args.vocab < 2 or args.order < 1 or not 0 < args.alpha < math.inf:
-        raise UsageError("gen needs --vocab >= 2, --order >= 1, a finite --alpha > 0")
+    if args.vocab < 2 or not 1 <= args.order <= MAX_ORDER or not 0 < args.alpha < math.inf:
+        raise UsageError(f"gen needs --vocab >= 2, --order in 1..{MAX_ORDER}, "
+                         "a finite --alpha > 0")
     if args.corpus is None:
         if args.corpus_out is not None or args.corpus_seed is not None:
             raise UsageError("--corpus-out and --corpus-seed require --corpus")
@@ -115,7 +116,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
                     for i in range(n_seqs)]
         try:
             _write_corpus(args.corpus_out, sample_sequences(model, np.array(uniforms)).tolist())
-        except OSError:
+        except (OSError, MemoryError):
             Path(args.out).unlink()  # a failed gen leaves no output file behind
             raise
     print(f"wrote target model: {args.out}")
@@ -345,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # e.g. the table of a high-order model
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -177,6 +177,11 @@ def context_codes(contexts: ArrayLike, num_symbols: int) -> np.ndarray:
     return np.dot(contexts, code_weights(num_symbols, contexts.shape[-1]))
 
 
+#: Largest model order. A model's place values take time quadratic in its
+#: order (see :func:`code_weights`), so every model's order is checked against
+#: it before any code is computed.
+MAX_ORDER = 64
+
 #: Largest code space, ``num_symbols ** order``, that a model indexes with a
 #: dense int32 code -> row array; above it a model binary-searches its sorted
 #: codes.
@@ -198,8 +203,8 @@ class TabularModel:
 
     def __init__(self, order: int, vocab: Vocabulary, contexts: ArrayLike, rows: ArrayLike,
                  fallback: ArrayLike) -> None:
-        if order < 1:
-            raise ValueError(f"model order must be >= 1, got {order}")
+        if not 1 <= order <= MAX_ORDER:
+            raise ValueError(f"model order must be in 1..{MAX_ORDER}, got {order}")
         fallback = as_distribution(fallback, vocab.size)
         keys, probs = _checked_rows(contexts, rows, order, vocab)
         num_symbols = vocab.num_symbols
@@ -361,8 +366,8 @@ def make_synthetic_target(
     """
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     if not 0 < concentration < math.inf:
         raise ValueError(f"concentration must be finite and > 0, got {concentration}")
     rng = np.random.default_rng(seed)
@@ -403,11 +408,10 @@ def load_model(path: str | Path) -> TabularModel:
     if not lines:
         raise ValueError(f"empty model file: {path}")
     header = lines[0].split()
-    if len(header) != 3 or header[0] != "ngram":
+    if len(header) != 3 or header[0] != "ngram" or header[1][:2] != "v=" or header[2][:2] != "d=":
         raise ValueError(f"bad model header: {lines[0]!r}")
     try:
-        vocab_size = int(header[1].removeprefix("v="))
-        order = int(header[2].removeprefix("d="))
+        vocab_size, order = int(header[1][2:]), int(header[2][2:])
     except ValueError as exc:
         raise ValueError(f"bad model header: {lines[0]!r}") from exc
     fallback: list[str] | None = None

@@ -29,6 +29,7 @@ from numpy.typing import ArrayLike
 
 from .drafting import GateConfig, apply_gate, masked_contexts
 from .models import (
+    MAX_ORDER,
     RNG,
     TabularModel,
     Token,
@@ -91,8 +92,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.draft_len < 1:
             raise ValueError(f"draft_len must be >= 1, got {self.draft_len}")
-        if self.drafter_order is not None and self.drafter_order < 1:
-            raise ValueError(f"drafter_order must be >= 1, got {self.drafter_order}")
+        if self.drafter_order is not None and not 1 <= self.drafter_order <= MAX_ORDER:
+            raise ValueError(f"drafter_order must be in 1..{MAX_ORDER}, got {self.drafter_order}")
         GateConfig(self.rho)  # checks rho
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")

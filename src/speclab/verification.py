@@ -226,58 +226,49 @@ def _drafter_step(target, drafter, draft_len, featured):
 
 def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace, rngs):
     """Greedy verification commits exactly the target's greedy stream, so the
-    kernel works on positions: it computes every prompt's stream, drafts at
-    every position at once, takes each position's match length by one
-    compare, and walks the round starts s -> s + A(s) + 1."""
+    kernel works on positions: it computes every prompt's stream, then goes
+    once through blocks of positions. In each block it drafts at every
+    position at once, takes each position's match length by one compare,
+    walks each prompt's round starts s -> s + A(s) + 1 through the block and
+    records those rounds."""
     n, total = seq.shape
     width = total - max_tokens - draft_len
     d_t = target.order
     # One dot and two gathers per position; the contexts are checked tokens.
+    # Column j holds the target's row before position width + j.
     greedy, place = target.greedy_tokens, models.code_weights(target.vocab.num_symbols, d_t)
-    for t in range(width, total):
-        seq[:, t] = greedy[target.code_rows(np.dot(seq[:, t - d_t : t], place))]
-    windows = np.lib.stride_tricks.sliding_window_view
-    target_rows = models.row_ids(target, windows(seq[:, width - d_t : -1], d_t, axis=1))
+    target_rows = np.empty((n, total - width), dtype=np.intp)
+    for j, t in enumerate(range(width, total)):
+        target_rows[:, j] = target.code_rows(np.dot(seq[:, t - d_t : t], place))
+        seq[:, t] = greedy[target_rows[:, j]]
 
     K, own = draft_len, min(draft_len, drafter.order)
     own_rows, shared = _drafter_step(target, drafter, K, featured)
-
-    def drafts_at(states):
-        """The K greedy drafts from (..., width) round-start windows."""
-        drafts = np.full(states.shape[:-1] + (K,), shared.argmax())
-        drafts[..., :own] = drafter.greedy_tokens[own_rows(states)]
-        return drafts
-
     # The committed window before each position s, and the stream from s on.
+    windows = np.lib.stride_tricks.sliding_window_view
     states = windows(seq[:, : width + max_tokens - 1], width, axis=1)
     futures = windows(seq[:, width:-1], K, axis=1)
-    accepted = np.empty((n, max_tokens), dtype=np.intp)
     block = max(1, _GREEDY_BLOCK // (n * K))
+    ahead = [0] * n  # each prompt's next round start, less the block's first position
+    k = np.arange(K)
     for s0 in range(0, max_tokens, block):
         s1 = min(max_tokens, s0 + block)
-        matches = drafts_at(states[:, s0:s1]) == futures[:, s0:s1]
-        accepted[:, s0:s1] = np.logical_and.accumulate(matches, axis=2).sum(axis=2)
-
-    # Round starts: one chain through the cells i * max_tokens + s of every
-    # prompt's positions, prompt after prompt, where a round that ends its
-    # prompt jumps to the next prompt's first cell; the walk is one integer
-    # step per round.
-    cells = np.arange(n * max_tokens).reshape(n, max_tokens)
-    ends = np.arange(max_tokens) + accepted + 1 >= max_tokens
-    nxt = np.where(ends, (np.arange(n)[:, None] + 1) * max_tokens, cells + accepted + 1)
-    nxt = nxt.ravel().tolist()
-    starts, cell = [], 0
-    while cell < len(nxt):
-        starts.append(cell)
-        cell = nxt[cell]
-    starts = np.array(starts, dtype=np.intp)
-    chunk = max(1, _GREEDY_BLOCK // K)
-    k = np.arange(K)
-    for r0 in range(0, len(starts), chunk):
-        row, s = np.divmod(starts[r0 : r0 + chunk], max_tokens)
+        drafts = np.full((n, s1 - s0, K), shared.argmax())
+        drafts[..., :own] = drafter.greedy_tokens[own_rows(states[:, s0:s1])]
+        accepted = np.logical_and.accumulate(drafts == futures[:, s0:s1], axis=2).sum(axis=2)
+        # The block's rounds, as cells i * b + s - s0: one integer step per
+        # round.
+        b, steps, cells = s1 - s0, (accepted + 1).ravel().tolist(), []
+        for i, end in enumerate(range(b, (n + 1) * b, b)):
+            cell = end - b + ahead[i]
+            while cell < end:
+                cells.append(cell)
+                cell += steps[cell]
+            ahead[i] = cell - end
+        row, s = np.divmod(np.array(cells, dtype=np.intp), b)
         # The target's probability of each drafted token: its row after the
         # accepted prefix, as in the stochastic kernel.
-        p = target.rows[target_rows[row[:, None], s[:, None] + k], drafts_at(states[row, s])]
+        p = target.rows[target_rows[row[:, None], s0 + s[:, None] + k], drafts[row, s]]
         trace.record(accepted[row, s], p)
 
 

@@ -20,8 +20,9 @@ from speclab.bench import (
     write_confidence_csv,
     write_position_csv,
 )
+from speclab import cli
 from speclab.cli import main
-from speclab.models import load_model, make_synthetic_target
+from speclab.models import MAX_ORDER, load_model, make_synthetic_target
 from speclab.verification import NUM_CONFIDENCE_BINS
 
 
@@ -715,6 +716,29 @@ class TestCLI:
         assert main(["gen", "--out", str(out), "--corpus", "2x3", "--corpus-out", str(corpus)]) == 0
         assert capsys.readouterr().out == (f"wrote target model: {out}\n"
                                            f"wrote corpus (2x3): {corpus}\n")
+
+    @pytest.mark.parametrize("failing, order", [("make_synthetic_target", "25"),
+                                                ("sample_sequences", "2")])
+    def test_gen_out_of_memory_exit_3_and_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                                         failing, order):
+        # The failing step raises at once, so the test allocates nothing.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 6.26 TiB for an array")
+
+        monkeypatch.setattr(cli, failing, out_of_memory)
+        out, corpus = tmp_path / "t.ngm", tmp_path / "c.txt"
+        assert main(["gen", "--vocab", "2", "--order", order, "--out", str(out),
+                     "--corpus", "2x3", "--corpus-out", str(corpus)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 6.26 TiB for an array\n"
+        assert not out.exists() and not corpus.exists()
+
+    def test_gen_order_above_the_bound_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "t.ngm"
+        assert main(["gen", "--order", str(MAX_ORDER + 1), "--out", str(out)]) == 1
+        assert f"--order in 1..{MAX_ORDER}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, key, value", [
         ("K = x", "'K'", "'x'"), ("rho = high", "'rho'", "'high'"),

@@ -359,6 +359,28 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_model(path)
 
+    @pytest.mark.parametrize("header", ["ngram 2 1", "ngram v=2 1", "ngram 2 d=1",
+                                        "ngram d=1 v=2"])
+    def test_header_needs_its_v_and_d_prefixes(self, tmp_path, header):
+        path = tmp_path / "m.ngm"
+        path.write_text(f"{header}\n*\t0.5 0.5\n")
+        with pytest.raises(ValueError, match=re.escape(f"bad model header: {header!r}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("order", [models.MAX_ORDER + 1, 32000])
+    def test_order_above_the_bound_rejected_before_any_code(self, tmp_path, order):
+        # Place values cost time quadratic in the order: d=32000 once took 10 s.
+        path = tmp_path / "deep.ngm"
+        path.write_text(f"ngram v=2 d={order}\n*\t0.5 0.5\n")
+        with pytest.raises(ValueError, match=rf"^model order must be in 1\.\.{models.MAX_ORDER}, "
+                                             rf"got {order} in model file: {re.escape(str(path))}$"):
+            load_model(path)
+
+    def test_order_at_the_bound_loads(self, tmp_path):
+        path = tmp_path / "deep.ngm"
+        path.write_text(f"ngram v=2 d={models.MAX_ORDER}\n*\t0.5 0.5\n")
+        assert load_model(path).order == models.MAX_ORDER
+
 
 def _random_table(data, vocab, order):
     """Random rows over real, mask and pad keys, with zero entries."""

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import typing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -561,6 +562,24 @@ def _draw_hand_built_windows(data):
     return windows, config
 
 
+def _assert_corpus_case_matches_scalar(ngm_bytes, seed, data):
+    """Windows, drafter bytes or error of a drawn corpus case, against the
+    scalar oracle's."""
+    target, corpus, config = _draw_corpus_case(data, seed)
+    rng_array, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    windows = build_training_windows(target, corpus, config, rng_array)
+    reference = oracles.scalar_training_windows(target, corpus, config, rng_scalar)
+    _assert_same_windows(windows, reference)
+    # Both drew the same number of gate uniforms (none at rho 0 or 1).
+    assert rng_array.random() == rng_scalar.random()
+    drafter = _outcome(train_tabular_drafter, windows, config)
+    expected = _outcome(oracles.scalar_train_drafter, reference, config)
+    if isinstance(expected, tuple):
+        assert drafter == expected
+    else:
+        assert ngm_bytes(drafter) == ngm_bytes(expected)
+
+
 class TestArrayTrainerMatchesScalarOracle:
     """The array window builder and solve give the scalar oracle's windows,
     drafter bytes and errors."""
@@ -568,19 +587,14 @@ class TestArrayTrainerMatchesScalarOracle:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**16), data=st.data())
     def test_corpus_training_is_byte_identical(self, ngm_bytes, seed, data):
-        target, corpus, config = _draw_corpus_case(data, seed)
-        rng_array, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-        windows = build_training_windows(target, corpus, config, rng_array)
-        reference = oracles.scalar_training_windows(target, corpus, config, rng_scalar)
-        _assert_same_windows(windows, reference)
-        # Both drew the same number of gate uniforms (none at rho 0 or 1).
-        assert rng_array.random() == rng_scalar.random()
-        drafter = _outcome(train_tabular_drafter, windows, config)
-        expected = _outcome(oracles.scalar_train_drafter, reference, config)
-        if isinstance(expected, tuple):
-            assert drafter == expected
-        else:
-            assert ngm_bytes(drafter) == ngm_bytes(expected)
+        _assert_corpus_case_matches_scalar(ngm_bytes, seed, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_corpus_training_in_small_event_chunks(self, ngm_bytes, seed, data):
+        # Seven soft-count events per np.add.at call: most solves span chunks.
+        with mock.patch.object(training, "_EVENT_CHUNK", 7):
+            _assert_corpus_case_matches_scalar(ngm_bytes, seed, data)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -729,6 +743,7 @@ class TestTrainConfig:
             {"smoothing": float("inf")},
             {"kd_weight": float("nan")},
             {"kd_weight": float("inf")},
+            {"drafter_order": 65},  # above models.MAX_ORDER
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -1,6 +1,7 @@
 """Tests for acceptance math, both verifiers, traces, and the decode loop."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from speclab.models import (
     as_distribution,
     make_synthetic_target,
 )
+from speclab import verification
 from speclab.verification import MODES, VERIFIERS, DecodeTrace, decode_loop
 
 
@@ -424,41 +426,63 @@ def _assert_batch_matches_scalar(target, drafter, prompts, max_tokens, k, mode, 
     return trace
 
 
+#: One random decode case: the tables, the orders, K, ragged prompts, the
+#: mode, the verifier and the length.
+_DECODE_CASE = dict(
+    seed=st.integers(0, 2**32 - 1),
+    table=st.sampled_from(["dense", "sparse", "sparse order-1 pair"]),
+    vocab_size=st.sampled_from([2, 3, 4]),
+    target_order=st.integers(1, 3),
+    drafter_order=st.integers(1, 3),
+    draft_len=st.sampled_from(["1", "d", "d+1", "16"]),
+    num_prompts=st.sampled_from([1, 2, 7]),
+    mode=st.sampled_from(MODES),
+    verify=st.sampled_from(VERIFIERS),
+    max_tokens=st.integers(1, 40),
+)
+
+
+def _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
+                                draft_len, num_prompts, mode, verify, max_tokens):
+    rng = np.random.default_rng(seed)
+    if table == "sparse order-1 pair":
+        vocab_size = max(vocab_size, 3)
+        target, drafter = oracles.sparse_order1_pair(vocab_size, rng)
+    else:
+        make = _random_dense_model if table == "dense" else _random_sparse_model
+        target = make(rng, vocab_size, target_order)
+        drafter = make(rng, vocab_size, drafter_order)
+    d = drafter.order
+    k = {"1": 1, "d": d, "d+1": d + 1, "16": 16}[draft_len]
+    # Ragged prompts, some shorter than both orders so pads reach both.
+    window = max(target.order, d)
+    lengths = rng.integers(1, window + k + 3, size=num_prompts)
+    lengths[0] = 1
+    prompts = [rng.integers(0, vocab_size, size=n).tolist() for n in lengths]
+    _assert_batch_matches_scalar(target, drafter, prompts, max_tokens, k, mode, verify, seed)
+
+
 class TestDecodeLoopMatchesScalarOracle:
     @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        table=st.sampled_from(["dense", "sparse", "sparse order-1 pair"]),
-        vocab_size=st.sampled_from([2, 3, 4]),
-        target_order=st.integers(1, 3),
-        drafter_order=st.integers(1, 3),
-        draft_len=st.sampled_from(["1", "d", "d+1", "16"]),
-        num_prompts=st.sampled_from([1, 2, 7]),
-        mode=st.sampled_from(MODES),
-        verify=st.sampled_from(VERIFIERS),
-        max_tokens=st.integers(1, 40),
-    )
+    @given(**_DECODE_CASE)
     def test_same_tokens_trace_and_rng_state(
         self, seed, table, vocab_size, target_order, drafter_order, draft_len, num_prompts,
         mode, verify, max_tokens,
     ):
-        rng = np.random.default_rng(seed)
-        if table == "sparse order-1 pair":
-            vocab_size = max(vocab_size, 3)
-            target, drafter = oracles.sparse_order1_pair(vocab_size, rng)
-        else:
-            make = _random_dense_model if table == "dense" else _random_sparse_model
-            target = make(rng, vocab_size, target_order)
-            drafter = make(rng, vocab_size, drafter_order)
-        d = drafter.order
-        k = {"1": 1, "d": d, "d+1": d + 1, "16": 16}[draft_len]
-        # Ragged prompts, some shorter than both orders so pads reach both.
-        window = max(target.order, d)
-        lengths = rng.integers(1, window + k + 3, size=num_prompts)
-        lengths[0] = 1
-        prompts = [rng.integers(0, vocab_size, size=n).tolist() for n in lengths]
-        _assert_batch_matches_scalar(target, drafter, prompts, max_tokens, k, mode, verify,
-                                     seed)
+        _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
+                                    draft_len, num_prompts, mode, verify, max_tokens)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**{**_DECODE_CASE, "verify": st.just("greedy")})
+    def test_greedy_kernel_in_small_position_blocks(
+        self, seed, table, vocab_size, target_order, drafter_order, draft_len, num_prompts,
+        mode, verify, max_tokens,
+    ):
+        # Blocks of 40 // (prompts * K) positions, 1 to 40: rounds cross block
+        # ends, and a round can jump a prompt past a whole block.
+        with mock.patch.object(verification, "_GREEDY_BLOCK", 40):
+            _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
+                                        draft_len, num_prompts, mode, verify, max_tokens)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_residual_sum_past_the_pairwise_block(self, mode):
