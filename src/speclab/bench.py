@@ -180,8 +180,13 @@ def load_report(path: str | Path) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"not a benchmark report: {path} is not a JSON object")
     for key in ("tau", "committed_per_step", "speedup_estimate"):
-        if not isinstance(data.get(key), (int, float)):
-            raise ValueError(f"not a benchmark report: {path} has no numeric {key!r}")
+        value = data.get(key)
+        try:  # bool is an int subclass, and JSON reads NaN and Infinity as floats
+            finite = type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"not a benchmark report: {path} has no finite numeric {key!r}")
     if not isinstance(data.get("config"), dict):
         raise ValueError(f"not a benchmark report: {path} has no 'config' object")
     return data

@@ -95,6 +95,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.vocab < 2 or not 1 <= args.order <= MAX_ORDER or not 0 < args.alpha < math.inf:
         raise UsageError(f"gen needs --vocab >= 2, --order in 1..{MAX_ORDER}, "
                          "a finite --alpha > 0")
+    for flag, seed in (("--seed", args.seed), ("--corpus-seed", args.corpus_seed)):
+        if seed is not None and seed < 0:
+            raise UsageError(f"{flag} must be >= 0, got {seed}")
     if args.corpus is None:
         if args.corpus_out is not None or args.corpus_seed is not None:
             raise UsageError("--corpus-out and --corpus-seed require --corpus")
@@ -191,6 +194,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError("--prompts and --prompt-len must be >= 1")
     if not 0.0 <= args.draft_cost < math.inf:
         raise UsageError(f"--draft-cost must be finite and >= 0, got {args.draft_cost}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
 
     target = load_model(args.target)
     drafter = load_model(args.drafter)

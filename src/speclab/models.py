@@ -385,15 +385,22 @@ def make_synthetic_target(
 
 _FALLBACK_KEY = "*"
 
+#: Rows that :func:`save_model` formats and writes at a time.
+_SAVE_ROWS = 1024
+
 
 def save_model(model: TabularModel, path: str | Path) -> None:
-    """Write a model in the text format ``CONTEXT<TAB>p_0 ... p_{V-1}``."""
-    row_format = " ".join(["%.17g"] * model.vocab.size)
-    lines = [f"ngram v={model.vocab.size} d={model.order}"]
-    lines.append(_FALLBACK_KEY + "\t" + row_format % tuple(model.fallback.tolist()))
-    for ctx, row in zip(model.contexts.tolist(), model.rows.tolist()):
-        lines.append(" ".join(map(str, ctx)) + "\t" + row_format % tuple(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a model in the text format ``CONTEXT<TAB>p_0 ... p_{V-1}``, a
+    block of rows at a time, so a large model's text is never held whole."""
+    probs = " ".join(["%.17g"] * model.vocab.size) + "\n"
+    line = " ".join(["%d"] * model.order) + "\t" + probs
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f"ngram v={model.vocab.size} d={model.order}\n")
+        out.write(_FALLBACK_KEY + "\t" + probs % tuple(model.fallback.tolist()))
+        for start in range(0, len(model.contexts), _SAVE_ROWS):
+            block = slice(start, start + _SAVE_ROWS)
+            out.write("".join(line % (*ctx, *row) for ctx, row in
+                              zip(model.contexts[block].tolist(), model.rows[block].tolist())))
 
 
 def load_model(path: str | Path) -> TabularModel:

@@ -105,6 +105,8 @@ class TrainConfig:
             raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing}")
         if not 0.0 <= self.kd_weight < math.inf:
             raise ValueError(f"kd_weight must be finite and >= 0, got {self.kd_weight}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

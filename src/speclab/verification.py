@@ -47,6 +47,10 @@ NUM_CONFIDENCE_BINS = 10
 #: Elements of one (prompts, positions, K) block of the greedy kernel.
 _GREEDY_BLOCK = 1 << 16
 
+#: Positions in the first segment of the greedy stream walk; each later
+#: segment is twice as long as the one before.
+_GREEDY_SEGMENT = 16
+
 
 @dataclass
 class DecodeTrace:
@@ -226,27 +230,56 @@ def _drafter_step(target, drafter, draft_len, featured):
 
 def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace, rngs):
     """Greedy verification commits exactly the target's greedy stream, so the
-    kernel works on positions: it computes every prompt's stream, then goes
-    once through blocks of positions. In each block it drafts at every
-    position at once, takes each position's match length by one compare,
-    walks each prompt's round starts s -> s + A(s) + 1 through the block and
-    records those rounds."""
+    kernel works on positions. It walks every prompt's stream position by
+    position until each prompt's stream repeats, and fills the rest of the
+    stream by period. It then goes once through blocks of positions. In each
+    block it drafts at every position at once, takes each position's match
+    length by one compare, walks each prompt's round starts s -> s + A(s) + 1
+    through the block and records those rounds.
+
+    The greedy token is a function of the target's window before it, and so
+    is the next window, so a stream repeats from the first window that
+    recurs. The walk goes in segments of doubling length. After each, the
+    window code before the segment's first position (its origin) is compared
+    with the codes before every later position up to the segment's end: a
+    match m positions on gives that prompt period m from its origin, and
+    position t of the rest reads position origin + (t - origin) mod m. A
+    prompt that repeats in one segment repeats again in every later, longer
+    one, so the walk stops at the first check where every prompt repeats.
+    Once an origin is past a stream's tail and a segment is at least its
+    period long, the repeat is found (Brent's cycle detection)."""
     n, total = seq.shape
     width = total - max_tokens - draft_len
     d_t = target.order
+    # The committed window before each position width + s.
+    windows = np.lib.stride_tricks.sliding_window_view
+    states = windows(seq, width, axis=1)
     # One dot and two gathers per position; the contexts are checked tokens.
-    # Column j holds the target's row before position width + j.
-    greedy, place = target.greedy_tokens, models.code_weights(target.vocab.num_symbols, d_t)
-    target_rows = np.empty((n, total - width), dtype=np.intp)
-    for j, t in enumerate(range(width, total)):
-        target_rows[:, j] = target.code_rows(np.dot(seq[:, t - d_t : t], place))
-        seq[:, t] = greedy[target_rows[:, j]]
+    # Row j holds every prompt's target row before position width + j.
+    greedy, row_of = target.greedy_tokens, target.code_rows
+    place = models.code_weights(target.vocab.num_symbols, d_t)
+    target_rows = np.empty((total - width, n), dtype=np.intp)
+    start, size = width, _GREEDY_SEGMENT
+    while start < total:
+        end = min(total, start + size)
+        for j, t in enumerate(range(start, end), start - width):
+            target_rows[j] = row_of(np.dot(seq[:, t - d_t : t], place))
+            seq[:, t] = greedy[target_rows[j]]
+        if end < total:
+            codes = np.dot(states[:, start - width : end - width + 1, -d_t:], place)
+            repeat = codes[:, 1:] == codes[:, :1]
+            if repeat.any(axis=1).all():
+                period = repeat.argmax(axis=1)[:, None] + 1
+                at = start + (np.arange(end, total) - start) % period
+                seq[:, end:] = np.take_along_axis(seq, at, axis=1)
+                target_rows[end - width :] = np.take_along_axis(target_rows, (at - width).T,
+                                                                 axis=0)
+                break
+        start, size = end, 2 * size
 
     K, own = draft_len, min(draft_len, drafter.order)
     own_rows, shared = _drafter_step(target, drafter, K, featured)
-    # The committed window before each position s, and the stream from s on.
-    windows = np.lib.stride_tricks.sliding_window_view
-    states = windows(seq[:, : width + max_tokens - 1], width, axis=1)
+    # The stream from each position s on.
     futures = windows(seq[:, width:-1], K, axis=1)
     block = max(1, _GREEDY_BLOCK // (n * K))
     ahead = [0] * n  # each prompt's next round start, less the block's first position
@@ -268,7 +301,7 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace,
         row, s = np.divmod(np.array(cells, dtype=np.intp), b)
         # The target's probability of each drafted token: its row after the
         # accepted prefix, as in the stochastic kernel.
-        p = target.rows[target_rows[row[:, None], s0 + s[:, None] + k], drafts[row, s]]
+        p = target.rows[target_rows[s0 + s[:, None] + k, row[:, None]], drafts[row, s]]
         trace.record(accepted[row, s], p)
 
 

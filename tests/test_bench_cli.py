@@ -740,6 +740,39 @@ class TestCLI:
         assert f"--order in 1..{MAX_ORDER}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--corpus", "2x4", "--corpus-out", "c.txt", "--corpus-seed", "-2"],
+         "--corpus-seed must be >= 0, got -2"),
+    ], ids=["seed", "corpus-seed"])
+    def test_gen_negative_seed_exit_1_before_any_file(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "t.ngm"
+        flags = [str(tmp_path / flag) if flag.endswith(".txt") else flag for flag in flags]
+        assert main(["gen", "--out", str(out), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["flag", "sheet"])
+    def test_train_negative_seed_exit_1(self, tmp_path, capsys, source):
+        target = self._gen(tmp_path)
+        sheet = tmp_path / "hparams.cfg"
+        sheet.write_text("seed = -4\n")
+        flags = ["--seed", "-3"] if source == "flag" else ["--train-config", str(sheet)]
+        out = tmp_path / "d.ngm"
+        assert main(["train", "--target", str(target), "--out", str(out), *flags]) == 1
+        seed = "-3" if source == "flag" else "-4"
+        assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_negative_seed_exit_1(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        out = tmp_path / "rep.json"
+        code = main(["bench", "--target", str(target), "--drafter", str(target),
+                     "--out", str(out), "--seed", "-1"])
+        assert code == 1
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, key, value", [
         ("K = x", "'K'", "'x'"), ("rho = high", "'rho'", "'high'"),
     ])
@@ -760,7 +793,17 @@ class TestCLI:
          "config"),
         ({"tau": "1.0", "committed_per_step": 2.0, "speedup_estimate": 1.5,
           "config": {"vocab": 8, "target_order": 2}}, "tau"),
-    ], ids=["missing-field", "list", "null-config", "string-tau"])
+        # JSON true loads as True, a Python int; json reads and writes NaN.
+        ({"tau": True, "committed_per_step": 2.0, "speedup_estimate": 1.5,
+          "config": {"vocab": 8, "target_order": 2}}, "tau"),
+        ({"tau": 1.0, "committed_per_step": 2.0, "speedup_estimate": math.nan,
+          "config": {"vocab": 8, "target_order": 2}}, "speedup_estimate"),
+        ({"tau": 1.0, "committed_per_step": -math.inf, "speedup_estimate": 1.5,
+          "config": {"vocab": 8, "target_order": 2}}, "committed_per_step"),
+        ({"tau": 10**400, "committed_per_step": 2.0, "speedup_estimate": 1.5,
+          "config": {"vocab": 8, "target_order": 2}}, "tau"),
+    ], ids=["missing-field", "list", "null-config", "string-tau", "bool-tau", "nan-speedup",
+            "infinite-committed", "int-beyond-float-tau"])
     def test_analyze_malformed_report_exit_3(self, tmp_path, capsys, payload, key):
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"tau": 1.0, "committed_per_step": 2.0,

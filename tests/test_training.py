@@ -744,6 +744,7 @@ class TestTrainConfig:
             {"kd_weight": float("nan")},
             {"kd_weight": float("inf")},
             {"drafter_order": 65},  # above models.MAX_ORDER
+            {"seed": -1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -24,7 +24,7 @@ from speclab.models import (
     as_distribution,
     make_synthetic_target,
 )
-from speclab import verification
+from speclab import models, verification
 from speclab.verification import MODES, VERIFIERS, DecodeTrace, decode_loop
 
 
@@ -484,6 +484,18 @@ class TestDecodeLoopMatchesScalarOracle:
             _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
                                         draft_len, num_prompts, mode, verify, max_tokens)
 
+    @settings(max_examples=150, deadline=None)
+    @given(**{**_DECODE_CASE, "verify": st.just("greedy")})
+    def test_greedy_stream_in_one_position_segments(
+        self, seed, table, vocab_size, target_order, drafter_order, draft_len, num_prompts,
+        mode, verify, max_tokens,
+    ):
+        # Repeat checks after 1, 3, 7, 15, ... positions: most streams are
+        # filled by period from a checkpoint inside their first few tokens.
+        with mock.patch.object(verification, "_GREEDY_SEGMENT", 1):
+            _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
+                                        draft_len, num_prompts, mode, verify, max_tokens)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_residual_sum_past_the_pairwise_block(self, mode):
         # V = 130 rows are summed past numpy's 128-element pairwise block.
@@ -510,6 +522,88 @@ class TestDecodeLoopMatchesScalarOracle:
         for mode in MODES:
             _assert_batch_matches_scalar(target, drafter, [[0, 1], [2], [3, 3, 3]], 200, 16,
                                          mode, "stochastic", 11)
+
+
+def _successor_model(successor):
+    """Order-1 target whose greedy token after token x is ``successor[x]``,
+    and token 0 after the pad. Each row puts half its mass on that token and
+    spreads the rest at random, so a wrong target row shows in the trace."""
+    vocab = Vocabulary(len(successor))
+    rows = np.random.default_rng(len(successor)).dirichlet(np.ones(vocab.size),
+                                                           size=vocab.size + 1) / 2
+    rows[np.arange(vocab.size), successor] += 0.5
+    rows[-1, 0] += 0.5
+    return TabularModel(1, vocab, np.arange(vocab.size)[:, None], rows[:-1], rows[-1])
+
+
+class TestGreedyStreamPeriodicFill:
+    """The greedy kernel walks each prompt's stream in doubling segments
+    until every stream repeats, then fills the rest by period. These targets
+    repeat (or not) at chosen positions. Every decode is held to the scalar
+    oracle, with the first segment at its default and at 1; at the default,
+    the positions walked (one target row lookup each) are checked too."""
+
+    DEFAULT_SEGMENT = verification._GREEDY_SEGMENT
+
+    @pytest.fixture(autouse=True, params=[DEFAULT_SEGMENT, 1],
+                    ids=lambda size: f"segment-{size}")
+    def first_segment(self, request):
+        with mock.patch.object(verification, "_GREEDY_SEGMENT", request.param):
+            self.first_segment_size = request.param
+            yield
+
+    def _check(self, target, prompts, max_tokens, k, walked):
+        drafter = _random_dense_model(np.random.default_rng(1), target.vocab.size, 1)
+        for mode in MODES:
+            _assert_batch_matches_scalar(target, drafter, prompts, max_tokens, k, mode,
+                                         "greedy", 0)
+        with mock.patch.object(target, "code_rows", wraps=target.code_rows) as rows:
+            decode_loop(target, drafter, prompts, max_tokens, k, "independent", "greedy")
+        if self.first_segment_size == self.DEFAULT_SEGMENT:
+            assert rows.call_count == walked
+
+    def test_fixed_point(self):
+        # Period 1 after a tail: the first origin is in the tail, the second
+        # (16 positions on) is on the fixed point.
+        for target in (_successor_model([0, 0, 0]), oracles.constant_model(3, 2, 1)):
+            self._check(target, [[2], [1, 2], [0]], 200, 3, walked=48)
+
+    def test_period_longer_than_the_first_segment(self):
+        # Period 24 > 16: found in the second segment, from position 16.
+        self._check(_successor_model((np.arange(24) + 1) % 24), [[5], [0, 23]], 300, 4,
+                    walked=48)
+
+    def test_prompts_repeat_at_different_checkpoints(self):
+        # Tokens climb to 39 and cycle through 30..39: prompt [35] repeats in
+        # the first segment, [12] and [0] only once an origin is past their
+        # tails (the third), and the walk goes on until both have.
+        successor = np.append(np.arange(1, 40), 30)
+        self._check(_successor_model(successor), [[35], [0], [12]], 300, 2, walked=112)
+
+    def test_cycle_entered_at_an_origin(self):
+        # Prompt [14] enters the cycle 30..39 at position 16, the origin of
+        # the check that finds it: the fill must not read the tail before it.
+        successor = np.append(np.arange(1, 40), 30)
+        self._check(_successor_model(successor), [[14]], 100, 2, walked=48)
+
+    def test_stream_that_never_repeats(self):
+        # Period 100 > the 84 positions, all walked.
+        self._check(_successor_model((np.arange(100) + 1) % 100), [[0], [50]], 80, 4,
+                    walked=84)
+
+    def test_repeat_only_in_the_last_partial_segment(self):
+        # Period 24 shows within the second segment, which the stream's end
+        # cuts short at 45 positions: it is walked to the end.
+        self._check(_successor_model((np.arange(24) + 1) % 24), [[3]], 42, 3, walked=45)
+
+    def test_order_23_object_codes(self):
+        # V = 2 has 7 symbols, and 7**23 > 2**63: the window codes are Python
+        # ints. The all-zero context emits 1 and every other (the fallback) 0,
+        # so a stream cycles with period 24 once its window is all zeros.
+        vocab = Vocabulary(2)
+        assert models.code_weights(vocab.num_symbols, 23).dtype == object
+        target = oracles.model_from_table(23, vocab, {(0,) * 23: [0.0, 1.0]}, [0.75, 0.25])
+        self._check(target, [[1, 0, 1], [0] * 30, [1]], 150, 2, walked=112)
 
 
 class TestDecodeLoopMatchesFullPrefixOracle:
