@@ -144,12 +144,16 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.train_config}: {exc}") from None
         for key in ignored:
             _warn(f"ignoring gradient-trainer config key {key!r} (no gradient trainer exists)")
-    kwargs.update((field.name, getattr(args, field.name)) for field in fields(TrainConfig)
-                  if getattr(args, field.name, None) is not None)
-    try:
-        config = TrainConfig(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    flags = {field.name: getattr(args, field.name) for field in fields(TrainConfig)
+             if getattr(args, field.name, None) is not None}
+    # Each value is checked alone first, so a range error names the flag or sheet that set it.
+    for name, value in (kwargs | flags).items():
+        try:
+            TrainConfig(**{name: value})
+        except ValueError as exc:
+            flag = "--K" if name == "draft_len" else "--" + name.replace("_", "-")
+            raise UsageError(f"{flag if name in flags else args.train_config}: {exc}") from exc
+    config = TrainConfig(**kwargs | flags)
 
     target = load_model(args.target)
     start = time.perf_counter()

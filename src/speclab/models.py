@@ -17,7 +17,6 @@ left-fills short histories so context keys stay fixed width.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import warnings
@@ -107,45 +106,42 @@ def _checked_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stored contexts (R, order) and rows (R, V) as arrays, checked.
 
-    The checks of a row (parsing text as ``int()`` and ``float()`` do, context
-    width, integer symbols, then the distribution) run in one pass over the
-    whole arrays. If any row fails them, the rows are checked again one by one
-    in the given order, so the error raised is the one of the first faulty row.
+    Integer contexts and numeric rows are checked (context width, symbol
+    range, then the distribution) in one pass over the whole arrays. Any
+    other input (text, ragged rows, non-integer symbols), and any input with
+    a faulty row, is walked row by row in the given order instead: text is
+    parsed as ``int()`` and ``float()`` parse it, and the first faulty row's
+    first fault is raised.
     """
     V = vocab.size
     try:
+        keys = np.asarray(contexts) if len(contexts) else np.zeros((0, order), np.int64)
         probs = np.asarray(rows, dtype=np.float64) if len(rows) else np.zeros((0, V))
-        if not len(contexts):
-            keys = np.zeros((0, order), np.int64)
-        elif isinstance(contexts, np.ndarray) and contexts.dtype.kind in "biu":
-            keys = contexts  # an integer array needs no per-symbol scan
-        else:
-            # Text is parsed as int() parses it; any other symbol must be an integer.
-            text = all(map(isinstance, itertools.chain.from_iterable(contexts),
-                           itertools.repeat(str)))
-            keys = np.array(contexts, dtype=np.int64 if text else None)
-        keys = keys.astype(np.int64, copy=False) if keys.dtype.kind in "biu" else None
     except (ValueError, OverflowError, TypeError):  # ragged rows or keys, or non-numbers
-        probs = keys = None
-    valid = (
+        keys = probs = None
+    if (
         keys is not None
+        and keys.dtype.kind in "biu"
         and probs.shape == (len(contexts), V)
         and keys.shape == (len(contexts), order)
         and bool(np.all((keys >= 0) & (keys < vocab.num_symbols)))
         and not np.any(probs < 0.0)
         and bool(np.all(np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL))
-    )
-    if not valid:
-        for key, row in zip(contexts, rows):
-            key = tuple(int(s) if isinstance(s, str) else _symbol(s) for s in key)
-            if len(key) != order:
-                raise ValueError(f"context {key} does not match model order {order}")
-            for s in key:
-                if not 0 <= s < vocab.num_symbols:
-                    raise ValueError(f"context symbol out of range: {s}")
-            as_distribution(row, V)
+    ):
+        return keys.astype(np.int64, copy=False), probs
+    keys, probs = [], []
+    for key, row in zip(contexts, rows):
+        key = tuple(int(s) if isinstance(s, str) else _symbol(s) for s in key)
+        if len(key) != order:
+            raise ValueError(f"context {key} does not match model order {order}")
+        for s in key:
+            if not 0 <= s < vocab.num_symbols:
+                raise ValueError(f"context symbol out of range: {s}")
+        keys.append(key)
+        probs.append(as_distribution(row, V))
+    if len(contexts) != len(rows):
         raise ValueError(f"contexts must have shape (R, {order}) and rows (R, {V})")
-    return keys, probs
+    return np.array(keys, dtype=np.int64).reshape(-1, order), np.array(probs).reshape(-1, V)
 
 
 def _symbol(symbol) -> int:
@@ -266,12 +262,13 @@ class _TableView(Mapping):
         return map(tuple, self._model.contexts.tolist())
 
     def __getitem__(self, key: Context) -> np.ndarray:
-        model = self._model
-        if len(key) == model.order and all(0 <= s < model.vocab.num_symbols for s in key):
-            row = model.code_rows(context_codes([key], model.vocab.num_symbols))[0]
-            if row < len(model.contexts):
-                return model.rows[row]
-        raise KeyError(key)
+        try:
+            row = _checked_row_ids(self._model, [key])[0]
+        except ValueError:  # not a context of this model
+            raise KeyError(key) from None
+        if row == len(self._model.contexts):  # the fallback's row
+            raise KeyError(key)
+        return self._model.rows[row]
 
 
 def row_ids(model: TabularModel, contexts: np.ndarray) -> np.ndarray:
@@ -456,10 +453,7 @@ def _parsed_rows(keys: list[str], tails: list[str], order: int, vocab_size: int,
     values ``int()`` and ``float()`` give; what it rejects, or the blank
     entries it skips (hence the shape check), goes to :func:`_split_rows`.
     Non-ASCII text goes there too: the reader takes some non-ASCII letters
-    for digits. A NumPy that still has the int-via-float fallback (deprecated
-    in 1.23) truncates a key such as ``1.5``, which ``int()`` rejects, and
-    only warns; that DeprecationWarning is raised as an error here, so such a
-    key goes to the split walk too.
+    for digits.
     """
     if not keys:
         return keys, tails
@@ -467,10 +461,9 @@ def _parsed_rows(keys: list[str], tails: list[str], order: int, vocab_size: int,
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", ".*input contained no data")  # all-blank text
-                warnings.simplefilter("error", DeprecationWarning)  # an int parsed via float
                 contexts = np.loadtxt(keys, dtype=np.int64, comments=None, ndmin=2)
                 rows = np.loadtxt(tails, dtype=np.float64, comments=None, ndmin=2)
-        except (ValueError, DeprecationWarning):
+        except ValueError:
             pass
         else:
             if contexts.shape == (len(keys), order) and rows.shape == (len(tails), vocab_size):

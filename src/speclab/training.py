@@ -262,15 +262,12 @@ def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> Tabu
     live = windows.weights != 0.0
     if not live.any():
         raise ValueError("all window weights were zero; nothing to train on")
-    # Number the contexts in the order the live positions first reach them.
-    event_codes = codes[live]
-    first = np.full(len(key_rows), len(event_codes))
-    np.minimum.at(first, event_codes, np.arange(len(event_codes)))
-    seen = np.flatnonzero(first < len(event_codes))
+    # The contexts the live positions reach, in the order they first reach them.
+    event_ctx = codes[live]
+    first = np.full(len(key_rows), len(event_ctx))
+    np.minimum.at(first, event_ctx, np.arange(len(event_ctx)))
+    seen = np.flatnonzero(first < len(event_ctx))
     seen = seen[np.argsort(first[seen])]
-    number = np.empty(len(key_rows), dtype=np.intp)
-    number[seen] = np.arange(len(seen))
-    event_ctx = number[event_codes]
     event_w = windows.weights[live]
     event_rows = (windows.starts[:, None] + np.arange(draft_len))[live]
     event_labels = windows.future_tokens[live]
@@ -279,7 +276,7 @@ def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> Tabu
     # row first and its one-hot entry last, added in stream order.
     use_kd, use_ce = config.kd_weight > 0.0, config.beta > 0.0
     width = vocab_size * use_kd + use_ce
-    soft = np.zeros(len(seen) * vocab_size)
+    soft = np.zeros(len(key_rows) * vocab_size)
     for lo in range(0, len(event_ctx), _EVENT_CHUNK):
         chunk = slice(lo, lo + _EVENT_CHUNK)
         base = event_ctx[chunk, None] * vocab_size
@@ -293,7 +290,7 @@ def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> Tabu
             index[:, -1] = base[:, 0] + event_labels[chunk]
             value[:, -1] = event_w[chunk] * config.beta
         np.add.at(soft, index.ravel(), value.ravel())
-    soft = soft.reshape(len(seen), vocab_size)
+    soft = soft.reshape(len(key_rows), vocab_size)[seen]
 
     smoothing = config.smoothing
     denominators = soft.sum(axis=1) + smoothing * vocab_size

@@ -760,9 +760,28 @@ class TestCLI:
         flags = ["--seed", "-3"] if source == "flag" else ["--train-config", str(sheet)]
         out = tmp_path / "d.ngm"
         assert main(["train", "--target", str(target), "--out", str(out), *flags]) == 1
-        seed = "-3" if source == "flag" else "-4"
-        assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
+        named = "--seed: seed must be >= 0, got -3" if source == "flag" else (
+            f"{sheet}: seed must be >= 0, got -4")
+        assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, key, value, message", [
+        ("--K", "K", "0", "draft_len must be >= 1, got 0"),
+        ("--rho", "rho", "2", "rho must be in [0, 1], got 2.0"),
+        ("--drafter-order", "drafter_order", "0", "drafter_order must be in 1..64, got 0"),
+    ])
+    def test_train_range_error_names_flag_or_sheet(self, tmp_path, capsys, flag, key, value,
+                                                   message):
+        target = self._gen(tmp_path)
+        sheet = tmp_path / "hparams.cfg"
+        sheet.write_text(f"{key} = {value}\n")
+        out = tmp_path / "d.ngm"
+        for flags, source in [([flag, value], flag), (["--train-config", str(sheet)], sheet)]:
+            assert main(["train", "--target", str(target), "--out", str(out), *flags]) == 1
+            assert f"usage error: {source}: {message}" in capsys.readouterr().err
+        # A flag overrides the sheet's value before either is checked.
+        assert main(["train", "--target", str(target), "--out", str(out),
+                     "--train-config", str(sheet), flag, "1", "--data-seqs", "4"]) == 0
 
     def test_bench_negative_seed_exit_1(self, tmp_path, capsys):
         target = self._gen(tmp_path)

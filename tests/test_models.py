@@ -1,7 +1,6 @@
 """Tests for the tabular model substrate."""
 
 import re
-import warnings
 from functools import partial
 from unittest import mock
 
@@ -480,6 +479,29 @@ class TestTableRows:
         with pytest.raises(ValueError, match=message):
             oracles.model_from_table(2, vocab, table, fallback=[0.5, 0.5])
 
+    def test_text_keys_convert_as_int_does(self):
+        # Vocabulary(4) has 11 symbols, so 10 is a valid symbol.
+        vocab = Vocabulary(4)
+        rows = [[0.25] * 4, [0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+        text = TabularModel(1, vocab, [["\u0663"], ["1_0"], ["+1"]], rows, [0.25] * 4)
+        ints = TabularModel(1, vocab, [[3], [10], [1]], rows, [0.25] * 4)
+        for name in ("contexts", "rows"):
+            got, want = getattr(text, name), getattr(ints, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("key", [(0, 0.5), (0, 1.0), ("0", 1), (0,), (0, 1, 1), (0, 99),
+                                     (-1, 0), (1, 0), 5, None])
+    def test_table_view_misses_are_key_errors(self, key):
+        # (1, 0) is a valid context without a stored row: the fallback's.
+        vocab = Vocabulary(2)
+        model = oracles.model_from_table(2, vocab, {(0, 1): [0.5, 0.5], (1, 1): [0.0, 1.0]},
+                                         fallback=[0.5, 0.5])
+        assert key not in model.table
+        with pytest.raises(KeyError):
+            model.table[key]
+        assert (0, 1) in model.table and (np.int64(1), 1) in model.table
+
     @pytest.mark.parametrize("duplicate", ["0 1", "*"])
     def test_duplicate_rows_rejected_by_load(self, tmp_path, duplicate):
         path = tmp_path / "dup.ngm"
@@ -645,29 +667,22 @@ class TestLoadParse:
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes(), name
 
-
-    @pytest.mark.parametrize("key", ["1.5", "1.0"])
-    def test_key_parsed_via_float_by_an_older_numpy_is_rejected(self, tmp_path, key):
-        # NumPy releases with the deprecated int-via-float fallback (1.23 on)
-        # truncate such a key to an int and only warn; int() rejects it.
-        loadtxt = np.loadtxt
-
-        def int_via_float(text, dtype=float, **kwargs):
-            try:
-                return loadtxt(text, dtype=dtype, **kwargs)
-            except ValueError:
-                if np.dtype(dtype).kind != "i":
-                    raise
-                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                              DeprecationWarning, stacklevel=2)
-                return loadtxt(text, dtype=np.float64, **kwargs).astype(dtype)
-
-        path = tmp_path / "m.ngm"
-        path.write_text(f"ngram v=2 d=1\n*\t0.5 0.5\n{key}\t0.5 0.5\n")
-        with mock.patch.object(np, "loadtxt", int_via_float), \
-                pytest.raises(ValueError, match=rf"^invalid literal for int\(\) with base 10: "
-                                                rf"'{re.escape(key)}' in model file: "):
-            load_model(path)
+    def test_non_ascii_file_is_walked_to_the_arrays_of_its_ascii_twin(self, tmp_path):
+        # NumPy's text reader takes some non-ASCII letters for digits, so such
+        # a file skips it; the row walk parses it as int() and float() do.
+        body = "ngram v=2 d=2\n*\t0.5 0.5\n{}\t0.25 0.75\n1 {}\t{} 0.5\n"
+        ascii_path, text_path = tmp_path / "ascii.ngm", tmp_path / "text.ngm"
+        ascii_path.write_text(body.format("0 1", "6", "0.5"), encoding="utf-8")
+        text_path.write_text(body.format("\u0660 \u0661", "\uff16", "\u0660.\u0665"),
+                             encoding="utf-8")
+        with mock.patch.object(models, "_split_rows", wraps=models._split_rows) as split:
+            walked = load_model(text_path)
+        split.assert_called_once()
+        expected = load_model(ascii_path)
+        for name in ("contexts", "rows"):
+            got, want = getattr(walked, name), getattr(expected, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestPaddedSuffix:

@@ -4,9 +4,12 @@ import importlib
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
+from packaging.requirements import Requirement
 
 import speclab
 
@@ -58,3 +61,12 @@ def test_importing_speclab_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_numpy_meets_the_declared_floor():
+    # The .ngm reader relies on NumPy's text reader rejecting an integer key
+    # such as 1.5 outright; older releases parsed it via float and only warned.
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    requires = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    (numpy,) = [Requirement(r) for r in requires if Requirement(r).name == "numpy"]
+    assert numpy.specifier.contains(np.__version__, prereleases=True), np.__version__
