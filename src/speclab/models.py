@@ -131,6 +131,8 @@ def _checked_rows(
         return keys.astype(np.int64, copy=False), probs
     keys, probs = [], []
     for key, row in zip(contexts, rows):
+        if not np.iterable(key):  # one symbol, not a row of them
+            raise ValueError(f"contexts must have shape (R, {order}) and rows (R, {V})")
         key = tuple(int(s) if isinstance(s, str) else _symbol(s) for s in key)
         if len(key) != order:
             raise ValueError(f"context {key} does not match model order {order}")
@@ -170,7 +172,7 @@ def context_codes(contexts: ArrayLike, num_symbols: int) -> np.ndarray:
     order (see :func:`code_weights`).
     """
     contexts = np.asarray(contexts)
-    return np.dot(contexts, code_weights(num_symbols, contexts.shape[-1]))
+    return contexts @ code_weights(num_symbols, contexts.shape[-1])
 
 
 #: Largest model order. A model's place values take time quadratic in its
@@ -179,8 +181,8 @@ def context_codes(contexts: ArrayLike, num_symbols: int) -> np.ndarray:
 MAX_ORDER = 64
 
 #: Largest code space, ``num_symbols ** order``, that a model indexes with a
-#: dense int32 code -> row array; above it a model binary-searches its sorted
-#: codes.
+#: dense intp code -> row array (16 MiB at the cap); above it a model
+#: binary-searches its sorted codes.
 DENSE_INDEX_MAX = 1 << 21
 
 
@@ -222,7 +224,7 @@ class TabularModel:
         # Code -> row id: one dense array when the code space is small, else
         # a binary search over the sorted codes.
         if num_symbols**order <= DENSE_INDEX_MAX:
-            dense = np.full(num_symbols**order, len(codes), dtype=np.int32)
+            dense = np.full(num_symbols**order, len(codes), dtype=np.intp)
             dense[codes] = np.arange(len(codes))
             self.code_rows = dense.__getitem__
         else:
@@ -240,6 +242,13 @@ class TabularModel:
         tokens = self.rows.argmax(axis=1)
         tokens.setflags(write=False)
         return tokens
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Each row's ``np.cumsum`` in token-id order, bytes as for the row alone; read-only."""
+        cdf = np.cumsum(self.rows, axis=1)
+        cdf.setflags(write=False)
+        return cdf
 
 
 def _search_rows(codes: np.ndarray, queries):

@@ -44,8 +44,8 @@ MODES = (DEPENDENT, INDEPENDENT)
 #: Equal-width bins over the target's probability of the drafted token.
 NUM_CONFIDENCE_BINS = 10
 
-#: Elements of one (prompts, positions, K) block of the greedy kernel.
-_GREEDY_BLOCK = 1 << 16
+#: Elements of a greedy (prompts, positions, K) block; stochastic drafts per record.
+_BLOCK = 1 << 16
 
 #: Positions in the first segment of the greedy stream walk; each later
 #: segment is twice as long as the one before.
@@ -196,10 +196,10 @@ def decode_loop(
     return seq[:, width : width + max_tokens], trace
 
 
-def _drafter_step(target, drafter, draft_len, featured):
+def _drafter_step(target, drafter, positions, featured):
     """The draft step of both kernels: ``own_rows`` maps (..., width) round-start
-    windows to the drafter's row ids (..., min(K, d_d)) at positions k < d_d,
-    and the shared row is the one all positions k >= d_d read.
+    windows to the drafter's row ids at draft positions 0..positions - 1, and
+    ``shared`` is the all-mask row, the one every position k >= d_d reads.
 
     Position k's context lays out the window's last d_d symbols, the feature
     slot (the target's greedy token at the window, in dependent mode) and
@@ -211,18 +211,18 @@ def _drafter_step(target, drafter, draft_len, featured):
     labels = ns + np.arange(order + 1)
     feature = labels[order] if featured else vocab.none_feature_id
     layout = masked_contexts(labels[None, :order], np.array([feature]),
-                             np.arange(min(draft_len, order)), vocab, order)[0]
+                             np.arange(positions), vocab, order)[0]
     place = models.code_weights(ns, order)
     slots = layout[..., None] == labels                    # (k, slot j, label)
     weights = (slots * place[:, None]).sum(axis=1).T       # (label, k)
     offsets = (np.where(layout < ns, layout, 0) * place).sum(axis=1)
+    features = vocab.size + 1 + target.greedy_tokens if featured else None  # by target row
 
     def own_rows(windows: np.ndarray) -> np.ndarray:
-        codes = np.dot(windows[..., -order:], weights[:order]) + offsets
+        codes = windows[..., -order:] @ weights[:order] + offsets
         if featured:
-            top = target.greedy_tokens[models.row_ids(target, windows[..., -target.order:])]
-            # The feature symbol is vocab.feature_for(top) = V + 1 + top.
-            codes += (vocab.size + 1 + top[..., None]) * weights[order]
+            top_rows = models.row_ids(target, windows[..., -target.order:])
+            codes += features[top_rows][..., None] * weights[order]
         return drafter.code_rows(codes)
 
     return own_rows, next_distribution(drafter, (vocab.mask_id,) * order)
@@ -278,10 +278,10 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace,
         start, size = end, 2 * size
 
     K, own = draft_len, min(draft_len, drafter.order)
-    own_rows, shared = _drafter_step(target, drafter, K, featured)
+    own_rows, shared = _drafter_step(target, drafter, own, featured)
     # The stream from each position s on.
     futures = windows(seq[:, width:-1], K, axis=1)
-    block = max(1, _GREEDY_BLOCK // (n * K))
+    block = max(1, _BLOCK // (n * K))
     ahead = [0] * n  # each prompt's next round start, less the block's first position
     k = np.arange(K)
     for s0 in range(0, max_tokens, block):
@@ -306,89 +306,90 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace,
 
 
 def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, trace, rngs):
-    """Stochastic rounds of all live prompts in lockstep: feature, drafter
-    rows, the K draws, the K + 1 target rows, accept tests, correction and
-    bonus are each one array step.
+    """Stochastic rounds of all live prompts in lockstep: the drafter rows
+    at positions 0..K (own rows, then the all-mask row), the K draws from
+    their cached CDFs, the K + 1 target rows, the accept tests, and the
+    correction or bonus are each one array step. Rounds are recorded once per
+    call (or per ``_BLOCK`` drafts); a prompt with its tokens leaves the live arrays.
 
     Each prompt draws its uniforms ahead in blocks from its own generator. A
     round reads K proposal draws, one accept draw per attempted position and
-    one correction or bonus draw: K + A + 2, or 2K + 1 on full acceptance. At
-    the end each generator is put back to its entry state and advanced by
-    what its prompt used.
+    one correction or bonus draw: K + A + 2, or 2K + 1 on full acceptance, so
+    room for r rounds of 2K + 1 lasts r rounds unchecked. At the end each
+    generator is put back to its entry state and advanced by what it read.
     """
     n, total = seq.shape
     width = total - max_tokens - draft_len
-    K, d_t, own = draft_len, target.order, min(draft_len, drafter.order)
-    own_rows, shared = _drafter_step(target, drafter, K, featured)
-    shared_cdf = np.cumsum(shared)  # one CDF for every prompt and round
+    K, d_t = draft_len, target.order
+    own_rows, _ = _drafter_step(target, drafter, K + 1, featured)
     # Offsets into ``seq`` from a prompt's window start.
     window_at = np.arange(width)
     verify_at = width - d_t + np.arange(K + 1)[:, None] + np.arange(d_t)
     draft_at = width + np.arange(K)
-    own_at = np.arange(own)
     draws = 2 * K + 1
     draw_at = np.arange(draws)
+    last_at = K + np.minimum(np.arange(1, K + 2), K)  # a round's last draw, by A
+    tests = np.zeros((n, K + 1), dtype=bool)  # column K stays False: argmin is A
 
-    # Flat indices: ``head`` of each prompt's window in ``seq``, ``cursor``
-    # of its next unread uniform in its block.
+    # Flat indices: ``head`` of each live prompt's window in ``seq``,
+    # ``cursor`` of its next unread uniform in its block.
     block = 4 * (max_tokens + draws)
     states = [rng.bit_generator.state for rng in rngs]
     uniforms = np.stack([rng.random(block) for rng in rngs])
-    drawn = np.full(n, block)
+    read = np.zeros(n, dtype=np.intp)  # uniforms read, counted at each refill and exit
     flat, flat_u = seq.ravel(), uniforms.ravel()
-    head = np.arange(n) * total
-    stop = head + max_tokens
-    cursor = np.arange(n) * block
-    block_end = cursor + block
     live = np.arange(n)
+    head, stop, cursor = live * total, live * total + max_tokens, live * block
+    safe, rounds = 0, []
     while len(live):
-        for i in live[cursor[live] + draws > block_end[live]].tolist():
-            rest = uniforms[i, cursor[i] - i * block :].copy()
-            uniforms[i, : len(rest)] = rest
-            uniforms[i, len(rest) :] = rngs[i].random(block - len(rest))
-            drawn[i] += block - len(rest)
-            cursor[i] = i * block
+        if not safe:  # the rounds known to have room are run: refill what lacks one
+            room = (live + 1) * block - cursor
+            for j in np.flatnonzero(room < draws).tolist():
+                i = int(live[j])
+                uniforms[i] = np.r_[uniforms[i, block - room[j] :], rngs[i].random(block - room[j])]
+                read[i] += block - room[j]
+                cursor[j], room[j] = i * block, block
+            safe = room.min() // draws
+        safe -= 1
         m = np.arange(len(live))
-        h = head[live]
-        u = flat_u[cursor[live][:, None] + draw_at]
-        window = flat[h[:, None] + window_at]
+        u = flat_u[cursor[:, None] + draw_at]
 
-        # Draft: own-context rows for k < d_d, the shared row after.
-        q_rows = drafter.rows[own_rows(window)]
-        cdf = np.cumsum(q_rows, axis=2)
-        drafts = np.empty((len(live), K), dtype=np.intp)
-        drafts[:, :own] = (cdf <= (u[:, :own] * cdf[..., -1])[..., None]).sum(axis=2)
-        drafts[:, own:] = np.searchsorted(shared_cdf, u[:, own:K] * shared_cdf[-1],
-                                          side="right")
-        q = np.empty((len(live), K))
-        q[:, :own] = q_rows[m[:, None], own_at, drafts[:, :own]]
-        q[:, own:] = shared[drafts[:, own:]]
-        flat[h[:, None] + draft_at] = drafts
+        # Draft: a draw picks the first CDF entry above it (it is below the last).
+        q_ids = own_rows(flat[head[:, None] + window_at])
+        cdf = drafter.cdf.take(q_ids[:, :K], axis=0)
+        drafts = (cdf > (u[:, :K] * cdf[..., -1])[..., None]).argmax(axis=2)
+        q = drafter.rows[q_ids[:, :K], drafts]
+        flat[head[:, None] + draft_at] = drafts
 
-        # Verify: the target's rows after each accepted-prefix length 0..K.
-        p_rows = models.row_ids(target, flat[h[:, None, None] + verify_at])
-        p = target.rows[p_rows[:, :K], drafts]
-        accepted = np.logical_and.accumulate(u[:, K : 2 * K] < np.minimum(1.0, p / q),
-                                             axis=1).sum(axis=1)
+        # Verify: the target's rows after each accepted-prefix length 0..K;
+        # u < p / q is u < min(1, p / q), as u < 1.
+        p_ids = models.row_ids(target, flat[head[:, None, None] + verify_at])
+        p = target.rows[p_ids[:, :K], drafts]
+        np.less(u[:, K : 2 * K], p / q, out=tests[: len(live), :K])
+        accepted = tests[: len(live)].argmin(axis=1)
         # The correction (from normalize(max(0, p - q)), or p when that is
         # zero) or the bonus (from the target's row after all K drafts).
-        final = target.rows[p_rows[m, accepted]]
-        q_final = np.where((accepted < own)[:, None],
-                           q_rows[m, np.minimum(accepted, own - 1)], shared)
-        residual = np.maximum(final - q_final, 0.0)
+        final = target.rows.take(p_ids[m, accepted], axis=0)
+        residual = np.maximum(final - drafter.rows.take(q_ids[m, accepted], axis=0), 0.0)
         mass = residual.sum(axis=1)
         corrected = (accepted < K) & (mass > 0.0)
         np.divide(residual, mass[:, None], out=final, where=corrected[:, None])
-        final_cdf = np.cumsum(final, axis=1)
-        used = K + np.minimum(accepted + 1, K)
-        final_u = u[m, used] * final_cdf[:, -1]
-        flat[h + width + accepted] = (final_cdf <= final_u[:, None]).sum(axis=1)
+        final_cdf = final.cumsum(axis=1)
+        last = last_at[accepted]
+        final_u = u[m, last] * final_cdf[:, -1]
+        flat[head + width + accepted] = (final_cdf > final_u[:, None]).argmax(axis=1)
 
-        trace.record(accepted, p)
-        head[live] = h = h + accepted + 1
-        cursor[live] += used + 1
-        live = live[h < stop[live]]
+        head += accepted + 1
+        cursor += last + 1
+        done = head >= stop
+        if done.any():
+            read[live[done]] += cursor[done] - live[done] * block
+            live, head, stop, cursor = (lane[~done] for lane in (live, head, stop, cursor))
+        rounds.append((accepted, p))
+        if len(rounds) * n * K >= _BLOCK or not len(live):
+            trace.record(*map(np.concatenate, zip(*rounds)))
+            rounds = []
 
     for i, rng in enumerate(rngs):
         rng.bit_generator.state = states[i]
-        rng.random(drawn[i] - (block_end[i] - cursor[i]))
+        rng.random(read[i])

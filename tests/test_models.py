@@ -479,6 +479,21 @@ class TestTableRows:
         with pytest.raises(ValueError, match=message):
             oracles.model_from_table(2, vocab, table, fallback=[0.5, 0.5])
 
+    @pytest.mark.parametrize("contexts", [[0, 1], np.array([0, 1]), [(0,), 1]],
+                             ids=["list", "array", "mixed"])
+    def test_one_symbol_per_context_is_a_shape_error(self, contexts):
+        rows = [[0.5, 0.5], [1.0, 0.0]]
+        with pytest.raises(ValueError, match=r"^contexts must have shape \(R, 1\) and rows"):
+            TabularModel(1, Vocabulary(2), contexts, rows, [0.5, 0.5])
+
+    def test_cdf_is_the_read_only_row_cumsum(self):
+        # The scalar oracles draw from np.cumsum of one row at a time.
+        model = make_synthetic_target(4, vocab_size=5, order=2, concentration=0.5)
+        assert model.cdf.tobytes() == np.cumsum(model.rows, axis=1).tobytes()
+        for row, cdf in zip(model.rows, model.cdf):
+            assert cdf.tobytes() == np.cumsum(row).tobytes()
+        assert not model.cdf.flags.writeable and model.cdf is model.cdf
+
     def test_text_keys_convert_as_int_does(self):
         # Vocabulary(4) has 11 symbols, so 10 is a valid symbol.
         vocab = Vocabulary(4)
@@ -724,6 +739,14 @@ def _dict_table(rng, vocab, keys):
 
 
 class TestPackedLookup:
+    @pytest.mark.parametrize("cap", [models.DENSE_INDEX_MAX, 0], ids=["dense", "search"])
+    def test_row_ids_are_intp(self, cap):
+        # Row ids index ``rows`` without a conversion, from either index.
+        with mock.patch.object(models, "DENSE_INDEX_MAX", cap):
+            model = make_synthetic_target(1, vocab_size=3, order=2, concentration=0.5)
+        contexts = np.array([[0, 1], [model.vocab.mask_id, 0]])
+        assert models.row_ids(model, contexts).dtype == np.intp
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**16))
     def test_lookups_match_a_dict_oracle(self, tmp_path_factory, data, seed):

@@ -480,7 +480,7 @@ class TestDecodeLoopMatchesScalarOracle:
     ):
         # Blocks of 40 // (prompts * K) positions, 1 to 40: rounds cross block
         # ends, and a round can jump a prompt past a whole block.
-        with mock.patch.object(verification, "_GREEDY_BLOCK", 40):
+        with mock.patch.object(verification, "_BLOCK", 40):
             _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
                                         draft_len, num_prompts, mode, verify, max_tokens)
 
@@ -493,6 +493,20 @@ class TestDecodeLoopMatchesScalarOracle:
         # Repeat checks after 1, 3, 7, 15, ... positions: most streams are
         # filled by period from a checkpoint inside their first few tokens.
         with mock.patch.object(verification, "_GREEDY_SEGMENT", 1):
+            _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
+                                        draft_len, num_prompts, mode, verify, max_tokens)
+
+    @settings(max_examples=50, deadline=None)
+    @given(**{**_DECODE_CASE, "verify": st.just("stochastic"),
+              "draft_len": st.sampled_from(["d+1", "16"]), "max_tokens": st.integers(1, 200)})
+    def test_stochastic_prompts_leave_and_refill_at_different_rounds(
+        self, seed, table, vocab_size, target_order, drafter_order, draft_len, num_prompts,
+        mode, verify, max_tokens,
+    ):
+        # Up to 200 tokens at K = 16 take several uniform blocks, so prompts
+        # refill after others have left the live set. Records of 1,000
+        # drafted positions split a long call's trace over several records.
+        with mock.patch.object(verification, "_BLOCK", 1000):
             _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
                                         draft_len, num_prompts, mode, verify, max_tokens)
 
