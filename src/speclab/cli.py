@@ -74,13 +74,19 @@ def _write_corpus(path: str, sequences: list[list[int]]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_corpus(path: str) -> list[list[int]]:
+def _read_corpus(path: str, vocab_size: int) -> list[list[int]]:
+    """The token lists of a corpus or prompt file's nonblank lines; a token
+    that is not an integer in [0, ``vocab_size``) is reported with its line."""
     sequences = []
     for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         try:
             tokens = [int(t) for t in line.split()]
         except ValueError as exc:
             raise ValueError(f"{path} line {number}: {exc}") from None
+        for t in tokens:
+            if not 0 <= t < vocab_size:
+                raise ValueError(f"{path} line {number}: token out of range "
+                                 f"[0, {vocab_size}): {t}")
         if tokens:
             sequences.append(tokens)
     return sequences
@@ -158,7 +164,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     target = load_model(args.target)
     start = time.perf_counter()
     if args.corpus is not None:
-        corpus = _read_corpus(args.corpus)
+        corpus = _read_corpus(args.corpus, target.vocab.size)
     else:
         if args.data_seqs < 1 or args.data_len < config.draft_len + 1:
             raise UsageError("--data-seqs must be >= 1 and --data-len >= draft length + 1")
@@ -209,7 +215,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     if args.prompt_file is not None:
-        prompts = _read_corpus(args.prompt_file)
+        prompts = _read_corpus(args.prompt_file, target.vocab.size)
         if prompts == []:
             raise ValueError(f"prompt file {args.prompt_file} holds no prompts")
     else:

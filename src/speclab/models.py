@@ -331,7 +331,8 @@ def next_distribution(model: TabularModel, context: Sequence[Symbol]) -> np.ndar
 
 
 def sample_sequences(model: TabularModel, uniforms: ArrayLike) -> np.ndarray:
-    """(N, L) tokens: one sequence per row of ``uniforms``, all in lockstep.
+    """(N, L) tokens: one sequence per row of the (N, L) ``uniforms`` (else
+    ValueError), all in lockstep.
 
     Every sequence starts from the empty prefix. Token t of sequence i
     inverts its row's CDF, in token-id order, at ``uniforms[i, t]`` (in
@@ -340,6 +341,8 @@ def sample_sequences(model: TabularModel, uniforms: ArrayLike) -> np.ndarray:
     that sum under one, so a draw never lands on a zero-probability token.
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
+    if uniforms.ndim != 2:
+        raise ValueError(f"uniforms must be 2-D (sequences, length), got shape {uniforms.shape}")
     bad = ~((uniforms >= 0.0) & (uniforms < 1.0))
     if bad.any():
         raise ValueError(f"uniform out of [0, 1): {float(uniforms[bad][0])}")

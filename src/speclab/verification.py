@@ -312,10 +312,14 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
     correction or bonus are each one array step. Rounds are recorded once per
     call (or per ``_BLOCK`` drafts); a prompt with its tokens leaves the live arrays.
 
-    Each prompt draws its uniforms ahead in blocks from its own generator. A
-    round reads K proposal draws, one accept draw per attempted position and
-    one correction or bonus draw: K + A + 2, or 2K + 1 on full acceptance, so
-    room for r rounds of 2K + 1 lasts r rounds unchecked. At the end each
+    Each prompt draws its uniforms once, from its own generator. A round
+    that accepts A of K drafts reads K proposal draws, min(A + 1, K) accept
+    draws and one correction or bonus draw, at most (K + 2)(A + 1) for its
+    A + 1 tokens. A prompt short of ``max_tokens`` has read at most
+    (K + 2)(max_tokens - 1) and its round slices 2K + 1 more, so ``need`` =
+    (K + 2) max_tokens + K - 1 suffices; one that always rejects at position 0
+    reaches the last. The uniforms take n x ``need`` float64, the worst case
+    (2.4 MB for 64 prompts of 256 tokens at K = 16). At the end each
     generator is put back to its entry state and advanced by what it read.
     """
     n, total = seq.shape
@@ -326,31 +330,23 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
     window_at = np.arange(width)
     verify_at = width - d_t + np.arange(K + 1)[:, None] + np.arange(d_t)
     draft_at = width + np.arange(K)
-    draws = 2 * K + 1
-    draw_at = np.arange(draws)
+    draw_at = np.arange(2 * K + 1)
     last_at = K + np.minimum(np.arange(1, K + 2), K)  # a round's last draw, by A
     tests = np.zeros((n, K + 1), dtype=bool)  # column K stays False: argmin is A
 
     # Flat indices: ``head`` of each live prompt's window in ``seq``,
-    # ``cursor`` of its next unread uniform in its block.
-    block = 4 * (max_tokens + draws)
+    # ``cursor`` of its next unread uniform in its row.
+    need = (K + 2) * max_tokens + K - 1
     states = [rng.bit_generator.state for rng in rngs]
-    uniforms = np.stack([rng.random(block) for rng in rngs])
-    read = np.zeros(n, dtype=np.intp)  # uniforms read, counted at each refill and exit
+    uniforms = np.empty((n, need))
+    for rng, row in zip(rngs, uniforms):
+        rng.random(out=row)
+    read = np.zeros(n, dtype=np.intp)  # uniforms read, set when a prompt finishes
     flat, flat_u = seq.ravel(), uniforms.ravel()
     live = np.arange(n)
-    head, stop, cursor = live * total, live * total + max_tokens, live * block
-    safe, rounds = 0, []
+    head, stop, cursor = live * total, live * total + max_tokens, live * need
+    rounds = []
     while len(live):
-        if not safe:  # the rounds known to have room are run: refill what lacks one
-            room = (live + 1) * block - cursor
-            for j in np.flatnonzero(room < draws).tolist():
-                i = int(live[j])
-                uniforms[i] = np.r_[uniforms[i, block - room[j] :], rngs[i].random(block - room[j])]
-                read[i] += block - room[j]
-                cursor[j], room[j] = i * block, block
-            safe = room.min() // draws
-        safe -= 1
         m = np.arange(len(live))
         u = flat_u[cursor[:, None] + draw_at]
 
@@ -383,7 +379,7 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
         cursor += last + 1
         done = head >= stop
         if done.any():
-            read[live[done]] += cursor[done] - live[done] * block
+            read[live[done]] = cursor[done] - live[done] * need
             live, head, stop, cursor = (lane[~done] for lane in (live, head, stop, cursor))
         rounds.append((accepted, p))
         if len(rounds) * n * K >= _BLOCK or not len(live):

@@ -310,8 +310,19 @@ class TestCLI:
             code = main(["train", "--target", str(target), "--out", str(out),
                          "--K", "4", "--corpus", str(corpus)])
             assert code == 3
-            assert "corpus token out of range" in capsys.readouterr().err
+            assert f"{corpus} line 1: token out of range [0, 8): {bad}" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_train_corpus_token_out_of_range_names_the_line_exit_3(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("0 1 2 3 4 5\n\n7 6 5 9 4 3\n")
+        out = tmp_path / "d.ngm"
+        code = main(["train", "--target", str(target), "--out", str(out),
+                     "--K", "4", "--corpus", str(corpus)])
+        assert code == 3
+        assert f"{corpus} line 3: token out of range [0, 8): 9" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_model_row_exit_3(self, tmp_path, capsys):
         target = tmp_path / "dup.ngm"
@@ -394,7 +405,19 @@ class TestCLI:
         code = main(["bench", "--target", str(target), "--drafter", str(drafter),
                      "--out", str(out), "--K", "4", "--prompt-file", str(prompts)])
         assert code == 3
-        assert "real tokens" in capsys.readouterr().err
+        assert f"{prompts} line 1: token out of range [0, 8): 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_prompt_file_token_out_of_range_names_the_line_exit_3(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("0 1 2\n1 -1 3\n")
+        out = tmp_path / "rep.json"
+        code = main(["bench", "--target", str(target), "--drafter", str(drafter),
+                     "--out", str(out), "--K", "4", "--prompt-file", str(prompts)])
+        assert code == 3
+        assert f"{prompts} line 2: token out of range [0, 8): -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bench_prompt_file_bad_token_names_the_line_exit_3(self, tmp_path, capsys):

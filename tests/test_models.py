@@ -865,6 +865,18 @@ class TestSampleSequences:
         expected = generate_autoregressive(model, (), 6, "sample", oracles.FixedUniform(u))
         assert sample_sequences(model, np.full((2, 6), u)).tolist() == [expected] * 2
 
+    @pytest.mark.parametrize("uniforms", [[0.1, 0.2], 0.5])
+    def test_uniforms_that_are_not_2d_rejected(self, uniforms):
+        model = make_synthetic_target(0, vocab_size=4, order=1, concentration=0.5)
+        with pytest.raises(ValueError, match="uniforms must be 2-D"):
+            sample_sequences(model, uniforms)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
+    def test_empty_uniforms_give_empty_sequences(self, shape):
+        model = make_synthetic_target(0, vocab_size=4, order=2, concentration=0.5)
+        tokens = sample_sequences(model, np.zeros(shape))
+        assert tokens.shape == shape and tokens.dtype == np.int64
+
     @pytest.mark.parametrize("uniforms", [[[-0.5, 1.5]], [[0.5, 1.0]], [[0.5, np.nan]]])
     def test_uniforms_outside_the_unit_interval_rejected(self, uniforms):
         # Above the CDF's total a draw would invert to V, the mask symbol.

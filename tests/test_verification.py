@@ -499,13 +499,14 @@ class TestDecodeLoopMatchesScalarOracle:
     @settings(max_examples=50, deadline=None)
     @given(**{**_DECODE_CASE, "verify": st.just("stochastic"),
               "draft_len": st.sampled_from(["d+1", "16"]), "max_tokens": st.integers(1, 200)})
-    def test_stochastic_prompts_leave_and_refill_at_different_rounds(
+    def test_stochastic_prompts_leave_the_live_set_at_different_rounds(
         self, seed, table, vocab_size, target_order, drafter_order, draft_len, num_prompts,
         mode, verify, max_tokens,
     ):
-        # Up to 200 tokens at K = 16 take several uniform blocks, so prompts
-        # refill after others have left the live set. Records of 1,000
-        # drafted positions split a long call's trace over several records.
+        # Up to 200 tokens at K = 16 take tens of rounds, so prompts keep
+        # reading their uniforms after others have left the live set. Records
+        # of 1,000 drafted positions split a long call's trace over several
+        # records.
         with mock.patch.object(verification, "_BLOCK", 1000):
             _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
                                         draft_len, num_prompts, mode, verify, max_tokens)
@@ -528,14 +529,55 @@ class TestDecodeLoopMatchesScalarOracle:
                                              "greedy", 0)
         assert trace.accept_hist[:6].sum() == 0 and trace.accept_hist[6] == trace.steps
 
-    def test_long_decode_refills_the_uniform_block(self):
+    def test_long_decode_with_a_weak_drafter(self):
         # A weak drafter uses about K + 2 draws per committed token, so 200
-        # tokens at K = 16 need several blocks of 4 * (max_tokens + 2K + 1).
+        # tokens at K = 16 read far into each prompt's (K + 2) * 200 + K - 1
+        # uniforms.
         rng = np.random.default_rng(3)
         target, drafter = _random_dense_model(rng, 4, 2), _random_dense_model(rng, 4, 1)
         for mode in MODES:
             _assert_batch_matches_scalar(target, drafter, [[0, 1], [2], [3, 3, 3]], 200, 16,
                                          mode, "stochastic", 11)
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    @pytest.mark.parametrize("max_tokens", [1, 2, 9, 40])
+    def test_always_rejected_drafts_read_every_uniform_drawn(self, k, max_tokens):
+        # The drafter always proposes the token the target never emits, so
+        # every round rejects at position 0, reads K + 2 uniforms and commits
+        # one token: the last round's slice ends at the last of the
+        # (K + 2) * max_tokens + K - 1 uniforms each prompt draws.
+        vocab = Vocabulary(2)
+        contexts = np.arange(vocab.num_symbols)[:, None]
+        target, drafter = (TabularModel(1, vocab, contexts, np.tile(row, (len(contexts), 1)), row)
+                           for row in (np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+        for mode in MODES:
+            trace = _assert_batch_matches_scalar(target, drafter, [[0], [1, 0, 1]], max_tokens,
+                                                 k, mode, "stochastic", k)
+            assert trace.accept_hist[0] == trace.steps == 2 * max_tokens
+
+    def test_each_generator_draws_once_and_advances_once(self):
+        class CountingGenerator(np.random.Generator):
+            def __init__(self, seed):
+                super().__init__(np.random.PCG64(seed))
+                self.calls = 0
+
+            def random(self, *args, **kwargs):
+                self.calls += 1
+                return super().random(*args, **kwargs)
+
+        rng = np.random.default_rng(3)
+        target, drafter = _random_dense_model(rng, 4, 2), _random_dense_model(rng, 4, 1)
+        prompts = [[0, 1], [2], [3, 3, 3]]
+        counted = [CountingGenerator([11, i]) for i in range(3)]
+        plain = [np.random.default_rng([11, i]) for i in range(3)]
+        got, _ = decode_loop(target, drafter, prompts, 200, 16, mode="dependent",
+                             verify="stochastic", rngs=counted)
+        want, _ = decode_loop(target, drafter, prompts, 200, 16, mode="dependent",
+                              verify="stochastic", rngs=plain)
+        assert [g.calls for g in counted] == [2, 2, 2]
+        assert got.tolist() == want.tolist()
+        for a, b in zip(counted, plain):
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 def _successor_model(successor):
