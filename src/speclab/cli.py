@@ -117,8 +117,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise UsageError(f"--corpus must look like NxL, got {args.corpus!r}") from exc
         if n_seqs < 1 or seq_len < 1:
             raise UsageError("--corpus dimensions must be >= 1")
+    start = time.perf_counter()
     model = make_synthetic_target(args.seed, args.vocab, args.order, args.alpha)
+    generated = time.perf_counter()
     save_model(model, args.out)
+    saved = time.perf_counter()
+    times = f"time: generate {generated - start:.3f} s, save {saved - generated:.3f} s"
     if args.corpus is not None:
         corpus_seed = args.corpus_seed if args.corpus_seed is not None else args.seed
         uniforms = [np.random.default_rng([corpus_seed, i]).random(seq_len)
@@ -128,6 +132,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         except (OSError, MemoryError):
             Path(args.out).unlink()  # a failed gen leaves no output file behind
             raise
+        times += f", corpus {time.perf_counter() - saved:.3f} s"
+    print(times, file=sys.stderr)
     print(f"wrote target model: {args.out}")
     if args.corpus is not None:
         print(f"wrote corpus ({n_seqs}x{seq_len}): {args.corpus_out}")

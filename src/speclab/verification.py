@@ -8,9 +8,13 @@ target had generated it alone. Greedy verification is the temperature-0
 counterpart: accept while the draft matches the target's argmax, so the
 committed stream is exactly the target's greedy continuation.
 
-:func:`decode_loop` decodes a whole batch of prompts in lockstep.
-Verification always conditions the target on real committed tokens; mask
-placeholders exist only inside the drafter. The one-prompt scalar round
+:func:`decode_loop` decodes a whole batch of prompts at once. Stochastic
+rounds run in lockstep over the prompts still decoding. A greedy round is a
+function of its round-start window, so greedy decoding walks the graph of
+windows the prompts reach: each distinct window is looked up, drafted and
+scored once, and its rounds are counted. Verification always conditions the
+target on real committed tokens; mask placeholders exist only inside the
+drafter. The one-prompt scalar round
 (propose, then verify) lives on in ``tests/oracles.py`` as the reference the
 batch loop is held to.
 """
@@ -21,6 +25,7 @@ import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .models import (
     RNG,
     TabularModel,
     Token,
+    Vocabulary,
     next_distribution,
 )
 from . import models
@@ -44,12 +50,8 @@ MODES = (DEPENDENT, INDEPENDENT)
 #: Equal-width bins over the target's probability of the drafted token.
 NUM_CONFIDENCE_BINS = 10
 
-#: Elements of a greedy (prompts, positions, K) block; stochastic drafts per record.
+#: Elements of a greedy (nodes, K + 1) block; stochastic drafts per record.
 _BLOCK = 1 << 16
-
-#: Positions in the first segment of the greedy stream walk; each later
-#: segment is twice as long as the one before.
-_GREEDY_SEGMENT = 16
 
 
 @dataclass
@@ -77,18 +79,25 @@ class DecodeTrace:
         self.bin_attempts = np.zeros(NUM_CONFIDENCE_BINS, dtype=np.int64)
         self.bin_accepts = np.zeros(NUM_CONFIDENCE_BINS, dtype=np.int64)
 
-    def record(self, accepted: np.ndarray, target_probs: np.ndarray) -> None:
+    def record(self, accepted: np.ndarray, target_probs: np.ndarray,
+               counts: np.ndarray | None = None) -> None:
         """Add r rounds: their accepted lengths (r,) and the target's
-        probability of each drafted token (r, K). Entries past a round's
-        attempted positions are not read."""
+        probability of each drafted token (r, K), each row ``counts[i]``
+        times (default once). Entries past a round's attempted positions
+        are not read."""
         k = np.arange(self.draft_len)
         bins = np.minimum((target_probs * NUM_CONFIDENCE_BINS).astype(np.intp),
                           NUM_CONFIDENCE_BINS - 1)
-        self.accept_hist += np.bincount(accepted, minlength=self.draft_len + 1)
-        self.bin_attempts += np.bincount(bins[k <= accepted[:, None]],
-                                         minlength=NUM_CONFIDENCE_BINS)
-        self.bin_accepts += np.bincount(bins[k < accepted[:, None]],
-                                        minlength=NUM_CONFIDENCE_BINS)
+        attempts, accepts = bins[k <= accepted[:, None]], bins[k < accepted[:, None]]
+        if counts is None:
+            self.accept_hist += np.bincount(accepted, minlength=self.draft_len + 1)
+            self.bin_attempts += np.bincount(attempts, minlength=NUM_CONFIDENCE_BINS)
+            self.bin_accepts += np.bincount(accepts, minlength=NUM_CONFIDENCE_BINS)
+        else:  # int64 sums: float bincount weights lose counts past 2**53
+            np.add.at(self.accept_hist, accepted, counts)
+            np.add.at(self.bin_attempts, attempts,
+                      np.repeat(counts, np.minimum(accepted + 1, self.draft_len)))
+            np.add.at(self.bin_accepts, accepts, np.repeat(counts, accepted))
 
     @property
     def steps(self) -> int:
@@ -196,18 +205,19 @@ def decode_loop(
     return seq[:, width : width + max_tokens], trace
 
 
-def _drafter_step(target, drafter, positions, featured):
-    """The draft step of both kernels: ``own_rows`` maps (..., width) round-start
-    windows to the drafter's row ids at draft positions 0..positions - 1, and
-    ``shared`` is the all-mask row, the one every position k >= d_d reads.
+@cache
+def _draft_layout(vocab_size: int, order: int, positions: int, featured: bool):
+    """The drafter's context code at draft positions 0..positions - 1 as an
+    affine map of a round's symbols: read-only place values (label, k), with
+    labels 0..order - 1 for the window's last ``order`` symbols and label
+    ``order`` for the feature slot, and read-only offsets (k,) from the masks.
 
-    Position k's context lays out the window's last d_d symbols, the feature
-    slot (the target's greedy token at the window, in dependent mode) and
-    masks as :func:`~speclab.drafting.masked_contexts` does, so its code is
-    affine in those symbols; the layout is read off masked_contexts applied
-    to placeholder labels past the symbol space.
+    Position k's context lays out those symbols and masks as
+    :func:`~speclab.drafting.masked_contexts` does, so the layout is read off
+    masked_contexts applied to placeholder labels past the symbol space.
     """
-    vocab, order, ns = drafter.vocab, drafter.order, drafter.vocab.num_symbols
+    vocab = Vocabulary(vocab_size)
+    ns = vocab.num_symbols
     labels = ns + np.arange(order + 1)
     feature = labels[order] if featured else vocab.none_feature_id
     layout = masked_contexts(labels[None, :order], np.array([feature]),
@@ -216,93 +226,160 @@ def _drafter_step(target, drafter, positions, featured):
     slots = layout[..., None] == labels                    # (k, slot j, label)
     weights = (slots * place[:, None]).sum(axis=1).T       # (label, k)
     offsets = (np.where(layout < ns, layout, 0) * place).sum(axis=1)
-    features = vocab.size + 1 + target.greedy_tokens if featured else None  # by target row
+    weights.setflags(write=False)
+    offsets.setflags(write=False)
+    return weights, offsets
+
+
+def _drafter_step(target, drafter, positions, featured):
+    """The draft step of both kernels: ``own_rows`` maps (..., width) round-start
+    windows to the drafter's row ids at draft positions 0..positions - 1, and
+    ``shared`` is the all-mask row, the one every position k >= d_d reads.
+    In dependent mode the feature slot holds the target's greedy token at
+    the window."""
+    vocab, order = drafter.vocab, drafter.order
+    weights, offsets = _draft_layout(vocab.size, order, positions, featured)
 
     def own_rows(windows: np.ndarray) -> np.ndarray:
         codes = windows[..., -order:] @ weights[:order] + offsets
         if featured:
             top_rows = models.row_ids(target, windows[..., -target.order:])
-            codes += features[top_rows][..., None] * weights[order]
+            features = vocab.size + 1 + target.greedy_tokens[top_rows]
+            codes += features[..., None] * weights[order]
         return drafter.code_rows(codes)
 
     return own_rows, next_distribution(drafter, (vocab.mask_id,) * order)
 
 
 def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace, rngs):
-    """Greedy verification commits exactly the target's greedy stream, so the
-    kernel works on positions. It walks every prompt's stream position by
-    position until each prompt's stream repeats, and fills the rest of the
-    stream by period. It then goes once through blocks of positions. In each
-    block it drafts at every position at once, takes each position's match
-    length by one compare, walks each prompt's round starts s -> s + A(s) + 1
-    through the block and records those rounds.
+    """Greedy verification commits exactly the target's greedy stream, and
+    every round is a function of its round-start window: the stream after
+    it, the drafts, the accepted length A and the next round's window. So
+    the kernel works on the graph of reached windows (nodes), each looked
+    up, drafted and scored once, however many prompts or tokens reach it.
 
-    The greedy token is a function of the target's window before it, and so
-    is the next window, so a stream repeats from the first window that
-    recurs. The walk goes in segments of doubling length. After each, the
-    window code before the segment's first position (its origin) is compared
-    with the codes before every later position up to the segment's end: a
-    match m positions on gives that prompt period m from its origin, and
-    position t of the rest reads position origin + (t - origin) mod m. A
-    prompt that repeats in one segment repeats again in every later, longer
-    one, so the walk stops at the first check where every prompt repeats.
-    Once an origin is past a stream's tail and a segment is at least its
-    period long, the repeat is found (Brent's cycle detection)."""
+    1. Discover: walk each prompt's stream one scalar step per window. A
+       window not yet expanded costs one target row lookup, which gives its
+       greedy token and so its successor. The walk stops at a window whose
+       successors are all expanded (one of its own, or a closed one), or
+       after the ``max_tokens + K`` positions its rounds can read.
+    2. Per node, in blocks of array steps: K + 1 successor steps, the
+       drafts, A by one ``logical_and.accumulate`` and the next round's node.
+    3. Count rounds per node: walk each prompt's rounds on nodes; once a
+       node recurs, the rounds since repeat every D positions, so they are
+       counted floor((max_tokens - s) / D) times at once and the rest is
+       walked. Every node is recorded once, with its count, and the target's
+       probability of each drafted token.
+    4. Expand the output: each prompt's node at every position by doubling
+       gathers (succ, succ o succ, ...), and the tokens by one gather.
+    """
     n, total = seq.shape
     width = total - max_tokens - draft_len
-    d_t = target.order
-    # The committed window before each position width + s.
-    windows = np.lib.stride_tricks.sliding_window_view
-    states = windows(seq, width, axis=1)
-    # One dot and two gathers per position; the contexts are checked tokens.
-    # Row j holds every prompt's target row before position width + j.
+    K, d_t, ns = draft_len, target.order, target.vocab.num_symbols
     greedy, row_of = target.greedy_tokens, target.code_rows
-    place = models.code_weights(target.vocab.num_symbols, d_t)
-    target_rows = np.empty((total - width, n), dtype=np.intp)
-    start, size = width, _GREEDY_SEGMENT
-    while start < total:
-        end = min(total, start + size)
-        for j, t in enumerate(range(start, end), start - width):
-            target_rows[j] = row_of(np.dot(seq[:, t - d_t : t], place))
-            seq[:, t] = greedy[target_rows[j]]
-        if end < total:
-            codes = np.dot(states[:, start - width : end - width + 1, -d_t:], place)
-            repeat = codes[:, 1:] == codes[:, :1]
-            if repeat.any(axis=1).all():
-                period = repeat.argmax(axis=1)[:, None] + 1
-                at = start + (np.arange(end, total) - start) % period
-                seq[:, end:] = np.take_along_axis(seq, at, axis=1)
-                target_rows[end - width :] = np.take_along_axis(target_rows, (at - width).T,
-                                                                 axis=0)
-                break
-        start, size = end, 2 * size
 
-    K, own = draft_len, min(draft_len, drafter.order)
+    # Node x has window code codes[x] (a Python int), target row rows[x]
+    # (-1, the fallback's, until expanded) and successor succ[x] (itself
+    # until expanded). Dropping a window's first symbol is ``% high``; its
+    # target context is its last d_t symbols, ``% low``.
+    node_of, codes, rows, succ = {}, [], [], []
+    high, low = ns ** (width - 1), ns**d_t
+    closed = n  # the walk mark of a node whose successors are all expanded
+    mark = []   # the last walk through each node, or ``closed``
+
+    def node(code):
+        x = node_of.setdefault(code, len(codes))
+        if x == len(codes):
+            codes.append(code)
+            rows.append(-1)
+            succ.append(x)
+            mark.append(-1)
+        return x
+
+    place = models.code_weights(ns, width)
+    start = [node(code) for code in np.dot(seq[:, :width], place).tolist()]
+    for i, x in enumerate(start):
+        walked = []
+        for _ in range(max_tokens + K):
+            if mark[x] == closed or mark[x] == i:
+                for y in walked:
+                    mark[y] = closed
+                break
+            if rows[x] < 0:
+                code = codes[x]
+                rows[x] = row = row_of(code % low)
+                succ[x] = node(code % high * ns + int(greedy[row]))
+            mark[x] = i
+            walked.append(x)
+            x = succ[x]
+
+    windows = (np.array(codes, dtype=place.dtype)[:, None] // place % ns).astype(np.intp)
+    rows, succ = np.array(rows, dtype=np.intp), np.array(succ, dtype=np.intp)
+    tokens = greedy[rows]
+    own = min(K, drafter.order)
     own_rows, shared = _drafter_step(target, drafter, own, featured)
-    # The stream from each position s on.
-    futures = windows(seq[:, width:-1], K, axis=1)
-    block = max(1, _BLOCK // (n * K))
-    ahead = [0] * n  # each prompt's next round start, less the block's first position
-    k = np.arange(K)
-    for s0 in range(0, max_tokens, block):
-        s1 = min(max_tokens, s0 + block)
-        drafts = np.full((n, s1 - s0, K), shared.argmax())
-        drafts[..., :own] = drafter.greedy_tokens[own_rows(states[:, s0:s1])]
-        accepted = np.logical_and.accumulate(drafts == futures[:, s0:s1], axis=2).sum(axis=2)
-        # The block's rounds, as cells i * b + s - s0: one integer step per
-        # round.
-        b, steps, cells = s1 - s0, (accepted + 1).ravel().tolist(), []
-        for i, end in enumerate(range(b, (n + 1) * b, b)):
-            cell = end - b + ahead[i]
-            while cell < end:
-                cells.append(cell)
-                cell += steps[cell]
-            ahead[i] = cell - end
-        row, s = np.divmod(np.array(cells, dtype=np.intp), b)
+    own_drafts, fill = drafter.greedy_tokens[own_rows(windows)], shared.argmax()
+
+    def drafts(nodes):
+        block_drafts = np.full((len(nodes), K), fill)
+        block_drafts[:, :own] = own_drafts[nodes]
+        return block_drafts
+
+    # A and the next round's node, per block of nodes.
+    block, num_nodes = max(1, _BLOCK // (K + 1)), len(codes)
+    accepted = np.empty(num_nodes, dtype=np.intp)
+    following = np.empty(num_nodes, dtype=np.intp)
+    for b in range(0, num_nodes, block):
+        nodes = np.arange(b, min(num_nodes, b + block))
+        path = _walk(succ, nodes, K + 1)
+        matched = drafts(nodes) == tokens[path[:, :K]]
+        accepted[nodes] = np.logical_and.accumulate(matched, axis=1).sum(axis=1)
+        following[nodes] = succ[path[np.arange(len(nodes)), accepted[nodes]]]
+
+    advance, following = (accepted + 1).tolist(), following.tolist()
+    count = [0] * num_nodes
+    for x in start:
+        s, seen, visits = 0, {}, []
+        while s < max_tokens and x not in seen:
+            seen[x] = len(visits), s
+            visits.append(x)
+            s, x = s + advance[x], following[x]
+        if s < max_tokens:  # x recurs: the rounds since repeat
+            first, s0 = seen[x]
+            times = (max_tokens - s) // (s - s0)
+            s += times * (s - s0)
+            for y in visits[first:]:
+                count[y] += times
+        for y in visits:
+            count[y] += 1
+        while s < max_tokens:
+            count[x] += 1
+            s, x = s + advance[x], following[x]
+
+    count = np.array(count, dtype=np.int64)
+    counted = np.flatnonzero(count)
+    for b in range(0, len(counted), block):
+        nodes = counted[b : b + block]
         # The target's probability of each drafted token: its row after the
         # accepted prefix, as in the stochastic kernel.
-        p = target.rows[target_rows[s0 + s[:, None] + k, row[:, None]], drafts[row, s]]
-        trace.record(accepted[row, s], p)
+        p = target.rows[rows[_walk(succ, nodes, K)], drafts(nodes)]
+        trace.record(accepted[nodes], p, count[nodes])
+
+    seq[:, width : width + max_tokens] = tokens[_walk(succ, np.array(start), max_tokens)]
+
+
+def _walk(succ, starts, length):
+    """(len(starts), length) nodes: succ applied 0..length - 1 times to
+    each start, by doubling gathers (succ, succ o succ, ...)."""
+    path = np.empty((len(starts), length), dtype=np.intp)
+    path[:, 0] = starts
+    filled, jump = 1, succ
+    while filled < length:
+        step = min(filled, length - filled)
+        path[:, filled : filled + step] = jump[path[:, :step]]
+        filled += step
+        jump = jump[jump]
+    return path
 
 
 def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, trace, rngs):

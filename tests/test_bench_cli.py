@@ -239,6 +239,19 @@ class TestCLI:
             assert len(toks) == 9
             assert all(0 <= t < 8 for t in toks)
 
+    def test_gen_prints_stage_times_to_stderr_only(self, tmp_path, capsys):
+        self._gen(tmp_path, "a.ngm")
+        plain = capsys.readouterr()
+        corpus_path = tmp_path / "c.txt"
+        self._gen(tmp_path, "b.ngm", extra=["--corpus", "12x9", "--corpus-out", str(corpus_path)])
+        with_corpus = capsys.readouterr()
+        assert re.search(r"^time: generate \d+\.\d{3} s, save \d+\.\d{3} s$", plain.err, re.M)
+        assert re.search(r"^time: generate \d+\.\d{3} s, save \d+\.\d{3} s, "
+                         r"corpus \d+\.\d{3} s$", with_corpus.err, re.M)
+        assert plain.out == f"wrote target model: {tmp_path / 'a.ngm'}\n"
+        assert with_corpus.out == (f"wrote target model: {tmp_path / 'b.ngm'}\n"
+                                   f"wrote corpus (12x9): {corpus_path}\n")
+
     def _train(self, tmp_path, target, name, *flags):
         out = tmp_path / name
         code = main([

@@ -234,6 +234,30 @@ class TestDecodeTrace:
         assert trace.bin_attempts.tolist() == [1, 0, 0, 2, 0, 0, 1, 0, 0, 1]
         assert trace.bin_accepts.tolist() == [0, 0, 0, 2, 0, 0, 1, 0, 0, 1]
 
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 5), data=st.data())
+    def test_record_with_counts_equals_repeated_rows(self, k, data):
+        rows = data.draw(st.lists(st.tuples(st.integers(0, k),
+                                            st.lists(st.floats(0, 1), min_size=k, max_size=k),
+                                            st.integers(0, 4)), max_size=6))
+        accepted = np.array([a for a, _, _ in rows], dtype=np.intp)
+        probs = np.array([p for _, p, _ in rows]).reshape(len(rows), k)
+        counts = np.array([c for _, _, c in rows], dtype=np.int64)
+        counted, repeated = DecodeTrace(draft_len=k), DecodeTrace(draft_len=k)
+        counted.record(accepted, probs, counts)
+        repeated.record(np.repeat(accepted, counts), np.repeat(probs, counts, axis=0))
+        for name in ("accept_hist", "bin_attempts", "bin_accepts"):
+            assert getattr(counted, name).tolist() == getattr(repeated, name).tolist()
+
+    def test_record_counts_sum_exactly(self):
+        # 2**53 + 1 is not a float64: float weights would lose the 1.
+        trace = DecodeTrace(draft_len=2)
+        trace.record(np.array([1, 1]), np.array([[0.5, 0.5], [0.5, 0.5]]),
+                     np.array([2**53, 1]))
+        assert trace.accept_hist.tolist() == [0, 2**53 + 1, 0]
+        assert trace.bin_attempts[5] == 2 * (2**53 + 1)
+        assert trace.bin_accepts[5] == 2**53 + 1
+
     def test_trace_keeps_counts_only(self):
         # The bench report owns the layout and the derived rates.
         for name in ("to_json_dict", "combine", "committed_per_step"):
@@ -474,27 +498,37 @@ class TestDecodeLoopMatchesScalarOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(**{**_DECODE_CASE, "verify": st.just("greedy")})
-    def test_greedy_kernel_in_small_position_blocks(
+    def test_greedy_kernel_in_small_node_blocks(
         self, seed, table, vocab_size, target_order, drafter_order, draft_len, num_prompts,
         mode, verify, max_tokens,
     ):
-        # Blocks of 40 // (prompts * K) positions, 1 to 40: rounds cross block
-        # ends, and a round can jump a prompt past a whole block.
+        # Blocks of 40 // (K + 1) windows, 2 to 20: most calls draft and
+        # record their windows over several blocks.
         with mock.patch.object(verification, "_BLOCK", 40):
             _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
                                         draft_len, num_prompts, mode, verify, max_tokens)
 
     @settings(max_examples=150, deadline=None)
     @given(**{**_DECODE_CASE, "verify": st.just("greedy")})
-    def test_greedy_stream_in_one_position_segments(
+    def test_greedy_kernel_in_one_node_blocks(
         self, seed, table, vocab_size, target_order, drafter_order, draft_len, num_prompts,
         mode, verify, max_tokens,
     ):
-        # Repeat checks after 1, 3, 7, 15, ... positions: most streams are
-        # filled by period from a checkpoint inside their first few tokens.
-        with mock.patch.object(verification, "_GREEDY_SEGMENT", 1):
+        # One window per block: each window's round and record stand alone.
+        with mock.patch.object(verification, "_BLOCK", 1):
             _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
                                         draft_len, num_prompts, mode, verify, max_tokens)
+
+    @settings(max_examples=50, deadline=None)
+    @given(**{**_DECODE_CASE, "verify": st.just("greedy"), "max_tokens": st.integers(1, 600)})
+    def test_long_greedy_outputs_skip_round_cycles(
+        self, seed, table, vocab_size, target_order, drafter_order, draft_len, num_prompts,
+        mode, verify, max_tokens,
+    ):
+        # Up to 600 tokens over at most 7**3 windows: a prompt's rounds
+        # settle into a cycle early and skip it many times.
+        _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
+                                    draft_len, num_prompts, mode, verify, max_tokens)
 
     @settings(max_examples=50, deadline=None)
     @given(**{**_DECODE_CASE, "verify": st.just("stochastic"),
@@ -592,65 +626,80 @@ def _successor_model(successor):
     return TabularModel(1, vocab, np.arange(vocab.size)[:, None], rows[:-1], rows[-1])
 
 
-class TestGreedyStreamPeriodicFill:
-    """The greedy kernel walks each prompt's stream in doubling segments
-    until every stream repeats, then fills the rest by period. These targets
-    repeat (or not) at chosen positions. Every decode is held to the scalar
-    oracle, with the first segment at its default and at 1; at the default,
-    the positions walked (one target row lookup each) are checked too."""
+def _reached_windows(target, drafter, prompts, max_tokens, k):
+    """Distinct windows before the first ``max_tokens + k`` positions of the
+    prompts' greedy streams, read off the scalar oracle's tokens."""
+    width = max(target.order, drafter.order)
+    reached = set()
+    for prompt in prompts:
+        stream, _ = oracles.decode_loop(target, drafter, prompt, max_tokens + k, k,
+                                        mode="independent", verify="greedy")
+        symbols = ([target.vocab.pad_id] * width + list(prompt))[-width:] + stream
+        reached |= {tuple(symbols[t : t + width]) for t in range(max_tokens + k)}
+    return len(reached)
 
-    DEFAULT_SEGMENT = verification._GREEDY_SEGMENT
 
-    @pytest.fixture(autouse=True, params=[DEFAULT_SEGMENT, 1],
-                    ids=lambda size: f"segment-{size}")
-    def first_segment(self, request):
-        with mock.patch.object(verification, "_GREEDY_SEGMENT", request.param):
-            self.first_segment_size = request.param
+class TestGreedyWindowGraph:
+    """The greedy kernel looks up once each window that the prompts' streams
+    reach within the positions their rounds read, however many prompts
+    reach it. These targets repeat (or not) at chosen positions. Every
+    decode is held to the scalar oracle, with windows drafted in blocks of
+    the default size and of one window, and the target row lookups are
+    counted against the windows read off the oracle's streams."""
+
+    @pytest.fixture(autouse=True, params=[verification._BLOCK, 1],
+                    ids=lambda size: f"block-{size}")
+    def node_block(self, request):
+        with mock.patch.object(verification, "_BLOCK", request.param):
             yield
 
-    def _check(self, target, prompts, max_tokens, k, walked):
+    def _check(self, target, prompts, max_tokens, k, lookups):
         drafter = _random_dense_model(np.random.default_rng(1), target.vocab.size, 1)
         for mode in MODES:
             _assert_batch_matches_scalar(target, drafter, prompts, max_tokens, k, mode,
                                          "greedy", 0)
         with mock.patch.object(target, "code_rows", wraps=target.code_rows) as rows:
             decode_loop(target, drafter, prompts, max_tokens, k, "independent", "greedy")
-        if self.first_segment_size == self.DEFAULT_SEGMENT:
-            assert rows.call_count == walked
+        assert rows.call_count == _reached_windows(target, drafter, prompts, max_tokens,
+                                                   k) == lookups
 
     def test_fixed_point(self):
-        # Period 1 after a tail: the first origin is in the tail, the second
-        # (16 positions on) is on the fixed point.
-        for target in (_successor_model([0, 0, 0]), oracles.constant_model(3, 2, 1)):
-            self._check(target, [[2], [1, 2], [0]], 200, 3, walked=48)
+        # Period 1 after a tail: two windows at order 1, six at order 2.
+        self._check(_successor_model([0, 0, 0]), [[2], [1, 2], [0]], 200, 3, lookups=2)
+        self._check(oracles.constant_model(3, 2, 1), [[2], [1, 2], [0]], 200, 3, lookups=6)
 
-    def test_period_longer_than_the_first_segment(self):
-        # Period 24 > 16: found in the second segment, from position 16.
+    def test_one_cycle_reached_from_two_prompts(self):
+        # Period 24: the first prompt walks the cycle, the second stops at
+        # its first window.
         self._check(_successor_model((np.arange(24) + 1) % 24), [[5], [0, 23]], 300, 4,
-                    walked=48)
+                    lookups=24)
 
-    def test_prompts_repeat_at_different_checkpoints(self):
-        # Tokens climb to 39 and cycle through 30..39: prompt [35] repeats in
-        # the first segment, [12] and [0] only once an origin is past their
-        # tails (the third), and the walk goes on until both have.
+    def test_prompts_enter_the_cycle_at_different_windows(self):
+        # Tokens climb to 39 and cycle through 30..39: [35] walks the cycle,
+        # [12] its tail into it, and [0] the tail up to 12.
         successor = np.append(np.arange(1, 40), 30)
-        self._check(_successor_model(successor), [[35], [0], [12]], 300, 2, walked=112)
+        self._check(_successor_model(successor), [[35], [0], [12]], 300, 2, lookups=40)
 
-    def test_cycle_entered_at_an_origin(self):
-        # Prompt [14] enters the cycle 30..39 at position 16, the origin of
-        # the check that finds it: the fill must not read the tail before it.
+    def test_cycle_entered_at_its_first_window(self):
         successor = np.append(np.arange(1, 40), 30)
-        self._check(_successor_model(successor), [[14]], 100, 2, walked=48)
+        self._check(_successor_model(successor), [[14]], 100, 2, lookups=26)
 
     def test_stream_that_never_repeats(self):
-        # Period 100 > the 84 positions, all walked.
+        # Period 100 > the 84 positions read: [0] walks 0..83 and stops
+        # there; [50] follows it from 50 and then walks 84..99.
         self._check(_successor_model((np.arange(100) + 1) % 100), [[0], [50]], 80, 4,
-                    walked=84)
+                    lookups=100)
 
-    def test_repeat_only_in_the_last_partial_segment(self):
-        # Period 24 shows within the second segment, which the stream's end
-        # cuts short at 45 positions: it is walked to the end.
-        self._check(_successor_model((np.arange(24) + 1) % 24), [[3]], 42, 3, walked=45)
+    def test_walk_resumes_past_an_earlier_prompts_horizon(self):
+        # [50] stops at window 34, which [0] reaches 34 positions in, with
+        # 50 positions still to read: it looks up 34..49 and follows on.
+        self._check(_successor_model((np.arange(100) + 1) % 100), [[50], [0], [25]], 80, 4,
+                    lookups=100)
+
+    def test_short_output_of_a_long_cycle(self):
+        # Period 100: the walk stops after the 13 positions 10 tokens at
+        # K = 3 can read.
+        self._check(_successor_model((np.arange(100) + 1) % 100), [[3]], 10, 3, lookups=13)
 
     def test_order_23_object_codes(self):
         # V = 2 has 7 symbols, and 7**23 > 2**63: the window codes are Python
@@ -659,7 +708,20 @@ class TestGreedyStreamPeriodicFill:
         vocab = Vocabulary(2)
         assert models.code_weights(vocab.num_symbols, 23).dtype == object
         target = oracles.model_from_table(23, vocab, {(0,) * 23: [0.0, 1.0]}, [0.75, 0.25])
-        self._check(target, [[1, 0, 1], [0] * 30, [1]], 150, 2, walked=112)
+        self._check(target, [[1, 0, 1], [0] * 30, [1]], 150, 2, lookups=67)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_identical_prompts_cost_the_lookups_of_one_prompt(self, mode):
+        rng = np.random.default_rng(5)
+        target, drafter = _random_dense_model(rng, 4, 2), _random_dense_model(rng, 4, 3)
+        calls = []
+        for prompts in ([[1, 2, 3]], [[1, 2, 3]] * 7):
+            with mock.patch.object(target, "code_rows", wraps=target.code_rows) as rows:
+                tokens, trace = decode_loop(target, drafter, prompts, 300, 5, mode, "greedy")
+            calls.append(rows.call_count)
+            assert (tokens == tokens[0]).all()
+        assert calls[0] == calls[1]
+        _assert_batch_matches_scalar(target, drafter, [[1, 2, 3]] * 7, 300, 5, mode, "greedy", 0)
 
 
 class TestDecodeLoopMatchesFullPrefixOracle:
