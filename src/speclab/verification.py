@@ -8,15 +8,15 @@ target had generated it alone. Greedy verification is the temperature-0
 counterpart: accept while the draft matches the target's argmax, so the
 committed stream is exactly the target's greedy continuation.
 
-:func:`decode_loop` decodes a whole batch of prompts at once. Stochastic
-rounds run in lockstep over the prompts still decoding. A greedy round is a
-function of its round-start window, so greedy decoding walks the graph of
-windows the prompts reach: each distinct window is looked up, drafted and
-scored once, and its rounds are counted. Verification always conditions the
+:func:`decode_loop` decodes a whole batch of prompts at once and records its
+rounds in one trace call. Stochastic rounds run in lockstep over the prompts
+still decoding. A greedy round is a function of its round-start window, so
+greedy decoding walks the graph of windows the prompts reach: each distinct
+window is looked up once, all of them are drafted and scored in one array
+step, and their rounds are counted. Verification always conditions the
 target on real committed tokens; mask placeholders exist only inside the
-drafter. The one-prompt scalar round
-(propose, then verify) lives on in ``tests/oracles.py`` as the reference the
-batch loop is held to.
+drafter. The one-prompt scalar round (propose, then verify) lives on in
+``tests/oracles.py`` as the reference the batch loop is held to.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ MODES = (DEPENDENT, INDEPENDENT)
 #: Equal-width bins over the target's probability of the drafted token.
 NUM_CONFIDENCE_BINS = 10
 
-#: Elements of a greedy (nodes, K + 1) block; stochastic drafts per record.
-_BLOCK = 1 << 16
-
 
 @dataclass
 class DecodeTrace:
@@ -80,7 +77,7 @@ class DecodeTrace:
         self.bin_accepts = np.zeros(NUM_CONFIDENCE_BINS, dtype=np.int64)
 
     def record(self, accepted: np.ndarray, target_probs: np.ndarray,
-               counts: np.ndarray | None = None) -> None:
+               counts: np.ndarray | int = 1) -> None:
         """Add r rounds: their accepted lengths (r,) and the target's
         probability of each drafted token (r, K), each row ``counts[i]``
         times (default once). Entries past a round's attempted positions
@@ -89,15 +86,12 @@ class DecodeTrace:
         bins = np.minimum((target_probs * NUM_CONFIDENCE_BINS).astype(np.intp),
                           NUM_CONFIDENCE_BINS - 1)
         attempts, accepts = bins[k <= accepted[:, None]], bins[k < accepted[:, None]]
-        if counts is None:
-            self.accept_hist += np.bincount(accepted, minlength=self.draft_len + 1)
-            self.bin_attempts += np.bincount(attempts, minlength=NUM_CONFIDENCE_BINS)
-            self.bin_accepts += np.bincount(accepts, minlength=NUM_CONFIDENCE_BINS)
-        else:  # int64 sums: float bincount weights lose counts past 2**53
-            np.add.at(self.accept_hist, accepted, counts)
-            np.add.at(self.bin_attempts, attempts,
-                      np.repeat(counts, np.minimum(accepted + 1, self.draft_len)))
-            np.add.at(self.bin_accepts, accepts, np.repeat(counts, accepted))
+        # int64 sums: float bincount weights lose counts past 2**53
+        counts = np.broadcast_to(counts, accepted.shape)
+        np.add.at(self.accept_hist, accepted, counts)
+        np.add.at(self.bin_attempts, attempts,
+                  np.repeat(counts, np.minimum(accepted + 1, self.draft_len)))
+        np.add.at(self.bin_accepts, accepts, np.repeat(counts, accepted))
 
     @property
     def steps(self) -> int:
@@ -231,21 +225,20 @@ def _draft_layout(vocab_size: int, order: int, positions: int, featured: bool):
     return weights, offsets
 
 
-def _drafter_step(target, drafter, positions, featured):
-    """The draft step of both kernels: ``own_rows`` maps (..., width) round-start
-    windows to the drafter's row ids at draft positions 0..positions - 1, and
-    ``shared`` is the all-mask row, the one every position k >= d_d reads.
-    In dependent mode the feature slot holds the target's greedy token at
-    the window."""
+def _drafter_step(drafter, positions, featured):
+    """The draft step of both kernels: ``own_rows(windows, top)`` maps (n, width)
+    round-start windows to the drafter's row ids at draft positions
+    0..positions - 1, and ``shared`` is the all-mask row, the one every
+    position k >= d_d reads. In dependent mode the feature slot holds
+    ``top``, the target's greedy token at each window, which the caller
+    reads; independent mode ignores it."""
     vocab, order = drafter.vocab, drafter.order
     weights, offsets = _draft_layout(vocab.size, order, positions, featured)
 
-    def own_rows(windows: np.ndarray) -> np.ndarray:
-        codes = windows[..., -order:] @ weights[:order] + offsets
+    def own_rows(windows: np.ndarray, top: np.ndarray | None) -> np.ndarray:
+        codes = windows[:, -order:] @ weights[:order] + offsets
         if featured:
-            top_rows = models.row_ids(target, windows[..., -target.order:])
-            features = vocab.size + 1 + target.greedy_tokens[top_rows]
-            codes += features[..., None] * weights[order]
+            codes += (vocab.size + 1 + top)[:, None] * weights[order]
         return drafter.code_rows(codes)
 
     return own_rows, next_distribution(drafter, (vocab.mask_id,) * order)
@@ -263,13 +256,15 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace,
        greedy token and so its successor. The walk stops at a window whose
        successors are all expanded (one of its own, or a closed one), or
        after the ``max_tokens + K`` positions its rounds can read.
-    2. Per node, in blocks of array steps: K + 1 successor steps, the
-       drafts, A by one ``logical_and.accumulate`` and the next round's node.
+    2. Over all nodes at once: K + 1 successor steps by doubling gathers,
+       the drafts, A by one ``logical_and.accumulate`` and the next round's
+       node. This takes about (3K + 2) x 8 bytes per node, and a call
+       reaches at most n x (max_tokens + K + 1) nodes.
     3. Count rounds per node: walk each prompt's rounds on nodes; once a
        node recurs, the rounds since repeat every D positions, so they are
        counted floor((max_tokens - s) / D) times at once and the rest is
-       walked. Every node is recorded once, with its count, and the target's
-       probability of each drafted token.
+       walked. The counted nodes are recorded in one call, each with its
+       count, and the target's probability of each drafted token.
     4. Expand the output: each prompt's node at every position by doubling
        gathers (succ, succ o succ, ...), and the tokens by one gather.
     """
@@ -316,25 +311,15 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace,
     windows = (np.array(codes, dtype=place.dtype)[:, None] // place % ns).astype(np.intp)
     rows, succ = np.array(rows, dtype=np.intp), np.array(succ, dtype=np.intp)
     tokens = greedy[rows]
-    own = min(K, drafter.order)
-    own_rows, shared = _drafter_step(target, drafter, own, featured)
-    own_drafts, fill = drafter.greedy_tokens[own_rows(windows)], shared.argmax()
+    own, num_nodes = min(K, drafter.order), len(codes)
+    own_rows, shared = _drafter_step(drafter, own, featured)
+    drafts = np.full((num_nodes, K), shared.argmax())
+    drafts[:, :own] = drafter.greedy_tokens[own_rows(windows, tokens)]
 
-    def drafts(nodes):
-        block_drafts = np.full((len(nodes), K), fill)
-        block_drafts[:, :own] = own_drafts[nodes]
-        return block_drafts
-
-    # A and the next round's node, per block of nodes.
-    block, num_nodes = max(1, _BLOCK // (K + 1)), len(codes)
-    accepted = np.empty(num_nodes, dtype=np.intp)
-    following = np.empty(num_nodes, dtype=np.intp)
-    for b in range(0, num_nodes, block):
-        nodes = np.arange(b, min(num_nodes, b + block))
-        path = _walk(succ, nodes, K + 1)
-        matched = drafts(nodes) == tokens[path[:, :K]]
-        accepted[nodes] = np.logical_and.accumulate(matched, axis=1).sum(axis=1)
-        following[nodes] = succ[path[np.arange(len(nodes)), accepted[nodes]]]
+    # A and the next round's node.
+    path = _walk(succ, np.arange(num_nodes), K + 1)
+    accepted = np.logical_and.accumulate(drafts == tokens[path[:, :K]], axis=1).sum(axis=1)
+    following = succ[path[np.arange(num_nodes), accepted]]
 
     advance, following = (accepted + 1).tolist(), following.tolist()
     count = [0] * num_nodes
@@ -358,12 +343,10 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace,
 
     count = np.array(count, dtype=np.int64)
     counted = np.flatnonzero(count)
-    for b in range(0, len(counted), block):
-        nodes = counted[b : b + block]
-        # The target's probability of each drafted token: its row after the
-        # accepted prefix, as in the stochastic kernel.
-        p = target.rows[rows[_walk(succ, nodes, K)], drafts(nodes)]
-        trace.record(accepted[nodes], p, count[nodes])
+    # The target's probability of each drafted token: its row after the
+    # accepted prefix, as in the stochastic kernel.
+    p = target.rows[rows[path[counted, :K]], drafts[counted]]
+    trace.record(accepted[counted], p, count[counted])
 
     seq[:, width : width + max_tokens] = tokens[_walk(succ, np.array(start), max_tokens)]
 
@@ -386,8 +369,9 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
     """Stochastic rounds of all live prompts in lockstep: the drafter rows
     at positions 0..K (own rows, then the all-mask row), the K draws from
     their cached CDFs, the K + 1 target rows, the accept tests, and the
-    correction or bonus are each one array step. Rounds are recorded once per
-    call (or per ``_BLOCK`` drafts); a prompt with its tokens leaves the live arrays.
+    correction or bonus are each one array step. The rounds are recorded in
+    one call at the end, holding at most n x max_tokens x (K + 1) values, less
+    than the uniforms; a prompt with its tokens leaves the live arrays.
 
     Each prompt draws its uniforms once, from its own generator. A round
     that accepts A of K drafts reads K proposal draws, min(A + 1, K) accept
@@ -402,7 +386,7 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
     n, total = seq.shape
     width = total - max_tokens - draft_len
     K, d_t = draft_len, target.order
-    own_rows, _ = _drafter_step(target, drafter, K + 1, featured)
+    own_rows, _ = _drafter_step(drafter, K + 1, featured)
     # Offsets into ``seq`` from a prompt's window start.
     window_at = np.arange(width)
     verify_at = width - d_t + np.arange(K + 1)[:, None] + np.arange(d_t)
@@ -428,7 +412,10 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
         u = flat_u[cursor[:, None] + draw_at]
 
         # Draft: a draw picks the first CDF entry above it (it is below the last).
-        q_ids = own_rows(flat[head[:, None] + window_at])
+        windows = flat[head[:, None] + window_at]
+        top = (target.greedy_tokens[models.row_ids(target, windows[:, width - d_t:])]
+               if featured else None)
+        q_ids = own_rows(windows, top)
         cdf = drafter.cdf.take(q_ids[:, :K], axis=0)
         drafts = (cdf > (u[:, :K] * cdf[..., -1])[..., None]).argmax(axis=2)
         q = drafter.rows[q_ids[:, :K], drafts]
@@ -459,10 +446,8 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
             read[live[done]] = cursor[done] - live[done] * need
             live, head, stop, cursor = (lane[~done] for lane in (live, head, stop, cursor))
         rounds.append((accepted, p))
-        if len(rounds) * n * K >= _BLOCK or not len(live):
-            trace.record(*map(np.concatenate, zip(*rounds)))
-            rounds = []
 
+    trace.record(*map(np.concatenate, zip(*rounds)))
     for i, rng in enumerate(rngs):
         rng.bit_generator.state = states[i]
         rng.random(read[i])

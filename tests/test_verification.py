@@ -24,7 +24,7 @@ from speclab.models import (
     as_distribution,
     make_synthetic_target,
 )
-from speclab import models, verification
+from speclab import models
 from speclab.verification import MODES, VERIFIERS, DecodeTrace, decode_loop
 
 
@@ -274,6 +274,27 @@ class TestDecodeLoop:
         assert trace.accept_hist[:5].sum() == 0 and trace.accept_hist[5] == trace.steps
         assert trace.tau == 5.0
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("verify", VERIFIERS)
+    def test_one_trace_record_per_call(self, verify, mode):
+        # The target always emits 0 and the drafter always proposes 1, so
+        # every round rejects at position 0. Greedy: 4,096 distinct prompt
+        # windows, each a counted node. Stochastic: 256 rounds of 64 prompts
+        # at K = 16, 2**18 drafted positions.
+        target, drafter = oracles.constant_model(4, 1, 0), oracles.constant_model(4, 6, 1)
+        if verify == "greedy":
+            prompts, max_tokens, rngs = list(itertools.product(range(4), repeat=6)), 1, None
+        else:
+            prompts, max_tokens = [[i % 4] * 6 for i in range(64)], 256
+            rngs = [np.random.default_rng([7, i]) for i in range(64)]
+        with mock.patch.object(DecodeTrace, "record", autospec=True,
+                               side_effect=DecodeTrace.record) as record:
+            tokens, trace = decode_loop(target, drafter, prompts, max_tokens, 16, mode, verify,
+                                        rngs)
+        assert record.call_count == 1
+        assert (tokens == 0).all()
+        assert trace.accept_hist[0] == trace.steps == len(prompts) * max_tokens
+
     def test_truncation_bound(self):
         target, drafter = _order1_pair(9)
         rng = np.random.default_rng(10)
@@ -496,28 +517,16 @@ class TestDecodeLoopMatchesScalarOracle:
         _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
                                     draft_len, num_prompts, mode, verify, max_tokens)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(**{**_DECODE_CASE, "verify": st.just("greedy")})
-    def test_greedy_kernel_in_small_node_blocks(
+    def test_greedy_kernel_over_many_window_graphs(
         self, seed, table, vocab_size, target_order, drafter_order, draft_len, num_prompts,
         mode, verify, max_tokens,
     ):
-        # Blocks of 40 // (K + 1) windows, 2 to 20: most calls draft and
-        # record their windows over several blocks.
-        with mock.patch.object(verification, "_BLOCK", 40):
-            _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
-                                        draft_len, num_prompts, mode, verify, max_tokens)
-
-    @settings(max_examples=150, deadline=None)
-    @given(**{**_DECODE_CASE, "verify": st.just("greedy")})
-    def test_greedy_kernel_in_one_node_blocks(
-        self, seed, table, vocab_size, target_order, drafter_order, draft_len, num_prompts,
-        mode, verify, max_tokens,
-    ):
-        # One window per block: each window's round and record stand alone.
-        with mock.patch.object(verification, "_BLOCK", 1):
-            _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
-                                        draft_len, num_prompts, mode, verify, max_tokens)
+        # Greedy cases only: each call drafts, scores and records all of its
+        # reached windows in one step, over graphs of many shapes.
+        _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
+                                    draft_len, num_prompts, mode, verify, max_tokens)
 
     @settings(max_examples=50, deadline=None)
     @given(**{**_DECODE_CASE, "verify": st.just("greedy"), "max_tokens": st.integers(1, 600)})
@@ -538,12 +547,10 @@ class TestDecodeLoopMatchesScalarOracle:
         mode, verify, max_tokens,
     ):
         # Up to 200 tokens at K = 16 take tens of rounds, so prompts keep
-        # reading their uniforms after others have left the live set. Records
-        # of 1,000 drafted positions split a long call's trace over several
-        # records.
-        with mock.patch.object(verification, "_BLOCK", 1000):
-            _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
-                                        draft_len, num_prompts, mode, verify, max_tokens)
+        # reading their uniforms after others have left the live set, and the
+        # call's one record joins rounds of different live widths.
+        _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_order,
+                                    draft_len, num_prompts, mode, verify, max_tokens)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_residual_sum_past_the_pairwise_block(self, mode):
@@ -643,72 +650,78 @@ class TestGreedyWindowGraph:
     """The greedy kernel looks up once each window that the prompts' streams
     reach within the positions their rounds read, however many prompts
     reach it. These targets repeat (or not) at chosen positions. Every
-    decode is held to the scalar oracle, with windows drafted in blocks of
-    the default size and of one window, and the target row lookups are
-    counted against the windows read off the oracle's streams."""
+    decode is held to the scalar oracle, and in both modes the target row
+    lookups are counted against the windows read off the oracle's streams:
+    the dependent mode's feature slot reads no target row of its own."""
 
-    @pytest.fixture(autouse=True, params=[verification._BLOCK, 1],
-                    ids=lambda size: f"block-{size}")
-    def node_block(self, request):
-        with mock.patch.object(verification, "_BLOCK", request.param):
-            yield
+    @pytest.fixture(params=["random", "zeros"], ids=lambda kind: f"{kind}-drafter")
+    def make_drafter(self, request):
+        """Order-1 drafters, so the windows are the target's and the lookups
+        do not depend on the drafter: one at random, and one that always
+        drafts token 0, so a round accepts only where the stream emits 0."""
+        if request.param == "random":
+            return lambda size: _random_dense_model(np.random.default_rng(1), size, 1)
+        return lambda size: oracles.constant_model(size, 1, 0)
 
-    def _check(self, target, prompts, max_tokens, k, lookups):
-        drafter = _random_dense_model(np.random.default_rng(1), target.vocab.size, 1)
+    def _check(self, make_drafter, target, prompts, max_tokens, k, lookups):
+        drafter = make_drafter(target.vocab.size)
+        assert _reached_windows(target, drafter, prompts, max_tokens, k) == lookups
         for mode in MODES:
             _assert_batch_matches_scalar(target, drafter, prompts, max_tokens, k, mode,
                                          "greedy", 0)
-        with mock.patch.object(target, "code_rows", wraps=target.code_rows) as rows:
-            decode_loop(target, drafter, prompts, max_tokens, k, "independent", "greedy")
-        assert rows.call_count == _reached_windows(target, drafter, prompts, max_tokens,
-                                                   k) == lookups
+            with mock.patch.object(target, "code_rows", wraps=target.code_rows) as rows:
+                decode_loop(target, drafter, prompts, max_tokens, k, mode, "greedy")
+            assert rows.call_count == lookups, mode
 
-    def test_fixed_point(self):
+    def test_fixed_point(self, make_drafter):
         # Period 1 after a tail: two windows at order 1, six at order 2.
-        self._check(_successor_model([0, 0, 0]), [[2], [1, 2], [0]], 200, 3, lookups=2)
-        self._check(oracles.constant_model(3, 2, 1), [[2], [1, 2], [0]], 200, 3, lookups=6)
+        prompts = [[2], [1, 2], [0]]
+        self._check(make_drafter, _successor_model([0, 0, 0]), prompts, 200, 3, lookups=2)
+        self._check(make_drafter, oracles.constant_model(3, 2, 1), prompts, 200, 3, lookups=6)
 
-    def test_one_cycle_reached_from_two_prompts(self):
+    def test_one_cycle_reached_from_two_prompts(self, make_drafter):
         # Period 24: the first prompt walks the cycle, the second stops at
         # its first window.
-        self._check(_successor_model((np.arange(24) + 1) % 24), [[5], [0, 23]], 300, 4,
-                    lookups=24)
+        self._check(make_drafter, _successor_model((np.arange(24) + 1) % 24), [[5], [0, 23]],
+                    300, 4, lookups=24)
 
-    def test_prompts_enter_the_cycle_at_different_windows(self):
+    def test_prompts_enter_the_cycle_at_different_windows(self, make_drafter):
         # Tokens climb to 39 and cycle through 30..39: [35] walks the cycle,
         # [12] its tail into it, and [0] the tail up to 12.
         successor = np.append(np.arange(1, 40), 30)
-        self._check(_successor_model(successor), [[35], [0], [12]], 300, 2, lookups=40)
+        self._check(make_drafter, _successor_model(successor), [[35], [0], [12]], 300, 2,
+                    lookups=40)
 
-    def test_cycle_entered_at_its_first_window(self):
+    def test_cycle_entered_at_its_first_window(self, make_drafter):
         successor = np.append(np.arange(1, 40), 30)
-        self._check(_successor_model(successor), [[14]], 100, 2, lookups=26)
+        self._check(make_drafter, _successor_model(successor), [[14]], 100, 2, lookups=26)
 
-    def test_stream_that_never_repeats(self):
+    def test_stream_that_never_repeats(self, make_drafter):
         # Period 100 > the 84 positions read: [0] walks 0..83 and stops
         # there; [50] follows it from 50 and then walks 84..99.
-        self._check(_successor_model((np.arange(100) + 1) % 100), [[0], [50]], 80, 4,
-                    lookups=100)
+        self._check(make_drafter, _successor_model((np.arange(100) + 1) % 100), [[0], [50]],
+                    80, 4, lookups=100)
 
-    def test_walk_resumes_past_an_earlier_prompts_horizon(self):
+    def test_walk_resumes_past_an_earlier_prompts_horizon(self, make_drafter):
         # [50] stops at window 34, which [0] reaches 34 positions in, with
         # 50 positions still to read: it looks up 34..49 and follows on.
-        self._check(_successor_model((np.arange(100) + 1) % 100), [[50], [0], [25]], 80, 4,
-                    lookups=100)
+        self._check(make_drafter, _successor_model((np.arange(100) + 1) % 100),
+                    [[50], [0], [25]], 80, 4, lookups=100)
 
-    def test_short_output_of_a_long_cycle(self):
+    def test_short_output_of_a_long_cycle(self, make_drafter):
         # Period 100: the walk stops after the 13 positions 10 tokens at
         # K = 3 can read.
-        self._check(_successor_model((np.arange(100) + 1) % 100), [[3]], 10, 3, lookups=13)
+        self._check(make_drafter, _successor_model((np.arange(100) + 1) % 100), [[3]], 10, 3,
+                    lookups=13)
 
-    def test_order_23_object_codes(self):
+    def test_order_23_object_codes(self, make_drafter):
         # V = 2 has 7 symbols, and 7**23 > 2**63: the window codes are Python
         # ints. The all-zero context emits 1 and every other (the fallback) 0,
         # so a stream cycles with period 24 once its window is all zeros.
         vocab = Vocabulary(2)
         assert models.code_weights(vocab.num_symbols, 23).dtype == object
         target = oracles.model_from_table(23, vocab, {(0,) * 23: [0.0, 1.0]}, [0.75, 0.25])
-        self._check(target, [[1, 0, 1], [0] * 30, [1]], 150, 2, lookups=67)
+        self._check(make_drafter, target, [[1, 0, 1], [0] * 30, [1]], 150, 2, lookups=67)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_identical_prompts_cost_the_lookups_of_one_prompt(self, mode):
