@@ -2,9 +2,9 @@
 
 Speedup is estimated with a wall-clock-free cost model: one verification
 round costs one target pass plus ``draft_cost`` drafter passes, so the
-estimate is committed-tokens-per-step / (1 + draft_cost). Per-prompt rngs are
-derived from (master seed, prompt index), so a prompt's result does not
-depend on the other prompts of its batch.
+estimate is committed-tokens-per-step / (1 + draft_cost). Each prompt's
+draws come from streams seeded by (seed, prompt index), so a prompt's result
+does not depend on the other prompts of its batch.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import TabularModel, Token, sample_sequences
-from .verification import NUM_CONFIDENCE_BINS, STOCHASTIC, DecodeTrace, decode_loop
+from .verification import NUM_CONFIDENCE_BINS, DecodeTrace, decode_loop
 
 
 def spearman_correlation(xs: Sequence[float], ys: Sequence[float]) -> float | None:
@@ -134,11 +134,8 @@ def run_bench(
         raise ValueError(f"draft_cost must be finite and >= 0, got {draft_cost}")
     if prompts is None:
         prompts = sample_prompts(target, num_prompts, prompt_len, seed)
-    rngs = ([np.random.default_rng([seed, i, 1]) for i in range(len(prompts))]
-            if verify == STOCHASTIC else None)
     _, trace = decode_loop(target, drafter, prompts, max_tokens, draft_len, mode=mode,
-                           verify=verify, rngs=rngs)
-
+                           verify=verify, seed=seed)
     return BenchReport(trace=trace, draft_cost=draft_cost, config={
         "vocab": target.vocab.size,
         "target_order": target.order,

@@ -69,6 +69,22 @@ def _read_config(args: argparse.Namespace) -> dict[str, str]:
     return values
 
 
+def _check_outputs(outputs: list[tuple[str, str | None]],
+                   inputs: list[tuple[str, str | None]]) -> None:
+    """Usage error when two of a command's outputs are one file or an output
+    is one of its inputs, compared by ``Path.resolve()``. Each entry pairs a
+    flag with its path, None where the flag is unset; inputs may share a file."""
+    seen: dict[Path, str] = {}
+    for flag, path in inputs:
+        if path is not None:
+            seen.setdefault(Path(path).resolve(), flag)
+    for flag, path in outputs:
+        if path is not None:
+            other = seen.setdefault(Path(path).resolve(), flag)
+            if other != flag:
+                raise UsageError(f"{flag} {path} is the same file as {other}")
+
+
 def _write_corpus(path: str, sequences: list[list[int]]) -> None:
     lines = [" ".join(str(t) for t in seq) for seq in sequences]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -117,6 +133,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise UsageError(f"--corpus must look like NxL, got {args.corpus!r}") from exc
         if n_seqs < 1 or seq_len < 1:
             raise UsageError("--corpus dimensions must be >= 1")
+    _check_outputs([("--out", args.out), ("--corpus-out", args.corpus_out)],
+                   [("--config", args.config)])
     start = time.perf_counter()
     model = make_synthetic_target(args.seed, args.vocab, args.order, args.alpha)
     generated = time.perf_counter()
@@ -146,6 +164,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     if args.target is None or args.out is None:
         raise UsageError("train requires --target and --out")
+    _check_outputs([("--out", args.out)], [
+        ("--target", args.target), ("--corpus", args.corpus),
+        ("--train-config", args.train_config), ("--config", args.config)])
     kwargs: dict = {}
     if args.train_config is not None:
         try:
@@ -212,6 +233,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"--draft-cost must be finite and >= 0, got {args.draft_cost}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    stem = str(Path(args.out).with_suffix(""))
+    positions_csv = args.positions_csv or stem + ".positions.csv"
+    confidence_csv = args.confidence_csv or stem + ".confidence.csv"
+    _check_outputs(
+        [("--out", args.out), ("--positions-csv", positions_csv),
+         ("--confidence-csv", confidence_csv)],
+        [("--target", args.target), ("--drafter", args.drafter),
+         ("--prompt-file", args.prompt_file), ("--config", args.config)])
 
     target = load_model(args.target)
     drafter = load_model(args.drafter)
@@ -242,10 +271,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     report.config.update(target_path=args.target, drafter_path=args.drafter)
     print(f"time: prompts {sampled - start:.3f} s, decode {decode_s:.3f} s, "
           f"{report.trace.total_tokens / max(decode_s, 1e-9):.0f} tok/s", file=sys.stderr)
-    out = Path(args.out)
-    bench_mod.write_report_json(report, out)
-    positions_csv = args.positions_csv or str(out.with_suffix("")) + ".positions.csv"
-    confidence_csv = args.confidence_csv or str(out.with_suffix("")) + ".confidence.csv"
+    bench_mod.write_report_json(report, args.out)
     bench_mod.write_position_csv(report, positions_csv)
     bench_mod.write_confidence_csv(report, confidence_csv)
     print(f"tau: {report.tau:.4f}")
@@ -261,6 +287,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if len(args.reports) < 2:
         raise UsageError("analyze needs at least two report files")
+    _check_outputs([("--out", args.out)], [("a report", path) for path in args.reports])
     named = []
     for path in args.reports:
         stem = Path(path).stem

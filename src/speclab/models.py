@@ -350,8 +350,9 @@ def sample_sequences(model: TabularModel, uniforms: ArrayLike) -> np.ndarray:
     seqs = np.full((len(uniforms), order + length), model.vocab.pad_id, dtype=np.int64)
     for t in range(length):
         # Every sequence's first context is the empty prefix: one row for all.
+        # Later contexts hold pads and sampled tokens: their row ids need no check.
         rows = (next_distribution(model, ())[None] if t == 0
-                else lookup_rows(model, seqs[:, t : t + order]))
+                else model.rows[row_ids(model, seqs[:, t : t + order])])
         cdf = np.cumsum(rows, axis=1)
         # Row-wise searchsorted(side="right"): count the entries <= the draw.
         seqs[:, order + t] = (cdf <= (uniforms[:, t] * cdf[:, -1])[:, None]).sum(axis=1)

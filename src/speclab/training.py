@@ -37,6 +37,7 @@ from .models import (
     context_codes,
     lookup_rows,
     next_distribution,  # noqa: F401 - perfbench's tracer test patches it here
+    row_ids,
     sample_sequences,
 )
 
@@ -189,7 +190,7 @@ def build_training_windows(
         offset += len(seq) - 1
 
     events_arr = np.concatenate(events)
-    target_rows = lookup_rows(target, events_arr[:, :d])
+    target_rows = target.rows[row_ids(target, events_arr[:, :d])]  # tokens checked above
     starts_arr = np.concatenate(starts)
     positions = starts_arr[:, None] + np.arange(K)
     future = events_arr[positions, d]

@@ -10,13 +10,14 @@ committed stream is exactly the target's greedy continuation.
 
 :func:`decode_loop` decodes a whole batch of prompts at once and records its
 rounds in one trace call. Stochastic rounds run in lockstep over the prompts
-still decoding. A greedy round is a function of its round-start window, so
-greedy decoding walks the graph of windows the prompts reach: each distinct
-window is looked up once, all of them are drafted and scored in one array
-step, and their rounds are counted. Verification always conditions the
-target on real committed tokens; mask placeholders exist only inside the
-drafter. The one-prompt scalar round (propose, then verify) lives on in
-``tests/oracles.py`` as the reference the batch loop is held to.
+still decoding, prompt i drawing from ``default_rng([seed, i, 1])`` alone. A
+greedy round is a function of its round-start window, so greedy decoding walks
+the graph of windows the prompts reach: each distinct window is looked up
+once, all of them are drafted and scored in one array step, and their rounds
+are counted. Verification always conditions the target on real committed
+tokens; mask placeholders exist only inside the drafter. The one-prompt scalar
+round (propose, then verify) lives on in ``tests/oracles.py`` as the reference
+the batch loop is held to.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 from .drafting import masked_contexts
 from .models import (
     GREEDY,
-    RNG,
     TabularModel,
     Token,
     Vocabulary,
@@ -134,16 +134,16 @@ def decode_loop(
     draft_len: int,
     mode: str,
     verify: str,
-    rngs: Sequence[RNG] | None = None,
+    seed: int = 0,
 ) -> tuple[np.ndarray, DecodeTrace]:
     """Decode every prompt until each has at least ``max_tokens`` committed.
 
     In dependent mode the drafter's feature slot holds the target's greedy
     token at the committed prefix; in independent mode the drafter never
-    touches the target. Stochastic verification pairs with sampled drafts
-    (required for losslessness) and draws prompt i's uniforms from
-    ``rngs[i]`` alone, in the order one prompt's scalar rounds draw them;
-    greedy verification pairs with greedy drafts and draws nothing.
+    touches the target. Greedy verification pairs with greedy drafts and
+    draws nothing. Stochastic verification pairs with sampled drafts
+    (required for losslessness); prompt i draws its uniforms from
+    ``default_rng([seed, i, 1])``, in the order its scalar rounds would.
 
     Returns the (n, ``max_tokens``) committed tokens and one trace of every
     round. The trace keeps the untruncated counts, so a prompt overshoots by
@@ -162,13 +162,8 @@ def decode_loop(
         raise ValueError(f"verify must be one of {VERIFIERS}, got {verify!r}")
     if target.vocab.size != drafter.vocab.size:
         raise ValueError("target and drafter must share a vocabulary size")
-    if verify == STOCHASTIC and rngs is None:
-        raise ValueError("stochastic verification requires rngs")
-    if rngs is not None:
-        if len(rngs) != len(prompts):
-            raise ValueError(f"got {len(rngs)} rngs for {len(prompts)} prompts")
-        if len({id(rng.bit_generator) for rng in rngs}) != len(rngs):
-            raise ValueError("every prompt needs an rng of its own")
+    if not (hasattr(type(seed), "__index__") and operator.index(seed) >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     lengths = np.array([len(p) for p in prompts])
     if (lengths == 0).any():
         raise ValueError("prompt must be nonempty")
@@ -194,8 +189,11 @@ def decode_loop(
     seq[:, :width] = np.where(take >= (ends - lengths)[:, None], flat[take.clip(0)],
                               vocab.pad_id)
     trace = DecodeTrace(draft_len=draft_len)
-    kernel = _decode_stochastic if verify == STOCHASTIC else _decode_greedy
-    kernel(target, drafter, seq, max_tokens, draft_len, mode == DEPENDENT, trace, rngs)
+    args = (target, drafter, seq, max_tokens, draft_len, mode == DEPENDENT, trace)
+    if verify == STOCHASTIC:
+        _decode_stochastic(*args, operator.index(seed))
+    else:
+        _decode_greedy(*args)
     return seq[:, width : width + max_tokens], trace
 
 
@@ -244,7 +242,7 @@ def _drafter_step(drafter, positions, featured):
     return own_rows, next_distribution(drafter, (vocab.mask_id,) * order)
 
 
-def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace, rngs):
+def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace):
     """Greedy verification commits exactly the target's greedy stream, and
     every round is a function of its round-start window: the stream after
     it, the drafts, the accepted length A and the next round's window. So
@@ -365,7 +363,7 @@ def _walk(succ, starts, length):
     return path
 
 
-def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, trace, rngs):
+def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, trace, seed):
     """Stochastic rounds of all live prompts in lockstep: the drafter rows
     at positions 0..K (own rows, then the all-mask row), the K draws from
     their cached CDFs, the K + 1 target rows, the accept tests, and the
@@ -373,15 +371,14 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
     one call at the end, holding at most n x max_tokens x (K + 1) values, less
     than the uniforms; a prompt with its tokens leaves the live arrays.
 
-    Each prompt draws its uniforms once, from its own generator. A round
-    that accepts A of K drafts reads K proposal draws, min(A + 1, K) accept
-    draws and one correction or bonus draw, at most (K + 2)(A + 1) for its
-    A + 1 tokens. A prompt short of ``max_tokens`` has read at most
+    Prompt i draws its uniforms once, from ``default_rng([seed, i, 1])``. A
+    round that accepts A of K drafts reads K proposal draws, min(A + 1, K)
+    accept draws and one correction or bonus draw, at most (K + 2)(A + 1)
+    for its A + 1 tokens. A prompt short of ``max_tokens`` has read at most
     (K + 2)(max_tokens - 1) and its round slices 2K + 1 more, so ``need`` =
     (K + 2) max_tokens + K - 1 suffices; one that always rejects at position 0
     reaches the last. The uniforms take n x ``need`` float64, the worst case
-    (2.4 MB for 64 prompts of 256 tokens at K = 16). At the end each
-    generator is put back to its entry state and advanced by what it read.
+    (2.4 MB for 64 prompts of 256 tokens at K = 16).
     """
     n, total = seq.shape
     width = total - max_tokens - draft_len
@@ -398,17 +395,15 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
     # Flat indices: ``head`` of each live prompt's window in ``seq``,
     # ``cursor`` of its next unread uniform in its row.
     need = (K + 2) * max_tokens + K - 1
-    states = [rng.bit_generator.state for rng in rngs]
     uniforms = np.empty((n, need))
-    for rng, row in zip(rngs, uniforms):
-        rng.random(out=row)
-    read = np.zeros(n, dtype=np.intp)  # uniforms read, set when a prompt finishes
+    for i, row in enumerate(uniforms):
+        np.random.default_rng([seed, i, 1]).random(out=row)
     flat, flat_u = seq.ravel(), uniforms.ravel()
-    live = np.arange(n)
-    head, stop, cursor = live * total, live * total + max_tokens, live * need
+    head, cursor = np.arange(n) * total, np.arange(n) * need
+    stop = head + max_tokens
     rounds = []
-    while len(live):
-        m = np.arange(len(live))
+    while len(head):
+        m = np.arange(len(head))
         u = flat_u[cursor[:, None] + draw_at]
 
         # Draft: a draw picks the first CDF entry above it (it is below the last).
@@ -425,8 +420,8 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
         # u < p / q is u < min(1, p / q), as u < 1.
         p_ids = models.row_ids(target, flat[head[:, None, None] + verify_at])
         p = target.rows[p_ids[:, :K], drafts]
-        np.less(u[:, K : 2 * K], p / q, out=tests[: len(live), :K])
-        accepted = tests[: len(live)].argmin(axis=1)
+        np.less(u[:, K : 2 * K], p / q, out=tests[: len(m), :K])
+        accepted = tests[: len(m)].argmin(axis=1)
         # The correction (from normalize(max(0, p - q)), or p when that is
         # zero) or the bonus (from the target's row after all K drafts).
         final = target.rows.take(p_ids[m, accepted], axis=0)
@@ -443,11 +438,7 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
         cursor += last + 1
         done = head >= stop
         if done.any():
-            read[live[done]] = cursor[done] - live[done] * need
-            live, head, stop, cursor = (lane[~done] for lane in (live, head, stop, cursor))
+            head, stop, cursor = (lane[~done] for lane in (head, stop, cursor))
         rounds.append((accepted, p))
 
     trace.record(*map(np.concatenate, zip(*rounds)))
-    for i, rng in enumerate(rngs):
-        rng.bit_generator.state = states[i]
-        rng.random(read[i])

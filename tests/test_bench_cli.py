@@ -828,6 +828,52 @@ class TestCLI:
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "--target", "t.ngm", "--drafter", "t.ngm", "--out", "t.ngm"],
+         "--out t.ngm is the same file as --target"),
+        (["bench", "--target", "t.ngm", "--drafter", "t.ngm", "--out", "r.json",
+          "--positions-csv", "r.json"], "--positions-csv r.json is the same file as --out"),
+        (["bench", "--target", "t.ngm", "--drafter", "t.ngm", "--out", "r.json",
+          "--confidence-csv", "r.positions.csv"],
+         "--confidence-csv r.positions.csv is the same file as --positions-csv"),
+        (["bench", "--target", "t.ngm", "--drafter", "t.ngm", "--out", "r.json",
+          "--prompt-file", "p.txt", "--positions-csv", "p.txt"],
+         "--positions-csv p.txt is the same file as --prompt-file"),
+        (["bench", "--config", "b.cfg", "--out", "b.cfg"],
+         "--out b.cfg is the same file as --config"),
+        (["train", "--target", "t.ngm", "--out", "sub/../t.ngm"],
+         "--out sub/../t.ngm is the same file as --target"),
+        (["train", "--target", "t.ngm", "--corpus", "c.txt", "--out", "c.txt"],
+         "--out c.txt is the same file as --corpus"),
+        (["train", "--target", "t.ngm", "--train-config", "h.cfg", "--out", "h.cfg"],
+         "--out h.cfg is the same file as --train-config"),
+        (["gen", "--out", "t.ngm", "--corpus", "2x4", "--corpus-out", "t.ngm"],
+         "--corpus-out t.ngm is the same file as --out"),
+        (["gen", "--config", "g.cfg", "--out", "g.cfg"],
+         "--out g.cfg is the same file as --config"),
+        (["analyze", "a.json", "b.json", "--out", "b.json"],
+         "--out b.json is the same file as a report"),
+    ], ids=["bench-out-target", "bench-out-csv", "bench-default-csv", "bench-csv-prompts",
+            "bench-out-config", "train-out-target", "train-out-corpus", "train-out-sheet",
+            "gen-corpus-out", "gen-out-config", "analyze-out-report"])
+    def test_colliding_paths_exit_1_and_leave_every_file_unchanged(self, tmp_path, capsys,
+                                                                 monkeypatch, argv, message):
+        self._gen(tmp_path, "t.ngm")
+        (tmp_path / "sub").mkdir()
+        report = {"tau": 1.0, "committed_per_step": 2.0, "speedup_estimate": 1.5,
+                  "config": {"vocab": 8, "target_order": 2}}
+        for name, text in [("a.json", json.dumps(report)), ("b.json", json.dumps(report)),
+                           ("c.txt", "1 2 3 4 5 6\n"), ("p.txt", "1 2\n"),
+                           ("h.cfg", "rho = 0.5\n"), ("g.cfg", "vocab = 4\n"),
+                           ("b.cfg", "target = t.ngm\ndrafter = t.ngm\n")]:
+            (tmp_path / name).write_text(text)
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert f"usage error: {message}\n" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} \
+            == before
+
     @pytest.mark.parametrize("line, key, value", [
         ("K = x", "'K'", "'x'"), ("rho = high", "'rho'", "'high'"),
     ])

@@ -1,5 +1,6 @@
 """Tests for the package's public names and what importing it loads."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -70,3 +71,25 @@ def test_numpy_meets_the_declared_floor():
     requires = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
     (numpy,) = [Requirement(r) for r in requires if Requirement(r).name == "numpy"]
     assert numpy.specifier.contains(np.__version__, prereleases=True), np.__version__
+
+
+#: The package's modules but ``__init__.py``, which imports only to re-export.
+MODULES = sorted(path.name for path in Path(speclab.__file__).parent.glob("*.py")
+                 if path.name != "__init__.py")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    # The unused-import check: every name a module imports is read in it,
+    # unless its import line says ``# noqa: F401``.
+    source = (Path(speclab.__file__).parent / module).read_text(encoding="utf-8")
+    lines, tree = source.splitlines(), ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.partition(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in imported.items() if name not in used} == {}

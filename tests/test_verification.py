@@ -1,5 +1,6 @@
 """Tests for acceptance math, both verifiers, traces, and the decode loop."""
 
+import contextlib
 import itertools
 from unittest import mock
 
@@ -25,6 +26,7 @@ from speclab.models import (
     make_synthetic_target,
 )
 from speclab import models
+from speclab.drafting import masked_contexts
 from speclab.verification import MODES, VERIFIERS, DecodeTrace, decode_loop
 
 
@@ -283,23 +285,21 @@ class TestDecodeLoop:
         # at K = 16, 2**18 drafted positions.
         target, drafter = oracles.constant_model(4, 1, 0), oracles.constant_model(4, 6, 1)
         if verify == "greedy":
-            prompts, max_tokens, rngs = list(itertools.product(range(4), repeat=6)), 1, None
+            prompts, max_tokens = list(itertools.product(range(4), repeat=6)), 1
         else:
             prompts, max_tokens = [[i % 4] * 6 for i in range(64)], 256
-            rngs = [np.random.default_rng([7, i]) for i in range(64)]
         with mock.patch.object(DecodeTrace, "record", autospec=True,
                                side_effect=DecodeTrace.record) as record:
             tokens, trace = decode_loop(target, drafter, prompts, max_tokens, 16, mode, verify,
-                                        rngs)
+                                        seed=7)
         assert record.call_count == 1
         assert (tokens == 0).all()
         assert trace.accept_hist[0] == trace.steps == len(prompts) * max_tokens
 
     def test_truncation_bound(self):
         target, drafter = _order1_pair(9)
-        rng = np.random.default_rng(10)
         out, trace = decode_loop(
-            target, drafter, [[0]], 25, 4, mode="independent", verify="stochastic", rngs=[rng]
+            target, drafter, [[0]], 25, 4, mode="independent", verify="stochastic", seed=10
         )
         assert out.shape == (1, 25)
         assert trace.total_tokens >= 25
@@ -308,21 +308,19 @@ class TestDecodeLoop:
     def test_token_accounting(self):
         target, drafter = _order1_pair(11)
         _, trace = decode_loop(
-            target, drafter, [[1]], 40, 3, mode="independent", verify="stochastic",
-            rngs=[np.random.default_rng(12)],
+            target, drafter, [[1]], 40, 3, mode="independent", verify="stochastic", seed=12
         )
         _, outcomes = oracles.decode_loop(
             target, drafter, [1], 40, 3, mode="independent", verify="stochastic",
-            rng=np.random.default_rng(12),
+            rng=np.random.default_rng([12, 0, 1]),
         )
         assert trace.total_tokens == sum(len(o.committed) for o in outcomes)
         assert trace.steps == len(outcomes)
 
     def test_attempts_nonincreasing(self):
         target, drafter = _order1_pair(15)
-        rng = np.random.default_rng(16)
         _, trace = decode_loop(
-            target, drafter, [[2]], 60, 5, mode="independent", verify="stochastic", rngs=[rng]
+            target, drafter, [[2]], 60, 5, mode="independent", verify="stochastic", seed=16
         )
         attempts = trace.position_attempts
         assert all(attempts[k] >= attempts[k + 1] for k in range(len(attempts) - 1))
@@ -337,9 +335,8 @@ class TestDecodeLoop:
         target = TabularModel(1, vocab, [], [], p_row)
         drafter = TabularModel(1, vocab, [], [], q_row)
         prompts, max_tokens = [[0]] * 1000, 200
-        rngs = [np.random.default_rng([2024, i]) for i in range(len(prompts))]
         tokens, trace = decode_loop(target, drafter, prompts, max_tokens, 1,
-                                    mode="independent", verify="stochastic", rngs=rngs)
+                                    mode="independent", verify="stochastic", seed=2024)
         trials = tokens.size
         assert trials == 200_000 and trace.accept_hist[0] > 0
         freqs = np.bincount(tokens.ravel(), minlength=3) / trials
@@ -348,9 +345,8 @@ class TestDecodeLoop:
 
     def test_dependent_mode_runs_and_differs_by_feature_slot(self):
         target = make_synthetic_target(8, vocab_size=4, order=2, concentration=0.3)
-        rng = np.random.default_rng(19)
         out, trace = decode_loop(
-            target, target, [[0, 1]], 15, 3, mode="dependent", verify="stochastic", rngs=[rng]
+            target, target, [[0, 1]], 15, 3, mode="dependent", verify="stochastic", seed=19
         )
         assert out.shape == (1, 15)
         assert trace.steps > 0
@@ -372,17 +368,24 @@ class TestDecodeLoop:
             decode_loop(target, drafter, [[0]], max_tokens, draft_len, mode="independent",
                         verify="greedy")
 
-    def test_rng_count_and_sharing_rejected(self):
+    @pytest.mark.parametrize("verify", VERIFIERS)
+    @pytest.mark.parametrize("seed", [-1, 2.0, "3", None])
+    def test_negative_or_non_integer_seed_rejected(self, seed, verify):
         target, drafter = _order1_pair(20)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="1 rngs for 2 prompts"):
-            decode_loop(target, drafter, [[0], [1]], 5, 2, mode="independent",
-                        verify="stochastic", rngs=[rng])
-        with pytest.raises(ValueError, match="rng of its own"):
-            decode_loop(target, drafter, [[0], [1]], 5, 2, mode="independent",
-                        verify="stochastic", rngs=[rng, rng])
-        with pytest.raises(ValueError, match="requires rngs"):
-            decode_loop(target, drafter, [[0]], 5, 2, mode="independent", verify="stochastic")
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got "):
+            decode_loop(target, drafter, [[0], [1]], 5, 2, mode="independent", verify=verify,
+                        seed=seed)
+
+    def test_integer_seeds_of_any_type_draw_the_same_stream(self):
+        class Five:
+            def __index__(self):
+                return 5
+
+        target, drafter = _order1_pair(26)
+        got = [decode_loop(target, drafter, [[0], [1]], 20, 2, mode="independent",
+                           verify="stochastic", seed=seed)[0].tolist()
+               for seed in (5, np.uint8(5), Five())]
+        assert got[0] == got[1] == got[2]
 
     def test_vocab_mismatch_rejected(self):
         target, _ = _order1_pair(21, vocab_size=4)
@@ -451,23 +454,19 @@ def _trace_counts(trace):
 
 def _assert_batch_matches_scalar(target, drafter, prompts, max_tokens, k, mode, verify, seed,
                                  loop=oracles.decode_loop):
-    """The batch loop against one scalar oracle loop per prompt: tokens,
-    trace counts, tau bytes and every prompt's final rng state."""
-    batch_rngs = [np.random.default_rng([seed, i]) for i in range(len(prompts))]
-    scalar_rngs = [np.random.default_rng([seed, i]) for i in range(len(prompts))]
-    stochastic = verify == "stochastic"
+    """The batch loop against one scalar oracle loop per prompt, prompt i
+    drawing from ``default_rng([seed, i, 1])``: tokens, trace counts and tau
+    bytes."""
     tokens, trace = decode_loop(target, drafter, prompts, max_tokens, k, mode=mode,
-                                verify=verify, rngs=batch_rngs if stochastic else None)
+                                verify=verify, seed=seed)
     outcomes = []
     for i, prompt in enumerate(prompts):
         want, rounds = loop(target, drafter, prompt, max_tokens, k, mode=mode, verify=verify,
-                            rng=scalar_rngs[i])
+                            rng=np.random.default_rng([seed, i, 1]))
         assert tokens[i].tolist() == want
         outcomes += rounds
     assert _trace_counts(trace) == oracles.trace_counts(outcomes, k)
     assert trace.tau == float(np.mean([o.accepted_len for o in outcomes]))
-    for got, want in zip(batch_rngs, scalar_rngs):
-        assert got.bit_generator.state == want.bit_generator.state
     return trace
 
 
@@ -510,7 +509,7 @@ def _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_o
 class TestDecodeLoopMatchesScalarOracle:
     @settings(max_examples=150, deadline=None)
     @given(**_DECODE_CASE)
-    def test_same_tokens_trace_and_rng_state(
+    def test_same_tokens_and_trace(
         self, seed, table, vocab_size, target_order, drafter_order, draft_len, num_prompts,
         mode, verify, max_tokens,
     ):
@@ -596,29 +595,57 @@ class TestDecodeLoopMatchesScalarOracle:
                                                  k, mode, "stochastic", k)
             assert trace.accept_hist[0] == trace.steps == 2 * max_tokens
 
-    def test_each_generator_draws_once_and_advances_once(self):
-        class CountingGenerator(np.random.Generator):
-            def __init__(self, seed):
-                super().__init__(np.random.PCG64(seed))
-                self.calls = 0
+    @pytest.mark.parametrize("order, code_dtype", [(8, np.int64), (23, object)])
+    def test_decoding_above_the_dense_index_cap(self, order, code_dtype):
+        # V = 2 has 7 symbols: 7**8 codes are past the dense index and
+        # binary-searched as int64, and 7**23 > 2**63 are Python ints.
+        target, drafter = _short_history_pair(np.random.default_rng(order), order, 4)
+        assert 7**order > models.DENSE_INDEX_MAX
+        assert models.code_weights(7, order).dtype == code_dtype
+        prompts = [[0], [1, 1], [1, 0, 1], [0, 1] * 15]
+        for mode, verify in itertools.product(MODES, VERIFIERS):
+            with _stored_row_reads(target) as target_hits, \
+                 _stored_row_reads(drafter) as drafter_hits:
+                _assert_batch_matches_scalar(target, drafter, prompts, 30, 4, mode, verify,
+                                             order)
+            # The lookups read stored rows, not only the fallbacks.
+            assert any(target_hits) and any(drafter_hits), (mode, verify)
 
-            def random(self, *args, **kwargs):
-                self.calls += 1
-                return super().random(*args, **kwargs)
 
-        rng = np.random.default_rng(3)
-        target, drafter = _random_dense_model(rng, 4, 2), _random_dense_model(rng, 4, 1)
-        prompts = [[0, 1], [2], [3, 3, 3]]
-        counted = [CountingGenerator([11, i]) for i in range(3)]
-        plain = [np.random.default_rng([11, i]) for i in range(3)]
-        got, _ = decode_loop(target, drafter, prompts, 200, 16, mode="dependent",
-                             verify="stochastic", rngs=counted)
-        want, _ = decode_loop(target, drafter, prompts, 200, 16, mode="dependent",
-                              verify="stochastic", rngs=plain)
-        assert [g.calls for g in counted] == [2, 2, 2]
-        assert got.tolist() == want.tolist()
-        for a, b in zip(counted, plain):
-            assert a.bit_generator.state == b.bit_generator.state
+@contextlib.contextmanager
+def _stored_row_reads(model):
+    """Patch ``model.code_rows`` to note, per call, whether any id it
+    returns is a stored row's rather than the fallback's."""
+    hits, code_rows = [], model.code_rows
+
+    def noting(codes):
+        ids = code_rows(codes)
+        hits.append(bool(np.min(ids) < len(model.contexts)))
+        return ids
+
+    with mock.patch.object(model, "code_rows", noting):
+        yield hits
+
+
+def _short_history_pair(rng, order, draft_len):
+    """Target and drafter over V = 2, both of ``order``, with sparse rows
+    for about 70% of the contexts that histories of at most 8 real tokens
+    give: the pad-filled histories for the target, and for the drafter
+    their masked contexts at draft positions 0..``draft_len``, with and
+    without a feature. A fallback sparse row covers the rest."""
+    vocab = Vocabulary(2)
+    prefixes = np.array([[vocab.pad_id] * (order - n) + list(tail) for n in range(9)
+                         for tail in itertools.product(range(2), repeat=n)])
+    features = np.array([vocab.none_feature_id, *vocab.feature_ids])
+    masked = masked_contexts(np.repeat(prefixes, len(features), axis=0),
+                             np.tile(features, len(prefixes)), np.arange(draft_len + 1), vocab,
+                             order)
+    pair = []
+    for contexts in (prefixes, np.unique(masked.reshape(-1, order), axis=0)):
+        table = {tuple(c): oracles.sparse_row(2, rng) for c in contexts.tolist()
+                 if rng.random() < 0.7}
+        pair.append(oracles.model_from_table(order, vocab, table, oracles.sparse_row(2, rng)))
+    return tuple(pair)
 
 
 def _successor_model(successor):
