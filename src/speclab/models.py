@@ -39,6 +39,15 @@ PROB_SUM_TOL = 1e-9
 GREEDY = "greedy"
 
 
+def checked_int(name: str, value) -> int:
+    """``operator.index(value)``; ValueError naming ``name`` if the value is
+    not an integer (a float such as 2.5 or 2.0 included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Real-token alphabet ``[0, size)`` plus derived reserved symbol ids."""
@@ -46,7 +55,7 @@ class Vocabulary:
     size: int
 
     def __post_init__(self) -> None:
-        if self.size < 1:
+        if checked_int("vocabulary size", self.size) < 1:
             raise ValueError(f"vocabulary size must be positive, got {self.size}")
 
     @cached_property
@@ -374,9 +383,9 @@ def make_synthetic_target(
     lexicographic (``itertools.product``) order, the same stream as one call
     per row.
     """
-    if vocab_size < 2:
+    if checked_int("vocab_size", vocab_size) < 2:
         raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
-    if not 1 <= order <= MAX_ORDER:
+    if not 1 <= checked_int("order", order) <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     if not 0 < concentration < math.inf:
         raise ValueError(f"concentration must be finite and > 0, got {concentration}")

@@ -34,6 +34,7 @@ from .models import (
     TabularModel,
     Token,
     Vocabulary,
+    checked_int,
     context_codes,
     lookup_rows,
     next_distribution,  # noqa: F401 - perfbench's tracer test patches it here
@@ -65,8 +66,10 @@ def cat_weights(confidences: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"confidence out of [0, 1]: {float(confidences[bad][0])}")
     clamped = np.clip(confidences, CONFIDENCE_EPS, 1.0)
     # cumprod multiplies left to right: the recursion's floats, exactly.
-    shifted = np.concatenate([np.ones_like(clamped[..., :1]), clamped[..., :-1]], axis=-1)
-    return clamped, np.cumprod(shifted, axis=-1)
+    weights = np.empty_like(clamped)
+    weights[..., :1] = 1.0
+    np.cumprod(clamped[..., :-1], axis=-1, out=weights[..., 1:])
+    return clamped, weights
 
 
 @dataclass(frozen=True)
@@ -91,9 +94,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.draft_len < 1:
+        if checked_int("draft_len", self.draft_len) < 1:
             raise ValueError(f"draft_len must be >= 1, got {self.draft_len}")
-        if self.drafter_order is not None and not 1 <= self.drafter_order <= MAX_ORDER:
+        if self.drafter_order is not None and not (
+            1 <= checked_int("drafter_order", self.drafter_order) <= MAX_ORDER
+        ):
             raise ValueError(f"drafter_order must be in 1..{MAX_ORDER}, got {self.drafter_order}")
         GateConfig(self.rho)  # checks rho
         if not 0.0 <= self.beta < math.inf:
@@ -106,7 +111,7 @@ class TrainConfig:
             raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing}")
         if not 0.0 <= self.kd_weight < math.inf:
             raise ValueError(f"kd_weight must be finite and >= 0, got {self.kd_weight}")
-        if self.seed < 0:
+        if checked_int("seed", self.seed) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
@@ -226,12 +231,13 @@ def _position_contexts(
     codes = np.unique(context_codes(contexts, vocab.num_symbols), return_inverse=True)[1]
     keys = np.empty((codes.max(initial=-1) + 1, order), dtype=contexts.dtype)
     keys[codes] = contexts
-    return codes.reshape(n, distinct)[:, np.minimum(np.arange(draft_len), order)], keys
+    return np.take(codes.reshape(n, distinct), np.minimum(np.arange(draft_len), order),
+                   axis=1), keys
 
 
 #: Soft-count events per ``np.add.at`` call. Each event adds V + 1 entries,
-#: so this bounds the memory of the interleaved stream.
-_EVENT_CHUNK = 4096
+#: so this bounds the memory of the interleaved stream's buffers.
+_EVENT_CHUNK = 1024
 
 
 def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> TabularModel:
@@ -264,33 +270,44 @@ def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> Tabu
     if not live.any():
         raise ValueError("all window weights were zero; nothing to train on")
     # The contexts the live positions reach, in the order they first reach them.
-    event_ctx = codes[live]
-    first = np.full(len(key_rows), len(event_ctx))
-    np.minimum.at(first, event_ctx, np.arange(len(event_ctx)))
-    seen = np.flatnonzero(first < len(event_ctx))
+    first = np.full(len(key_rows), codes.size)
+    np.minimum.at(first, codes[live], np.flatnonzero(live))
+    seen = np.flatnonzero(first < codes.size)
     seen = seen[np.argsort(first[seen])]
-    event_w = windows.weights[live]
-    event_rows = (windows.starts[:, None] + np.arange(draft_len))[live]
-    event_labels = windows.future_tokens[live]
+    event_ctx = codes.ravel()
+    event_w = windows.weights.ravel()
+    event_rows = (windows.starts[:, None] + np.arange(draft_len)).ravel()
+    event_labels = windows.future_tokens.ravel()
 
     # One stream entry per soft-count addend, each position's distillation
-    # row first and its one-hot entry last, added in stream order.
+    # row first and its one-hot entry last, added in stream order. A position
+    # of weight zero adds exact zeros, which leave every count as it is. The
+    # chunk buffers are allocated once and filled in place: fresh chunk-sized
+    # arrays would be mapped and unmapped by the allocator on every chunk.
     use_kd, use_ce = config.kd_weight > 0.0, config.beta > 0.0
     width = vocab_size * use_kd + use_ce
+    size = min(len(event_ctx), _EVENT_CHUNK)
+    index = np.empty((size, width), dtype=np.intp)
+    value = np.empty((size, width))
+    gathered = np.empty((size, vocab_size))
+    columns = np.arange(vocab_size)
     soft = np.zeros(len(key_rows) * vocab_size)
-    for lo in range(0, len(event_ctx), _EVENT_CHUNK):
-        chunk = slice(lo, lo + _EVENT_CHUNK)
+    for lo in range(0, len(event_ctx), size):
+        chunk = slice(lo, lo + size)
         base = event_ctx[chunk, None] * vocab_size
-        index = np.empty((len(base), width), dtype=np.intp)
-        value = np.empty((len(base), width))
+        m = len(base)
         if use_kd:
-            index[:, :vocab_size] = base + np.arange(vocab_size)
-            value[:, :vocab_size] = ((event_w[chunk] * config.kd_weight)[:, None]
-                                     * windows.target_rows[event_rows[chunk]])
+            np.add(base, columns, out=index[:m, :vocab_size])
+            # take buffers ``out`` under the default mode="raise"; the row
+            # ids are in range by construction, so "clip" never clips.
+            np.take(windows.target_rows, event_rows[chunk], axis=0, out=gathered[:m],
+                    mode="clip")
+            np.multiply((event_w[chunk] * config.kd_weight)[:, None], gathered[:m],
+                        out=value[:m, :vocab_size])
         if use_ce:
-            index[:, -1] = base[:, 0] + event_labels[chunk]
-            value[:, -1] = event_w[chunk] * config.beta
-        np.add.at(soft, index.ravel(), value.ravel())
+            np.add(base[:, 0], event_labels[chunk], out=index[:m, -1])
+            np.multiply(event_w[chunk], config.beta, out=value[:m, -1])
+        np.add.at(soft, index[:m].ravel(), value[:m].ravel())
     soft = soft.reshape(len(key_rows), vocab_size)[seen]
 
     smoothing = config.smoothing

@@ -36,6 +36,7 @@ from .models import (
     TabularModel,
     Token,
     Vocabulary,
+    checked_int,
     next_distribution,
 )
 from . import models
@@ -153,6 +154,8 @@ def decode_loop(
     """
     if len(prompts) == 0:
         raise ValueError("prompts must be nonempty")
+    max_tokens = checked_int("max_tokens", max_tokens)
+    draft_len = checked_int("draft_len", draft_len)
     if max_tokens < 1 or draft_len < 1:
         raise ValueError(f"max_tokens and draft_len must be >= 1, got {max_tokens} "
                          f"and {draft_len}")

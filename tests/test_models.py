@@ -49,6 +49,11 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(0)
 
+    @pytest.mark.parametrize("size", [2.5, 3.0, "3", None])
+    def test_non_integer_size(self, size):
+        with pytest.raises(ValueError, match="^vocabulary size must be an integer, got "):
+            Vocabulary(size)
+
     def test_feature_for_rejects_reserved(self):
         vocab = Vocabulary(3)
         with pytest.raises(ValueError):

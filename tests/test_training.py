@@ -458,6 +458,24 @@ class TestTrainTabularDrafter:
         with pytest.raises(ValueError, match="draft_len"):
             train_tabular_drafter(oracles.stack_windows([window]), TrainConfig(draft_len=3))
 
+    @pytest.mark.parametrize("beta, kd_weight", [(0.1, 1.0), (0.0, 1.0), (0.5, 0.0)])
+    def test_chunk_buffers_allocated_once_per_call(self, ngm_bytes, beta, kd_weight):
+        # 4 sequences x 17 windows x 3 positions = 204 soft-count events: 30
+        # chunks of 7 or 5 chunks of 50. The solve's np.empty calls (its chunk
+        # buffers included) must not grow with the number of chunks.
+        target = make_synthetic_target(3, vocab_size=4, order=2, concentration=0.5)
+        config = TrainConfig(draft_len=3, beta=beta, kd_weight=kd_weight)
+        corpus = sample_corpus(target, 4, 20, np.random.default_rng(1))
+        windows = build_training_windows(target, corpus, config, np.random.default_rng(2))
+        calls, drafters = [], []
+        for chunk in (7, 50):
+            with mock.patch.object(training, "_EVENT_CHUNK", chunk), \
+                    mock.patch.object(training.np, "empty", wraps=np.empty) as empty:
+                drafters.append(ngm_bytes(train_tabular_drafter(windows, config)))
+            calls.append(empty.call_count)
+        assert calls[0] == calls[1]
+        assert drafters[0] == drafters[1]
+
 
 def _outcome(fn, *args):
     """The call's result, or its ValueError as (type name, message)."""
@@ -745,6 +763,13 @@ class TestTrainConfig:
             {"kd_weight": float("inf")},
             {"drafter_order": 65},  # above models.MAX_ORDER
             {"seed": -1},
+            # Integer fields take integers only: these used to construct and
+            # then fail in window building with a TypeError.
+            {"draft_len": 2.5},
+            {"draft_len": 2.0},
+            {"seed": 1.5},
+            {"drafter_order": 1.5},
+            {"drafter_order": "2"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

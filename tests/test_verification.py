@@ -26,6 +26,7 @@ from speclab.models import (
     make_synthetic_target,
 )
 from speclab import models
+from speclab.bench import sample_prompts
 from speclab.drafting import masked_contexts
 from speclab.verification import MODES, VERIFIERS, DecodeTrace, decode_loop
 
@@ -375,6 +376,26 @@ class TestDecodeLoop:
         with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got "):
             decode_loop(target, drafter, [[0], [1]], 5, 2, mode="independent", verify=verify,
                         seed=seed)
+
+    @pytest.mark.parametrize("name, max_tokens, draft_len",
+                             [("max_tokens", 5.0, 2), ("max_tokens", "5", 2),
+                              ("draft_len", 5, 2.5), ("draft_len", 5, None)])
+    def test_non_integer_lengths_rejected(self, name, max_tokens, draft_len):
+        target, drafter = _order1_pair(20)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            decode_loop(target, drafter, [[0]], max_tokens, draft_len, mode="independent",
+                        verify="greedy")
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda t: sample_prompts(t, 2.5, 4, 0), "num_prompts"),
+        (lambda t: sample_prompts(t, 2, 4.0, 0), "prompt_len"),
+        (lambda t: make_synthetic_target(0, 4.0, 1, 0.5), "vocab_size"),
+        (lambda t: make_synthetic_target(0, 4, 1.5, 0.5), "order"),
+    ])
+    def test_non_integer_counts_rejected_at_other_entry_points(self, call, name):
+        target, _ = _order1_pair(20)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            call(target)
 
     def test_integer_seeds_of_any_type_draw_the_same_stream(self):
         class Five:
