@@ -17,14 +17,14 @@ stop-gradient semantics without any autodiff.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Sequence, Sized
 from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import ArrayLike
 
 from .drafting import GateConfig, apply_gate, masked_contexts
@@ -60,16 +60,32 @@ def cat_weights(confidences: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     clamped[..., k] exactly, so weights are nonincreasing. A confidence
     outside [0, 1] raises ValueError.
     """
+    clamped = _clamped(confidences)
+    return clamped, _cumulative_weights(clamped)
+
+
+def _clamped(confidences: ArrayLike) -> np.ndarray:
+    """Confidences as float64 clamped to [CONFIDENCE_EPS, 1]; a confidence
+    outside [0, 1] raises ValueError."""
     confidences = np.asarray(confidences, dtype=np.float64)
     bad = ~((confidences >= 0.0) & (confidences <= 1.0))
     if bad.any():
         raise ValueError(f"confidence out of [0, 1]: {float(confidences[bad][0])}")
-    clamped = np.clip(confidences, CONFIDENCE_EPS, 1.0)
-    # cumprod multiplies left to right: the recursion's floats, exactly.
-    weights = np.empty_like(clamped)
-    weights[..., :1] = 1.0
-    np.cumprod(clamped[..., :-1], axis=-1, out=weights[..., 1:])
-    return clamped, weights
+    return np.clip(confidences, CONFIDENCE_EPS, 1.0)
+
+
+def _cumulative_weights(clamped: np.ndarray) -> np.ndarray:
+    """The weights of :func:`cat_weights` for already clamped confidences."""
+    # One multiply per position over position-major rows, left to right:
+    # the recursion's floats exactly, and cheaper than np.cumprod along a
+    # short last axis, which pays per element.
+    *rest, positions = clamped.shape
+    by_position = clamped.reshape(math.prod(rest), positions).T
+    weights = np.empty(by_position.shape)
+    weights[:1] = 1.0
+    for k in range(positions - 1):
+        np.multiply(weights[k], by_position[k], out=weights[k + 1])
+    return np.ascontiguousarray(weights.T).reshape(clamped.shape)
 
 
 @dataclass(frozen=True)
@@ -144,7 +160,11 @@ def sample_corpus(
     model: TabularModel, num_sequences: int, sequence_length: int, rng: RNG
 ) -> list[list[Token]]:
     """Self-distillation data: sequences sampled from the model itself, with
-    one ``rng.random`` call for all tokens (the stream of one draw each)."""
+    one ``rng.random`` call for all tokens (the stream of one draw each).
+    A count that is not an integer >= 0 raises ValueError naming it."""
+    for name, count in (("num_sequences", num_sequences), ("sequence_length", sequence_length)):
+        if checked_int(name, count) < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     uniforms = rng.random((num_sequences, sequence_length))
     return sample_sequences(model, uniforms).tolist()
 
@@ -157,60 +177,80 @@ def build_training_windows(
 ) -> TrainingWindows:
     """Slide a draft_len window (stride 1, nonempty prefix) over each sequence.
 
-    The target is looked up once per corpus position, teacher forced; each
-    window reads its K rows, confidences and pre-gate feature (the argmax of
-    its first row) from those. Weights follow config.weighting, and the
-    feature passes through the stochastic gate, one draw per window in
-    corpus order. Sequences shorter than draft_len + 1 are skipped. Every
-    corpus token must be a real token of the target's vocabulary, else
-    ValueError.
+    One array pass builds every window, with no loop over sequences. The
+    corpus is flattened and range checked once; the sequences long enough
+    to window (draft_len + 1 tokens or more) are laid out back to back in
+    one buffer, each behind as many pads as the wider of the target's and
+    the drafter's orders, so a position's pad-filled context is the buffer
+    slice that ends at it, and contexts, prefixes and future tokens are
+    gathered at offsets found by index arithmetic. Each position after a
+    sequence's first is looked up in the target once, teacher forced:
+    window i's position k reads row ``starts[i] + k``, and its pre-gate
+    feature is the argmax of its first row. Weights follow
+    config.weighting, and the feature passes through the stochastic gate,
+    one draw per window in corpus order. A corpus entry that is not a
+    sequence, or a token that is not a real token of the target's
+    vocabulary, raises ValueError for the first one in corpus order, in
+    short sequences too.
     """
     vocab = target.vocab
     d = target.order
     d_drafter = config.drafter_order if config.drafter_order is not None else d
     K = config.draft_len
     width = max(d, d_drafter)
-    starts = [np.zeros(0, dtype=np.intp)]
-    events = [np.zeros((0, d + 1), dtype=np.intp)]
-    prefixes = [np.zeros((0, d_drafter), dtype=np.intp)]
-    offset = 0
-    for tokens in corpus:
-        try:
-            seq = list(map(operator.index, tokens))
-            real = not seq or (min(seq) >= 0 and max(seq) < vocab.size)
-        except TypeError:  # a token that is not an integer
-            real = False
-        if not real:
-            bad = next(t for t in tokens if not vocab.is_real(t))
-            raise ValueError(f"corpus token out of range [0, {vocab.size}): {bad}")
-        if len(seq) < K + 1:
-            continue
-        # Event i - 1 is position i's pad-filled order-d context, then
-        # seq[i]: its row is the target's conditional of seq[i] given seq[:i].
-        padded = np.array([vocab.pad_id] * width + seq, dtype=np.intp)
-        starts.append(np.arange(offset, offset + len(seq) - K))
-        events.append(sliding_window_view(padded[width - d :], d + 1)[1:])
-        prefixes.append(sliding_window_view(padded[width - d_drafter :], d_drafter)
-                        [1 : len(seq) - K + 1])
-        offset += len(seq) - 1
+    try:
+        lengths = np.fromiter(map(len, corpus), dtype=np.intp)
+        flat = np.fromiter(map(operator.index, itertools.chain.from_iterable(corpus)),
+                           dtype=np.intp, count=int(lengths.sum()))
+        real = bool(((flat >= 0) & (flat < vocab.size)).all())
+    except (OverflowError, TypeError):  # an entry that is not a sequence, a token not an intp
+        real = False
+    if not real:
+        raise _corpus_error(corpus, vocab)
 
-    events_arr = np.concatenate(events)
-    target_rows = target.rows[row_ids(target, events_arr[:, :d])]  # tokens checked above
-    starts_arr = np.concatenate(starts)
-    positions = starts_arr[:, None] + np.arange(K)
-    future = events_arr[positions, d]
-    top = target_rows.argmax(axis=1)[starts_arr]
+    # With i counting the kept sequences' tokens, events (positions after a
+    # sequence's first) or windows, and j the kept sequence the i-th one is
+    # in: token i lies at buffer offset i + (j + 1) * width, event i at
+    # i + (j + 1) * (width + 1), and window i starts at event i + j * (K - 1).
+    keep = lengths > K
+    kept = lengths[keep]
+    tokens = flat[np.repeat(keep, lengths)]
+    j = np.arange(len(kept))
+    buf = np.full(len(tokens) + len(kept) * width, vocab.pad_id, dtype=np.intp)
+    buf[np.arange(len(tokens)) + np.repeat((j + 1) * width, kept)] = tokens
+    event_at = np.arange(len(tokens) - len(kept)) + np.repeat((j + 1) * (width + 1), kept - 1)
+    starts = np.arange((kept - K).sum()) + np.repeat(j * (K - 1), kept - K)
+
+    # Event i's row is the target's conditional of its token given the
+    # order-d context that ends before it.
+    target_rows = target.rows[row_ids(target, buf[event_at[:, None] + np.arange(-d, 0)])]
+    prefixes = buf[event_at[starts][:, None] + np.arange(-d_drafter, 0)]
+    top = np.take(target_rows, starts, axis=0).argmax(axis=1)
     features = apply_gate(vocab.feature_ids[0] + top, GateConfig(config.rho), vocab, rng)
+    labels = buf[event_at]
+    rows = starts[:, None] + np.arange(K)
+    future = labels[rows]
     if config.weighting == CAT:
-        raw = target_rows[positions, future]
+        confidences = _clamped(target_rows[np.arange(len(labels)), labels])[rows]
     else:
-        raw = np.full(positions.shape, config.gamma if config.weighting == DECAY else 1.0)
-    confidences, weights = cat_weights(raw)
-    arrays = (target_rows, starts_arr, np.concatenate(prefixes), future, features,
-              confidences, weights)
+        constant = _clamped(config.gamma if config.weighting == DECAY else 1.0)
+        confidences = np.full(rows.shape, constant)
+    arrays = (target_rows, starts, prefixes, future, features, confidences,
+              _cumulative_weights(confidences))
     for arr in arrays:
         arr.setflags(write=False)
     return TrainingWindows(*arrays)
+
+
+def _corpus_error(corpus, vocab: Vocabulary) -> ValueError:
+    """The error for the corpus's first entry that is not a sequence or
+    token that is not a real token, in corpus order."""
+    for i, tokens in enumerate(corpus):
+        if not isinstance(tokens, Sized):
+            return ValueError(f"corpus entry {i} is not a sequence of tokens: {tokens!r}")
+        for t in tokens:
+            if not vocab.is_real(t):
+                return ValueError(f"corpus token out of range [0, {vocab.size}): {t}")
 
 
 def _position_contexts(
@@ -276,7 +316,6 @@ def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> Tabu
     seen = seen[np.argsort(first[seen])]
     event_ctx = codes.ravel()
     event_w = windows.weights.ravel()
-    event_rows = (windows.starts[:, None] + np.arange(draft_len)).ravel()
     event_labels = windows.future_tokens.ravel()
 
     # One stream entry per soft-count addend, each position's distillation
@@ -290,6 +329,9 @@ def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> Tabu
     index = np.empty((size, width), dtype=np.intp)
     value = np.empty((size, width))
     gathered = np.empty((size, vocab_size))
+    # The target rows of every position of the windows one chunk touches.
+    spans = np.empty((size // draft_len + 2, draft_len), dtype=np.intp)
+    positions = np.arange(draft_len)
     columns = np.arange(vocab_size)
     soft = np.zeros(len(key_rows) * vocab_size)
     for lo in range(0, len(event_ctx), size):
@@ -298,10 +340,14 @@ def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> Tabu
         m = len(base)
         if use_kd:
             np.add(base, columns, out=index[:m, :vocab_size])
+            # Rows of the chunk's windows, from the one that holds event lo.
+            w = lo // draft_len
+            touched = -(-(lo + m) // draft_len) - w
+            rows = np.add(windows.starts[w : w + touched, None], positions,
+                          out=spans[:touched]).ravel()[lo - w * draft_len :][:m]
             # take buffers ``out`` under the default mode="raise"; the row
             # ids are in range by construction, so "clip" never clips.
-            np.take(windows.target_rows, event_rows[chunk], axis=0, out=gathered[:m],
-                    mode="clip")
+            np.take(windows.target_rows, rows, axis=0, out=gathered[:m], mode="clip")
             np.multiply((event_w[chunk] * config.kd_weight)[:, None], gathered[:m],
                         out=value[:m, :vocab_size])
         if use_ce:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -167,7 +167,11 @@ def decode_loop(
         raise ValueError("target and drafter must share a vocabulary size")
     if not (hasattr(type(seed), "__index__") and operator.index(seed) >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    lengths = np.array([len(p) for p in prompts])
+    try:
+        lengths = np.array([len(p) for p in prompts])
+    except TypeError:  # a prompt that is not a sequence
+        bad = next(p for p in prompts if not isinstance(p, Sized))
+        raise ValueError(f"prompt must be a sequence of tokens, got {bad!r}") from None
     if (lengths == 0).any():
         raise ValueError("prompt must be nonempty")
     vocab = target.vocab

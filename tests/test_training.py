@@ -296,6 +296,55 @@ class TestBuildTrainingWindows:
             with pytest.raises(ValueError, match=rf"corpus token out of range.*: {bad}$"):
                 build_training_windows(target, corpus, config, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("corpus, message", [
+        ([3], "corpus entry 0 is not a sequence of tokens: 3"),
+        ([[0, 1, 2, 3, 0], 3], "corpus entry 1 is not a sequence of tokens: 3"),
+        ([3, [9]], "corpus entry 0 is not a sequence of tokens: 3"),
+        ([[0, 9], 3], r"corpus token out of range \[0, 4\): 9"),
+    ])
+    def test_corpus_entry_that_is_not_a_sequence_rejected(self, corpus, message):
+        # The first fault in corpus order is named, a bad token included.
+        target = self._target()
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            build_training_windows(target, corpus, TrainConfig(draft_len=2),
+                                   np.random.default_rng(0))
+
+    @pytest.mark.parametrize("weighting", ["cat", "decay"])
+    @pytest.mark.parametrize("corpus", [
+        [[0, 1, 2, 3, 0, 1, 2], [3, 2], [1, 1, 0, 2, 3]],
+        np.arange(24).reshape(3, 8) % 4,
+        [[0, 1]],
+        [],
+    ])
+    def test_every_array_is_c_contiguous_and_read_only(self, corpus, weighting):
+        # The solve reads .ravel() views of these arrays.
+        config = TrainConfig(draft_len=3, drafter_order=1, weighting=weighting)
+        windows = build_training_windows(self._target(), corpus, config,
+                                         np.random.default_rng(0))
+        for field in dataclasses.fields(windows):
+            array = getattr(windows, field.name)
+            assert array.flags.c_contiguous, field.name
+            assert not array.flags.writeable, field.name
+
+
+class TestSampleCorpus:
+    @pytest.mark.parametrize("counts, name", [
+        ((-1, 4), "num_sequences"), ((2.5, 4), "num_sequences"),
+        ((2, -1), "sequence_length"), ((2, 2.5), "sequence_length"),
+    ])
+    def test_bad_counts_rejected_before_any_draw(self, counts, name):
+        target = make_synthetic_target(17, vocab_size=4, order=2, concentration=0.4)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            sample_corpus(target, *counts, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("counts, expected", [((0, 4), []), ((3, 0), [[], [], []])])
+    def test_zero_counts_give_empty_sequences(self, counts, expected):
+        target = make_synthetic_target(17, vocab_size=4, order=2, concentration=0.4)
+        assert sample_corpus(target, *counts, np.random.default_rng(0)) == expected
+
+
 
 class TestMaskedContext:
     """The decoder, the trainer and the scalar ``propose`` share one context
@@ -542,6 +591,26 @@ def _draw_corpus_case(data, seed):
     return target, corpus, config
 
 
+def _draw_wide_corpus(data, vocab_size, draft_len, order):
+    """5 to 12 sequences, so that windows cross many sequence boundaries, as
+    nested lists, a 2-D ndarray or a list of NumPy integer arrays. About
+    half the lengths are long enough to window."""
+    token = st.integers(0, vocab_size - 1)
+    count = data.draw(st.integers(5, 12), label="num_sequences")
+    length = st.one_of(st.integers(0, draft_len),
+                       st.integers(draft_len + 1, draft_len + 2 * order + 3))
+    form = data.draw(st.sampled_from(["lists", "ndarray", "arrays"]), label="form")
+    dtype = data.draw(st.sampled_from([np.int8, np.uint16, np.int32, np.int64]), label="dtype")
+    if form == "ndarray":
+        n = data.draw(length, label="length")
+        rows = data.draw(st.lists(st.lists(token, min_size=n, max_size=n),
+                                  min_size=count, max_size=count), label="corpus")
+        return np.array(rows, dtype=dtype).reshape(count, n)
+    sequence = length.flatmap(lambda n: st.lists(token, min_size=n, max_size=n))
+    rows = data.draw(st.lists(sequence, min_size=count, max_size=count), label="corpus")
+    return [np.array(row, dtype=dtype) for row in rows] if form == "arrays" else rows
+
+
 def _draw_hand_built_windows(data):
     """Window records with sparse target rows, whose zero confidences zero
     every later weight, and a config."""
@@ -613,6 +682,18 @@ class TestArrayTrainerMatchesScalarOracle:
         # Seven soft-count events per np.add.at call: most solves span chunks.
         with mock.patch.object(training, "_EVENT_CHUNK", 7):
             _assert_corpus_case_matches_scalar(ngm_bytes, seed, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_windows_of_wide_and_array_corpora(self, seed, data):
+        target, _, config = _draw_corpus_case(data, seed)
+        corpus = _draw_wide_corpus(data, target.vocab.size, config.draft_len, target.order)
+        rng_array, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        windows = build_training_windows(target, corpus, config, rng_array)
+        _assert_same_windows(windows, oracles.scalar_training_windows(target, corpus, config,
+                                                                      rng_scalar))
+        # Both drew the same number of gate uniforms (none at rho 0 or 1).
+        assert rng_array.random() == rng_scalar.random()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

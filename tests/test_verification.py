@@ -357,6 +357,12 @@ class TestDecodeLoop:
         with pytest.raises(ValueError, match="prompt must be nonempty"):
             decode_loop(target, drafter, [[0], []], 10, 2, mode="independent", verify="greedy")
 
+    @pytest.mark.parametrize("prompts", [[3], [[0, 1], 3]])
+    def test_prompt_that_is_not_a_sequence_rejected(self, prompts):
+        target, drafter = _order1_pair(20)
+        with pytest.raises(ValueError, match=r"prompt must be a sequence of tokens, got 3$"):
+            decode_loop(target, drafter, prompts, 10, 2, mode="independent", verify="greedy")
+
     def test_empty_prompt_list_rejected(self):
         target, drafter = _order1_pair(20)
         with pytest.raises(ValueError, match="prompts must be nonempty"):
