@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import TabularModel, Token, checked_int, sample_sequences
+from .models import TabularModel, Token, checked_int, checked_seed, sample_sequences
 from .verification import NUM_CONFIDENCE_BINS, DecodeTrace, decode_loop
 
 
@@ -107,6 +107,7 @@ def sample_prompts(
     prompt_len = checked_int("prompt_len", prompt_len)
     if num_prompts < 1 or prompt_len < 1:
         raise ValueError("num_prompts and prompt_len must be >= 1")
+    seed = checked_seed(seed)
     uniforms = [np.random.default_rng([seed, i, 0]).random(prompt_len)
                 for i in range(num_prompts)]
     return sample_sequences(target, np.array(uniforms)).tolist()

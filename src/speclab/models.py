@@ -48,6 +48,13 @@ def checked_int(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def checked_seed(seed) -> int:
+    """``operator.index(seed)``; ValueError if the seed is not an integer >= 0."""
+    if not (hasattr(type(seed), "__index__") and operator.index(seed) >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return operator.index(seed)
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Real-token alphabet ``[0, size)`` plus derived reserved symbol ids."""
@@ -319,7 +326,7 @@ def _checked_row_ids(model: TabularModel, contexts: ArrayLike) -> np.ndarray:
         given = np.array(contexts, dtype=object).tolist()
         symbols = np.array([list(map(_symbol, row)) for row in given])
     bad = (symbols < 0) | (symbols >= model.vocab.num_symbols)
-    if bad.any():
+    if np.count_nonzero(bad):
         raise ValueError(f"context symbol out of range: {symbols[bad][0]}")
     return row_ids(model, symbols)
 
@@ -389,7 +396,7 @@ def make_synthetic_target(
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     if not 0 < concentration < math.inf:
         raise ValueError(f"concentration must be finite and > 0, got {concentration}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_seed(seed))
     vocab = Vocabulary(vocab_size)
     alpha = np.full(vocab_size, float(concentration))
     symbols = np.array([*range(vocab_size), vocab.pad_id])

@@ -37,6 +37,7 @@ from .models import (
     Token,
     Vocabulary,
     checked_int,
+    checked_seed,
     next_distribution,
 )
 from . import models
@@ -71,6 +72,7 @@ class DecodeTrace:
     bin_accepts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        self.draft_len = checked_int("draft_len", self.draft_len)
         if self.draft_len < 1:
             raise ValueError(f"draft_len must be >= 1, got {self.draft_len}")
         self.accept_hist = np.zeros(self.draft_len + 1, dtype=np.int64)
@@ -88,11 +90,11 @@ class DecodeTrace:
                           NUM_CONFIDENCE_BINS - 1)
         attempts, accepts = bins[k <= accepted[:, None]], bins[k < accepted[:, None]]
         # int64 sums: float bincount weights lose counts past 2**53
-        counts = np.broadcast_to(counts, accepted.shape)
+        counts = np.add(counts, np.zeros(accepted.shape, dtype=np.int64))
         np.add.at(self.accept_hist, accepted, counts)
         np.add.at(self.bin_attempts, attempts,
-                  np.repeat(counts, np.minimum(accepted + 1, self.draft_len)))
-        np.add.at(self.bin_accepts, accepts, np.repeat(counts, accepted))
+                  counts.repeat(np.minimum(accepted + 1, self.draft_len)))
+        np.add.at(self.bin_accepts, accepts, counts.repeat(accepted))
 
     @property
     def steps(self) -> int:
@@ -165,20 +167,20 @@ def decode_loop(
         raise ValueError(f"verify must be one of {VERIFIERS}, got {verify!r}")
     if target.vocab.size != drafter.vocab.size:
         raise ValueError("target and drafter must share a vocabulary size")
-    if not (hasattr(type(seed), "__index__") and operator.index(seed) >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = checked_seed(seed)
     try:
-        lengths = np.array([len(p) for p in prompts])
+        lengths = [len(p) for p in prompts]
     except TypeError:  # a prompt that is not a sequence
         bad = next(p for p in prompts if not isinstance(p, Sized))
         raise ValueError(f"prompt must be a sequence of tokens, got {bad!r}") from None
-    if (lengths == 0).any():
+    if 0 in lengths:
         raise ValueError("prompt must be nonempty")
     vocab = target.vocab
     try:
         flat = np.fromiter(map(operator.index, itertools.chain.from_iterable(prompts)),
-                           dtype=np.int64, count=int(lengths.sum()))
-        real = bool(((flat >= 0) & (flat < vocab.size)).all())
+                           dtype=np.int64, count=sum(lengths))
+        # A negative token wraps past V as uint64: one compare checks both ends.
+        real = not np.count_nonzero(flat.view(np.uint64) >= vocab.size)
     except (OverflowError, TypeError):  # a token beyond int64, or not an integer
         real = False
     if not real:
@@ -189,16 +191,16 @@ def decode_loop(
     # then its committed tokens; drafts are written past them and
     # overwritten by the next round's.
     width = max(target.order, drafter.order)
-    ends = np.cumsum(lengths)
-    take = ends[:, None] - width + np.arange(width)
+    ends = np.add.accumulate(lengths)
+    take = ends[:, None] + np.arange(-width, 0)
     seq = np.full((len(prompts), width + max_tokens + draft_len), vocab.pad_id,
                   dtype=np.int64)
-    seq[:, :width] = np.where(take >= (ends - lengths)[:, None], flat[take.clip(0)],
+    seq[:, :width] = np.where(take >= (ends - lengths)[:, None], flat[np.maximum(take, 0)],
                               vocab.pad_id)
     trace = DecodeTrace(draft_len=draft_len)
     args = (target, drafter, seq, max_tokens, draft_len, mode == DEPENDENT, trace)
     if verify == STOCHASTIC:
-        _decode_stochastic(*args, operator.index(seed))
+        _decode_stochastic(*args, seed)
     else:
         _decode_greedy(*args)
     return seq[:, width : width + max_tokens], trace
@@ -270,8 +272,9 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace)
        counted floor((max_tokens - s) / D) times at once and the rest is
        walked. The counted nodes are recorded in one call, each with its
        count, and the target's probability of each drafted token.
-    4. Expand the output: each prompt's node at every position by doubling
-       gathers (succ, succ o succ, ...), and the tokens by one gather.
+    4. Expand the output: each prompt's node at every (K + 1)-th position by
+       doubling gathers over succ^(K + 1), the K nodes after each from step
+       2's successor steps, and the tokens by one gather.
     """
     n, total = seq.shape
     width = total - max_tokens - draft_len
@@ -347,13 +350,14 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace)
             s, x = s + advance[x], following[x]
 
     count = np.array(count, dtype=np.int64)
-    counted = np.flatnonzero(count)
+    counted = count.nonzero()[0]
     # The target's probability of each drafted token: its row after the
     # accepted prefix, as in the stochastic kernel.
     p = target.rows[rows[path[counted, :K]], drafts[counted]]
     trace.record(accepted[counted], p, count[counted])
 
-    seq[:, width : width + max_tokens] = tokens[_walk(succ, np.array(start), max_tokens)]
+    hops = _walk(succ[path[:, K]], np.array(start), -(-max_tokens // (K + 1)))
+    seq[:, width : width + max_tokens] = tokens[path[hops].reshape(n, -1)[:, :max_tokens]]
 
 
 def _walk(succ, starts, length):
@@ -366,7 +370,8 @@ def _walk(succ, starts, length):
         step = min(filled, length - filled)
         path[:, filled : filled + step] = jump[path[:, :step]]
         filled += step
-        jump = jump[jump]
+        if filled < length:
+            jump = jump[jump]
     return path
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -26,9 +27,9 @@ from speclab.models import (
     make_synthetic_target,
 )
 from speclab import models
-from speclab.bench import sample_prompts
+from speclab.bench import run_bench, sample_prompts
 from speclab.drafting import masked_contexts
-from speclab.verification import MODES, VERIFIERS, DecodeTrace, decode_loop
+from speclab.verification import MODES, VERIFIERS, DecodeTrace, _walk, decode_loop
 
 
 class TestAcceptProb:
@@ -261,6 +262,15 @@ class TestDecodeTrace:
         assert trace.bin_attempts[5] == 2 * (2**53 + 1)
         assert trace.bin_accepts[5] == 2**53 + 1
 
+    @pytest.mark.parametrize("draft_len", [2.5, "3", None])
+    def test_non_integer_draft_len_rejected(self, draft_len):
+        with pytest.raises(ValueError, match=r"^draft_len must be an integer, got "):
+            DecodeTrace(draft_len=draft_len)
+
+    def test_integer_draft_len_of_any_type(self):
+        trace = DecodeTrace(draft_len=np.int64(3))
+        assert type(trace.draft_len) is int and trace.accept_hist.tolist() == [0] * 4
+
     def test_trace_keeps_counts_only(self):
         # The bench report owns the layout and the derived rates.
         for name in ("to_json_dict", "combine", "committed_per_step"):
@@ -403,6 +413,34 @@ class TestDecodeLoop:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
             call(target)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+    @pytest.mark.parametrize("call", [
+        lambda t, seed: make_synthetic_target(seed, 4, 1, 0.5),
+        lambda t, seed: sample_prompts(t, 2, 4, seed),
+        lambda t, seed: run_bench(t, t, draft_len=2, mode="independent", verify="greedy",
+                                  num_prompts=2, prompt_len=3, max_tokens=4, seed=seed),
+        lambda t, seed: run_bench(t, t, draft_len=2, mode="independent", verify="greedy",
+                                  prompts=[[0, 1]], max_tokens=4, seed=seed),
+    ], ids=["make_synthetic_target", "sample_prompts", "run_bench", "run_bench-prompts"])
+    def test_bad_seed_rejected_at_other_entry_points_before_any_draw(self, call, seed):
+        target, _ = _order1_pair(20)
+        with mock.patch.object(np.random, "default_rng",
+                               side_effect=AssertionError("drew before the seed check")):
+            with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got "
+                                                 rf"{re.escape(repr(seed))}$"):
+                call(target, seed)
+
+    def test_integer_seeds_of_any_type_make_the_same_target_and_prompts(self):
+        class Five:
+            def __index__(self):
+                return 5
+
+        targets = [make_synthetic_target(seed, 4, 2, 0.5) for seed in (5, np.uint8(5), Five())]
+        for other in targets[1:]:
+            assert other.rows.tobytes() == targets[0].rows.tobytes()
+        prompts = [sample_prompts(targets[0], 3, 6, seed) for seed in (5, np.uint8(5), Five())]
+        assert prompts[0] == prompts[1] == prompts[2]
+
     def test_integer_seeds_of_any_type_draw_the_same_stream(self):
         class Five:
             def __index__(self):
@@ -428,6 +466,27 @@ class TestDecodeLoop:
         with pytest.raises(ValueError, match=f"real tokens, got {target.vocab.mask_id}"):
             decode_loop(target, drafter, [[1], prompt], 5, 2, mode="independent",
                         verify="greedy")
+
+    @pytest.mark.parametrize("verify", VERIFIERS)
+    @pytest.mark.parametrize("bad", [-1, -2**63, 2**63 - 1, 2**63, 2**64, "V"])
+    def test_edge_tokens_rejected_at_entry(self, bad, verify):
+        # Tokens of int64's two ends, just past them and at V: the range check
+        # reads int64 tokens as uint64, so a negative one lands above V. A
+        # later bad token is not the one named.
+        target, drafter = _order1_pair(27)
+        size = target.vocab.size
+        bad = size if bad == "V" else bad
+        prompts = [[0, size - 1], [size - 1, bad, -2, size]]
+        with pytest.raises(ValueError, match=rf"^prompt must contain only real tokens, "
+                                             rf"got {re.escape(str(bad))}$"):
+            decode_loop(target, drafter, prompts, 5, 2, mode="independent", verify=verify)
+
+    @pytest.mark.parametrize("verify", VERIFIERS)
+    def test_edge_real_tokens_decode(self, verify):
+        target, drafter = _order1_pair(27)
+        top = target.vocab.size - 1
+        prompts = [[0], [top], [top, 0, top], np.array([0, top], dtype=np.uint64)]
+        _assert_batch_matches_scalar(target, drafter, prompts, 7, 2, "independent", verify, 3)
 
     @pytest.mark.parametrize("prompt, bad", [([1.7, 2], "1.7"), (["1", 2], "1")])
     def test_non_integer_prompt_token_rejected(self, prompt, bad):
@@ -533,7 +592,35 @@ def _assert_case_matches_scalar(seed, table, vocab_size, target_order, drafter_o
     _assert_batch_matches_scalar(target, drafter, prompts, max_tokens, k, mode, verify, seed)
 
 
+class TestWalk:
+    @pytest.mark.parametrize("nodes", [1, 2, 5, 40])
+    def test_equals_repeated_gathers(self, nodes):
+        # Every length from 1 to 70 crosses the powers of two, where the
+        # doubling gathers stop.
+        rng = np.random.default_rng(nodes)
+        for length in range(1, 71):
+            succ = rng.integers(0, nodes, nodes).astype(np.intp)
+            starts = rng.integers(0, nodes, 3)
+            want = np.empty((3, length), dtype=np.intp)
+            want[:, 0] = starts
+            for t in range(1, length):
+                want[:, t] = succ[want[:, t - 1]]
+            assert _walk(succ, starts, length).tolist() == want.tolist(), length
+
+
 class TestDecodeLoopMatchesScalarOracle:
+    @pytest.mark.parametrize("draft_len", [1, 3])
+    def test_greedy_outputs_around_multiples_of_the_round(self, draft_len):
+        # The output walk steps K + 1 nodes at a time and cuts the last step.
+        rng = np.random.default_rng(draft_len)
+        target = _random_sparse_model(rng, 3, 2)
+        drafter = _random_dense_model(rng, 3, 1)
+        for max_tokens in range(1, 4 * (draft_len + 1) + 2):
+            for mode in MODES:
+                _assert_batch_matches_scalar(target, drafter, [[0], [1, 2], [2, 2, 0]],
+                                             max_tokens, draft_len, mode, "greedy", 0)
+
+
     @settings(max_examples=150, deadline=None)
     @given(**_DECODE_CASE)
     def test_same_tokens_and_trace(
