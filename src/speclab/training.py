@@ -162,10 +162,12 @@ def sample_corpus(
     """Self-distillation data: sequences sampled from the model itself, with
     one ``rng.random`` call for all tokens (the stream of one draw each).
     A count that is not an integer >= 0 raises ValueError naming it."""
-    for name, count in (("num_sequences", num_sequences), ("sequence_length", sequence_length)):
-        if checked_int(name, count) < 0:
+    shape = (checked_int("num_sequences", num_sequences),
+             checked_int("sequence_length", sequence_length))
+    for name, count in zip(("num_sequences", "sequence_length"), shape):
+        if count < 0:
             raise ValueError(f"{name} must be >= 0, got {count}")
-    uniforms = rng.random((num_sequences, sequence_length))
+    uniforms = rng.random(shape)
     return sample_sequences(model, uniforms).tolist()
 
 

@@ -83,18 +83,25 @@ class DecodeTrace:
                counts: np.ndarray | int = 1) -> None:
         """Add r rounds: their accepted lengths (r,) and the target's
         probability of each drafted token (r, K), each row ``counts[i]``
-        times (default once). Entries past a round's attempted positions
-        are not read."""
-        k = np.arange(self.draft_len)
-        bins = np.minimum((target_probs * NUM_CONFIDENCE_BINS).astype(np.intp),
+        times (default once). Only a round's attempted positions
+        0..min(a, K - 1) are read, by one ragged gather; they are all
+        accepted but the last of a round that rejected (a < K)."""
+        K = self.draft_len
+        rejected = accepted < K
+        attempts = accepted + rejected
+        ends = np.add.accumulate(attempts)
+        # Round i's attempted entries are the flat entries iK .. iK + attempts[i] - 1.
+        at = np.arange(ends[-1] if len(ends) else 0) + (
+            np.arange(0, K * len(ends), K) + attempts - ends).repeat(attempts)
+        bins = np.minimum((target_probs.ravel().take(at) * NUM_CONFIDENCE_BINS).astype(np.intp),
                           NUM_CONFIDENCE_BINS - 1)
-        attempts, accepts = bins[k <= accepted[:, None]], bins[k < accepted[:, None]]
         # int64 sums: float bincount weights lose counts past 2**53
         counts = np.add(counts, np.zeros(accepted.shape, dtype=np.int64))
         np.add.at(self.accept_hist, accepted, counts)
-        np.add.at(self.bin_attempts, attempts,
-                  counts.repeat(np.minimum(accepted + 1, self.draft_len)))
-        np.add.at(self.bin_accepts, accepts, counts.repeat(accepted))
+        weights = counts.repeat(attempts)
+        np.add.at(self.bin_attempts, bins, weights)
+        weights[ends[rejected] - 1] = 0
+        np.add.at(self.bin_accepts, bins, weights)
 
     @property
     def steps(self) -> int:
@@ -238,14 +245,16 @@ def _drafter_step(drafter, positions, featured):
     0..positions - 1, and ``shared`` is the all-mask row, the one every
     position k >= d_d reads. In dependent mode the feature slot holds
     ``top``, the target's greedy token at each window, which the caller
-    reads; independent mode ignores it."""
+    reads; its code term comes from a (V, positions) table, made once per
+    call. Independent mode ignores ``top``."""
     vocab, order = drafter.vocab, drafter.order
     weights, offsets = _draft_layout(vocab.size, order, positions, featured)
+    if featured:
+        offsets = (vocab.size + 1 + np.arange(vocab.size))[:, None] * weights[order] + offsets
 
     def own_rows(windows: np.ndarray, top: np.ndarray | None) -> np.ndarray:
-        codes = windows[:, -order:] @ weights[:order] + offsets
-        if featured:
-            codes += (vocab.size + 1 + top)[:, None] * weights[order]
+        codes = windows[:, -order:] @ weights[:order]
+        codes += offsets[top] if featured else offsets
         return drafter.code_rows(codes)
 
     return own_rows, next_distribution(drafter, (vocab.mask_id,) * order)
@@ -377,11 +386,15 @@ def _walk(succ, starts, length):
 
 def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, trace, seed):
     """Stochastic rounds of all live prompts in lockstep: the drafter rows
-    at positions 0..K (own rows, then the all-mask row), the K draws from
-    their cached CDFs, the K + 1 target rows, the accept tests, and the
-    correction or bonus are each one array step. The rounds are recorded in
-    one call at the end, holding at most n x max_tokens x (K + 1) values, less
-    than the uniforms; a prompt with its tokens leaves the live arrays.
+    at the drafter's own positions 0..min(K, d_d) - 1, the K draws, the
+    K + 1 target rows, the accept tests, and the correction or bonus are
+    each one array step. Every later position reads the all-mask row: it and
+    its CDF, summed once per call, fill those positions' columns of per-call
+    (n, K + 1, V) row and (n, K, V) CDF blocks (0.27 MB at 64 prompts,
+    K = 16, V = 16), and a round writes only its own positions' columns.
+    The rounds are recorded in one call at the end, holding at most
+    n x max_tokens x (K + 1) values, less than the uniforms; a prompt with
+    its tokens leaves the live arrays.
 
     Prompt i draws its uniforms once, from ``default_rng([seed, i, 1])``. A
     round that accepts A of K drafts reads K proposal draws, min(A + 1, K)
@@ -394,8 +407,19 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
     """
     n, total = seq.shape
     width = total - max_tokens - draft_len
-    K, d_t = draft_len, target.order
-    own_rows, _ = _drafter_step(drafter, K + 1, featured)
+    K, d_t, V = draft_len, target.order, target.vocab.size
+    own = min(K, drafter.order)
+    own_rows, shared = _drafter_step(drafter, own, featured)
+    # The j-th live prompt's drafter rows at positions 0..K and CDFs at
+    # 0..K - 1: its own positions are rewritten every round, the all-mask
+    # ones filled once. Position K drafts nothing: its infinite row leaves a
+    # bonus no residual.
+    q_rows, cdfs = np.empty((n, K + 1, V)), np.empty((n, K, V))
+    q_rows[:, own:K] = shared
+    q_rows[:, K] = np.inf
+    cdfs[:, own:] = np.cumsum(shared)
+    lanes = np.arange(n)
+    q_at = (lanes[:, None] * (K + 1) + np.arange(K)) * V  # q_rows.ravel() offsets
     # Offsets into ``seq`` from a prompt's window start.
     window_at = np.arange(width)
     verify_at = width - d_t + np.arange(K + 1)[:, None] + np.arange(d_t)
@@ -410,12 +434,13 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
     uniforms = np.empty((n, need))
     for i, row in enumerate(uniforms):
         np.random.default_rng([seed, i, 1]).random(out=row)
-    flat, flat_u = seq.ravel(), uniforms.ravel()
-    head, cursor = np.arange(n) * total, np.arange(n) * need
+    flat, flat_u, flat_q = seq.ravel(), uniforms.ravel(), q_rows.ravel()
+    head, cursor = lanes * total, lanes * need
     stop = head + max_tokens
     rounds = []
     while len(head):
-        m = np.arange(len(head))
+        live = len(head)
+        m = lanes[:live]
         u = flat_u[cursor[:, None] + draw_at]
 
         # Draft: a draw picks the first CDF entry above it (it is below the last).
@@ -423,24 +448,25 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
         top = (target.greedy_tokens[models.row_ids(target, windows[:, width - d_t:])]
                if featured else None)
         q_ids = own_rows(windows, top)
-        cdf = drafter.cdf.take(q_ids[:, :K], axis=0)
+        drafter.rows.take(q_ids, axis=0, out=q_rows[:live, :own])
+        drafter.cdf.take(q_ids, axis=0, out=cdfs[:live, :own])
+        cdf = cdfs[:live]
         drafts = (cdf > (u[:, :K] * cdf[..., -1])[..., None]).argmax(axis=2)
-        q = drafter.rows[q_ids[:, :K], drafts]
+        q = flat_q.take(q_at[:live] + drafts)
         flat[head[:, None] + draft_at] = drafts
 
         # Verify: the target's rows after each accepted-prefix length 0..K;
         # u < p / q is u < min(1, p / q), as u < 1.
         p_ids = models.row_ids(target, flat[head[:, None, None] + verify_at])
         p = target.rows[p_ids[:, :K], drafts]
-        np.less(u[:, K : 2 * K], p / q, out=tests[: len(m), :K])
-        accepted = tests[: len(m)].argmin(axis=1)
+        np.less(u[:, K : 2 * K], p / q, out=tests[:live, :K])
+        accepted = tests[:live].argmin(axis=1)
         # The correction (from normalize(max(0, p - q)), or p when that is
         # zero) or the bonus (from the target's row after all K drafts).
         final = target.rows.take(p_ids[m, accepted], axis=0)
-        residual = np.maximum(final - drafter.rows.take(q_ids[m, accepted], axis=0), 0.0)
-        mass = residual.sum(axis=1)
-        corrected = (accepted < K) & (mass > 0.0)
-        np.divide(residual, mass[:, None], out=final, where=corrected[:, None])
+        residual = np.maximum(final - q_rows[m, accepted], 0.0)
+        mass = np.add.reduce(residual, axis=1)
+        np.divide(residual, mass[:, None], out=final, where=(mass > 0.0)[:, None])
         final_cdf = final.cumsum(axis=1)
         last = last_at[accepted]
         final_u = u[m, last] * final_cdf[:, -1]
@@ -449,7 +475,7 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
         head += accepted + 1
         cursor += last + 1
         done = head >= stop
-        if done.any():
+        if np.count_nonzero(done):
             head, stop, cursor = (lane[~done] for lane in (head, stop, cursor))
         rounds.append((accepted, p))
 

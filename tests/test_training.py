@@ -344,6 +344,14 @@ class TestSampleCorpus:
         target = make_synthetic_target(17, vocab_size=4, order=2, concentration=0.4)
         assert sample_corpus(target, *counts, np.random.default_rng(0)) == expected
 
+    def test_integer_counts_of_any_type_draw_as_ints(self):
+        # True is the int 1 and np.int64(3) the int 3, as for sample_prompts.
+        target = make_synthetic_target(17, vocab_size=4, order=2, concentration=0.4)
+        want = sample_corpus(target, 1, 3, np.random.default_rng(0))
+        for counts in ((True, 3), (np.int64(1), np.int64(3)), (1, np.int8(3))):
+            assert sample_corpus(target, *counts, np.random.default_rng(0)) == want
+        assert len(want) == 1 and len(want[0]) == 3
+
 
 
 class TestMaskedContext:

@@ -26,7 +26,7 @@ from speclab.models import (
     as_distribution,
     make_synthetic_target,
 )
-from speclab import models
+from speclab import models, training
 from speclab.bench import run_bench, sample_prompts
 from speclab.drafting import masked_contexts
 from speclab.verification import MODES, VERIFIERS, DecodeTrace, _walk, decode_loop
@@ -224,6 +224,29 @@ class TestPrefixReachProbs:
         reach = prefix_reach_probs(a)
         total = sum(s * x for s, x in zip(reach, a))
         assert abs(total - expected_accept_length(a)) <= 1e-12
+
+
+class TestInverseCdfDraw:
+    """A draw is the first CDF entry above u times the CDF's own total: the
+    kernels find it by ``argmax`` over a comparison and
+    ``oracles.sample_token`` by ``searchsorted``, and the two agree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        row=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=20)
+        .filter(lambda row: sum(row) > 0.0),
+        scale=st.sampled_from([1.0 - 2**-52, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 1.0 + 1e-9]),
+        u=st.one_of(st.just(0.0), st.just(1.0 - 2**-53), st.floats(0.0, 1.0, exclude_max=True)),
+    )
+    def test_searchsorted_equals_first_entry_above(self, row, scale, u):
+        # Rows with zero entries, normalized to a total that rounding leaves
+        # a little under or over 1.
+        row = np.array(row)
+        cdf = np.cumsum(row / row.sum() * scale)
+        x = u * cdf[-1]
+        token = int(np.searchsorted(cdf, x, side="right"))
+        assert token == int((cdf > x).argmax())
+        assert row[token] > 0.0
 
 
 class TestDecodeTrace:
@@ -692,6 +715,25 @@ class TestDecodeLoopMatchesScalarOracle:
         for mode in MODES:
             _assert_batch_matches_scalar(target, drafter, [[0, 1], [2], [3, 3, 3]], 200, 16,
                                          mode, "stochastic", 11)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("drafter_order, draft_len", [(1, 16), (3, 2)])
+    def test_stochastic_kernel_in_the_benchmark_shape(self, seed, drafter_order, draft_len):
+        # decode-stochastic-short's pair: V = 16, a d = 2 target, a CAT
+        # drafter trained by the gen/train chain, and 16 prompts of 8 tokens
+        # decoded to 64 in dependent mode. At order 1 and K = 16, positions
+        # 1-15 read the all-mask row; at order 3 and K = 2 no position does.
+        target = make_synthetic_target(seed, 16, 2, 0.3)
+        config = training.TrainConfig(draft_len=draft_len, drafter_order=drafter_order,
+                                      seed=seed)
+        corpus = training.sample_corpus(target, 16, 64, np.random.default_rng([seed, 2]))
+        windows = training.build_training_windows(target, corpus, config,
+                                                  np.random.default_rng([seed, 3]))
+        drafter = training.train_tabular_drafter(windows, config)
+        prompts = np.random.default_rng([seed, 7]).integers(0, 16, size=(16, 8)).tolist()
+        trace = _assert_batch_matches_scalar(target, drafter, prompts, 64, draft_len,
+                                             "dependent", "stochastic", seed)
+        assert trace.accept_hist[1:].sum() > 0
 
     @pytest.mark.parametrize("k", [1, 3, 16])
     @pytest.mark.parametrize("max_tokens", [1, 2, 9, 40])

@@ -1,0 +1,125 @@
+"""Paired benchmark runs of two checkouts, summarized metric by metric.
+
+Usage, from anywhere::
+
+    python3 tools/pair_bench.py PARENT_DIR CHANGE_DIR --workload decode-stochastic-short \\
+        --pairs 10 --seeds 0,3 [--seconds S] [--out BENCH.json]
+
+Each pair runs ``perfbench/run.py`` once in each checkout, one run at a time,
+and the side that runs first alternates (odd pairs parent first). Pair i
+uses seed ``seeds[(i - 1) % len(seeds)]``. ``--workload`` may be given more
+than once. Runs last ``BENCHMARK.json``'s ``run_seconds`` unless
+``--seconds`` says otherwise. Each end-to-end metric of ``BENCHMARK.json``
+(read from CHANGE_DIR, with its direction and bound) gets the medians and quartiles of
+both sides, the change's median over the parent's, the number of pairs in
+which the change was better, and whether the change is within the metric's
+bound. The summary goes to ``--out`` (default standard output) under
+``workloads``; other keys of an existing ``--out`` file are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``checkout``: its last stdout line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds)]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (``statistics.quantiles``, inclusive)."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+
+
+def summarize(parent: list[dict], change: list[dict], spec: list[dict],
+              seeds: list[int]) -> dict:
+    """Per-metric summary of paired runs: ``parent[i]`` and ``change[i]``
+    are pair i's results, and ``spec`` is ``BENCHMARK.json``'s
+    ``end_to_end`` list."""
+    metrics = {}
+    for m in spec:
+        name, higher = m["name"], m["better"] == "higher"
+        runs = {side: [r["metrics"][name]["value"] for r in results]
+                for side, results in (("parent", parent), ("change", change))}
+        p, c = statistics.median(runs["parent"]), statistics.median(runs["change"])
+        ratio = c / p if p else (1.0 if c == p else math.inf)
+        worse_by = (1 - ratio) if higher else (ratio - 1)
+        metrics[name] = {
+            "parent": spread(runs["parent"]),
+            "change": spread(runs["change"]),
+            "change_over_parent": round(ratio, 4),
+            "change_better_in_pairs": sum((b > a) if higher else (b < a)
+                                          for a, b in zip(runs["parent"], runs["change"])),
+            "within_bound": worse_by <= m["bound"],
+            "runs": {side: [round(v, 6) for v in values] for side, values in runs.items()},
+        }
+    return {
+        "pairs": len(parent),
+        "seeds": seeds,
+        "correct_every_run": all(r["correct"] for r in parent + change),
+        "failed": sum(r["failed"] for r in change),
+        "failed_parent": sum(r["failed"] for r in parent),
+        "metrics": metrics,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seeds", default="0")
+    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if args.pairs < 1 or min(seeds) < 0:
+        parser.error("--pairs must be >= 1 and every seed >= 0")
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    spec, seconds = benchmark["end_to_end"], args.seconds or benchmark["run_seconds"]
+
+    report = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
+    report["method"] = {
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {seconds:g}",
+        "pairs": f"{args.pairs} per workload, alternating which side runs first (odd pairs "
+                 "parent first); pair i at seed seeds[(i - 1) % len(seeds)]",
+        "times": "as perfbench reports them (probe-normalized); medians and quartiles "
+                 "(statistics.quantiles, inclusive) over each side's runs",
+        "host": {"python": platform.python_version(), "machine": platform.machine()},
+    }
+    workloads = report.setdefault("workloads", {})
+    for workload in args.workload:
+        parent, change = [], []
+        for i in range(1, args.pairs + 1):
+            seed = seeds[(i - 1) % len(seeds)]
+            sides = [(args.parent, parent), (args.change, change)]
+            for checkout, results in sides if i % 2 else sides[::-1]:
+                results.append(run_once(checkout, workload, seed, seconds))
+            print(f"{workload} pair {i}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+        workloads[workload] = summarize(parent, change, spec, seeds)
+
+    text = json.dumps(report, indent=1) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
