@@ -103,10 +103,8 @@ def sample_prompts(
 ) -> list[list[Token]]:
     """Prompts sampled from the target in lockstep; prompt i draws from
     ``default_rng([seed, i, 0])``."""
-    num_prompts = checked_int("num_prompts", num_prompts)
-    prompt_len = checked_int("prompt_len", prompt_len)
-    if num_prompts < 1 or prompt_len < 1:
-        raise ValueError("num_prompts and prompt_len must be >= 1")
+    num_prompts = checked_int("num_prompts", num_prompts, 1)
+    prompt_len = checked_int("prompt_len", prompt_len, 1)
     seed = checked_seed(seed)
     uniforms = [np.random.default_rng([seed, i, 0]).random(prompt_len)
                 for i in range(num_prompts)]

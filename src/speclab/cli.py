@@ -271,9 +271,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     report.config.update(target_path=args.target, drafter_path=args.drafter)
     print(f"time: prompts {sampled - start:.3f} s, decode {decode_s:.3f} s, "
           f"{report.trace.total_tokens / max(decode_s, 1e-9):.0f} tok/s", file=sys.stderr)
-    bench_mod.write_report_json(report, args.out)
-    bench_mod.write_position_csv(report, positions_csv)
-    bench_mod.write_confidence_csv(report, confidence_csv)
+    outputs = [(bench_mod.write_report_json, args.out),
+               (bench_mod.write_position_csv, positions_csv),
+               (bench_mod.write_confidence_csv, confidence_csv)]
+    for i, (write, path) in enumerate(outputs):
+        try:
+            write(report, path)
+        except (OSError, MemoryError):
+            for _, written in outputs[:i]:
+                Path(written).unlink()  # a failed bench leaves no partial result behind
+            raise
     print(f"tau: {report.tau:.4f}")
     print(f"committed per step: {report.committed_per_step:.4f}")
     print(f"speedup estimate: {report.speedup_estimate:.4f}")

@@ -17,10 +17,11 @@ left-fills short histories so context keys stay fixed width.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import warnings
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Sized
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from pathlib import Path
@@ -39,13 +40,19 @@ PROB_SUM_TOL = 1e-9
 GREEDY = "greedy"
 
 
-def checked_int(name: str, value) -> int:
-    """``operator.index(value)``; ValueError naming ``name`` if the value is
-    not an integer (a float such as 2.5 or 2.0 included)."""
+def checked_int(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``operator.index(value)``, the one rule for an integer setting:
+    ValueError naming ``name`` if the value is not an integer (a float such
+    as 2.5 or 2.0 included) or lies below ``low`` or above ``high``."""
     try:
-        return operator.index(value)
+        v = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if high is not None and not low <= v <= high:
+        raise ValueError(f"{name} must be in {low}..{high}, got {v}")
+    if low is not None and v < low:
+        raise ValueError(f"{name} must be >= {low}, got {v}")
+    return v
 
 
 def checked_seed(seed) -> int:
@@ -62,8 +69,7 @@ class Vocabulary:
     size: int
 
     def __post_init__(self) -> None:
-        if checked_int("vocabulary size", self.size) < 1:
-            raise ValueError(f"vocabulary size must be positive, got {self.size}")
+        checked_int("vocabulary size", self.size, 1)
 
     @cached_property
     def mask_id(self) -> Symbol:
@@ -97,6 +103,31 @@ class Vocabulary:
         if not self.is_real(token):
             raise ValueError(f"not a real token id: {token}")
         return self.size + 1 + token
+
+
+def checked_tokens(sequences: Sequence[Sequence[Token]], vocab: Vocabulary,
+                   what: str) -> tuple[list[int], np.ndarray]:
+    """The one rule for token sequences: their lengths and their tokens
+    back to back as int64, else ValueError for the first fault in order,
+    named for ``what`` (``"prompt"``, ``"corpus"``): an entry that is not a
+    sequence, a token that is not an integer, or one outside [0, V)."""
+    try:
+        lengths = [len(seq) for seq in sequences]
+        flat = np.fromiter(map(operator.index, itertools.chain.from_iterable(sequences)),
+                           dtype=np.int64, count=sum(lengths))
+        # A negative token wraps past V as uint64: one compare checks both ends.
+        if not np.count_nonzero(flat.view(np.uint64) >= vocab.size):
+            return lengths, flat
+    except (OverflowError, TypeError):  # not a sequence, a token beyond int64 or not an integer
+        pass
+    for i, seq in enumerate(sequences):
+        if not isinstance(seq, Sized):
+            raise ValueError(f"{what} entry {i} is not a sequence of tokens: {seq!r}")
+        for t in seq:
+            if not hasattr(type(t), "__index__"):
+                raise ValueError(f"{what} token is not an integer: {t!r}")
+            if not 0 <= operator.index(t) < vocab.size:
+                raise ValueError(f"{what} token out of range [0, {vocab.size}): {t}")
 
 
 def as_distribution(probs: Iterable[float], vocab_size: int) -> np.ndarray:
@@ -149,7 +180,7 @@ def _checked_rows(
     for key, row in zip(contexts, rows):
         if not np.iterable(key):  # one symbol, not a row of them
             raise ValueError(f"contexts must have shape (R, {order}) and rows (R, {V})")
-        key = tuple(int(s) if isinstance(s, str) else _symbol(s) for s in key)
+        key = tuple(int(s) if isinstance(s, str) else checked_int("context symbol", s) for s in key)
         if len(key) != order:
             raise ValueError(f"context {key} does not match model order {order}")
         for s in key:
@@ -160,14 +191,6 @@ def _checked_rows(
     if len(contexts) != len(rows):
         raise ValueError(f"contexts must have shape (R, {order}) and rows (R, {V})")
     return np.array(keys, dtype=np.int64).reshape(-1, order), np.array(probs).reshape(-1, V)
-
-
-def _symbol(symbol) -> int:
-    """``operator.index(symbol)``; ValueError if the symbol is not an integer."""
-    try:
-        return operator.index(symbol)
-    except TypeError:
-        raise ValueError(f"context symbol is not an integer: {symbol}") from None
 
 
 @cache
@@ -217,8 +240,7 @@ class TabularModel:
 
     def __init__(self, order: int, vocab: Vocabulary, contexts: ArrayLike, rows: ArrayLike,
                  fallback: ArrayLike) -> None:
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"model order must be in 1..{MAX_ORDER}, got {order}")
+        order = checked_int("model order", order, 1, MAX_ORDER)
         fallback = as_distribution(fallback, vocab.size)
         keys, probs = _checked_rows(contexts, rows, order, vocab)
         num_symbols = vocab.num_symbols
@@ -324,7 +346,7 @@ def _checked_row_ids(model: TabularModel, contexts: ArrayLike) -> np.ndarray:
         raise ValueError(f"contexts must have shape (n, {model.order}), got {symbols.shape}")
     if symbols.dtype.kind not in "biu":  # name a bad symbol as given, not as converted
         given = np.array(contexts, dtype=object).tolist()
-        symbols = np.array([list(map(_symbol, row)) for row in given])
+        symbols = np.array([[checked_int("context symbol", s) for s in row] for row in given])
     bad = (symbols < 0) | (symbols >= model.vocab.num_symbols)
     if np.count_nonzero(bad):
         raise ValueError(f"context symbol out of range: {symbols[bad][0]}")
@@ -390,10 +412,8 @@ def make_synthetic_target(
     lexicographic (``itertools.product``) order, the same stream as one call
     per row.
     """
-    if checked_int("vocab_size", vocab_size) < 2:
-        raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
-    if not 1 <= checked_int("order", order) <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
+    vocab_size = checked_int("vocab_size", vocab_size, 2)
+    order = checked_int("order", order, 1, MAX_ORDER)
     if not 0 < concentration < math.inf:
         raise ValueError(f"concentration must be finite and > 0, got {concentration}")
     rng = np.random.default_rng(checked_seed(seed))

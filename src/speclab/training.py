@@ -17,10 +17,8 @@ stop-gradient semantics without any autodiff.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
-from collections.abc import Iterator, Sequence, Sized
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
@@ -35,6 +33,7 @@ from .models import (
     Token,
     Vocabulary,
     checked_int,
+    checked_tokens,
     context_codes,
     lookup_rows,
     next_distribution,  # noqa: F401 - perfbench's tracer test patches it here
@@ -110,12 +109,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if checked_int("draft_len", self.draft_len) < 1:
-            raise ValueError(f"draft_len must be >= 1, got {self.draft_len}")
-        if self.drafter_order is not None and not (
-            1 <= checked_int("drafter_order", self.drafter_order) <= MAX_ORDER
-        ):
-            raise ValueError(f"drafter_order must be in 1..{MAX_ORDER}, got {self.drafter_order}")
+        checked_int("draft_len", self.draft_len, 1)
+        if self.drafter_order is not None:
+            checked_int("drafter_order", self.drafter_order, 1, MAX_ORDER)
         GateConfig(self.rho)  # checks rho
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
@@ -127,8 +123,7 @@ class TrainConfig:
             raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing}")
         if not 0.0 <= self.kd_weight < math.inf:
             raise ValueError(f"kd_weight must be finite and >= 0, got {self.kd_weight}")
-        if checked_int("seed", self.seed) < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        checked_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,12 +157,8 @@ def sample_corpus(
     """Self-distillation data: sequences sampled from the model itself, with
     one ``rng.random`` call for all tokens (the stream of one draw each).
     A count that is not an integer >= 0 raises ValueError naming it."""
-    shape = (checked_int("num_sequences", num_sequences),
-             checked_int("sequence_length", sequence_length))
-    for name, count in zip(("num_sequences", "sequence_length"), shape):
-        if count < 0:
-            raise ValueError(f"{name} must be >= 0, got {count}")
-    uniforms = rng.random(shape)
+    uniforms = rng.random((checked_int("num_sequences", num_sequences, 0),
+                           checked_int("sequence_length", sequence_length, 0)))
     return sample_sequences(model, uniforms).tolist()
 
 
@@ -180,7 +171,8 @@ def build_training_windows(
     """Slide a draft_len window (stride 1, nonempty prefix) over each sequence.
 
     One array pass builds every window, with no loop over sequences. The
-    corpus is flattened and range checked once; the sequences long enough
+    corpus is flattened and checked once, by
+    :func:`~speclab.models.checked_tokens`; the sequences long enough
     to window (draft_len + 1 tokens or more) are laid out back to back in
     one buffer, each behind as many pads as the wider of the target's and
     the drafter's orders, so a position's pad-filled context is the buffer
@@ -191,24 +183,17 @@ def build_training_windows(
     feature is the argmax of its first row. Weights follow
     config.weighting, and the feature passes through the stochastic gate,
     one draw per window in corpus order. A corpus entry that is not a
-    sequence, or a token that is not a real token of the target's
-    vocabulary, raises ValueError for the first one in corpus order, in
-    short sequences too.
+    sequence, or a token that is not an integer or not a real token of the
+    target's vocabulary, raises ValueError for the first one in corpus
+    order, in short sequences too.
     """
     vocab = target.vocab
     d = target.order
     d_drafter = config.drafter_order if config.drafter_order is not None else d
     K = config.draft_len
     width = max(d, d_drafter)
-    try:
-        lengths = np.fromiter(map(len, corpus), dtype=np.intp)
-        flat = np.fromiter(map(operator.index, itertools.chain.from_iterable(corpus)),
-                           dtype=np.intp, count=int(lengths.sum()))
-        real = bool(((flat >= 0) & (flat < vocab.size)).all())
-    except (OverflowError, TypeError):  # an entry that is not a sequence, a token not an intp
-        real = False
-    if not real:
-        raise _corpus_error(corpus, vocab)
+    lengths, flat = checked_tokens(corpus, vocab, "corpus")
+    lengths = np.array(lengths, dtype=np.intp)
 
     # With i counting the kept sequences' tokens, events (positions after a
     # sequence's first) or windows, and j the kept sequence the i-th one is
@@ -242,17 +227,6 @@ def build_training_windows(
     for arr in arrays:
         arr.setflags(write=False)
     return TrainingWindows(*arrays)
-
-
-def _corpus_error(corpus, vocab: Vocabulary) -> ValueError:
-    """The error for the corpus's first entry that is not a sequence or
-    token that is not a real token, in corpus order."""
-    for i, tokens in enumerate(corpus):
-        if not isinstance(tokens, Sized):
-            return ValueError(f"corpus entry {i} is not a sequence of tokens: {tokens!r}")
-        for t in tokens:
-            if not vocab.is_real(t):
-                return ValueError(f"corpus token out of range [0, {vocab.size}): {t}")
 
 
 def _position_contexts(

@@ -22,9 +22,7 @@ the batch loop is held to.
 
 from __future__ import annotations
 
-import itertools
-import operator
-from collections.abc import Sequence, Sized
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -38,6 +36,7 @@ from .models import (
     Vocabulary,
     checked_int,
     checked_seed,
+    checked_tokens,
     next_distribution,
 )
 from . import models
@@ -72,9 +71,7 @@ class DecodeTrace:
     bin_accepts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.draft_len = checked_int("draft_len", self.draft_len)
-        if self.draft_len < 1:
-            raise ValueError(f"draft_len must be >= 1, got {self.draft_len}")
+        self.draft_len = checked_int("draft_len", self.draft_len, 1)
         self.accept_hist = np.zeros(self.draft_len + 1, dtype=np.int64)
         self.bin_attempts = np.zeros(NUM_CONFIDENCE_BINS, dtype=np.int64)
         self.bin_accepts = np.zeros(NUM_CONFIDENCE_BINS, dtype=np.int64)
@@ -163,11 +160,8 @@ def decode_loop(
     """
     if len(prompts) == 0:
         raise ValueError("prompts must be nonempty")
-    max_tokens = checked_int("max_tokens", max_tokens)
-    draft_len = checked_int("draft_len", draft_len)
-    if max_tokens < 1 or draft_len < 1:
-        raise ValueError(f"max_tokens and draft_len must be >= 1, got {max_tokens} "
-                         f"and {draft_len}")
+    max_tokens = checked_int("max_tokens", max_tokens, 1)
+    draft_len = checked_int("draft_len", draft_len, 1)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if verify not in VERIFIERS:
@@ -175,24 +169,10 @@ def decode_loop(
     if target.vocab.size != drafter.vocab.size:
         raise ValueError("target and drafter must share a vocabulary size")
     seed = checked_seed(seed)
-    try:
-        lengths = [len(p) for p in prompts]
-    except TypeError:  # a prompt that is not a sequence
-        bad = next(p for p in prompts if not isinstance(p, Sized))
-        raise ValueError(f"prompt must be a sequence of tokens, got {bad!r}") from None
+    vocab = target.vocab
+    lengths, flat = checked_tokens(prompts, vocab, "prompt")
     if 0 in lengths:
         raise ValueError("prompt must be nonempty")
-    vocab = target.vocab
-    try:
-        flat = np.fromiter(map(operator.index, itertools.chain.from_iterable(prompts)),
-                           dtype=np.int64, count=sum(lengths))
-        # A negative token wraps past V as uint64: one compare checks both ends.
-        real = not np.count_nonzero(flat.view(np.uint64) >= vocab.size)
-    except (OverflowError, TypeError):  # a token beyond int64, or not an integer
-        real = False
-    if not real:
-        bad = next(t for t in itertools.chain.from_iterable(prompts) if not vocab.is_real(t))
-        raise ValueError(f"prompt must contain only real tokens, got {bad}")
 
     # Row i holds prompt i's last ``width`` tokens (pad-filled on the left),
     # then its committed tokens; drafts are written past them and

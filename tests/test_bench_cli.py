@@ -107,7 +107,8 @@ class TestBenchReport:
     def test_nonpositive_lengths_rejected_before_a_report(self, max_tokens, draft_len):
         # Before, max_tokens = 0 gave a zero-step report with tau 0.0.
         target = make_synthetic_target(1, vocab_size=4, order=1, concentration=0.5)
-        with pytest.raises(ValueError, match="max_tokens and draft_len must be >= 1"):
+        name, value = ("max_tokens", max_tokens) if max_tokens < 1 else ("draft_len", draft_len)
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {value}$"):
             run_bench(target, target, draft_len=draft_len, mode="independent",
                       verify="stochastic", num_prompts=2, prompt_len=2, max_tokens=max_tokens)
 
@@ -203,6 +204,21 @@ class TestAnalyze:
                 [("a", self._report(4.0, vocab=8)), ("b", self._report(4.0, vocab=16))],
                 baseline="a",
             )
+
+    @pytest.mark.parametrize("names, baseline, message", [
+        (["a"], "a", "need at least two reports to compare"),
+        (["a", "b"], "c", "baseline 'c' is not among the reports: ['a', 'b']"),
+    ])
+    def test_too_few_reports_or_an_unknown_baseline_rejected(self, names, baseline, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            analyze_reports([(name, self._report(4.0)) for name in names], baseline=baseline)
+
+    def test_unknown_format_rejected(self):
+        rows = analyze_reports(
+            [("a", self._report(4.0)), ("b", self._report(5.0))], baseline="a"
+        )
+        with pytest.raises(ValueError, match=r"^format must be 'markdown' or 'csv', got 'html'$"):
+            format_analysis(rows, "html")
 
     def test_formats(self):
         rows = analyze_reports(
@@ -384,6 +400,25 @@ class TestCLI:
                              "accepts": int(accepts)}
             assert curve == {"center": (float(lo) + float(hi)) / 2.0, "rate": float(rate)}
         assert sum(int(row[2]) for row in positions) > 0
+
+    @pytest.mark.parametrize("flag, written", [
+        ("--positions-csv", ["rep.json"]),
+        ("--confidence-csv", ["rep.json", "rep.positions.csv"]),
+    ])
+    def test_bench_failed_write_leaves_no_partial_result(self, tmp_path, capsys, flag,
+                                                         written):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        before = set(tmp_path.iterdir())
+        code = main(["bench", "--target", str(target), "--drafter", str(drafter),
+                     "--out", str(tmp_path / "rep.json"), "--K", "4", "--prompts", "4",
+                     "--max-tokens", "24", flag, str(tmp_path / "nodir" / "x.csv")])
+        assert code == 2
+        assert "i/o error:" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+        # The same run without the bad path writes the files the failed one removed.
+        self._bench(tmp_path, target, drafter)
+        assert all((tmp_path / name).exists() for name in written)
 
     def test_bench_prints_stage_times_to_stderr_only(self, tmp_path, capsys):
         target = self._gen(tmp_path)

@@ -130,12 +130,12 @@ class TestNextDistribution:
     def test_float_symbol_is_a_value_error(self):
         # A float is not truncated to the row of its integer part.
         model = _tiny_model()
-        with pytest.raises(ValueError, match="^context symbol is not an integer: 1.7$"):
+        with pytest.raises(ValueError, match=r"^context symbol must be an integer, got 1\.7$"):
             next_distribution(model, [0, 1.7])
 
     def test_float_symbol_in_lookup_rows_is_a_value_error(self):
         model = _tiny_model()
-        with pytest.raises(ValueError, match="^context symbol is not an integer: 1.7$"):
+        with pytest.raises(ValueError, match=r"^context symbol must be an integer, got 1\.7$"):
             lookup_rows(model, [[0, 1], [0, 1.7]])
 
     def test_only_the_order_d_key_is_read(self):
@@ -355,6 +355,7 @@ class TestSerialization:
             "ngram v=2 d=1\n0\t0.5 0.5\n",  # missing fallback
             "ngram v=2 d=1\n*\t0.9 0.3\n",  # bad sum
             "ngram v=2 d=1\n*\t0.5 0.5\n0\tnan 0.5\n",  # NaN row
+            "ngram v=2 d=1\n*\t0.5 0.5\n0 0.5 0.5\n",  # a row without its tab
         ],
     )
     def test_malformed_files_rejected(self, tmp_path, content):
@@ -475,9 +476,9 @@ class TestTableRows:
         with pytest.raises(ValueError, match=message):
             load_model(path)
 
-    @pytest.mark.parametrize("key, message", [((0,), "order"), ((0, 99), "out of range"),
-                                              ((-1, 0), "out of range"),
-                                              ((0, 0.7), "^context symbol is not an integer: 0.7$")])
+    @pytest.mark.parametrize("key, message", [
+        ((0,), "order"), ((0, 99), "out of range"), ((-1, 0), "out of range"),
+        ((0, 0.7), r"^context symbol must be an integer, got 0\.7$")])
     def test_faulty_keys_rejected(self, key, message):
         vocab = Vocabulary(2)
         table = {(0, 1): [0.5, 0.5], key: [0.5, 0.5], (1, 1): [0.0, 1.0]}
@@ -490,6 +491,12 @@ class TestTableRows:
         rows = [[0.5, 0.5], [1.0, 0.0]]
         with pytest.raises(ValueError, match=r"^contexts must have shape \(R, 1\) and rows"):
             TabularModel(1, Vocabulary(2), contexts, rows, [0.5, 0.5])
+
+    def test_more_contexts_than_rows_is_a_shape_error(self):
+        rows = [[0.5, 0.5], [1.0, 0.0]]
+        with pytest.raises(ValueError, match=r"^contexts must have shape \(R, 1\) and rows "
+                                             r"\(R, 2\)$"):
+            TabularModel(1, Vocabulary(2), [(0,), (1,), (2,)], rows, [0.5, 0.5])
 
     def test_cdf_is_the_read_only_row_cumsum(self):
         # The scalar oracles draw from np.cumsum of one row at a time.

@@ -1,6 +1,9 @@
-"""Tests for the summary of ``tools/pair_bench.py`` on canned runs."""
+"""Tests for ``tools/pair_bench.py``: the summary on canned runs, and runs
+of fake checkouts whose ``perfbench/run.py`` fails."""
 
 import importlib.util
+import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,47 @@ def test_within_bound_follows_each_metric_direction(tok_s, call_ms, within):
 def test_an_incorrect_run_on_either_side_shows():
     got = pair_bench.summarize([_run(1.0, 1.0, correct=False)], [_run(1.0, 1.0)], SPEC, [0])
     assert got["correct_every_run"] is False
+
+
+def _checkout(root: Path, name: str, body: str) -> Path:
+    """A fake checkout whose ``perfbench/run.py`` runs ``body``."""
+    checkout = root / name
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text("import json, sys\n" + body)
+    (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC, "run_seconds": 1}))
+    return checkout
+
+
+_OK = f"print('warming up')\nprint(json.dumps({_run(100.0, 4.0)!r}))\n"
+_EXITS_1 = "print('starting')\nsys.exit('run.py: no such workload')\n"
+_NOT_JSON = "print('{')\nprint('done', file=sys.stderr)\n"
+
+
+@pytest.mark.parametrize("body, exit_code, stderr", [
+    (_EXITS_1, 1, "run.py: no such workload\n"),
+    (_NOT_JSON, 0, "done\n"),
+], ids=["exits-1", "last-line-not-json"])
+def test_a_failed_run_is_recorded(tmp_path, body, exit_code, stderr):
+    got = pair_bench.run_once(_checkout(tmp_path, "bad", body), "w", 0, 1.0)
+    assert got == {"correct": False, "exit_code": exit_code, "stderr_tail": stderr}
+    ok = pair_bench.run_once(_checkout(tmp_path, "ok", _OK), "w", 0, 1.0)
+    assert ok == _run(100.0, 4.0)
+
+
+@pytest.mark.parametrize("body, exit_code", [(_EXITS_1, 1), (_NOT_JSON, 0)],
+                         ids=["exits-1", "last-line-not-json"])
+def test_pairs_go_on_past_a_failed_run(tmp_path, body, exit_code):
+    # The parent's first run fails; pair 1 runs the parent first, pair 2 finishes.
+    first_run_fails = ("import os\nif not os.path.exists('ran'):\n    open('ran', 'w').close()\n"
+                       + textwrap.indent(body, "    ") + "else:\n" + textwrap.indent(_OK, "    "))
+    parent = _checkout(tmp_path, "parent", first_run_fails)
+    change = _checkout(tmp_path, "change", _OK)
+    out = tmp_path / "summary.json"
+    assert pair_bench.main([str(parent), str(change), "--workload", "w", "--pairs", "2",
+                            "--seconds", "0.1", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["workloads"]["w"]
+    assert (got["pairs"], got["failed"], got["failed_parent"]) == (2, 0, 1)
+    assert got["correct_every_run"] is False
+    assert [r["exit_code"] for r in got["failed_runs"]["parent"]] == [exit_code]
+    assert got["failed_runs"]["change"] == []
+    assert got["metrics"]["decode_tok_s"]["runs"] == {"parent": [100.0], "change": [100.0]}

@@ -26,6 +26,7 @@ from speclab.models import (
     as_distribution,
     make_synthetic_target,
 )
+from speclab.training import TrainConfig, sample_corpus
 from speclab import models, training
 from speclab.bench import run_bench, sample_prompts
 from speclab.drafting import masked_contexts
@@ -390,10 +391,11 @@ class TestDecodeLoop:
         with pytest.raises(ValueError, match="prompt must be nonempty"):
             decode_loop(target, drafter, [[0], []], 10, 2, mode="independent", verify="greedy")
 
-    @pytest.mark.parametrize("prompts", [[3], [[0, 1], 3]])
-    def test_prompt_that_is_not_a_sequence_rejected(self, prompts):
+    @pytest.mark.parametrize("prompts, entry", [([3], 0), ([[0, 1], 3], 1)])
+    def test_prompt_that_is_not_a_sequence_rejected(self, prompts, entry):
         target, drafter = _order1_pair(20)
-        with pytest.raises(ValueError, match=r"prompt must be a sequence of tokens, got 3$"):
+        with pytest.raises(ValueError, match=rf"^prompt entry {entry} is not a sequence of "
+                                             rf"tokens: 3$"):
             decode_loop(target, drafter, prompts, 10, 2, mode="independent", verify="greedy")
 
     def test_empty_prompt_list_rejected(self):
@@ -404,7 +406,8 @@ class TestDecodeLoop:
     @pytest.mark.parametrize("max_tokens, draft_len", [(0, 2), (-3, 2), (5, 0)])
     def test_nonpositive_lengths_rejected(self, max_tokens, draft_len):
         target, drafter = _order1_pair(20)
-        with pytest.raises(ValueError, match="max_tokens and draft_len must be >= 1"):
+        name, value = ("max_tokens", max_tokens) if max_tokens < 1 else ("draft_len", draft_len)
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {value}$"):
             decode_loop(target, drafter, [[0]], max_tokens, draft_len, mode="independent",
                         verify="greedy")
 
@@ -430,10 +433,30 @@ class TestDecodeLoop:
         (lambda t: sample_prompts(t, 2, 4.0, 0), "prompt_len"),
         (lambda t: make_synthetic_target(0, 4.0, 1, 0.5), "vocab_size"),
         (lambda t: make_synthetic_target(0, 4, 1.5, 0.5), "order"),
+        *[(lambda t, order=order: TabularModel(order, Vocabulary(2), [(0, 0)], [[0.5, 0.5]],
+                                               [0.5, 0.5]), "model order")
+          for order in (2.0, "2", None, 1.5)],
+        (lambda t: Vocabulary(4.0), "vocabulary size"),
+        (lambda t: TrainConfig(draft_len=2.0), "draft_len"),
+        (lambda t: TrainConfig(drafter_order=1.5), "drafter_order"),
+        (lambda t: TrainConfig(seed="0"), "seed"),
+        (lambda t: sample_corpus(t, 2.0, 4, np.random.default_rng(0)), "num_sequences"),
+        (lambda t: sample_corpus(t, 2, None, np.random.default_rng(0)), "sequence_length"),
+        (lambda t: DecodeTrace(draft_len=2.0), "draft_len"),
     ])
     def test_non_integer_counts_rejected_at_other_entry_points(self, call, name):
         target, _ = _order1_pair(20)
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            call(target)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda t: DecodeTrace(draft_len=0), "draft_len must be >= 1, got 0"),
+        (lambda t: sample_prompts(t, 0, 4, 0), "num_prompts must be >= 1, got 0"),
+        (lambda t: sample_prompts(t, 2, -1, 0), "prompt_len must be >= 1, got -1"),
+    ])
+    def test_counts_below_their_bound_rejected_at_other_entry_points(self, call, message):
+        target, _ = _order1_pair(20)
+        with pytest.raises(ValueError, match=rf"^{message}$"):
             call(target)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
@@ -486,7 +509,9 @@ class TestDecodeLoop:
         # tokens the loop carries, so only the entry check can see it.
         target, drafter = _order1_pair(24)
         prompt = [target.vocab.mask_id] + [0] * 8
-        with pytest.raises(ValueError, match=f"real tokens, got {target.vocab.mask_id}"):
+        with pytest.raises(ValueError, match=rf"^prompt token out of range "
+                                             rf"\[0, {target.vocab.size}\): "
+                                             rf"{target.vocab.mask_id}$"):
             decode_loop(target, drafter, [[1], prompt], 5, 2, mode="independent",
                         verify="greedy")
 
@@ -500,8 +525,8 @@ class TestDecodeLoop:
         size = target.vocab.size
         bad = size if bad == "V" else bad
         prompts = [[0, size - 1], [size - 1, bad, -2, size]]
-        with pytest.raises(ValueError, match=rf"^prompt must contain only real tokens, "
-                                             rf"got {re.escape(str(bad))}$"):
+        with pytest.raises(ValueError, match=rf"^prompt token out of range \[0, {size}\): "
+                                             rf"{re.escape(str(bad))}$"):
             decode_loop(target, drafter, prompts, 5, 2, mode="independent", verify=verify)
 
     @pytest.mark.parametrize("verify", VERIFIERS)
@@ -511,11 +536,12 @@ class TestDecodeLoop:
         prompts = [[0], [top], [top, 0, top], np.array([0, top], dtype=np.uint64)]
         _assert_batch_matches_scalar(target, drafter, prompts, 7, 2, "independent", verify, 3)
 
-    @pytest.mark.parametrize("prompt, bad", [([1.7, 2], "1.7"), (["1", 2], "1")])
+    @pytest.mark.parametrize("prompt, bad", [([1.7, 2], "1.7"), (["1", 2], "'1'")])
     def test_non_integer_prompt_token_rejected(self, prompt, bad):
         # A float or a string is not a token, even where int() would parse it.
         target, drafter = _order1_pair(25)
-        with pytest.raises(ValueError, match=f"real tokens, got {bad}$"):
+        with pytest.raises(ValueError, match=rf"^prompt token is not an integer: "
+                                             rf"{re.escape(bad)}$"):
             decode_loop(target, drafter, [prompt], 4, 2, mode="independent",
                         verify="greedy")
 

@@ -13,8 +13,11 @@ than once. Runs last ``BENCHMARK.json``'s ``run_seconds`` unless
 (read from CHANGE_DIR, with its direction and bound) gets the medians and quartiles of
 both sides, the change's median over the parent's, the number of pairs in
 which the change was better, and whether the change is within the metric's
-bound. The summary goes to ``--out`` (default standard output) under
-``workloads``; other keys of an existing ``--out`` file are kept.
+bound. A run that exits non-zero, or whose last line is not a JSON object,
+is kept as a failed run (its exit code and the tail of its stderr) and the
+pairs go on; its pair is left out of the metrics. The summary goes to
+``--out`` (default standard output) under ``workloads``; other keys of an
+existing ``--out`` file are kept.
 """
 
 from __future__ import annotations
@@ -29,12 +32,26 @@ import sys
 from pathlib import Path
 
 
+#: Characters of a failed run's stderr kept in its record.
+STDERR_TAIL = 2000
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``: its last stdout line."""
+    """One ``perfbench/run.py`` run in ``checkout``: its last stdout line,
+    else a failed run's record ``{"correct": False, "exit_code", "stderr_tail"}``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode == 0 and lines:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            result = None
+        if isinstance(result, dict):
+            return result
+    return {"correct": False, "exit_code": done.returncode,
+            "stderr_tail": done.stderr[-STDERR_TAIL:]}
 
 
 def spread(values: list[float]) -> dict:
@@ -48,12 +65,15 @@ def summarize(parent: list[dict], change: list[dict], spec: list[dict],
               seeds: list[int]) -> dict:
     """Per-metric summary of paired runs: ``parent[i]`` and ``change[i]``
     are pair i's results, and ``spec`` is ``BENCHMARK.json``'s
-    ``end_to_end`` list."""
+    ``end_to_end`` list. The metrics cover the pairs whose two runs both
+    finished; a failed run (:func:`run_once`) counts as one failure of its
+    side and is listed under ``failed_runs``."""
+    finished = [pair for pair in zip(parent, change) if not any("exit_code" in r for r in pair)]
     metrics = {}
-    for m in spec:
+    for m in spec if finished else []:  # no medians without a finished pair
         name, higher = m["name"], m["better"] == "higher"
-        runs = {side: [r["metrics"][name]["value"] for r in results]
-                for side, results in (("parent", parent), ("change", change))}
+        runs = {side: [pair[i]["metrics"][name]["value"] for pair in finished]
+                for i, side in enumerate(("parent", "change"))}
         p, c = statistics.median(runs["parent"]), statistics.median(runs["change"])
         ratio = c / p if p else (1.0 if c == p else math.inf)
         worse_by = (1 - ratio) if higher else (ratio - 1)
@@ -70,8 +90,10 @@ def summarize(parent: list[dict], change: list[dict], spec: list[dict],
         "pairs": len(parent),
         "seeds": seeds,
         "correct_every_run": all(r["correct"] for r in parent + change),
-        "failed": sum(r["failed"] for r in change),
-        "failed_parent": sum(r["failed"] for r in parent),
+        "failed": sum(r.get("failed", 1) for r in change),
+        "failed_parent": sum(r.get("failed", 1) for r in parent),
+        "failed_runs": {side: [r for r in results if "exit_code" in r]
+                        for side, results in (("parent", parent), ("change", change))},
         "metrics": metrics,
     }
 
