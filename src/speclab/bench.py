@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import TabularModel, Token, checked_int, checked_seed, sample_sequences
+from .models import TabularModel, Token, checked_int, sample_sequences
 from .verification import NUM_CONFIDENCE_BINS, DecodeTrace, decode_loop
 
 
@@ -105,7 +105,7 @@ def sample_prompts(
     ``default_rng([seed, i, 0])``."""
     num_prompts = checked_int("num_prompts", num_prompts, 1)
     prompt_len = checked_int("prompt_len", prompt_len, 1)
-    seed = checked_seed(seed)
+    seed = checked_int("seed", seed, 0)
     uniforms = [np.random.default_rng([seed, i, 0]).random(prompt_len)
                 for i in range(num_prompts)]
     return sample_sequences(target, np.array(uniforms)).tolist()
@@ -225,28 +225,20 @@ def analyze_reports(
     return rows
 
 
-_ANALYZE_COLUMNS = (
-    "run",
-    "tau",
-    "committed_per_step",
-    "speedup_estimate",
-    "delta_tau",
-    "delta_speedup",
-)
-
-
 def format_analysis(rows: Sequence[dict], fmt: str = "markdown") -> str:
+    """Rows of :func:`analyze_reports` as a table, its columns the first row's keys."""
+    columns = list(rows[0])
     if fmt == "csv":
-        lines = [",".join(_ANALYZE_COLUMNS)]
+        lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(str(row[c]) for c in _ANALYZE_COLUMNS))
+            lines.append(",".join(str(row[c]) for c in columns))
         return "\n".join(lines) + "\n"
     if fmt == "markdown":
-        header = "| " + " | ".join(_ANALYZE_COLUMNS) + " |"
-        rule = "|" + "|".join(" --- " for _ in _ANALYZE_COLUMNS) + "|"
+        header = "| " + " | ".join(columns) + " |"
+        rule = "|" + "|".join(" --- " for _ in columns) + "|"
         lines = [header, rule]
         for row in rows:
-            cells = [str(row["run"])] + [f"{row[c]:.4f}" for c in _ANALYZE_COLUMNS[1:]]
+            cells = [str(row["run"])] + [f"{row[c]:.4f}" for c in columns[1:]]
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
     raise ValueError(f"format must be 'markdown' or 'csv', got {fmt!r}")

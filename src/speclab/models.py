@@ -55,13 +55,6 @@ def checked_int(name: str, value, low: int | None = None, high: int | None = Non
     return v
 
 
-def checked_seed(seed) -> int:
-    """``operator.index(seed)``; ValueError if the seed is not an integer >= 0."""
-    if not (hasattr(type(seed), "__index__") and operator.index(seed) >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    return operator.index(seed)
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     """Real-token alphabet ``[0, size)`` plus derived reserved symbol ids."""
@@ -69,7 +62,7 @@ class Vocabulary:
     size: int
 
     def __post_init__(self) -> None:
-        checked_int("vocabulary size", self.size, 1)
+        object.__setattr__(self, "size", checked_int("vocabulary size", self.size, 1))
 
     @cached_property
     def mask_id(self) -> Symbol:
@@ -78,7 +71,7 @@ class Vocabulary:
 
     @cached_property
     def feature_ids(self) -> range:
-        """Reserved range holding one feature symbol per real token."""
+        """Reserved range of feature symbols: token t's symbol is ``feature_ids[t]``."""
         return range(self.size + 1, 2 * self.size + 1)
 
     @cached_property
@@ -94,15 +87,6 @@ class Vocabulary:
     @cached_property
     def num_symbols(self) -> int:
         return 2 * self.size + 3
-
-    def is_real(self, symbol: Symbol) -> bool:
-        return isinstance(symbol, (int, np.integer)) and 0 <= symbol < self.size
-
-    def feature_for(self, token: Token) -> Symbol:
-        """Lift a real token id into the reserved feature range."""
-        if not self.is_real(token):
-            raise ValueError(f"not a real token id: {token}")
-        return self.size + 1 + token
 
 
 def checked_tokens(sequences: Sequence[Sequence[Token]], vocab: Vocabulary,
@@ -416,7 +400,7 @@ def make_synthetic_target(
     order = checked_int("order", order, 1, MAX_ORDER)
     if not 0 < concentration < math.inf:
         raise ValueError(f"concentration must be finite and > 0, got {concentration}")
-    rng = np.random.default_rng(checked_seed(seed))
+    rng = np.random.default_rng(checked_int("seed", seed, 0))
     vocab = Vocabulary(vocab_size)
     alpha = np.full(vocab_size, float(concentration))
     symbols = np.array([*range(vocab_size), vocab.pad_id])
@@ -475,7 +459,7 @@ def load_model(path: str | Path) -> TabularModel:
             continue
         key, sep, tail = line.partition("\t")
         if not sep:
-            raise ValueError(f"malformed model line: {line!r}")
+            raise ValueError(f"malformed model line: {line!r} in model file: {path}")
         if key == _FALLBACK_KEY:
             if fallback is not None:
                 raise ValueError(f"duplicate fallback row in model file: {path}")

@@ -109,9 +109,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        checked_int("draft_len", self.draft_len, 1)
+        object.__setattr__(self, "draft_len", checked_int("draft_len", self.draft_len, 1))
         if self.drafter_order is not None:
-            checked_int("drafter_order", self.drafter_order, 1, MAX_ORDER)
+            object.__setattr__(self, "drafter_order",
+                               checked_int("drafter_order", self.drafter_order, 1, MAX_ORDER))
         GateConfig(self.rho)  # checks rho
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
@@ -123,7 +124,7 @@ class TrainConfig:
             raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing}")
         if not 0.0 <= self.kd_weight < math.inf:
             raise ValueError(f"kd_weight must be finite and >= 0, got {self.kd_weight}")
-        checked_int("seed", self.seed, 0)
+        object.__setattr__(self, "seed", checked_int("seed", self.seed, 0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,6 @@ from .models import (
     Token,
     Vocabulary,
     checked_int,
-    checked_seed,
     checked_tokens,
     next_distribution,
 )
@@ -168,7 +167,7 @@ def decode_loop(
         raise ValueError(f"verify must be one of {VERIFIERS}, got {verify!r}")
     if target.vocab.size != drafter.vocab.size:
         raise ValueError("target and drafter must share a vocabulary size")
-    seed = checked_seed(seed)
+    seed = checked_int("seed", seed, 0)
     vocab = target.vocab
     lengths, flat = checked_tokens(prompts, vocab, "prompt")
     if 0 in lengths:
@@ -230,7 +229,7 @@ def _drafter_step(drafter, positions, featured):
     vocab, order = drafter.vocab, drafter.order
     weights, offsets = _draft_layout(vocab.size, order, positions, featured)
     if featured:
-        offsets = (vocab.size + 1 + np.arange(vocab.size))[:, None] * weights[order] + offsets
+        offsets = np.array(vocab.feature_ids)[:, None] * weights[order] + offsets
 
     def own_rows(windows: np.ndarray, top: np.ndarray | None) -> np.ndarray:
         codes = windows[:, -order:] @ weights[:order]

@@ -74,7 +74,7 @@ def load_model_by_split(path) -> TabularModel:
 
 
 def token_of_feature(vocab: Vocabulary, symbol: int) -> int:
-    """The real token a feature symbol lifts; the inverse of ``vocab.feature_for``."""
+    """The real token a feature symbol lifts; the inverse of ``vocab.feature_ids[t]``."""
     if symbol not in vocab.feature_ids:
         raise ValueError(f"not a feature symbol: {symbol}")
     return symbol - vocab.size - 1
@@ -111,7 +111,7 @@ def generate_autoregressive(model: TabularModel, prefix, n: int, mode: str = GRE
     if mode == SAMPLE and rng is None:
         raise ValueError("sample mode requires an rng")
     for t in prefix:
-        if not model.vocab.is_real(int(t)):
+        if not 0 <= int(t) < model.vocab.size:
             raise ValueError(f"prefix must contain only real tokens, got {t}")
     seq = [int(t) for t in prefix]
     out: list[int] = []
@@ -142,7 +142,7 @@ def build_ngram_model(corpus, order: int, vocab_size: int, smoothing: float = 0.
     for seq in corpus:
         toks = [int(t) for t in seq]
         for t in toks:
-            if not vocab.is_real(t):
+            if not 0 <= t < vocab.size:
                 raise ValueError(f"corpus token out of range [0, {vocab_size}): {t}")
         for i, tok in enumerate(toks):
             ctx = padded_suffix(toks[:i], order, vocab.pad_id)
@@ -387,7 +387,7 @@ def compute_feature(target: TabularModel, prefix: Sequence[Token]) -> Symbol:
     if len(prefix) == 0:
         raise ValueError("prefix must be nonempty")
     top = greedy_token(next_row(target, prefix))
-    return target.vocab.feature_for(top)
+    return target.vocab.feature_ids[top]
 
 
 def masked_context(
@@ -437,7 +437,7 @@ def propose(
         raise ValueError("sample mode requires an rng")
     vocab = drafter.vocab
     for t in prefix:
-        if not vocab.is_real(int(t)):
+        if not 0 <= int(t) < vocab.size:
             raise ValueError(f"prefix must contain only real tokens, got {t}")
     if feature != vocab.none_feature_id and feature not in vocab.feature_ids:
         raise ValueError(f"feature symbol out of range: {feature}")
@@ -661,7 +661,7 @@ def decode_loop(
     if verify == STOCHASTIC and rng is None:
         raise ValueError("stochastic verification requires an rng")
     for t in prompt:
-        if not target.vocab.is_real(int(t)):
+        if not 0 <= int(t) < target.vocab.size:
             raise ValueError(f"prompt must contain only real tokens, got {t}")
 
     draw_mode = SAMPLE if verify == STOCHASTIC else GREEDY
@@ -906,7 +906,7 @@ def scalar_training_windows(target: TabularModel, corpus, config, rng) -> list[W
                 next_row(target, seq[max(0, n + k - d) : n + k]) for k in range(K)
             )
             future = tuple(seq[n : n + K])
-            feature = vocab.feature_for(greedy_token(next_row(target, seq[:n])))
+            feature = vocab.feature_ids[greedy_token(next_row(target, seq[:n]))]
             if 0.0 < config.rho < 1.0:
                 if rng.random() < config.rho:
                     feature = vocab.none_feature_id

@@ -404,7 +404,7 @@ def test_c12_confidence_correlation(synthetic_runs, tmp_path):
 def test_c13_gate_statistics():
     with criterion(13, "gate keep fractions match Bernoulli(1 - rho)"):
         vocab = Vocabulary(4)
-        feature = vocab.feature_for(2)
+        feature = vocab.feature_ids[2]
         draws = 100_000
         for rho in (0.0, 0.1, 0.5, 1.0):
             rng = np.random.default_rng(int(rho * 1000) + 61)

@@ -909,6 +909,56 @@ class TestCLI:
         assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} \
             == before
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--out", "g.ngm", "--corpus", "2by3", "--corpus-out", "c.txt"],
+         "--corpus must look like NxL, got '2by3'"),
+        (["gen", "--out", "g.ngm", "--corpus", "0x4", "--corpus-out", "c.txt"],
+         "--corpus dimensions must be >= 1"),
+        (["train", "--target", "t.ngm", "--out", "d.ngm", "--data-seqs", "0"],
+         "--data-seqs must be >= 1 and --data-len >= draft length + 1"),
+        (["bench", "--target", "t.ngm", "--drafter", "t.ngm", "--out", "r.json", "--mode", "x"],
+         "--mode must be one of ('dependent', 'independent')"),
+        (["bench", "--target", "t.ngm", "--drafter", "t.ngm", "--out", "r.json", "--verify", "x"],
+         "--verify must be one of ('stochastic', 'greedy')"),
+        (["bench", "--target", "t.ngm", "--drafter", "t.ngm", "--out", "r.json", "--K", "0"],
+         "--K and --max-tokens must be >= 1"),
+        # argparse checks choices only on the command line, not on --config
+        # defaults, so bench checks --mode itself.
+        (["bench", "--target", "t.ngm", "--drafter", "t.ngm", "--out", "r.json",
+          "--config", "m.cfg"], "--mode must be one of ('dependent', 'independent')"),
+        (["analyze", "a.json"], "analyze needs at least two report files"),
+    ], ids=["gen-corpus-shape", "gen-corpus-zero", "train-data-seqs", "bench-mode",
+            "bench-verify", "bench-K", "bench-config-mode", "analyze-one-report"])
+    def test_bad_flag_exit_1_and_no_output(self, tmp_path, capsys, monkeypatch, argv,
+                                           message):
+        self._gen(tmp_path, "t.ngm")
+        (tmp_path / "m.cfg").write_text("mode = x\n")
+        (tmp_path / "a.json").write_text(json.dumps(
+            {"tau": 1.0, "committed_per_step": 2.0, "speedup_estimate": 1.5,
+             "config": {"vocab": 8, "target_order": 2}}))
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_analyze_out_writes_the_table(self, tmp_path, capsys):
+        reports = []
+        for name, tau in [("a", 1.0), ("b", 1.5)]:
+            reports.append(tmp_path / f"{name}.json")
+            reports[-1].write_text(json.dumps(
+                {"tau": tau, "committed_per_step": tau + 1, "speedup_estimate": (tau + 1) / 1.1,
+                 "config": {"vocab": 8, "target_order": 2}}))
+        assert main(["analyze", *map(str, reports)]) == 0
+        table = capsys.readouterr().out
+        out = tmp_path / "cmp.md"
+        assert main(["analyze", *map(str, reports), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote comparison: {out}\n"
+        assert out.read_text() == table
+        assert table.splitlines()[0] == ("| run | tau | committed_per_step | speedup_estimate "
+                                         "| delta_tau | delta_speedup |")
+
     @pytest.mark.parametrize("line, key, value", [
         ("K = x", "'K'", "'x'"), ("rho = high", "'rho'", "'high'"),
     ])

@@ -15,7 +15,7 @@ def _marked_drafter():
     Lets tests identify exactly which context each draft position used.
     """
     vocab = Vocabulary(4)
-    m, f = vocab.mask_id, vocab.feature_for(3)
+    m, f = vocab.mask_id, vocab.feature_ids[3]
     eye = np.eye(4)
     table = {
         (0, 1): eye[0],  # real suffix of the prefix
@@ -33,7 +33,7 @@ class TestComputeFeature:
         table = {(0,): [0.1, 0.8, 0.1]}
         target = oracles.model_from_table(1, vocab, table, fallback=[1 / 3] * 3)
         feature = compute_feature(target, [0])
-        assert feature == vocab.feature_for(1)
+        assert feature == vocab.feature_ids[1]
 
     def test_same_suffix_same_feature(self):
         target = oracles.model_from_table(
@@ -50,7 +50,7 @@ class TestComputeFeature:
         )
         for prefix in ([0], [4], [2, 3]):
             feature = compute_feature(target, prefix)
-            assert not target.vocab.is_real(feature)
+            assert not 0 <= feature < target.vocab.size
             assert feature in target.vocab.feature_ids
 
     def test_empty_prefix_rejected(self):
@@ -62,14 +62,14 @@ class TestComputeFeature:
 class TestApplyGate:
     def test_rho_zero_always_keeps(self):
         vocab = Vocabulary(3)
-        feature = vocab.feature_for(1)
+        feature = vocab.feature_ids[1]
         rng = np.random.default_rng(0)
         gate = GateConfig(rho=0.0)
         assert all(apply_gate(feature, gate, vocab, rng) == feature for _ in range(200))
 
     def test_rho_one_always_drops(self):
         vocab = Vocabulary(3)
-        feature = vocab.feature_for(1)
+        feature = vocab.feature_ids[1]
         rng = np.random.default_rng(0)
         gate = GateConfig(rho=1.0)
         assert all(
@@ -78,7 +78,7 @@ class TestApplyGate:
 
     def test_keep_fraction_matches_bernoulli(self):
         vocab = Vocabulary(3)
-        feature = vocab.feature_for(0)
+        feature = vocab.feature_ids[0]
         gate = GateConfig(rho=0.1)
         rng = np.random.default_rng(42)
         n = 20_000
@@ -89,7 +89,7 @@ class TestApplyGate:
     @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
     def test_array_gate_equals_single_draws(self, rho):
         vocab = Vocabulary(3)
-        features = np.array([vocab.feature_for(t) for t in (0, 1, 2, 1, 0, 2, 2)])
+        features = np.array([vocab.feature_ids[t] for t in (0, 1, 2, 1, 0, 2, 2)])
         gate = GateConfig(rho=rho)
         rng_array, rng_single = np.random.default_rng(5), np.random.default_rng(5)
         gated = apply_gate(features, gate, vocab, rng_array)
@@ -112,7 +112,7 @@ class TestPropose:
     def test_contexts_with_feature(self):
         # Feature f displaces one mask: contexts (1,f), (f,m), (m,m).
         drafter = _marked_drafter()
-        feature = drafter.vocab.feature_for(3)
+        feature = drafter.vocab.feature_ids[3]
         prop = propose(drafter, [2, 0, 1], 3, feature)
         assert prop.tokens[0] == 3
         np.testing.assert_array_equal(prop.dists[1], [0.5, 0.5, 0.0, 0.0])
@@ -137,7 +137,7 @@ class TestPropose:
 
     def test_batched_draws_match_one_draw_per_position(self):
         drafter = _marked_drafter()
-        feature = drafter.vocab.feature_for(3)
+        feature = drafter.vocab.feature_ids[3]
         rngs = [lambda s=s: np.random.default_rng(s) for s in range(20)]
         # Draws that land exactly on a CDF step, where side="right" matters.
         rngs += [lambda u=u: oracles.FixedUniform(u) for u in (0.0, 0.5)]

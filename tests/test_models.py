@@ -37,13 +37,13 @@ class TestVocabulary:
         vocab = Vocabulary(5)
         reserved = [vocab.mask_id, vocab.none_feature_id, vocab.pad_id, *vocab.feature_ids]
         assert len(set(reserved)) == len(reserved)
-        assert all(not vocab.is_real(s) for s in reserved)
+        assert all(not 0 <= s < vocab.size for s in reserved)
 
     def test_feature_range_covers_one_symbol_per_token(self):
         vocab = Vocabulary(4)
         assert list(vocab.feature_ids) == [5, 6, 7, 8]
         for t in range(4):
-            assert oracles.token_of_feature(vocab, vocab.feature_for(t)) == t
+            assert oracles.token_of_feature(vocab, vocab.feature_ids[t]) == t
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -53,11 +53,6 @@ class TestVocabulary:
     def test_non_integer_size(self, size):
         with pytest.raises(ValueError, match="^vocabulary size must be an integer, got "):
             Vocabulary(size)
-
-    def test_feature_for_rejects_reserved(self):
-        vocab = Vocabulary(3)
-        with pytest.raises(ValueError):
-            vocab.feature_for(vocab.mask_id)
 
 
 class TestDistributionValidation:
@@ -556,8 +551,9 @@ class TestTableRows:
         ("*\t0.5 0.5\n99\t0.5 0.5\n", "context symbol out of range: 99"),
         ("*\t0.5 0.5\n0 1\t0.5 0.5\n", "does not match model order 1"),
         ("*\t0.9 0.3\n", "sums to"),
+        ("*\t0.5 0.5\n0 0.5 0.5\n", "malformed model line: '0 0.5 0.5'"),
     ], ids=["bad-sum", "negative", "short", "unparsable-number", "unparsable-fallback",
-            "unparsable-symbol", "symbol-range", "order", "fallback-sum"])
+            "unparsable-symbol", "symbol-range", "order", "fallback-sum", "no-tab"])
     def test_every_check_error_names_the_file(self, tmp_path, body, message):
         path = tmp_path / "m.ngm"
         path.write_text("ngram v=2 d=1\n" + body)

@@ -115,3 +115,16 @@ def test_pairs_go_on_past_a_failed_run(tmp_path, body, exit_code):
     assert [r["exit_code"] for r in got["failed_runs"]["parent"]] == [exit_code]
     assert got["failed_runs"]["change"] == []
     assert got["metrics"]["decode_tok_s"]["runs"] == {"parent": [100.0], "change": [100.0]}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--pairs", "0"], "--pairs must be >= 1 and every seed >= 0"),
+    (["--seeds", "0,-1"], "--pairs must be >= 1 and every seed >= 0"),
+    (["--seeds", "0,x"], "--seeds must be comma-separated integers, got '0,x'"),
+], ids=["pairs-0", "negative-seed", "seed-not-an-integer"])
+def test_bad_pairs_or_seeds_are_usage_errors(tmp_path, capsys, flags, message):
+    with pytest.raises(SystemExit) as exit_info:
+        pair_bench.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                         "--workload", "w", *flags])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: {message}\n")

@@ -512,6 +512,16 @@ class TestTrainTabularDrafter:
                 TrainConfig(draft_len=2),
             )
 
+    def test_all_zero_weights_rejected(self):
+        # Built windows weigh their first position 1, so only a directly
+        # built TrainingWindows can weigh every position 0.
+        config = TrainConfig(draft_len=2)
+        windows = build_training_windows(make_synthetic_target(0, 2, 1, 1.0), [[0, 1, 0, 1]],
+                                         config, np.random.default_rng(0))
+        zero = dataclasses.replace(windows, weights=np.zeros_like(windows.weights))
+        with pytest.raises(ValueError, match="^all window weights were zero; nothing to train on$"):
+            train_tabular_drafter(zero, config)
+
     def test_draft_len_mismatch_rejected(self):
         window = _window(2, (0,), (1,), [[0.5, 0.5]], cat_weights([1.0]))
         with pytest.raises(ValueError, match="draft_len"):

@@ -294,6 +294,11 @@ class TestDecodeTrace:
     def test_integer_draft_len_of_any_type(self):
         trace = DecodeTrace(draft_len=np.int64(3))
         assert type(trace.draft_len) is int and trace.accept_hist.tolist() == [0] * 4
+        # Every checked integer setting keeps the int that checked_int returns.
+        assert type(Vocabulary(True).size) is int and type(Vocabulary(np.int64(4)).size) is int
+        config = TrainConfig(draft_len=np.int64(4), drafter_order=True, seed=np.int64(3))
+        assert [type(v) for v in (config.draft_len, config.drafter_order, config.seed)] == [int] * 3
+        assert (config.draft_len, config.drafter_order, config.seed) == (4, 1, 3)
 
     def test_trace_keeps_counts_only(self):
         # The bench report owns the layout and the derived rates.
@@ -412,10 +417,13 @@ class TestDecodeLoop:
                         verify="greedy")
 
     @pytest.mark.parametrize("verify", VERIFIERS)
-    @pytest.mark.parametrize("seed", [-1, 2.0, "3", None])
-    def test_negative_or_non_integer_seed_rejected(self, seed, verify):
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"), (2.0, "seed must be an integer, got 2.0"),
+        ("3", "seed must be an integer, got '3'"), (None, "seed must be an integer, got None"),
+    ], ids=["-1", "2.0", "3", "None"])
+    def test_negative_or_non_integer_seed_rejected(self, seed, message, verify):
         target, drafter = _order1_pair(20)
-        with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got "):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             decode_loop(target, drafter, [[0], [1]], 5, 2, mode="independent", verify=verify,
                         seed=seed)
 
@@ -459,7 +467,10 @@ class TestDecodeLoop:
         with pytest.raises(ValueError, match=rf"^{message}$"):
             call(target)
 
-    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"), (2.5, "seed must be an integer, got 2.5"),
+        ("3", "seed must be an integer, got '3'"), (None, "seed must be an integer, got None"),
+    ], ids=["-1", "2.5", "3", "None"])
     @pytest.mark.parametrize("call", [
         lambda t, seed: make_synthetic_target(seed, 4, 1, 0.5),
         lambda t, seed: sample_prompts(t, 2, 4, seed),
@@ -468,12 +479,11 @@ class TestDecodeLoop:
         lambda t, seed: run_bench(t, t, draft_len=2, mode="independent", verify="greedy",
                                   prompts=[[0, 1]], max_tokens=4, seed=seed),
     ], ids=["make_synthetic_target", "sample_prompts", "run_bench", "run_bench-prompts"])
-    def test_bad_seed_rejected_at_other_entry_points_before_any_draw(self, call, seed):
+    def test_bad_seed_rejected_at_other_entry_points_before_any_draw(self, call, seed, message):
         target, _ = _order1_pair(20)
         with mock.patch.object(np.random, "default_rng",
                                side_effect=AssertionError("drew before the seed check")):
-            with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got "
-                                                 rf"{re.escape(repr(seed))}$"):
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
                 call(target, seed)
 
     def test_integer_seeds_of_any_type_make_the_same_target_and_prompts(self):

@@ -108,7 +108,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
     if args.pairs < 1 or min(seeds) < 0:
         parser.error("--pairs must be >= 1 and every seed >= 0")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
