@@ -188,8 +188,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise UsageError(f"{flag if name in flags else args.train_config}: {exc}") from exc
     config = TrainConfig(**kwargs | flags)
 
-    target = load_model(args.target)
     start = time.perf_counter()
+    target = load_model(args.target)
+    loaded = time.perf_counter()
     if args.corpus is not None:
         corpus = _read_corpus(args.corpus, target.vocab.size)
     else:
@@ -206,9 +207,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     solved = time.perf_counter()
     mean_loss = float(np.mean(window_losses(drafter, windows, config)))
     scored = time.perf_counter()
-    print(f"time: corpus {sampled - start:.3f} s, windows {built - sampled:.3f} s, "
-          f"solve {solved - built:.3f} s, loss {scored - solved:.3f} s", file=sys.stderr)
     save_model(drafter, args.out)
+    print(f"time: load {loaded - start:.3f} s, corpus {sampled - loaded:.3f} s, "
+          f"windows {built - sampled:.3f} s, solve {solved - built:.3f} s, "
+          f"loss {scored - solved:.3f} s, save {time.perf_counter() - scored:.3f} s",
+          file=sys.stderr)
     print(f"windows: {len(windows)}")
     print(f"mean window loss: {mean_loss:.6f}")
     print(f"wrote drafter model: {args.out}")

@@ -410,27 +410,151 @@ def make_synthetic_target(
 
 
 # Model files are line oriented: a header, the fallback row keyed by "*", then
-# one row per context sorted by key. 17 significant digits round-trip float64
-# exactly, so save/load is lossless and byte-stable.
+# one row per context sorted by key. Each probability is written as
+# ``'%.17g' % p`` writes it: 17 significant digits round-trip float64 exactly,
+# so save/load is lossless and byte-stable.
 
 _FALLBACK_KEY = "*"
 
-#: Rows that :func:`save_model` formats and writes at a time.
-_SAVE_ROWS = 1024
+#: Probabilities that :func:`save_model` formats and writes at a time, in
+#: whole rows (one at least), so its temporaries stay small whatever V is.
+_SAVE_VALUES = 8192
+
+#: Bytes of one probability field: a ``0.000`` prefix, the first digit, the
+#: point, 16 more digits, an ``e-XX`` suffix and a separator; unused bytes NUL.
+_FIELD = 28
+
+
+def _field_template(exp: int) -> str:
+    """The field of a value with decimal exponent ``exp`` in -11..0, digits
+    left NUL: ``%g`` writes ``0.000ddd`` for -4 <= exp < 0, ``d.ddd`` for exp
+    0 and ``d.ddde-XX`` below -4."""
+    fixed = -4 <= exp < 0
+    return (("0." + "0" * (-exp - 1) if fixed else "").ljust(5, "\0") + "\0"
+            + ("\0" if fixed else ".") + "\0" * 16
+            + (f"e-{-exp:02d}" if exp < -4 else "").ljust(4, "\0") + " ")
+
+
+#: Field templates, row i for exponent -i.
+_TEMPLATES = np.frombuffer("".join(_field_template(-i) for i in range(12)).encode(),
+                           np.uint8).reshape(12, _FIELD)
+
+
+def _digit_groups() -> np.ndarray:
+    """``%04d`` of 0..9999 as one uint32 each, then the same with its
+    trailing zeros NUL: the table of 4-digit groups."""
+    # int16 keeps every temporary at 80 KB or less. The int64 ones (320 KB,
+    # above malloc's 128 KiB mmap threshold) added about 3 MiB to the peak
+    # RSS of a later gen/save/load/train chain.
+    g = np.arange(10_000, dtype=np.int16)[:, None]
+    place = np.array([1000, 100, 10, 1], dtype=np.int16)
+    digits = (g // place % 10 + ord("0")).astype(np.uint8)
+    stripped = np.where(g % (10 * place) == 0, 0, digits)
+    return np.concatenate([digits, stripped]).view(np.uint32).ravel()
+
+
+_GROUPS = _digit_groups()
+
+#: ``5**s`` for s in 16..27, each below 2**63.
+_POW5 = np.array([5**s for s in range(16, 28)], dtype=np.uint64)
+_LOW32 = np.uint64(2**32 - 1)
+
+
+def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits of each value in the 1-D ``x``, exactly:
+    -E, D = x * 10**(16 - E) rounded half to even as an int64, and whether
+    D is exact.
+
+    For x in [1e-11, 10), ``x = m * 2**(e - 53)`` (:func:`np.frexp`) and
+    E = floor(log10 x), D = m * 5**s / 2**k rounded half to even, with
+    s = 16 - E in 16..27 and k = 53 - e - s in 32..63; m * 5**s < 2**116 is
+    carried in two uint64 words. An E that log10 got wrong shows as a
+    truncated D outside [10**16, 10**17): such a value is not exact, nor is a
+    D that rounds up to 10**17 or any value outside the range.
+    """
+    exact = (x >= 1e-11) & (x < 10.0)
+    y = np.where(exact, x, 1.0)
+    lost = np.clip(-np.floor(np.log10(y)), 0, 11).astype(np.intp)  # -E
+    frac, e = np.frexp(y)
+    m = np.ldexp(frac, 53).astype(np.uint64)
+    p = _POW5[lost]
+    k = (37 - e - lost).astype(np.uint64)
+    # m * p = hi * 2**64 + lo from 32-bit halves; lo wraps, and lo < low is its carry.
+    mh, ml, ph, pl = m >> 32, m & _LOW32, p >> 32, p & _LOW32
+    low = ml * pl
+    mid = mh * pl + ml * ph
+    lo = low + (mid << 32)
+    hi = mh * ph + (mid >> 32) + (lo < low)
+    q = (hi << (64 - k)) | (lo >> k)
+    rem = lo & ((np.uint64(1) << k) - 1)
+    half = np.uint64(1) << (k - 1)
+    d = (q + ((rem > half) | ((rem == half) & (q & 1 == 1)))).view(np.int64)
+    return lost, d, exact & (q >= 10**16) & (d < 10**17)
+
+
+def _probability_fields(probs: np.ndarray) -> np.ndarray:
+    """Each probability of the (n, V) ``probs`` as ``'%.17g' % p`` writes it,
+    then a space, a newline after a row's last: (n, V * _FIELD) uint8, NUL
+    where a field is shorter.
+
+    :func:`_digits` gives the digits of a value in [1e-11, 10), laid out in
+    the field template of its exponent. The values it cannot give (0, -0
+    and subnormals among them) go through ``'%.17g'`` one at a time.
+    """
+    n, V = probs.shape
+    x = probs.ravel()
+    lost, d, exact = _digits(x)
+    # The first digit, the point if any digit follows, then four 4-digit
+    # groups; a group with only zeros after it drops its trailing zeros.
+    out = np.take(_TEMPLATES, lost, axis=0)
+    lead = d // 10**16
+    rest = d - lead * 10**16
+    out[:, 5] = lead + 48
+    out[:, 6] *= rest != 0
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    g0, g2 = upper // 10**4, lower // 10**4
+    g1, g3 = upper - g0 * 10**4, lower - g2 * 10**4
+    groups = np.stack([g0 + 10**4 * ((lower == 0) & (g1 == 0)), g1 + 10**4 * (lower == 0),
+                       g2 + 10**4 * (g3 == 0), g3 + 10**4], axis=1)
+    out[:, 7:23] = np.take(_GROUPS, groups).view(np.uint8)
+    odd = np.flatnonzero(~exact)
+    out[odd, :-1] = _percent_fields(x[odd])
+    out = out.reshape(n, V * _FIELD)
+    out[:, -1] = ord("\n")
+    return out
+
+
+def _percent_fields(values: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of each value, NUL-padded to a field without its separator."""
+    text = b"".join([(b"%.17g" % v).ljust(_FIELD - 1, b"\0") for v in values.tolist()])
+    return np.frombuffer(text, np.uint8).reshape(-1, _FIELD - 1)
+
+
+def _symbol_fields(contexts: np.ndarray) -> np.ndarray:
+    """Each symbol of the (n, d) ``contexts`` in decimal, then a space, a tab
+    after a row's last: (n, d * (w + 1)) uint8, leading zeros NUL."""
+    place = 10 ** np.arange(len(str(contexts.max())) - 1, -1, -1)
+    c = contexts[..., None]
+    digits = np.where((c >= place) | (place == 1), c // place % 10 + 48, 0)
+    seps = np.full((*contexts.shape, 1), ord(" "))
+    seps[:, -1] = ord("\t")
+    return np.concatenate([digits, seps], axis=2).astype(np.uint8).reshape(len(contexts), -1)
 
 
 def save_model(model: TabularModel, path: str | Path) -> None:
-    """Write a model in the text format ``CONTEXT<TAB>p_0 ... p_{V-1}``, a
-    block of rows at a time, so a large model's text is never held whole."""
-    probs = " ".join(["%.17g"] * model.vocab.size) + "\n"
-    line = " ".join(["%d"] * model.order) + "\t" + probs
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f"ngram v={model.vocab.size} d={model.order}\n")
-        out.write(_FALLBACK_KEY + "\t" + probs % tuple(model.fallback.tolist()))
-        for start in range(0, len(model.contexts), _SAVE_ROWS):
-            block = slice(start, start + _SAVE_ROWS)
-            out.write("".join(line % (*ctx, *row) for ctx, row in
-                              zip(model.contexts[block].tolist(), model.rows[block].tolist())))
+    """Write a model in the text format ``CONTEXT<TAB>p_0 ... p_{V-1}``, each
+    probability as ``'%.17g' % p`` writes it, a block of rows at a time, so a
+    large model's text is never held whole."""
+    with open(path, "wb") as out:
+        out.write(f"ngram v={model.vocab.size} d={model.order}\n{_FALLBACK_KEY}\t".encode())
+        out.write(_probability_fields(model.fallback[None]).tobytes().translate(None, b"\0"))
+        step = max(1, _SAVE_VALUES // model.vocab.size)
+        for start in range(0, len(model.contexts), step):
+            block = slice(start, min(start + step, len(model.contexts)))
+            fields = np.concatenate([_symbol_fields(model.contexts[block]),
+                                     _probability_fields(model.rows[block])], axis=1)
+            out.write(fields.tobytes().translate(None, b"\0"))
 
 
 def load_model(path: str | Path) -> TabularModel:
@@ -446,11 +570,11 @@ def load_model(path: str | Path) -> TabularModel:
         raise ValueError(f"empty model file: {path}")
     header = lines[0].split()
     if len(header) != 3 or header[0] != "ngram" or header[1][:2] != "v=" or header[2][:2] != "d=":
-        raise ValueError(f"bad model header: {lines[0]!r}")
+        raise ValueError(f"bad model header: {lines[0]!r} in model file: {path}")
     try:
         vocab_size, order = int(header[1][2:]), int(header[2][2:])
     except ValueError as exc:
-        raise ValueError(f"bad model header: {lines[0]!r}") from exc
+        raise ValueError(f"bad model header: {lines[0]!r} in model file: {path}") from exc
     fallback: list[str] | None = None
     keys: list[str] = []
     tails: list[str] = []

@@ -73,6 +73,19 @@ def load_model_by_split(path) -> TabularModel:
         return models.load_model(path)
 
 
+def save_model_by_percent(model: TabularModel, path) -> None:
+    """A model file written one row at a time by ``%`` formatting, ``%d``
+    per context symbol and ``%.17g`` per probability: the reference for the
+    array formatter of ``models.save_model``."""
+    probs = " ".join(["%.17g"] * model.vocab.size) + "\n"
+    line = " ".join(["%d"] * model.order) + "\t" + probs
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f"ngram v={model.vocab.size} d={model.order}\n")
+        out.write("*\t" + probs % tuple(model.fallback.tolist()))
+        out.write("".join(line % (*ctx, *row) for ctx, row in
+                          zip(model.contexts.tolist(), model.rows.tolist())))
+
+
 def token_of_feature(vocab: Vocabulary, symbol: int) -> int:
     """The real token a feature symbol lifts; the inverse of ``vocab.feature_ids[t]``."""
     if symbol not in vocab.feature_ids:

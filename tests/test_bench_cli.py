@@ -300,8 +300,9 @@ class TestCLI:
         target = self._gen(tmp_path)
         self._train(tmp_path, target, "d.ngm")
         captured = capsys.readouterr()
-        assert re.search(r"^time: corpus \d+\.\d{3} s, windows \d+\.\d{3} s, "
-                         r"solve \d+\.\d{3} s, loss \d+\.\d{3} s$", captured.err, re.M)
+        assert re.search(r"^time: load \d+\.\d{3} s, corpus \d+\.\d{3} s, "
+                         r"windows \d+\.\d{3} s, solve \d+\.\d{3} s, "
+                         r"loss \d+\.\d{3} s, save \d+\.\d{3} s$", captured.err, re.M)
         assert "time:" not in captured.out
 
     def test_train_config_file_warns_on_gradient_keys(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the tabular model substrate."""
 
 import re
+from decimal import Decimal
 from functools import partial
 from unittest import mock
 
@@ -364,8 +365,9 @@ class TestSerialization:
     def test_header_needs_its_v_and_d_prefixes(self, tmp_path, header):
         path = tmp_path / "m.ngm"
         path.write_text(f"{header}\n*\t0.5 0.5\n")
-        with pytest.raises(ValueError, match=re.escape(f"bad model header: {header!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"bad model header: {header!r}")) as raised:
             load_model(path)
+        assert str(raised.value) == f"bad model header: {header!r} in model file: {path}"
 
     @pytest.mark.parametrize("order", [models.MAX_ORDER + 1, 32000])
     def test_order_above_the_bound_rejected_before_any_code(self, tmp_path, order):
@@ -706,6 +708,82 @@ class TestLoadParse:
             got, want = getattr(walked, name), getattr(expected, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes(), name
+
+
+def _formatted(values) -> list[str]:
+    """Each value through ``save_model``'s array formatter, one per line."""
+    fields = models._probability_fields(np.asarray(values, dtype=np.float64).reshape(-1, 1))
+    return fields.tobytes().translate(None, b"\0").decode().splitlines()
+
+
+def _percent_g(values) -> list[str]:
+    return [format(float(v), ".17g") for v in values]
+
+
+_POWERS = np.array([float(f"1e-{k}") for k in range(13)])
+
+#: Values at the edges of the formatter's exact range: powers of ten and
+#: their neighbours, the range's lower end, zeros, the least subnormal, an
+#: exact tie (2**-25 has 18 significant digits, the last a 5), and a
+#: probability just above one.
+_EDGE_VALUES = [*_POWERS, *np.nextafter(_POWERS, 0), *np.nextafter(_POWERS, 1),
+                np.nextafter(1e-11, 0), 0.0, -0.0, 5e-324, 2.0**-25, 1 + 1e-10]
+
+
+class TestSaveFormat:
+    def test_seeded_floats_take_the_exact_path(self):
+        values = 10.0 ** np.random.default_rng(29).uniform(-12, 1, 200_000)
+        with mock.patch.object(models, "_percent_fields", wraps=models._percent_fields) as slow:
+            assert _formatted(values) == _percent_g(values)
+        by_percent = sum(len(call.args[0]) for call in slow.call_args_list)
+        outside = np.count_nonzero(values < 1e-11)
+        # Only a truncated D off by a power of ten, or a carry to 10**17, joins them.
+        assert outside <= by_percent <= outside + len(values) // 1000
+
+    def test_exact_ties_round_half_to_even(self):
+        candidates = (j * 2.0**-q for q in range(1, 40) for j in range(1, 64, 2))
+        ties = [v for v in candidates
+                if 1e-11 <= v < 10 and len(Decimal(v).as_tuple().digits) == 18]
+        odd = [v for v in ties if Decimal(v).as_tuple().digits[16] % 2]
+        assert 2.0**-25 in ties and 0 < len(odd) < len(ties)  # ties round both ways
+        assert _formatted(ties) == _percent_g(ties)
+
+    def test_edge_values(self):
+        assert _formatted(_EDGE_VALUES) == _percent_g(_EDGE_VALUES)
+        assert _formatted([0.0, -0.0, 5e-324, 1.0, 1 + 1e-10, 2.0**-25, 1e-7]) == [
+            "0", "-0", "4.9406564584124654e-324", "1", "1.0000000001", "2.9802322387695312e-08",
+            "9.9999999999999995e-08"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_save_bytes_equal_the_percent_writer(self, tmp_path_factory, data, seed):
+        vocab = Vocabulary(data.draw(st.sampled_from([1, 2, 3, 4, 60]), label="vocab_size"))
+        block = models._SAVE_VALUES // vocab.size  # rows per written block
+        count = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1]), label="rows")
+        least = next(d for d in range(1, 9) if vocab.num_symbols**d >= count)
+        order = data.draw(st.integers(least, least + 1), label="order")
+        rng = np.random.default_rng(seed)
+        codes = rng.choice(vocab.num_symbols**order, size=count, replace=False)
+        contexts = np.stack(np.unravel_index(codes, (vocab.num_symbols,) * order), axis=1)
+        # Entries from the edge values or log-uniform from 1e-12 up to a top
+        # that keeps a row's sum below 1/2; one entry per row completes it to
+        # a distribution. A tenth of the rows are one-hot instead: 1 or
+        # 1 + 1e-10 (within the sum tolerance) beside 0, -0 and 5e-324.
+        shape, top = (count + 1, vocab.size), 0.5 / vocab.size
+        small = np.array([v for v in _EDGE_VALUES if v < top])
+        rows = np.where(rng.random(shape) < 0.5, rng.choice(small, shape),
+                        10.0 ** rng.uniform(-12, np.log10(top), shape))
+        one_hot = rng.random(count + 1) < 0.1
+        rows[one_hot] = rng.choice([0.0, -0.0, 5e-324], (np.count_nonzero(one_hot), vocab.size))
+        ids, last = np.arange(count + 1), rng.integers(vocab.size, size=count + 1)
+        rows[ids, last] = 0.0
+        rows[ids, last] = np.where(one_hot, rng.choice([1.0, 1 + 1e-10], count + 1),
+                                   1.0 - rows.sum(axis=1))
+        model = TabularModel(order, vocab, contexts, rows[1:], rows[0])
+        root = tmp_path_factory.mktemp("percent")
+        save_model(model, root / "array.ngm")
+        oracles.save_model_by_percent(model, root / "percent.ngm")
+        assert (root / "array.ngm").read_bytes() == (root / "percent.ngm").read_bytes()
 
 
 class TestPaddedSuffix:
