@@ -245,8 +245,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         [("--target", args.target), ("--drafter", args.drafter),
          ("--prompt-file", args.prompt_file), ("--config", args.config)])
 
+    start = time.perf_counter()
     target = load_model(args.target)
     drafter = load_model(args.drafter)
+    load_s = time.perf_counter() - start
     if args.mode == DEPENDENT and not has_feature_contexts(drafter):
         _warn("drafter has no feature-bearing contexts (trained at rho=1?); "
               "dependent mode will hit the fallback on feature slots")
@@ -272,7 +274,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     decode_s = time.perf_counter() - sampled
     report.config.update(target_path=args.target, drafter_path=args.drafter)
-    print(f"time: prompts {sampled - start:.3f} s, decode {decode_s:.3f} s, "
+    print(f"time: load {load_s:.3f} s, prompts {sampled - start:.3f} s, decode {decode_s:.3f} s, "
           f"{report.trace.total_tokens / max(decode_s, 1e-9):.0f} tok/s", file=sys.stderr)
     outputs = [(bench_mod.write_report_json, args.out),
                (bench_mod.write_position_csv, positions_csv),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import warnings
+import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence, Sized
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -460,25 +460,28 @@ _POW5 = np.array([5**s for s in range(16, 28)], dtype=np.uint64)
 _LOW32 = np.uint64(2**32 - 1)
 
 
-def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _digits(x: np.ndarray, lost: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 17 significant digits of each value in the 1-D ``x``, exactly:
     -E, D = x * 10**(16 - E) rounded half to even as an int64, and whether
     D is exact.
 
-    For x in [1e-11, 10), ``x = m * 2**(e - 53)`` (:func:`np.frexp`) and
-    E = floor(log10 x), D = m * 5**s / 2**k rounded half to even, with
-    s = 16 - E in 16..27 and k = 53 - e - s in 32..63; m * 5**s < 2**116 is
-    carried in two uint64 words. An E that log10 got wrong shows as a
-    truncated D outside [10**16, 10**17): such a value is not exact, nor is a
-    D that rounds up to 10**17 or any value outside the range.
+    For x in [1e-11, 10), ``x = m * 2**(e - 53)`` (m the 53-bit significand)
+    and E = floor(log10 x), D = m * 5**s / 2**k rounded half to even, with
+    s = 16 - E in 16..27 and k = 53 - e - s; m * 5**s < 2**116 is carried in
+    two uint64 words. A wrong E shows as a D outside [10**16, 10**17) or
+    above 64 bits: such a value is not exact, nor is a D that rounds up to
+    10**17 or any value outside the range. So -E, in 0..11, may be given as
+    ``lost`` in place of log10's.
     """
     exact = (x >= 1e-11) & (x < 10.0)
     y = np.where(exact, x, 1.0)
-    lost = np.clip(-np.floor(np.log10(y)), 0, 11).astype(np.intp)  # -E
-    frac, e = np.frexp(y)
-    m = np.ldexp(frac, 53).astype(np.uint64)
+    if lost is None:
+        lost = np.clip(-np.floor(np.log10(y)), 0, 11).astype(np.intp)
+    bits = y.view(np.uint64)
+    m = (bits & (2**52 - 1)) | 2**52
     p = _POW5[lost]
-    k = (37 - e - lost).astype(np.uint64)
+    k = (1059 - lost - (bits >> 52).view(np.int64)).view(np.uint64)  # 1059 = 53 - 16 + 1022
     # m * p = hi * 2**64 + lo from 32-bit halves; lo wraps, and lo < low is its carry.
     mh, ml, ph, pl = m >> 32, m & _LOW32, p >> 32, p & _LOW32
     low = ml * pl
@@ -486,10 +489,10 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo = low + (mid << 32)
     hi = mh * ph + (mid >> 32) + (lo < low)
     q = (hi << (64 - k)) | (lo >> k)
-    rem = lo & ((np.uint64(1) << k) - 1)
     half = np.uint64(1) << (k - 1)
-    d = (q + ((rem > half) | ((rem == half) & (q & 1 == 1)))).view(np.int64)
-    return lost, d, exact & (q >= 10**16) & (d < 10**17)
+    # Round up past half, or at half to even: rem + (q & 1) > half.
+    d = (q + ((lo & (half + half - 1)) + (q & 1) > half)).view(np.int64)
+    return lost, d, exact & (hi >> k == 0) & (q >= 10**16) & (d < 10**17)
 
 
 def _probability_fields(probs: np.ndarray) -> np.ndarray:
@@ -560,21 +563,63 @@ def save_model(model: TabularModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> TabularModel:
     """Read a model written by :func:`save_model`; validates on construction.
 
-    The first faulty row, or a repeated one, raises ValueError naming the file.
+    A file in :func:`save_model`'s layout is parsed a block of lines at a
+    time (:func:`_parsed_file`), any other file line by line
+    (:func:`_walked_file`); both read the same text to the same values. The
+    first faulty row, or a repeated one, raises ValueError naming the file.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    ascii_text = text.isascii()
+    buf, size = _read_with_slack(path)
+    order, vocab_size, contexts, rows, fallback = (_parsed_file(buf, size)
+                                                   or _walked_file(buf, size, path))
+    del buf  # megabytes for a large model: free them before the model's own arrays
+    try:
+        return TabularModel(order, Vocabulary(vocab_size), contexts, rows, fallback)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in model file: {path}") from None
+
+
+#: Zero bytes read after a model file's last byte, so that every 16-byte
+#: window of :func:`_parsed_file` ends inside the buffer.
+_SLACK = 16
+
+
+def _read_with_slack(path: str | Path) -> tuple[bytearray, int]:
+    """A file's bytes, then ``_SLACK`` zero bytes, in one buffer; and the
+    file's length."""
+    with open(path, "rb") as f:
+        buf = bytearray(os.fstat(f.fileno()).st_size + _SLACK)
+        size = f.readinto(buf)
+        if size > len(buf) - _SLACK:  # grown since fstat, or not a regular file
+            buf[size:] = f.read() + bytes(_SLACK)
+            size = len(buf) - _SLACK
+    return buf, size
+
+
+def _header(line: str, path) -> tuple[int, int]:
+    """Vocabulary size and order of a header line ``ngram v=V d=D``."""
+    header = line.split()
+    if len(header) == 3 and header[0] == "ngram" and header[1][:2] == "v=" and header[2][:2] == "d=":
+        try:
+            return int(header[1][2:]), int(header[2][2:])
+        except ValueError:
+            pass
+    raise ValueError(f"bad model header: {line!r} in model file: {path}")
+
+
+def _walked_file(buf: bytearray, size: int, path) -> tuple:
+    """Order, vocabulary size, contexts, rows and fallback of any model
+    file, read line by line: blank lines skipped, the fallback row anywhere,
+    each row split into tokens by :func:`_split_rows`."""
+    del buf[size:]
+    try:
+        text = buf.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{exc} in model file: {path}") from None
     lines = text.splitlines()
     del text  # each copy of a large model's text is megabytes: free each once read
     if not lines:
         raise ValueError(f"empty model file: {path}")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "ngram" or header[1][:2] != "v=" or header[2][:2] != "d=":
-        raise ValueError(f"bad model header: {lines[0]!r} in model file: {path}")
-    try:
-        vocab_size, order = int(header[1][2:]), int(header[2][2:])
-    except ValueError as exc:
-        raise ValueError(f"bad model header: {lines[0]!r} in model file: {path}") from exc
+    vocab_size, order = _header(lines[0], path)
     fallback: list[str] | None = None
     keys: list[str] = []
     tails: list[str] = []
@@ -594,41 +639,180 @@ def load_model(path: str | Path) -> TabularModel:
     del lines
     if fallback is None:
         raise ValueError(f"model file missing fallback line: {path}")
-    contexts, rows = _parsed_rows(keys, tails, order, vocab_size, ascii_text)
-    del keys, tails
-    try:
-        return TabularModel(order, Vocabulary(vocab_size), contexts, rows, fallback)
-    except ValueError as exc:
-        raise ValueError(f"{exc} in model file: {path}") from None
-
-
-def _parsed_rows(keys: list[str], tails: list[str], order: int, vocab_size: int,
-                 ascii_text: bool) -> tuple:
-    """Each row's context and probabilities from its key and tail text.
-
-    NumPy's text reader parses ASCII text in one C pass per array, to the
-    values ``int()`` and ``float()`` give; what it rejects, or the blank
-    entries it skips (hence the shape check), goes to :func:`_split_rows`.
-    Non-ASCII text goes there too: the reader takes some non-ASCII letters
-    for digits.
-    """
-    if not keys:
-        return keys, tails
-    if ascii_text:
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", ".*input contained no data")  # all-blank text
-                contexts = np.loadtxt(keys, dtype=np.int64, comments=None, ndmin=2)
-                rows = np.loadtxt(tails, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if contexts.shape == (len(keys), order) and rows.shape == (len(tails), vocab_size):
-                return contexts, rows
-    return _split_rows(keys, tails)
+    return order, vocab_size, *_split_rows(keys, tails), fallback
 
 
 def _split_rows(keys: list[str], tails: list[str]) -> tuple[list, list]:
     """Each row's key and tail split into tokens, for :class:`TabularModel`
     to convert and check row by row, so that a fault is named in row order."""
     return [key.split() for key in keys], [tail.split() for tail in tails]
+
+
+def _parsed_file(buf: bytearray, size: int) -> tuple | None:
+    """Order, vocabulary size, contexts, rows and fallback of a file laid
+    out as :func:`save_model` writes it, else None.
+
+    The layout: the header line, the fallback line second, then lines of
+    ``order`` digit runs, a tab and ``V`` numbers, fields split by single
+    spaces, every line ended by a newline and no other byte below 33. The
+    header and fallback lines are read as the walk reads them; the other
+    lines, a block of about ``_SAVE_VALUES`` values at a time, through
+    :func:`_digit_runs` and :func:`_parsed_values`. Any other layout, or a
+    number that ``float()`` rejects, gives None.
+    """
+    second = buf.find(b"\n", buf.find(b"\n", 0, size) + 1, size)
+    if second < 0:
+        return None
+    try:
+        lines = buf[:second].decode("ascii").splitlines()
+        vocab_size, order = _header(lines[0], None)
+    except ValueError:  # not ASCII, or a bad header
+        return None
+    if (len(lines) != 2 or not lines[1].startswith(_FALLBACK_KEY + "\t")
+            or vocab_size < 1 or not 1 <= order <= MAX_ORDER):
+        return None
+    fallback = lines[1][2:].split()
+    pos = second + 1
+    data, windows = _at_each_byte(buf, np.uint8), _at_each_byte(buf, np.complex128)
+    # The context rows, if the layout holds: newlines, counted a MiB at a time.
+    count = sum(int(np.count_nonzero(data[i : min(i + 2**20, size)] == ord("\n")))
+                for i in range(pos, size, 2**20))
+    fields = order + vocab_size
+    if not count or 2 * fields * count > size - pos:  # no rows, or rows longer than the file
+        return (order, vocab_size, [], [], fallback) if pos == size else None
+    layout = np.full(fields, ord(" "), np.uint8)
+    layout[[order - 1, -1]] = ord("\t"), ord("\n")
+    contexts = np.empty((count, order), np.int64)
+    rows = np.empty((count, vocab_size), np.float64)
+    step = max(1, _SAVE_VALUES // vocab_size) * (size - pos) // count  # bytes of a block
+    done = 0
+    while pos < size:
+        end = buf.find(b"\n", min(pos + step, size) - 1, size) + 1 or size
+        sep = np.flatnonzero(data[pos:end] <= 32)
+        n = len(sep) // fields
+        if not n or len(sep) != n * fields or sep[-1] != end - pos - 1:
+            return None
+        sep = (sep + pos).reshape(n, fields)
+        if np.any(data[sep] != layout):
+            return None
+        start = np.concatenate([[pos], sep.ravel()[:-1] + 1]).reshape(n, fields)
+        key_end = sep[:, :order].ravel()
+        key_len = key_end - start[:, :order].ravel()
+        if (sep - start).min() < 1 or key_len.max() > 16:  # an empty field, a long key
+            return None
+        keys, digits = _digit_runs((_words(windows[key_end - 16]) ^ _ZEROS)
+                                   & _words(_KEEP_LAST[key_len]))
+        values = _parsed_values(buf, start[:, order:].ravel(), sep[:, order:].ravel())
+        if not digits.all() or values is None:
+            return None
+        contexts[done : done + n] = keys.reshape(n, order)
+        rows[done : done + n] = values.reshape(n, vocab_size)
+        pos, done = end, done + n
+    return order, vocab_size, contexts, rows, fallback
+
+
+def _at_each_byte(buf, dtype) -> np.ndarray:
+    """The item of ``dtype`` that starts at each byte offset of ``buf``.
+
+    A 16-byte window is gathered as one complex128, about twice as fast as
+    a row of two uint64; :func:`_words` reads the gathered windows.
+    """
+    width = np.dtype(dtype).itemsize
+    return np.ndarray((len(buf) - width + 1,), dtype, buf, 0, (1,))
+
+
+def _words(windows: np.ndarray) -> np.ndarray:
+    """Gathered 16-byte windows as (n, 2) little-endian uint64 words."""
+    return windows.view("<u8").reshape(-1, 2)
+
+
+#: Eight ASCII zeros: a digit's byte XOR one of them is its value.
+_ZEROS = np.uint64(int.from_bytes(b"0" * 8))
+
+#: Row m keeps the first m of 16 bytes.
+_KEPT = np.tri(17, 16, -1, np.uint8) * 255
+#: 16-byte masks: ``_KEEP_LAST[m]`` keeps the last m bytes, and
+#: ``_KEEP_FIRST[m + 1]`` the first m, for m in -1..17 (all 16 from 16 on).
+_KEEP_LAST = np.ascontiguousarray(_KEPT[:, ::-1]).view(np.complex128).ravel()
+_KEEP_FIRST = _KEPT[[0, *range(17), 16]].view(np.complex128).ravel()
+
+
+def _digit_runs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The number written by the 16 digits of each row of the (n, 2) words
+    ``t``, each byte a digit's value (its byte XOR ``"0"``), first digit
+    lowest, and whether each row's bytes are all digits (0 to 9)."""
+    bad = (t | (t + 0x7676767676767676)) & 0x8080808080808080
+    # Adjacent digits, then pairs, then quads combine by one multiply each.
+    t = (t * 2561 >> 8) & 0x00FF00FF00FF00FF
+    t = (t * 6553601 >> 16) & 0x0000FFFF0000FFFF
+    t = t * 42949672960001 >> 32
+    return (t[:, 0] * 10**8 + t[:, 1]).view(np.int64), (bad[:, 0] | bad[:, 1]) == 0
+
+
+#: ``10**s`` as long double for s in 16..27, exact where it holds 64 bits.
+_TENS = np.ldexp(_POW5.astype(np.longdouble), np.arange(16, 28))
+
+#: The bytes of a number that :func:`_float_values` reads; ``float()``
+#: reads more (``1_0``, non-ASCII digits, spaces), which only the walk meets.
+_NUMBER_BYTES = b"0123456789.eE+-"
+
+
+def _parsed_values(buf, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """``float()`` of each field ``buf[start:end]`` (none empty, and at
+    least 16 more bytes after the last), else None: a field with a byte
+    outside ``[0-9.eE+-]``, or one that ``float()`` rejects.
+
+    A field ``d.ddd`` or ``0.000ddd``, either with an ``e-XX`` suffix and
+    at most 16 digits after its first significant one, gives 17 digits D
+    and an exponent E, and x = D / 10**(16 - E) in long double. x is proven when
+    :func:`_digits` gives back D for it, exactly at that E: the field then
+    has the decimal value of ``'%.17g' % x``, which ``float()`` reads as x.
+    Every other field goes through :func:`_float_values`.
+    """
+    data, words = _at_each_byte(buf, np.uint8), _at_each_byte(buf, "<u8")
+    head, tail = words[start], words[end - 4]
+    # k: 0 for a field that starts "d", else one more than the zeros after
+    # "0." (at most 3). The bytes it shares with "0.000" are the zero bytes
+    # below y's lowest set bit.
+    y = (head ^ int.from_bytes(b"0.000", "little")) | 1 << 40
+    run = np.bitwise_count((y & (0 - y)) - 1) >> 3
+    k = run - (run > 0)
+    q = start + k + 2  # the byte after the first significant digit and any point
+    has_exp = ((tail & 0xFFFF) == int.from_bytes(b"e-", "little")) & (end - start >= 5)
+    ex = (((tail >> 16) & 0xFFFF) ^ 0x3030).view(np.int64) * has_exp
+    m = end - 4 * has_exp - q  # the digits after the first one; -1 for "d" and "de-XX"
+    windows = _at_each_byte(buf, np.complex128)
+    rest, digits = _digit_runs((_words(windows[q]) ^ _ZEROS)
+                               & _words(_KEEP_FIRST[np.minimum(m, 17) + 1]))
+    lead = data[q - 1 - (k == 0)]
+    lost = k + (ex & 0xFF) * 10 + (ex >> 8)  # -E
+    held = np.minimum(lost, 11)
+    d = rest + (lead.astype(np.int64) - ord("0")) * 10**16
+    x = (d.astype(np.longdouble) / _TENS[held]).astype(np.float64)
+    # A lead digit other than 1-9 leaves d outside [10**16, 10**17): not proven.
+    _, proven, exact = _digits(x, held)
+    ok = (digits & exact & (proven == d) & (lost == held) & (m <= 16)
+          & (((head & 0xFF00) == ord(".") << 8) | (m == -1))
+          & ((ex | (ex + 0x7676)) & 0x8080 == 0))
+    odd = np.flatnonzero(~ok)
+    if len(odd):
+        values = _float_values(buf, start[odd], end[odd])
+        if values is None:
+            return None
+        x[odd] = values
+    return x
+
+
+def _float_values(buf, start: np.ndarray, end: np.ndarray) -> list[float] | None:
+    """``float()`` of each field ``buf[start:end]``, else None: a field
+    with a byte outside ``[0-9.eE+-]``, or one that ``float()`` rejects."""
+    values = []
+    for s, e in zip(start.tolist(), end.tolist()):
+        field = buf[s:e]
+        if field.translate(None, _NUMBER_BYTES):
+            return None
+        try:
+            values.append(float(field))
+        except ValueError:
+            return None
+    return values

@@ -65,11 +65,8 @@ def model_from_table(order: int, vocab: Vocabulary, table: dict, fallback) -> Ta
 def load_model_by_split(path) -> TabularModel:
     """A model file read by ``models.load_model`` with every row split into
     Python strings, which :class:`TabularModel` then converts and checks row
-    by row: the reference for the one-pass parse of ``models.load_model``."""
-    def split_only(keys, tails, *_):
-        return models._split_rows(keys, tails)
-
-    with mock.patch.object(models, "_parsed_rows", split_only):
+    by row: the reference for the array parse of ``models.load_model``."""
+    with mock.patch.object(models, "_parsed_file", return_value=None):
         return models.load_model(path)
 
 

@@ -427,7 +427,8 @@ class TestCLI:
         capsys.readouterr()
         self._bench(tmp_path, target, drafter)
         captured = capsys.readouterr()
-        assert re.search(r"^time: prompts \d+\.\d{3} s, decode \d+\.\d{3} s, \d+ tok/s$",
+        assert re.search(r"^time: load \d+\.\d{3} s, prompts \d+\.\d{3} s, "
+                         r"decode \d+\.\d{3} s, \d+ tok/s$",
                          captured.err, re.M)
         assert "time:" not in captured.out
 
@@ -444,6 +445,20 @@ class TestCLI:
         prompts.write_text("0 1 2\n3 4 5\n")
         rep = self._bench(tmp_path, target, drafter, "rep.json", "--prompt-file", str(prompts))
         assert json.loads(rep.read_text())["config"]["num_prompts"] == 2
+
+    def test_bench_names_a_model_file_that_is_not_utf8_exit_3(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        drafter.write_bytes(drafter.read_bytes().replace(b"\t", b"\t\xff", 1))
+        out = tmp_path / "rep.json"
+        capsys.readouterr()
+        code = main(["bench", "--target", str(target), "--drafter", str(drafter),
+                     "--out", str(out), "--K", "4"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert err.endswith(f" in model file: {drafter}\n")
+        assert not out.exists()
 
     def test_bench_prompt_file_token_out_of_range_exit_3(self, tmp_path, capsys):
         target = self._gen(tmp_path)

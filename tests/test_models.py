@@ -562,6 +562,22 @@ class TestTableRows:
         with pytest.raises(ValueError, match=rf"{message}.* in model file: {re.escape(str(path))}$"):
             load_model(path)
 
+    def test_file_that_is_not_utf8_names_itself(self, tmp_path):
+        path = tmp_path / "m.ngm"
+        path.write_bytes(b"ngram v=2 d=1\n*\t0.5 0.5\n0\t0.5 \xff.5\n")
+        with pytest.raises(ValueError) as raised:
+            load_model(path)
+        assert str(raised.value) == ("'utf-8' codec can't decode byte 0xff in position 30: "
+                                     f"invalid start byte in model file: {path}")
+
+    def test_header_wider_than_the_file_is_walked(self, tmp_path):
+        # V + d fields a row cannot fit in the file: the array parse allocates
+        # nothing for them, and the walk names the fallback's shape.
+        path = tmp_path / "m.ngm"
+        path.write_text(f"ngram v={10**12} d=1\n*\t1\n0\t1\n")
+        with pytest.raises(ValueError, match=r"^distribution must have shape \(1000000000000,\)"):
+            load_model(path)
+
 
 # Mutations of a saved model file's lines: [header, fallback row, context rows].
 
@@ -658,9 +674,83 @@ def _no_context_rows(lines, draw):
     del lines[2:]
 
 
+def _crlf(lines, draw):
+    """A carriage return before one line's newline, or before every one."""
+    ends = range(len(lines)) if draw(st.booleans()) else [draw(st.integers(0, len(lines) - 1))]
+    for i in ends:
+        lines[i] += "\r"
+
+
+def _form_feed(lines, draw):
+    """A \\f or \\v, which ``str.splitlines`` takes for a line break, inside a line."""
+    i = draw(st.integers(1, len(lines) - 1))
+    at = draw(st.integers(0, len(lines[i])))
+    lines[i] = lines[i][:at] + draw(st.sampled_from(["\f", "\v"])) + lines[i][at:]
+
+
+def _byte_order_mark(lines, draw):
+    lines[0] = "\ufeff" + lines[0]
+
+
+#: Marks a line that the file writes without its newline (see ``_written``).
+_NO_NEWLINE = "<no newline>"
+
+
+def _no_final_newline(lines, draw):
+    lines[-1] += _NO_NEWLINE
+
+
+def _long_field(lines, draw):
+    """A number with zeros after its digits: past 17 significant digits,
+    or past the parse's 16-byte window."""
+    i = draw(st.integers(1, len(lines) - 1))
+    key, _, tail = lines[i].partition("\t")
+    tokens = tail.split() or [""]
+    at = draw(st.integers(0, len(tokens) - 1))
+    digits, e, exponent = tokens[at].partition("e")
+    zeros = "0" * draw(st.sampled_from([1, 4, 16]))
+    tokens[at] = digits + ("" if "." in digits else ".") + zeros + e + exponent
+    lines[i] = key + "\t" + " ".join(tokens)
+
+
+def _padded_symbol(lines, draw):
+    """A context symbol with a leading zero or plus sign: the same int()."""
+    if len(lines) > 2:
+        i = _row_index(lines, draw)
+        key, _, tail = lines[i].partition("\t")
+        tokens = key.split() or [""]
+        at = draw(st.integers(0, len(tokens) - 1))
+        tokens[at] = draw(st.sampled_from(["0", "+", "00"])) + tokens[at]
+        lines[i] = " ".join(tokens) + "\t" + tail
+
+
 FILE_MUTATIONS = [_move_tab, _double_space, _insert_text, _comment_mark, _insert_blank_line,
                   _blank_key_or_tail, _replace_symbol, _replace_number, _ragged_pair,
-                  _fallback_last, _repeat_row, _no_context_rows]
+                  _fallback_last, _repeat_row, _no_context_rows, _crlf, _form_feed,
+                  _byte_order_mark, _no_final_newline, _long_field, _padded_symbol]
+
+
+def _written(lines) -> str:
+    """A file's text from its lines, each ended by a newline unless marked."""
+    return "".join(line + "\n" for line in lines).replace(_NO_NEWLINE + "\n", "")
+
+
+def _check_load_matches_split_oracle(path):
+    """``load_model`` reads the file to the split walk's model, bit for bit,
+    or raises the walk's error."""
+    try:
+        expected = oracles.load_model_by_split(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            load_model(path)
+        assert str(raised.value) == str(exc)
+    else:
+        loaded = load_model(path)
+        assert (loaded.order, loaded.vocab) == (expected.order, expected.vocab)
+        for name in ("contexts", "rows", "fallback"):
+            got, want = getattr(loaded, name), getattr(expected, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestLoadParse:
@@ -677,24 +767,21 @@ class TestLoadParse:
         for mutate in data.draw(st.lists(st.sampled_from(FILE_MUTATIONS), min_size=1, max_size=2),
                                 label="mutations"):
             mutate(lines, data.draw)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        try:
-            expected = oracles.load_model_by_split(path)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as raised:
-                load_model(path)
-            assert str(raised.value) == str(exc)
-        else:
-            loaded = load_model(path)
-            assert (loaded.order, loaded.vocab) == (expected.order, expected.vocab)
-            for name in ("contexts", "rows", "fallback"):
-                got, want = getattr(loaded, name), getattr(expected, name)
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes(), name
+        path.write_text(_written(lines), encoding="utf-8", newline="")
+        _check_load_matches_split_oracle(path)
+
+    @pytest.mark.parametrize("rows", [
+        "\t0.5 0.5\n", "0\t0.5 \n", "0\t0.5  0.5\n", "0\t0.5 0.5\n1", "0\t0.5 0.5\n1\t0.5 0.5",
+        "0 \t0.5 0.5\n", "0\t 0.5 0.5\n", "0\t0.5 0.5 \n", "0\t0.5\t0.5\n", "0\t0.5 0.5\n\n",
+        "0\t0.5 0.5\r\n", "00000000000000001\t0.5 0.5\n", "+0\t0.5 0.5\n"])
+    def test_layout_faults_match_the_split_oracle(self, tmp_path, rows):
+        path = tmp_path / "m.ngm"
+        path.write_text("ngram v=2 d=1\n*\t0.5 0.5\n" + rows, newline="")
+        _check_load_matches_split_oracle(path)
 
     def test_non_ascii_file_is_walked_to_the_arrays_of_its_ascii_twin(self, tmp_path):
-        # NumPy's text reader takes some non-ASCII letters for digits, so such
-        # a file skips it; the row walk parses it as int() and float() do.
+        # int() and float() read some non-ASCII digits (Arabic-Indic,
+        # fullwidth), which the array parse does not: the row walk reads them.
         body = "ngram v=2 d=2\n*\t0.5 0.5\n{}\t0.25 0.75\n1 {}\t{} 0.5\n"
         ascii_path, text_path = tmp_path / "ascii.ngm", tmp_path / "text.ngm"
         ascii_path.write_text(body.format("0 1", "6", "0.5"), encoding="utf-8")
@@ -784,6 +871,97 @@ class TestSaveFormat:
         save_model(model, root / "array.ngm")
         oracles.save_model_by_percent(model, root / "percent.ngm")
         assert (root / "array.ngm").read_bytes() == (root / "percent.ngm").read_bytes()
+
+
+def _parsed(fields: list[str]):
+    """``models._parsed_values`` of fields laid out as one row of a file."""
+    text = (" ".join(fields) + "\n").encode()
+    ends = np.flatnonzero(np.frombuffer(text, np.uint8) <= 32)
+    return models._parsed_values(text + bytes(16), np.r_[0, ends[:-1] + 1], ends)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _by_float(slow) -> int:
+    """Fields that calls of a wrapped ``models._float_values`` read."""
+    return sum(len(call.args[1]) for call in slow.call_args_list)
+
+
+#: Whether long double carries 64 bits: then the parse's candidate for a
+#: ``%.17g`` field is right (a 53-bit one misses often, and the field goes
+#: through float() instead).
+_WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
+
+
+class TestLoadValues:
+    def test_seeded_fields_take_the_proven_path(self):
+        values = 10.0 ** np.random.default_rng(30).uniform(-12, 0, 200_000)
+        fields = _formatted(values)
+        with mock.patch.object(models, "_float_values", wraps=models._float_values) as slow:
+            parsed = _parsed(fields)
+        assert _bits(parsed) == _bits([float(f) for f in fields]) == _bits(values)
+        outside = np.count_nonzero(values < 1e-11)
+        assert outside <= _by_float(slow)
+        if _WIDE_LONG_DOUBLE:
+            assert _by_float(slow) <= outside + len(values) // 1000
+
+    def test_edge_values(self):
+        fields = _formatted(_EDGE_VALUES)
+        assert _bits(_parsed(fields)) == _bits([float(f) for f in fields]) == _bits(_EDGE_VALUES)
+        assert _bits(_parsed(["0", "-0", "4.9406564584124654e-324", "1"])) == _bits(
+            [0.0, -0.0, 5e-324, 1.0])
+
+    @pytest.mark.parametrize("field", [
+        "0.5", "0.10", ".5", "5.", "5e-1", "5E-01", "+0.5", "00.5", "0.50000000000000000000001",
+        "0.1", "5e-05", "5.e-05", "0.5e-05", "0.0005", "0.00005", "1.5e-12", "9.99999999999999999",
+        "1e-99", "1e400", "-0.5", "0.0", "0.000", "05.5",
+        # Past 17 digits: read whole, this is not 0.12310473361077989.
+        "0.1231047336107798999999"])
+    def test_hand_written_fields_read_as_float_reads_them(self, field):
+        assert _bits(_parsed(["0.5", field])) == _bits([0.5, float(field)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields=st.lists(st.one_of(
+        st.text("0123456789.eE+-", min_size=1, max_size=24),
+        st.builds("{}{}{}{}".format, st.sampled_from(["", "0.", "0.0", "0.000", "0.0000", "00."]),
+                  st.sampled_from(["", "5", "5."]), st.text("0123456789", max_size=20),
+                  st.sampled_from(["", "e-05", "e-5", "e-123", "e-", "E-05", "e+05"])),
+    ).filter(bool), min_size=1, max_size=6))
+    def test_number_bytes_read_as_float_reads_them(self, fields):
+        try:
+            expected = [float(field) for field in fields]
+        except ValueError:
+            assert _parsed(fields) is None
+        else:
+            assert _bits(_parsed(fields)) == _bits(expected)
+
+    @pytest.mark.parametrize("field", ["1_0", "0x1", "inf", "nan", "\u0665", ".", "e5", "1e",
+                                       "--1", "1.5.5", "3e-0:", "1.5e-0;", "1.:"])
+    def test_other_fields_are_left_to_the_walk(self, field):
+        # float("1_0") is 10.0 and float("\u0665") 5.0: a file's walk reads them.
+        assert _parsed(["0.5", field]) is None
+
+    def test_digits_at_a_wrong_exponent_are_not_exact(self):
+        # 4.77 * 10**19 overflows 64 bits: only the overflow check rejects it.
+        _, _, exact = models._digits(np.array([4.7667291890649786, 0.5, 1e-11]),
+                                     np.array([3, 0, 0]))
+        assert not exact.any()
+
+    def test_saved_file_reads_only_values_outside_the_digit_range_by_float(self, tmp_path):
+        model = make_synthetic_target(5, vocab_size=24, order=2, concentration=0.05)
+        path = tmp_path / "m.ngm"
+        save_model(model, path)
+        with _one_pass_parse_only(), mock.patch.object(
+                models, "_float_values", wraps=models._float_values) as slow:
+            loaded = load_model(path)
+        assert loaded.rows.tobytes() == model.rows.tobytes()
+        rows = model.rows[:-1]  # the fallback row is split, as the walk splits it
+        outside = np.count_nonzero((rows < 1e-11) | (rows >= 10))
+        assert 0 < outside <= _by_float(slow)
+        if _WIDE_LONG_DOUBLE:
+            assert _by_float(slow) <= outside + rows.size // 1000
 
 
 class TestPaddedSuffix:

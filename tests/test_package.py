@@ -65,8 +65,8 @@ def test_importing_speclab_loads_no_scipy():
 
 
 def test_numpy_meets_the_declared_floor():
-    # The .ngm reader relies on NumPy's text reader rejecting an integer key
-    # such as 1.5 outright; older releases parsed it via float and only warned.
+    # The floor is the release the tests run on; the .ngm reader's array
+    # parse needs at least np.bitwise_count, new in NumPy 2.0.
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     requires = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
     (numpy,) = [Requirement(r) for r in requires if Requirement(r).name == "numpy"]
