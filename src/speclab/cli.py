@@ -55,9 +55,17 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 input file's text; a file that is not UTF-8 is a ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_config(args: argparse.Namespace) -> dict[str, str]:
     """The ``--config`` file's raw values by option name, each an option of the command."""
-    text = Path(args.config).read_text(encoding="utf-8")
+    text = _read_text(args.config)
     try:
         values = {norm: value for _key, norm, value in read_key_values(text)}
     except ValueError as exc:
@@ -94,7 +102,7 @@ def _read_corpus(path: str, vocab_size: int) -> list[list[int]]:
     """The token lists of a corpus or prompt file's nonblank lines; a token
     that is not an integer in [0, ``vocab_size``) is reported with its line."""
     sequences = []
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(_read_text(path).splitlines(), 1):
         try:
             tokens = [int(t) for t in line.split()]
         except ValueError as exc:

@@ -298,8 +298,7 @@ def train_tabular_drafter(windows: TrainingWindows, config: TrainConfig) -> Tabu
     # One stream entry per soft-count addend, each position's distillation
     # row first and its one-hot entry last, added in stream order. A position
     # of weight zero adds exact zeros, which leave every count as it is. The
-    # chunk buffers are allocated once and filled in place: fresh chunk-sized
-    # arrays would be mapped and unmapped by the allocator on every chunk.
+    # chunk buffers are allocated once and each chunk fills them in place.
     use_kd, use_ce = config.kd_weight > 0.0, config.beta > 0.0
     width = vocab_size * use_kd + use_ce
     size = min(len(event_ctx), _EVENT_CHUNK)

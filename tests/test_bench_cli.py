@@ -460,6 +460,43 @@ class TestCLI:
         assert err.endswith(f" in model file: {drafter}\n")
         assert not out.exists()
 
+    def test_bench_names_a_prompt_file_that_is_not_utf8_exit_3(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        drafter = self._train(tmp_path, target, "d.ngm")
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_bytes(b"0 1 2 3\n4 \xff 5\n")
+        out = tmp_path / "rep.json"
+        capsys.readouterr()
+        code = main(["bench", "--target", str(target), "--drafter", str(drafter),
+                     "--out", str(out), "--K", "4", "--prompt-file", str(prompts)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {prompts}: 'utf-8' codec can't decode byte 0xff in position 10")
+        assert not out.exists()
+
+    def test_train_names_a_corpus_that_is_not_utf8_exit_3(self, tmp_path, capsys):
+        target = self._gen(tmp_path)
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"0 1 2 3 4 5\n\xff\n")
+        out = tmp_path / "d.ngm"
+        capsys.readouterr()
+        code = main(["train", "--target", str(target), "--out", str(out),
+                     "--K", "4", "--corpus", str(corpus)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {corpus}: 'utf-8' codec can't decode byte 0xff in position 12")
+        assert not out.exists()
+
+    def test_gen_names_a_config_file_that_is_not_utf8_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"vocab = 8\norder = \xff\n")
+        out = tmp_path / "t.ngm"
+        code = main(["gen", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 18")
+        assert not out.exists()
+
     def test_bench_prompt_file_token_out_of_range_exit_3(self, tmp_path, capsys):
         target = self._gen(tmp_path)
         drafter = self._train(tmp_path, target, "d.ngm")

@@ -42,6 +42,8 @@ def test_summary_of_canned_pairs():
     assert tok["change_better_in_pairs"] == 4  # pair 2: 101 < 102
     assert tok["within_bound"] is True
     assert tok["runs"]["change"] == [110.0, 101.0, 108.0, 111.0, 109.0]
+    # 9 points past a parent IQR of 2, but 4 wins of 5 pairs is under nine tenths.
+    assert (tok["parent_iqr"], tok["gain_shown"], tok["unresolved"]) == (2.0, False, False)
 
     # Lower is better: a smaller time wins its pair.
     call = got["metrics"]["call_ms_p50"]
@@ -49,11 +51,44 @@ def test_summary_of_canned_pairs():
     assert call["change_over_parent"] == pytest.approx(0.925)
     assert call["change_better_in_pairs"] == 4  # pair 2: 4.3 > 4.2
     assert call["within_bound"] is True
+    assert (call["parent_iqr"], call["gain_shown"], call["unresolved"]) == (0.1, False, False)
 
     # Equal runs are better in no pair, and within the bound.
     ok = got["metrics"]["ok_frac"]
     assert (ok["change_over_parent"], ok["change_better_in_pairs"], ok["within_bound"]) == (
         1.0, 0, True)
+    assert (ok["parent_iqr"], ok["gain_shown"], ok["unresolved"]) == (0.0, False, False)
+
+
+#: Ten parent runs of median 100 and quartiles 99.25 and 100.75 (IQR 1.5).
+PARENT_TEN = [100.0, 101.0, 99.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0, 100.0]
+
+
+@pytest.mark.parametrize("shifts, shown", [
+    ([5.0] * 9 + [-5.0], True),        # 9 of 10 pairs, 5 past the IQR
+    ([5.0] * 8 + [-5.0] * 2, False),   # 8 of 10 pairs
+    ([1.0] * 10, False),               # every pair, but by less than the IQR
+    ([-5.0] * 9 + [5.0], False),       # a loss in 9 pairs
+], ids=["nine-tenths", "eight-tenths", "inside-the-iqr", "worse"])
+def test_gain_shown_needs_nine_tenths_of_pairs_and_the_parent_iqr(shifts, shown):
+    change = [_run(v + s, 4.0) for v, s in zip(PARENT_TEN, shifts)]
+    got = pair_bench.summarize([_run(v, 4.0) for v in PARENT_TEN], change, SPEC, [0, 3])
+    tok = got["metrics"]["decode_tok_s"]
+    assert (tok["parent_iqr"], tok["gain_shown"]) == (1.5, shown)
+    # The lower-is-better metric reads the same on every run: no gain.
+    assert got["metrics"]["call_ms_p50"]["gain_shown"] is False
+
+
+@pytest.mark.parametrize("change, unresolved", [
+    ([70.0, 110.0, 150.0], True),    # the runs overlap the parent's
+    ([150.0, 160.0, 170.0], False),  # every change run beats every parent run
+])
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound(change, unresolved):
+    # Parent IQR 40 at median 100: 0.4, wider than the 0.25 bound.
+    got = pair_bench.summarize([_run(v, 4.0) for v in (60.0, 100.0, 140.0)],
+                               [_run(v, 4.0) for v in change], SPEC, [0])
+    tok = got["metrics"]["decode_tok_s"]
+    assert (tok["parent_iqr"], tok["unresolved"], tok["within_bound"]) == (40.0, unresolved, True)
 
 
 @pytest.mark.parametrize("tok_s, call_ms, within", [

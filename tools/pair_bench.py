@@ -13,7 +13,17 @@ than once. Runs last ``BENCHMARK.json``'s ``run_seconds`` unless
 (read from CHANGE_DIR, with its direction and bound) gets the medians and quartiles of
 both sides, the change's median over the parent's, the number of pairs in
 which the change was better, and whether the change is within the metric's
-bound. A run that exits non-zero, or whose last line is not a JSON object,
+bound. Each metric also states the gain rule of paired runs:
+
+- ``parent_iqr``: the distance between the parent's quartiles;
+- ``gain_shown``: the change is better in at least nine tenths of all pairs
+  run, ties counting for neither, and its median is better than the
+  parent's by more than ``parent_iqr``;
+- ``unresolved``: the parent's runs spread wider than the bound
+  (``parent_iqr`` over the parent's median), and not every change run is
+  better than every parent run, so "within the bound" says nothing.
+
+A run that exits non-zero, or whose last line is not a JSON object,
 is kept as a failed run (its exit code and the tail of its stderr) and the
 pairs go on; its pair is left out of the metrics. The summary goes to
 ``--out`` (default standard output) under ``workloads``; other keys of an
@@ -77,13 +87,22 @@ def summarize(parent: list[dict], change: list[dict], spec: list[dict],
         p, c = statistics.median(runs["parent"]), statistics.median(runs["change"])
         ratio = c / p if p else (1.0 if c == p else math.inf)
         worse_by = (1 - ratio) if higher else (ratio - 1)
+        sign = 1 if higher else -1  # sign * value grows as the metric gets better
+        spreads = {side: spread(values) for side, values in runs.items()}
+        iqr = spreads["parent"]["q3"] - spreads["parent"]["q1"]
+        wins = sum(sign * b > sign * a for a, b in zip(runs["parent"], runs["change"]))
+        width = iqr / abs(p) if p else (0.0 if iqr == 0 else math.inf)
+        every_run_better = (min(sign * v for v in runs["change"])
+                            > max(sign * v for v in runs["parent"]))
         metrics[name] = {
-            "parent": spread(runs["parent"]),
-            "change": spread(runs["change"]),
+            "parent": spreads["parent"],
+            "change": spreads["change"],
             "change_over_parent": round(ratio, 4),
-            "change_better_in_pairs": sum((b > a) if higher else (b < a)
-                                          for a, b in zip(runs["parent"], runs["change"])),
+            "change_better_in_pairs": wins,
             "within_bound": worse_by <= m["bound"],
+            "parent_iqr": round(iqr, 6),
+            "gain_shown": wins >= 0.9 * len(parent) and sign * (c - p) > iqr,
+            "unresolved": width > m["bound"] and not every_run_better,
             "runs": {side: [round(v, 6) for v in values] for side, values in runs.items()},
         }
     return {
