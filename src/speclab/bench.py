@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import TabularModel, Token, checked_int, sample_sequences
-from .verification import NUM_CONFIDENCE_BINS, DecodeTrace, decode_loop
+from .models import GREEDY, TabularModel, Token, checked_int, sample_sequences
+from .verification import NUM_CONFIDENCE_BINS, DecodeTrace, decode_loop, decode_rounds
 
 
 def spearman_correlation(xs: Sequence[float], ys: Sequence[float]) -> float | None:
@@ -129,14 +129,20 @@ def run_bench(
 
     Prompts come from :func:`sample_prompts` unless given explicitly.
     Prompt i's verification draws come from ``default_rng([seed, i, 1])``.
-    ``draft_cost`` must be finite and >= 0.
+    ``draft_cost`` must be finite and >= 0. The report reads only the
+    decode's trace, so no committed token is laid out: a greedy call costs
+    time and memory in proportion to the windows its prompts reach,
+    whatever ``max_tokens`` is.
     """
     if not 0.0 <= draft_cost < math.inf:
         raise ValueError(f"draft_cost must be finite and >= 0, got {draft_cost}")
     if prompts is None:
         prompts = sample_prompts(target, num_prompts, prompt_len, seed)
-    _, trace = decode_loop(target, drafter, prompts, max_tokens, draft_len, mode=mode,
-                           verify=verify, seed=seed)
+    args = (target, drafter, prompts, max_tokens, draft_len, mode, verify, seed)
+    # Stochastic tokens are a view of the buffer the rounds fill, so
+    # decode_loop, the call perfbench's tracer times as decoding, costs
+    # nothing more there; greedy ones would be an (n, max_tokens) gather.
+    trace = decode_rounds(*args)[0] if verify == GREEDY else decode_loop(*args)[1]
     return BenchReport(trace=trace, draft_cost=draft_cost, config={
         "vocab": target.vocab.size,
         "target_order": target.order,

@@ -14,15 +14,18 @@ still decoding, prompt i drawing from ``default_rng([seed, i, 1])`` alone. A
 greedy round is a function of its round-start window, so greedy decoding walks
 the graph of windows the prompts reach: each distinct window is looked up
 once, all of them are drafted and scored in one array step, and their rounds
-are counted. Verification always conditions the target on real committed
-tokens; mask placeholders exist only inside the drafter. The one-prompt scalar
-round (propose, then verify) lives on in ``tests/oracles.py`` as the reference
-the batch loop is held to.
+are counted. :func:`decode_rounds` runs the rounds and hands back the trace
+and a function that lays out the tokens; ``run_bench`` reads only the trace,
+so a greedy bench costs time and memory in proportion to the windows reached,
+whatever ``max_tokens`` is. Verification always conditions the target on
+real committed tokens; mask placeholders exist only inside the drafter. The
+one-prompt scalar round (propose, then verify) lives on in
+``tests/oracles.py`` as the reference the batch loop is held to.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -153,9 +156,33 @@ def decode_loop(
 
     Returns the (n, ``max_tokens``) committed tokens and one trace of every
     round. The trace keeps the untruncated counts, so a prompt overshoots by
-    at most ``draft_len`` tokens. Every input is checked here, once; the
-    rounds then read rows by exact context code, and a round costs the same
-    however long the output grows.
+    at most ``draft_len`` tokens. The rounds are :func:`decode_rounds`'s; on
+    greedy, laying out these tokens is the call's only O(``max_tokens``)
+    cost, as the rounds cost O(windows reached).
+    """
+    trace, tokens = decode_rounds(target, drafter, prompts, max_tokens, draft_len, mode, verify,
+                                  seed)
+    return tokens(), trace
+
+
+def decode_rounds(
+    target: TabularModel,
+    drafter: TabularModel,
+    prompts: Sequence[Sequence[Token]],
+    max_tokens: int,
+    draft_len: int,
+    mode: str,
+    verify: str,
+    seed: int = 0,
+) -> tuple[DecodeTrace, Callable[[], np.ndarray]]:
+    """:func:`decode_loop`'s rounds: their trace, and a function that lays
+    out the (n, ``max_tokens``) committed tokens. A caller that reads only
+    the trace, as ``run_bench`` does, leaves the function uncalled.
+
+    Every input is checked here, once; the rounds then read rows by exact
+    context code, and a round costs the same however long the output grows.
+    Both kernels start from each prompt's last ``width`` tokens, pad-filled
+    on the left.
     """
     if len(prompts) == 0:
         raise ValueError("prompts must be nonempty")
@@ -173,23 +200,15 @@ def decode_loop(
     if 0 in lengths:
         raise ValueError("prompt must be nonempty")
 
-    # Row i holds prompt i's last ``width`` tokens (pad-filled on the left),
-    # then its committed tokens; drafts are written past them and
-    # overwritten by the next round's.
     width = max(target.order, drafter.order)
     ends = np.add.accumulate(lengths)
     take = ends[:, None] + np.arange(-width, 0)
-    seq = np.full((len(prompts), width + max_tokens + draft_len), vocab.pad_id,
-                  dtype=np.int64)
-    seq[:, :width] = np.where(take >= (ends - lengths)[:, None], flat[np.maximum(take, 0)],
-                              vocab.pad_id)
-    trace = DecodeTrace(draft_len=draft_len)
-    args = (target, drafter, seq, max_tokens, draft_len, mode == DEPENDENT, trace)
+    windows = np.where(take >= (ends - lengths)[:, None], flat[np.maximum(take, 0)],
+                       vocab.pad_id)
+    args = (target, drafter, windows, max_tokens, draft_len, mode == DEPENDENT)
     if verify == STOCHASTIC:
-        _decode_stochastic(*args, seed)
-    else:
-        _decode_greedy(*args)
-    return seq[:, width : width + max_tokens], trace
+        return _decode_stochastic(*args, seed)
+    return _decode_greedy(*args)
 
 
 @cache
@@ -239,7 +258,7 @@ def _drafter_step(drafter, positions, featured):
     return own_rows, next_distribution(drafter, (vocab.mask_id,) * order)
 
 
-def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace):
+def _decode_greedy(target, drafter, windows, max_tokens, draft_len, featured):
     """Greedy verification commits exactly the target's greedy stream, and
     every round is a function of its round-start window: the stream after
     it, the drafts, the accepted length A and the next round's window. So
@@ -260,12 +279,12 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace)
        counted floor((max_tokens - s) / D) times at once and the rest is
        walked. The counted nodes are recorded in one call, each with its
        count, and the target's probability of each drafted token.
-    4. Expand the output: each prompt's node at every (K + 1)-th position by
-       doubling gathers over succ^(K + 1), the K nodes after each from step
-       2's successor steps, and the tokens by one gather.
+    4. Only when the returned function is called, expand the output
+       (:func:`_expand_output`). Steps 1-3 cost time and memory in
+       proportion to the windows reached, whatever ``max_tokens`` is, so a
+       call that reads only the trace does too.
     """
-    n, total = seq.shape
-    width = total - max_tokens - draft_len
+    n, width = windows.shape
     K, d_t, ns = draft_len, target.order, target.vocab.num_symbols
     greedy, row_of = target.greedy_tokens, target.code_rows
 
@@ -288,7 +307,7 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace)
         return x
 
     place = models.code_weights(ns, width)
-    start = [node(code) for code in np.dot(seq[:, :width], place).tolist()]
+    start = [node(code) for code in np.dot(windows, place).tolist()]
     for i, x in enumerate(start):
         walked = []
         for _ in range(max_tokens + K):
@@ -299,18 +318,18 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace)
             if rows[x] < 0:
                 code = codes[x]
                 rows[x] = row = row_of(code % low)
-                succ[x] = node(code % high * ns + int(greedy[row]))
+                succ[x] = node(code % high * ns + greedy.item(row))
             mark[x] = i
             walked.append(x)
             x = succ[x]
 
-    windows = (np.array(codes, dtype=place.dtype)[:, None] // place % ns).astype(np.intp)
+    node_windows = (np.array(codes, dtype=place.dtype)[:, None] // place % ns).astype(np.intp)
     rows, succ = np.array(rows, dtype=np.intp), np.array(succ, dtype=np.intp)
     tokens = greedy[rows]
     own, num_nodes = min(K, drafter.order), len(codes)
     own_rows, shared = _drafter_step(drafter, own, featured)
     drafts = np.full((num_nodes, K), shared.argmax())
-    drafts[:, :own] = drafter.greedy_tokens[own_rows(windows, tokens)]
+    drafts[:, :own] = drafter.greedy_tokens[own_rows(node_windows, tokens)]
 
     # A and the next round's node.
     path = _walk(succ, np.arange(num_nodes), K + 1)
@@ -342,10 +361,20 @@ def _decode_greedy(target, drafter, seq, max_tokens, draft_len, featured, trace)
     # The target's probability of each drafted token: its row after the
     # accepted prefix, as in the stochastic kernel.
     p = target.rows[rows[path[counted, :K]], drafts[counted]]
+    trace = DecodeTrace(draft_len=K)
     trace.record(accepted[counted], p, count[counted])
+    return trace, lambda: _expand_output(succ, path, tokens, start, max_tokens)
 
+
+def _expand_output(succ, path, tokens, start, max_tokens):
+    """Step 4 of the greedy kernel, the (n, ``max_tokens``) committed
+    tokens: each prompt's node at every (K + 1)-th position by doubling
+    gathers over succ^(K + 1), the K nodes after each from step 2's
+    successor steps ``path``, and the tokens by one gather. This is the
+    kernel's one O(n x ``max_tokens``) step."""
+    K = path.shape[1] - 1
     hops = _walk(succ[path[:, K]], np.array(start), -(-max_tokens // (K + 1)))
-    seq[:, width : width + max_tokens] = tokens[path[hops].reshape(n, -1)[:, :max_tokens]]
+    return tokens[path[hops].reshape(len(start), -1)[:, :max_tokens]]
 
 
 def _walk(succ, starts, length):
@@ -363,7 +392,7 @@ def _walk(succ, starts, length):
     return path
 
 
-def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, trace, seed):
+def _decode_stochastic(target, drafter, windows, max_tokens, draft_len, featured, seed):
     """Stochastic rounds of all live prompts in lockstep: the drafter rows
     at the drafter's own positions 0..min(K, d_d) - 1, the K draws, the
     K + 1 target rows, the accept tests, and the correction or bonus are
@@ -384,9 +413,13 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
     reaches the last. The uniforms take n x ``need`` float64, the worst case
     (2.4 MB for 64 prompts of 256 tokens at K = 16).
     """
-    n, total = seq.shape
-    width = total - max_tokens - draft_len
+    n, width = windows.shape
     K, d_t, V = draft_len, target.order, target.vocab.size
+    # Row i holds prompt i's start window, then its committed tokens; drafts
+    # are written past them and overwritten by the next round's.
+    total = width + max_tokens + K
+    seq = np.full((n, total), target.vocab.pad_id, dtype=np.int64)
+    seq[:, :width] = windows
     own = min(K, drafter.order)
     own_rows, shared = _drafter_step(drafter, own, featured)
     # The j-th live prompt's drafter rows at positions 0..K and CDFs at
@@ -458,4 +491,6 @@ def _decode_stochastic(target, drafter, seq, max_tokens, draft_len, featured, tr
             head, stop, cursor = (lane[~done] for lane in (head, stop, cursor))
         rounds.append((accepted, p))
 
+    trace = DecodeTrace(draft_len=K)
     trace.record(*map(np.concatenate, zip(*rounds)))
+    return trace, lambda: seq[:, width : width + max_tokens]

@@ -3,6 +3,7 @@ of fake checkouts whose ``perfbench/run.py`` fails."""
 
 import importlib.util
 import json
+import subprocess
 import textwrap
 from pathlib import Path
 
@@ -150,6 +151,35 @@ def test_pairs_go_on_past_a_failed_run(tmp_path, body, exit_code):
     assert [r["exit_code"] for r in got["failed_runs"]["parent"]] == [exit_code]
     assert got["failed_runs"]["change"] == []
     assert got["metrics"]["decode_tok_s"]["runs"] == {"parent": [100.0], "change": [100.0]}
+    # Fake checkouts in a tmp dir are no git checkouts.
+    assert json.loads(out.read_text())["checkouts"] == {
+        side: {"dir": str(checkout.resolve()), "commit": None, "dirty": None}
+        for side, checkout in (("parent", parent), ("change", change))}
+
+
+def test_checkout_state_of_a_plain_dir(tmp_path):
+    assert pair_bench.checkout_state(tmp_path) == {"commit": None, "dirty": None}
+
+
+def test_checkout_state_of_a_git_repo(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                               "-c", "user.email=t@example.com", *args],
+                              capture_output=True, text=True, check=True).stdout
+
+    git("init", "-q")
+    # A repository with no commit yet has no HEAD.
+    assert pair_bench.checkout_state(tmp_path) == {"commit": None, "dirty": None}
+    (tmp_path / "f.txt").write_text("a\n")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "first")
+    head = git("rev-parse", "HEAD").strip()
+    assert pair_bench.checkout_state(tmp_path) == {"commit": head, "dirty": False}
+    (tmp_path / "f.txt").write_text("b\n")
+    assert pair_bench.checkout_state(tmp_path) == {"commit": head, "dirty": True}
+    git("checkout", "-q", "f.txt")
+    (tmp_path / "new.txt").write_text("untracked\n")
+    assert pair_bench.checkout_state(tmp_path) == {"commit": head, "dirty": True}
 
 
 @pytest.mark.parametrize("flags, message", [

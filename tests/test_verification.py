@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,8 +28,8 @@ from speclab.models import (
     make_synthetic_target,
 )
 from speclab.training import TrainConfig, sample_corpus
-from speclab import models, training
-from speclab.bench import run_bench, sample_prompts
+from speclab import models, training, verification
+from speclab.bench import BenchReport, run_bench, sample_prompts
 from speclab.drafting import masked_contexts
 from speclab.verification import MODES, VERIFIERS, DecodeTrace, _walk, decode_loop
 
@@ -984,3 +985,74 @@ class TestDecodeLoopMatchesFullPrefixOracle:
         prompt = rng.integers(0, vocab_size, size=n).tolist()
         _assert_batch_matches_scalar(target, drafter, [prompt], max_tokens, k, mode, verify,
                                      seed, loop=oracles.decode_loop_full_prefix)
+
+
+class TestBenchReadsOnlyTheTrace:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.sampled_from([2, 3, 4]),
+        target_order=st.integers(1, 3),
+        drafter_order=st.integers(2, 3),
+        draft_len=st.sampled_from(["d-1", "d+1"]),
+        rounds=st.integers(0, 6),
+        num_prompts=st.sampled_from([1, 3, 7]),
+        mode=st.sampled_from(MODES),
+        verify=st.sampled_from(VERIFIERS),
+        data=st.data(),
+    )
+    def test_same_report_as_decode_loops_trace(
+        self, seed, vocab_size, target_order, drafter_order, draft_len, rounds, num_prompts,
+        mode, verify, data,
+    ):
+        rng = np.random.default_rng(seed)
+        target = _random_sparse_model(rng, vocab_size, target_order)
+        drafter = _random_sparse_model(rng, vocab_size, drafter_order)
+        d = drafter_order
+        k = {"d-1": d - 1, "d+1": d + 1}[draft_len]
+        # Never a multiple of the K + 1 tokens a fully accepted round commits.
+        max_tokens = rounds * (k + 1) + data.draw(st.integers(1, k), label="past the rounds")
+        # The first prompt is shorter than the window, so pads reach it.
+        width = max(target_order, drafter_order)
+        lengths = rng.integers(1, width + 3, size=num_prompts)
+        lengths[0] = 1
+        prompts = [rng.integers(0, vocab_size, size=n).tolist() for n in lengths]
+        report = run_bench(target, drafter, draft_len=k, mode=mode, verify=verify,
+                           prompts=prompts, max_tokens=max_tokens, seed=seed)
+        _, trace = decode_loop(target, drafter, prompts, max_tokens, k, mode, verify, seed)
+        want = BenchReport(trace=trace, draft_cost=report.draft_cost, config=report.config)
+        assert report.to_json_dict() == want.to_json_dict()
+
+    def test_greedy_bench_never_lays_out_the_tokens(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        target, drafter = _random_sparse_model(rng, 3, 2), _random_sparse_model(rng, 3, 2)
+
+        def refuse(*args):
+            raise AssertionError("greedy output expanded")
+
+        monkeypatch.setattr(verification, "_expand_output", refuse)
+        for mode in MODES:
+            report = run_bench(target, drafter, draft_len=3, mode=mode, verify="greedy",
+                               prompts=[[0], [1, 2]], max_tokens=50)
+            assert report.trace.total_tokens >= 100
+            with pytest.raises(AssertionError, match="greedy output expanded"):
+                decode_loop(target, drafter, [[0], [1, 2]], 50, 3, mode, "greedy")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_greedy_bench_does_not_grow_with_max_tokens(self, mode):
+        # The CLI's shape: V = 16, a d = 2 target, 64 prompts of 8 tokens,
+        # K = 16. The target drafts for itself, so independent rounds accept.
+        target = make_synthetic_target(0, 16, 2, 0.3)
+        n, k, max_tokens = 64, 16, 10**12
+        kwargs = dict(draft_len=k, mode=mode, verify="greedy", num_prompts=n)
+        run_bench(target, target, max_tokens=k, **kwargs)  # the model's cached arrays
+        tracemalloc.start()
+        try:
+            report = run_bench(target, target, max_tokens=max_tokens, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        got = report.to_json_dict()
+        assert got["position_stats"][0]["attempts"] == got["steps"]
+        assert n * max_tokens <= got["total_tokens"] <= n * (max_tokens + k)

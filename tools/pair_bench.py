@@ -26,8 +26,9 @@ bound. Each metric also states the gain rule of paired runs:
 A run that exits non-zero, or whose last line is not a JSON object,
 is kept as a failed run (its exit code and the tail of its stderr) and the
 pairs go on; its pair is left out of the metrics. The summary goes to
-``--out`` (default standard output) under ``workloads``; other keys of an
-existing ``--out`` file are kept.
+``--out`` (default standard output) under ``workloads``, with each
+checkout's commit and whether its files differ from it under ``checkouts``;
+other keys of an existing ``--out`` file are kept.
 """
 
 from __future__ import annotations
@@ -62,6 +63,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             return result
     return {"correct": False, "exit_code": done.returncode,
             "stderr_tail": done.stderr[-STDERR_TAIL:]}
+
+
+def checkout_state(checkout: Path) -> dict:
+    """``checkout``'s commit (``git rev-parse HEAD``) and ``dirty``, whether
+    ``git status --porcelain`` prints anything; both None outside a git
+    checkout."""
+    git = ["git", "-C", str(checkout)]
+    try:
+        head = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True)
+        if head.returncode == 0:
+            status = subprocess.run([*git, "status", "--porcelain"], capture_output=True,
+                                    text=True, check=True)
+            return {"commit": head.stdout.strip(), "dirty": bool(status.stdout)}
+    except (OSError, subprocess.CalledProcessError):  # no git, or a broken checkout
+        pass
+    return {"commit": None, "dirty": None}
 
 
 def spread(values: list[float]) -> dict:
@@ -146,6 +163,9 @@ def main(argv: list[str] | None = None) -> int:
                  "(statistics.quantiles, inclusive) over each side's runs",
         "host": {"python": platform.python_version(), "machine": platform.machine()},
     }
+    report["checkouts"] = {side: {"dir": str(checkout.resolve()), **checkout_state(checkout)}
+                           for side, checkout in (("parent", args.parent),
+                                                  ("change", args.change))}
     workloads = report.setdefault("workloads", {})
     for workload in args.workload:
         parent, change = [], []
