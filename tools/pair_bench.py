@@ -72,13 +72,12 @@ def checkout_state(checkout: Path) -> dict:
     git = ["git", "-C", str(checkout)]
     try:
         head = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True)
-        if head.returncode == 0:
-            status = subprocess.run([*git, "status", "--porcelain"], capture_output=True,
-                                    text=True, check=True)
-            return {"commit": head.stdout.strip(), "dirty": bool(status.stdout)}
-    except (OSError, subprocess.CalledProcessError):  # no git, or a broken checkout
-        pass
-    return {"commit": None, "dirty": None}
+    except OSError:  # no git on this host
+        head = None
+    if head is None or head.returncode:
+        return {"commit": None, "dirty": None}
+    status = subprocess.run([*git, "status", "--porcelain"], capture_output=True, text=True)
+    return {"commit": head.stdout.strip(), "dirty": bool(status.stdout)}
 
 
 def spread(values: list[float]) -> dict:
@@ -163,9 +162,8 @@ def main(argv: list[str] | None = None) -> int:
                  "(statistics.quantiles, inclusive) over each side's runs",
         "host": {"python": platform.python_version(), "machine": platform.machine()},
     }
-    report["checkouts"] = {side: {"dir": str(checkout.resolve()), **checkout_state(checkout)}
-                           for side, checkout in (("parent", args.parent),
-                                                  ("change", args.change))}
+    report["checkouts"] = {"parent": checkout_state(args.parent),
+                           "change": checkout_state(args.change)}
     workloads = report.setdefault("workloads", {})
     for workload in args.workload:
         parent, change = [], []
