@@ -141,7 +141,7 @@ def run_bench(
     args = (target, drafter, prompts, max_tokens, draft_len, mode, verify, seed)
     # Stochastic tokens are a view of the buffer the rounds fill, so
     # decode_loop, the call perfbench's tracer times as decoding, costs
-    # nothing more there; greedy ones would be an (n, max_tokens) gather.
+    # nothing more there; greedy ones are a walk of the greedy stream.
     trace = decode_rounds(*args)[0] if verify == GREEDY else decode_loop(*args)[1]
     return BenchReport(trace=trace, draft_cost=draft_cost, config={
         "vocab": target.vocab.size,

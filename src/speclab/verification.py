@@ -11,20 +11,19 @@ committed stream is exactly the target's greedy continuation.
 :func:`decode_loop` decodes a whole batch of prompts at once and records its
 rounds in one trace call. Stochastic rounds run in lockstep over the prompts
 still decoding, prompt i drawing from ``default_rng([seed, i, 1])`` alone. A
-greedy round is a function of its round-start window, so greedy decoding walks
-the graph of windows the prompts reach: each distinct window is looked up
-once, all of them are drafted and scored in one array step, and their rounds
-are counted. :func:`decode_rounds` runs the rounds and hands back the trace
-and a function that lays out the tokens; ``run_bench`` reads only the trace,
-so a greedy bench costs time and memory in proportion to the windows reached,
-whatever ``max_tokens`` is. Verification always conditions the target on
-real committed tokens; mask placeholders exist only inside the drafter. The
-one-prompt scalar round (propose, then verify) lives on in
+greedy round is a function of its round-start window: greedy decoding maps
+each window the prompts reach to its round (:func:`_greedy_rounds`) and
+counts the rounds from each distinct start window (:func:`_round_counts`),
+so ``run_bench``, which reads only :func:`decode_rounds`'s trace, costs
+O(windows reached) whatever ``max_tokens`` is. Verification conditions the
+target on real committed tokens only; masks exist only inside the drafter.
+The one-prompt scalar round (propose, then verify) lives on in
 ``tests/oracles.py`` as the reference the batch loop is held to.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cache
@@ -156,9 +155,8 @@ def decode_loop(
 
     Returns the (n, ``max_tokens``) committed tokens and one trace of every
     round. The trace keeps the untruncated counts, so a prompt overshoots by
-    at most ``draft_len`` tokens. The rounds are :func:`decode_rounds`'s; on
-    greedy, laying out these tokens is the call's only O(``max_tokens``)
-    cost, as the rounds cost O(windows reached).
+    at most ``draft_len`` tokens. The rounds are :func:`decode_rounds`'s; a
+    greedy call's only O(``max_tokens``) cost is :func:`_expand_output`.
     """
     trace, tokens = decode_rounds(target, drafter, prompts, max_tokens, draft_len, mode, verify,
                                   seed)
@@ -259,30 +257,20 @@ def _drafter_step(drafter, positions, featured):
 
 
 def _decode_greedy(target, drafter, windows, max_tokens, draft_len, featured):
-    """Greedy verification commits exactly the target's greedy stream, and
-    every round is a function of its round-start window: the stream after
-    it, the drafts, the accepted length A and the next round's window. So
-    the kernel works on the graph of reached windows (nodes), each looked
-    up, drafted and scored once, however many prompts or tokens reach it.
+    """Every greedy round is a function of its round-start window, so the
+    kernel works on the graph of reached windows (nodes), each looked up,
+    drafted and scored once, however many prompts or tokens reach it.
 
-    1. Discover: walk each prompt's stream one scalar step per window. A
-       window not yet expanded costs one target row lookup, which gives its
-       greedy token and so its successor. The walk stops at a window whose
-       successors are all expanded (one of its own, or a closed one), or
-       after the ``max_tokens + K`` positions its rounds can read.
-    2. Over all nodes at once: K + 1 successor steps by doubling gathers,
-       the drafts, A by one ``logical_and.accumulate`` and the next round's
-       node. This takes about (3K + 2) x 8 bytes per node, and a call
-       reaches at most n x (max_tokens + K + 1) nodes.
-    3. Count rounds per node: walk each prompt's rounds on nodes; once a
-       node recurs, the rounds since repeat every D positions, so they are
-       counted floor((max_tokens - s) / D) times at once and the rest is
-       walked. The counted nodes are recorded in one call, each with its
-       count, and the target's probability of each drafted token.
-    4. Only when the returned function is called, expand the output
-       (:func:`_expand_output`). Steps 1-3 cost time and memory in
-       proportion to the windows reached, whatever ``max_tokens`` is, so a
-       call that reads only the trace does too.
+    1. Discover: from each distinct start window, first seen first, walk
+       the stream one scalar step per window. A window not yet expanded
+       costs one target row lookup, which gives its greedy token and so its
+       successor. The walk stops at a window whose successors are all
+       expanded (one of its own, or a closed one), or after the
+       ``max_tokens + K`` positions its rounds can read.
+    2. :func:`_greedy_rounds` over all nodes at once.
+    3. :func:`_round_counts` from each distinct start, weighted by its
+       number of prompts; the counted nodes go to one ``record``.
+    4. :func:`_expand_output`, only if called; steps 1-3 cost O(windows).
     """
     n, width = windows.shape
     K, d_t, ns = draft_len, target.order, target.vocab.num_symbols
@@ -308,7 +296,8 @@ def _decode_greedy(target, drafter, windows, max_tokens, draft_len, featured):
 
     place = models.code_weights(ns, width)
     start = [node(code) for code in np.dot(windows, place).tolist()]
-    for i, x in enumerate(start):
+    weights = Counter(start)  # each distinct start node's number of prompts
+    for i, x in enumerate(weights):
         walked = []
         for _ in range(max_tokens + K):
             if mark[x] == closed or mark[x] == i:
@@ -325,20 +314,42 @@ def _decode_greedy(target, drafter, windows, max_tokens, draft_len, featured):
 
     node_windows = (np.array(codes, dtype=place.dtype)[:, None] // place % ns).astype(np.intp)
     rows, succ = np.array(rows, dtype=np.intp), np.array(succ, dtype=np.intp)
-    tokens = greedy[rows]
-    own, num_nodes = min(K, drafter.order), len(codes)
+    drafts, path, accepted, following = _greedy_rounds(target, drafter, node_windows, rows, succ,
+                                                       K, featured)
+    count = _round_counts(weights, weights.values(), accepted + 1, following, max_tokens)
+    counted = count.nonzero()[0]
+    # The target's row after each accepted prefix, at the drafted token.
+    p = target.rows[rows[path[counted, :K]], drafts[counted]]
+    trace = DecodeTrace(draft_len=K)
+    trace.record(accepted[counted], p, count[counted])
+    return trace, lambda: _expand_output(succ, greedy[rows], start, max_tokens)
+
+
+def _greedy_rounds(target, drafter, node_windows, rows, succ, K, featured):
+    """Step 2 of the greedy kernel, the round map: for each node x (window
+    ``node_windows[x]``, target row ``rows[x]``, successor ``succ[x]``), its K
+    drafts, its stream nodes ``path`` (succ applied 0..K times), its accepted
+    length A and the next round's node. About (3K + 2) x 8 bytes per node."""
+    tokens = target.greedy_tokens[rows]
+    own, num_nodes = min(K, drafter.order), len(rows)
     own_rows, shared = _drafter_step(drafter, own, featured)
     drafts = np.full((num_nodes, K), shared.argmax())
     drafts[:, :own] = drafter.greedy_tokens[own_rows(node_windows, tokens)]
-
-    # A and the next round's node.
     path = _walk(succ, np.arange(num_nodes), K + 1)
     accepted = np.logical_and.accumulate(drafts == tokens[path[:, :K]], axis=1).sum(axis=1)
     following = succ[path[np.arange(num_nodes), accepted]]
+    return drafts, path, accepted, following
 
-    advance, following = (accepted + 1).tolist(), following.tolist()
-    count = [0] * num_nodes
-    for x in start:
+
+def _round_counts(starts, weights, advance, following, max_tokens):
+    """Step 3 of the greedy kernel: the rounds that start at each node, up to
+    ``max_tokens`` tokens from each of ``starts``, counted ``weights`` times
+    (int64 for int weights). A round at x commits ``advance[x]`` tokens and
+    the next starts at ``following[x]``. Once a node recurs, the rounds since
+    repeat every D tokens, so they count floor((max_tokens - s) / D) at once."""
+    advance, following = advance.tolist(), following.tolist()
+    count = [0] * len(advance)
+    for x, w in zip(starts, weights):
         s, seen, visits = 0, {}, []
         while s < max_tokens and x not in seen:
             seen[x] = len(visits), s
@@ -349,32 +360,21 @@ def _decode_greedy(target, drafter, windows, max_tokens, draft_len, featured):
             times = (max_tokens - s) // (s - s0)
             s += times * (s - s0)
             for y in visits[first:]:
-                count[y] += times
+                count[y] += w * times
         for y in visits:
-            count[y] += 1
+            count[y] += w
         while s < max_tokens:
-            count[x] += 1
+            count[x] += w
             s, x = s + advance[x], following[x]
-
-    count = np.array(count, dtype=np.int64)
-    counted = count.nonzero()[0]
-    # The target's probability of each drafted token: its row after the
-    # accepted prefix, as in the stochastic kernel.
-    p = target.rows[rows[path[counted, :K]], drafts[counted]]
-    trace = DecodeTrace(draft_len=K)
-    trace.record(accepted[counted], p, count[counted])
-    return trace, lambda: _expand_output(succ, path, tokens, start, max_tokens)
+    return np.array(count)
 
 
-def _expand_output(succ, path, tokens, start, max_tokens):
-    """Step 4 of the greedy kernel, the (n, ``max_tokens``) committed
-    tokens: each prompt's node at every (K + 1)-th position by doubling
-    gathers over succ^(K + 1), the K nodes after each from step 2's
-    successor steps ``path``, and the tokens by one gather. This is the
-    kernel's one O(n x ``max_tokens``) step."""
-    K = path.shape[1] - 1
-    hops = _walk(succ[path[:, K]], np.array(start), -(-max_tokens // (K + 1)))
-    return tokens[path[hops].reshape(len(start), -1)[:, :max_tokens]]
+def _expand_output(succ, tokens, start, max_tokens):
+    """Step 4 of the greedy kernel, the (n, ``max_tokens``) committed tokens:
+    the target's greedy stream, so the tokens of the first ``max_tokens``
+    nodes from each prompt's ``start`` node, all expanded by step 1, by one
+    :func:`_walk`. This is the kernel's one O(n x ``max_tokens``) step."""
+    return tokens[_walk(succ, np.array(start), max_tokens)]
 
 
 def _walk(succ, starts, length):
