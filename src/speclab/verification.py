@@ -23,7 +23,6 @@ The one-prompt scalar round (propose, then verify) lives on in
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cache
@@ -296,9 +295,11 @@ def _decode_greedy(target, drafter, windows, max_tokens, draft_len, featured):
 
     place = models.code_weights(ns, width)
     start = [node(code) for code in np.dot(windows, place).tolist()]
-    weights = Counter(start)  # each distinct start node's number of prompts
-    for i, x in enumerate(weights):
-        walked = []
+    weights = [0] * len(codes)  # prompts per start; the starts were numbered first
+    for x in start:
+        weights[x] += 1
+    for i in range(len(weights)):
+        x, walked = i, []
         for _ in range(max_tokens + K):
             if mark[x] == closed or mark[x] == i:
                 for y in walked:
@@ -316,7 +317,7 @@ def _decode_greedy(target, drafter, windows, max_tokens, draft_len, featured):
     rows, succ = np.array(rows, dtype=np.intp), np.array(succ, dtype=np.intp)
     drafts, path, accepted, following = _greedy_rounds(target, drafter, node_windows, rows, succ,
                                                        K, featured)
-    count = _round_counts(weights, weights.values(), accepted + 1, following, max_tokens)
+    count = _round_counts(range(len(weights)), weights, accepted + 1, following, max_tokens)
     counted = count.nonzero()[0]
     # The target's row after each accepted prefix, at the drafted token.
     p = target.rows[rows[path[counted, :K]], drafts[counted]]
@@ -331,13 +332,13 @@ def _greedy_rounds(target, drafter, node_windows, rows, succ, K, featured):
     drafts, its stream nodes ``path`` (succ applied 0..K times), its accepted
     length A and the next round's node. About (3K + 2) x 8 bytes per node."""
     tokens = target.greedy_tokens[rows]
-    own, num_nodes = min(K, drafter.order), len(rows)
+    own, nodes = min(K, drafter.order), np.arange(len(rows))
     own_rows, shared = _drafter_step(drafter, own, featured)
-    drafts = np.full((num_nodes, K), shared.argmax())
+    drafts = np.full((len(rows), K), shared.argmax())
     drafts[:, :own] = drafter.greedy_tokens[own_rows(node_windows, tokens)]
-    path = _walk(succ, np.arange(num_nodes), K + 1)
+    path = _walk(succ, nodes, K + 1)
     accepted = np.logical_and.accumulate(drafts == tokens[path[:, :K]], axis=1).sum(axis=1)
-    following = succ[path[np.arange(num_nodes), accepted]]
+    following = succ[path[nodes, accepted]]
     return drafts, path, accepted, following
 
 
@@ -371,9 +372,8 @@ def _round_counts(starts, weights, advance, following, max_tokens):
 
 def _expand_output(succ, tokens, start, max_tokens):
     """Step 4 of the greedy kernel, the (n, ``max_tokens``) committed tokens:
-    the target's greedy stream, so the tokens of the first ``max_tokens``
-    nodes from each prompt's ``start`` node, all expanded by step 1, by one
-    :func:`_walk`. This is the kernel's one O(n x ``max_tokens``) step."""
+    the greedy stream's first ``max_tokens`` nodes from each prompt's
+    ``start`` node (step 1 expanded them all), by one :func:`_walk`."""
     return tokens[_walk(succ, np.array(start), max_tokens)]
 
 

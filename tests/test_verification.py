@@ -22,6 +22,7 @@ from oracles import (
     verify_stochastic,
 )
 from speclab.models import (
+    GREEDY,
     TabularModel,
     Vocabulary,
     as_distribution,
@@ -31,7 +32,14 @@ from speclab.training import TrainConfig, sample_corpus
 from speclab import models, training, verification
 from speclab.bench import BenchReport, run_bench, sample_prompts
 from speclab.drafting import masked_contexts
-from speclab.verification import MODES, VERIFIERS, DecodeTrace, _walk, decode_loop
+from speclab.verification import (
+    MODES,
+    VERIFIERS,
+    DecodeTrace,
+    _round_counts,
+    _walk,
+    decode_loop,
+)
 
 
 class TestAcceptProb:
@@ -671,7 +679,8 @@ class TestWalk:
 class TestDecodeLoopMatchesScalarOracle:
     @pytest.mark.parametrize("draft_len", [1, 3])
     def test_greedy_outputs_around_multiples_of_the_round(self, draft_len):
-        # The output walk steps K + 1 nodes at a time and cuts the last step.
+        # Lengths around the multiples of the K + 1 tokens a fully accepted
+        # round commits, where a prompt's last round overshoots or not.
         rng = np.random.default_rng(draft_len)
         target = _random_sparse_model(rng, 3, 2)
         drafter = _random_dense_model(rng, 3, 1)
@@ -955,6 +964,100 @@ class TestGreedyWindowGraph:
             assert (tokens == tokens[0]).all()
         assert calls[0] == calls[1]
         _assert_batch_matches_scalar(target, drafter, [[1, 2, 3]] * 7, 300, 5, mode, "greedy", 0)
+
+
+class TestGreedyKernelSteps:
+    """The greedy kernel's steps: one walk and one round count per distinct
+    start window, weighted by its number of prompts, and the output as one
+    walk of the target's greedy stream."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.sampled_from([2, 3, 4]),
+        target_order=st.integers(1, 3),
+        drafter_order=st.integers(2, 3),
+        draft_len=st.sampled_from(["d-1", "d+1"]),
+        num_prompts=st.sampled_from([1, 4, 9]),
+        mode=st.sampled_from(MODES),
+        max_tokens=st.integers(1, 60),
+    )
+    def test_batch_trace_sums_one_prompt_traces_by_start_window(
+        self, seed, vocab_size, target_order, drafter_order, draft_len, num_prompts, mode,
+        max_tokens,
+    ):
+        rng = np.random.default_rng(seed)
+        target = _random_sparse_model(rng, vocab_size, target_order)
+        drafter = _random_sparse_model(rng, vocab_size, drafter_order)
+        k = {"d-1": drafter_order - 1, "d+1": drafter_order + 1}[draft_len]
+        # Three prompts, the first shorter than the window, drawn with
+        # repeats (the first prompt at least twice), so some start windows
+        # hold several prompts.
+        width = max(target_order, drafter_order)
+        lengths = rng.integers(1, width + 3, size=3)
+        lengths[0] = 1
+        distinct = [rng.integers(0, vocab_size, size=n).tolist() for n in lengths]
+        prompts = [distinct[0], *(distinct[j] for j in rng.integers(0, 3, size=num_prompts))]
+        prompts.append(prompts[0])
+        _, trace = decode_loop(target, drafter, prompts, max_tokens, k, mode, GREEDY)
+
+        by_window = {}
+        for prompt in prompts:
+            window = tuple(([target.vocab.pad_id] * width + prompt)[-width:])
+            by_window.setdefault(window, [prompt, 0])[1] += 1
+        assert max(count for _, count in by_window.values()) >= 2
+        want = dict.fromkeys(["accept_hist", "bin_attempts", "bin_accepts"], 0)
+        for prompt, count in by_window.values():
+            _, alone = decode_loop(target, drafter, [prompt], max_tokens, k, mode, GREEDY)
+            for name in want:
+                want[name] = want[name] + count * getattr(alone, name)
+        for name, counts in want.items():
+            assert getattr(trace, name).tolist() == counts.tolist(), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(nodes=st.integers(1, 12), max_tokens=st.integers(1, 80), data=st.data())
+    def test_round_counts_weigh_each_start(self, nodes, max_tokens, data):
+        def draw(elements, size):
+            return data.draw(st.lists(elements, min_size=size, max_size=size))
+
+        advance = np.array(draw(st.integers(1, 5), nodes))
+        following = np.array(draw(st.integers(0, nodes - 1), nodes))
+        starts = data.draw(st.lists(st.integers(0, nodes - 1), min_size=1, max_size=4))
+        weights = draw(st.integers(1, 2**40), len(starts))
+        # Each start's rounds, walked one at a time.
+        walked = []
+        for x in starts:
+            counts, s = [0] * nodes, 0
+            while s < max_tokens:
+                counts[x] += 1
+                s, x = s + advance[x], following[x]
+            walked.append(counts)
+        for x, w, counts in zip(starts, weights, walked):
+            assert _round_counts([x], [1], advance, following, max_tokens).tolist() == counts
+            assert (_round_counts([x], [w], advance, following, max_tokens).tolist()
+                    == [w * c for c in counts])
+        got = _round_counts(starts, weights, advance, following, max_tokens)
+        assert got.dtype == np.int64
+        assert got.tolist() == [sum(w * counts[y] for w, counts in zip(weights, walked))
+                                for y in range(nodes)]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_output_of_a_cut_off_walk_joined_by_later_prompts(self, k, mode):
+        # No cycle within the 40 + K positions read: [0]'s walk stops at
+        # window 40 + K and leaves it unexpanded. [25] joins that walk 25
+        # positions in and must walk on past its end, and [0] repeats it; in
+        # the second batch [40 + K] starts at the window it left unexpanded.
+        target = _successor_model((np.arange(100) + 1) % 100)
+        drafter = _random_dense_model(np.random.default_rng(k), 100, 1)
+        max_tokens = 40
+        for prompts in ([[0], [25], [0]], [[0], [max_tokens + k]]):
+            tokens, _ = decode_loop(target, drafter, prompts, max_tokens, k, mode, GREEDY)
+            assert tokens.shape == (len(prompts), max_tokens)
+            for got, prompt in zip(tokens.tolist(), prompts):
+                assert got == oracles.generate_autoregressive(target, prompt, max_tokens, GREEDY)
+            _assert_batch_matches_scalar(target, drafter, prompts, max_tokens, k, mode, GREEDY,
+                                         0)
 
 
 class TestDecodeLoopMatchesFullPrefixOracle:
