@@ -404,14 +404,23 @@ def _decode_stochastic(target, drafter, windows, max_tokens, draft_len, featured
     n x max_tokens x (K + 1) values, less than the uniforms; a prompt with
     its tokens leaves the live arrays.
 
-    Prompt i draws its uniforms once, from ``default_rng([seed, i, 1])``. A
-    round that accepts A of K drafts reads K proposal draws, min(A + 1, K)
-    accept draws and one correction or bonus draw, at most (K + 2)(A + 1)
-    for its A + 1 tokens. A prompt short of ``max_tokens`` has read at most
-    (K + 2)(max_tokens - 1) and its round slices 2K + 1 more, so ``need`` =
-    (K + 2) max_tokens + K - 1 suffices; one that always rejects at position 0
-    reaches the last. The uniforms take n x ``need`` float64, the worst case
-    (2.4 MB for 64 prompts of 256 tokens at K = 16).
+    Every gather and write of a round goes through strided views made once
+    per call, indexed by each live prompt's flat offset: of the token buffer
+    at its window start (the round-start window, the K draft slots, the
+    (K + 1, d_t) verify contexts and the committed slot of each accepted
+    length), and of the uniforms one before its next unread draw (a row of
+    2K + 2). The final token's slot ``head + A`` also gives the next head,
+    and one table of the final draw's column by A also gives the cursor step.
+
+    Prompt i draws its uniforms once, from ``default_rng([seed, i, 1])``,
+    into its row after one spare column. A round that accepts A of K drafts
+    reads K proposal draws, min(A + 1, K) accept draws and one correction or
+    bonus draw, at most (K + 2)(A + 1) for its A + 1 tokens. A prompt short
+    of ``max_tokens`` has read at most (K + 2)(max_tokens - 1), and its
+    round's row reaches 2K + 1 draws further, so ``need`` =
+    (K + 2) max_tokens + K - 1 suffices; one that always rejects at position
+    0 reaches the last. The uniforms take n x (``need`` + 1) float64, the
+    worst case (2.4 MB for 64 prompts of 256 tokens at K = 16).
     """
     n, width = windows.shape
     K, d_t, V = draft_len, target.order, target.vocab.size
@@ -432,46 +441,50 @@ def _decode_stochastic(target, drafter, windows, max_tokens, draft_len, featured
     cdfs[:, own:] = np.cumsum(shared)
     lanes = np.arange(n)
     q_at = (lanes[:, None] * (K + 1) + np.arange(K)) * V  # q_rows.ravel() offsets
-    # Offsets into ``seq`` from a prompt's window start.
-    window_at = np.arange(width)
-    verify_at = width - d_t + np.arange(K + 1)[:, None] + np.arange(d_t)
-    draft_at = width + np.arange(K)
-    draw_at = np.arange(2 * K + 1)
-    last_at = K + np.minimum(np.arange(1, K + 2), K)  # a round's last draw, by A
     tests = np.zeros((n, K + 1), dtype=bool)  # column K stays False: argmin is A
 
-    # Flat indices: ``head`` of each live prompt's window in ``seq``,
-    # ``cursor`` of its next unread uniform in its row.
+    # Prompt i's uniforms follow one spare column in row i. The round's row
+    # of 2K + 2 starts one before its next unread draw and holds its K
+    # proposal draws at 1..K, its accept draws at K + 1..2K and its final
+    # draw at ``next_at[A]``, where the next round's row starts.
     need = (K + 2) * max_tokens + K - 1
-    uniforms = np.empty((n, need))
+    uniforms = np.zeros((n, need + 1))
     for i, row in enumerate(uniforms):
-        np.random.default_rng([seed, i, 1]).random(out=row)
-    flat, flat_u, flat_q = seq.ravel(), uniforms.ravel(), q_rows.ravel()
-    head, cursor = lanes * total, lanes * need
+        np.random.default_rng([seed, i, 1]).random(out=row[1:])
+    next_at = K + 1 + np.minimum(np.arange(1, K + 2), K)
+    # Item s of each view starts at flat offset s: the window that starts
+    # there, its K draft slots, its verify contexts and its committed slot;
+    # a row of uniforms. ``head`` is each live prompt's window offset and
+    # ``cursor`` the offset of its round's row of uniforms.
+    flat = seq.ravel()
+    window_of, drafts_of = _at_each(flat, 0, (width,)), _at_each(flat, width, (K,))
+    contexts_of, committed = _at_each(flat, width - d_t, (K + 1, d_t)), flat[width:]
+    draws_of, flat_q = _at_each(uniforms.ravel(), 0, (2 * K + 2,)), q_rows.ravel()
+    head, cursor = lanes * total, lanes * (need + 1)
     stop = head + max_tokens
     rounds = []
     while len(head):
         live = len(head)
         m = lanes[:live]
-        u = flat_u[cursor[:, None] + draw_at]
+        u = draws_of[cursor]
 
         # Draft: a draw picks the first CDF entry above it (it is below the last).
-        windows = flat[head[:, None] + window_at]
+        windows = window_of[head]
         top = (target.greedy_tokens[models.row_ids(target, windows[:, width - d_t:])]
                if featured else None)
         q_ids = own_rows(windows, top)
         drafter.rows.take(q_ids, axis=0, out=q_rows[:live, :own])
         drafter.cdf.take(q_ids, axis=0, out=cdfs[:live, :own])
         cdf = cdfs[:live]
-        drafts = (cdf > (u[:, :K] * cdf[..., -1])[..., None]).argmax(axis=2)
+        drafts = (cdf > (u[:, 1 : K + 1] * cdf[..., -1])[..., None]).argmax(axis=2)
         q = flat_q.take(q_at[:live] + drafts)
-        flat[head[:, None] + draft_at] = drafts
+        drafts_of[head] = drafts
 
         # Verify: the target's rows after each accepted-prefix length 0..K;
         # u < p / q is u < min(1, p / q), as u < 1.
-        p_ids = models.row_ids(target, flat[head[:, None, None] + verify_at])
+        p_ids = models.row_ids(target, contexts_of[head])
         p = target.rows[p_ids[:, :K], drafts]
-        np.less(u[:, K : 2 * K], p / q, out=tests[:live, :K])
+        np.less(u[:, K + 1 : 2 * K + 1], p / q, out=tests[:live, :K])
         accepted = tests[:live].argmin(axis=1)
         # The correction (from normalize(max(0, p - q)), or p when that is
         # zero) or the bonus (from the target's row after all K drafts).
@@ -480,12 +493,13 @@ def _decode_stochastic(target, drafter, windows, max_tokens, draft_len, featured
         mass = np.add.reduce(residual, axis=1)
         np.divide(residual, mass[:, None], out=final, where=(mass > 0.0)[:, None])
         final_cdf = final.cumsum(axis=1)
-        last = last_at[accepted]
-        final_u = u[m, last] * final_cdf[:, -1]
-        flat[head + width + accepted] = (final_cdf > final_u[:, None]).argmax(axis=1)
+        step = next_at[accepted]
+        final_u = u[m, step] * final_cdf[:, -1]
+        at = head + accepted
+        committed[at] = (final_cdf > final_u[:, None]).argmax(axis=1)
 
-        head += accepted + 1
-        cursor += last + 1
+        head = at + 1
+        cursor += step
         done = head >= stop
         if np.count_nonzero(done):
             head, stop, cursor = (lane[~done] for lane in (head, stop, cursor))
@@ -494,3 +508,12 @@ def _decode_stochastic(target, drafter, windows, max_tokens, draft_len, featured
     trace = DecodeTrace(draft_len=K)
     trace.record(*map(np.concatenate, zip(*rounds)))
     return trace, lambda: seq[:, width : width + max_tokens]
+
+
+def _at_each(flat, offset, shape):
+    """The ``shape`` block of ``flat`` that starts ``offset`` items past each
+    flat offset s, as a view whose item s is that block (unit steps on
+    every axis): writes through it write ``flat``."""
+    step = flat.itemsize
+    count = flat.size - offset - sum(shape) + len(shape)
+    return np.ndarray((count, *shape), flat.dtype, flat, offset * step, (step,) * (len(shape) + 1))
