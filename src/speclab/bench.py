@@ -180,7 +180,10 @@ def write_confidence_csv(report: BenchReport, path: str | Path) -> None:
 
 def load_report(path: str | Path) -> dict:
     """Read a report, checking every field :func:`analyze_reports` reads."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"not a benchmark report: {path} is not UTF-8 JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"not a benchmark report: {path} is not a JSON object")
     for key in ("tau", "committed_per_step", "speedup_estimate"):

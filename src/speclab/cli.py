@@ -201,6 +201,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     loaded = time.perf_counter()
     if args.corpus is not None:
         corpus = _read_corpus(args.corpus, target.vocab.size)
+        if all(len(tokens) <= config.draft_len for tokens in corpus):
+            raise ValueError(f"{args.corpus}: no line has a training window: a line needs at "
+                             f"least K + 1 = {config.draft_len + 1} tokens")
     else:
         if args.data_seqs < 1 or args.data_len < config.draft_len + 1:
             raise UsageError("--data-seqs must be >= 1 and --data-len >= draft length + 1")

@@ -10,7 +10,9 @@ committed stream is exactly the target's greedy continuation.
 
 :func:`decode_loop` decodes a whole batch of prompts at once and records its
 rounds in one trace call. Stochastic rounds run in lockstep over the prompts
-still decoding, prompt i drawing from ``default_rng([seed, i, 1])`` alone. A
+still decoding, prompt i drawing from ``default_rng([seed, i, 1])`` alone;
+a round gathers and writes through strided views of the token buffer and
+the uniforms, made once per call and indexed by each prompt's flat offset. A
 greedy round is a function of its round-start window: greedy decoding maps
 each window the prompts reach to its round (:func:`_greedy_rounds`) and
 counts the rounds from each distinct start window (:func:`_round_counts`),
@@ -452,10 +454,8 @@ def _decode_stochastic(target, drafter, windows, max_tokens, draft_len, featured
     for i, row in enumerate(uniforms):
         np.random.default_rng([seed, i, 1]).random(out=row[1:])
     next_at = K + 1 + np.minimum(np.arange(1, K + 2), K)
-    # Item s of each view starts at flat offset s: the window that starts
-    # there, its K draft slots, its verify contexts and its committed slot;
-    # a row of uniforms. ``head`` is each live prompt's window offset and
-    # ``cursor`` the offset of its round's row of uniforms.
+    # Item s of each view starts at flat offset s. ``head`` is each live
+    # prompt's window offset, ``cursor`` that of its round's row of uniforms.
     flat = seq.ravel()
     window_of, drafts_of = _at_each(flat, 0, (width,)), _at_each(flat, width, (K,))
     contexts_of, committed = _at_each(flat, width - d_t, (K + 1, d_t)), flat[width:]

@@ -343,6 +343,20 @@ class TestCLI:
             assert f"{corpus} line 1: token out of range [0, 8): {bad}" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["", "0 1 2 3\n\n7 6\n"], ids=["empty", "short-lines"])
+    def test_train_corpus_without_a_window_names_the_rule_exit_3(self, tmp_path, capsys, text):
+        target = self._gen(tmp_path)
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(text)
+        out = tmp_path / "d.ngm"
+        capsys.readouterr()
+        code = main(["train", "--target", str(target), "--out", str(out),
+                     "--K", "4", "--corpus", str(corpus)])
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: {corpus}: no line has a training window: "
+                                           "a line needs at least K + 1 = 5 tokens\n")
+        assert not out.exists()
+
     def test_train_corpus_token_out_of_range_names_the_line_exit_3(self, tmp_path, capsys):
         target = self._gen(tmp_path)
         corpus = tmp_path / "c.txt"
@@ -1053,3 +1067,18 @@ class TestCLI:
         assert main(["analyze", str(good), str(bad)]) == 3
         err = capsys.readouterr().err
         assert str(bad) in err and key in err
+
+    @pytest.mark.parametrize("raw, reason", [
+        (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["not-json", "not-utf8"])
+    def test_analyze_report_not_utf8_json_names_it_exit_3(self, tmp_path, capsys, raw, reason):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"tau": 1.0, "committed_per_step": 2.0,
+                                    "speedup_estimate": 1.5,
+                                    "config": {"vocab": 8, "target_order": 2}}))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert main(["analyze", str(good), str(bad)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: not a benchmark report: {bad} is not UTF-8 JSON ({reason}")

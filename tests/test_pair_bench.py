@@ -114,7 +114,8 @@ def _checkout(root: Path, name: str, body: str) -> Path:
     checkout = root / name
     (checkout / "perfbench").mkdir(parents=True)
     (checkout / "perfbench" / "run.py").write_text("import json, sys\n" + body)
-    (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC, "run_seconds": 1}))
+    (checkout / "BENCHMARK.json").write_text(json.dumps(
+        {"paths": ["perfbench"], "end_to_end": SPEC, "run_seconds": 1}))
     return checkout
 
 
@@ -137,11 +138,13 @@ def test_a_failed_run_is_recorded(tmp_path, body, exit_code, stderr):
 @pytest.mark.parametrize("body, exit_code", [(_EXITS_1, 1), (_NOT_JSON, 0)],
                          ids=["exits-1", "last-line-not-json"])
 def test_pairs_go_on_past_a_failed_run(tmp_path, body, exit_code):
-    # The parent's first run fails; pair 1 runs the parent first, pair 2 finishes.
-    first_run_fails = ("import os\nif not os.path.exists('ran'):\n    open('ran', 'w').close()\n"
+    # Both sides run the same code, and only the parent has the file that
+    # fails its first run; pair 1 runs the parent first, pair 2 finishes.
+    first_run_fails = ("import os\nif os.path.exists('fail-once'):\n    os.remove('fail-once')\n"
                        + textwrap.indent(body, "    ") + "else:\n" + textwrap.indent(_OK, "    "))
     parent = _checkout(tmp_path, "parent", first_run_fails)
-    change = _checkout(tmp_path, "change", _OK)
+    change = _checkout(tmp_path, "change", first_run_fails)
+    (parent / "fail-once").touch()
     out = tmp_path / "summary.json"
     assert pair_bench.main([str(parent), str(change), "--workload", "w", "--pairs", "2",
                             "--seconds", "0.1", "--out", str(out)]) == 0
@@ -154,6 +157,42 @@ def test_pairs_go_on_past_a_failed_run(tmp_path, body, exit_code):
     # Fake checkouts in a tmp dir are no git checkouts.
     assert json.loads(out.read_text())["checkouts"] == {
         side: {"commit": None, "dirty": None} for side in ("parent", "change")}
+
+
+_RUN_MARKS = "open('ran', 'w').close()\n" + _OK
+
+
+@pytest.mark.parametrize("edit, differs", [
+    (lambda c: (c / "BENCHMARK.json").write_text("{}"), "BENCHMARK.json"),
+    (lambda c: (c / "perfbench" / "run.py").write_text("import json, sys\n" + _OK),
+     "perfbench/run.py"),
+    (lambda c: (c / "perfbench" / "lab" / "extra.py").write_text(""), "perfbench/lab/extra.py"),
+    (lambda c: (c / "perfbench" / "lab" / "load.py").unlink(), "perfbench/lab/load.py"),
+], ids=["benchmark-json", "changed-file", "file-only-in-change", "file-only-in-parent"])
+def test_different_benchmark_code_exits_before_any_run(tmp_path, edit, differs):
+    parent, change = (_checkout(tmp_path, side, _RUN_MARKS) for side in ("parent", "change"))
+    for checkout in (parent, change):
+        (checkout / "perfbench" / "lab").mkdir()
+        (checkout / "perfbench" / "lab" / "load.py").write_text("LOAD = 1\n")
+    edit(change)
+    with pytest.raises(SystemExit) as exit_info:
+        pair_bench.main([str(parent), str(change), "--workload", "w", "--pairs", "1"])
+    assert exit_info.value.code == (f"pair_bench: {differs} differs between {parent} and "
+                                    f"{change}; paired runs need the same benchmark code on "
+                                    "both sides")
+    assert not (parent / "ran").exists() and not (change / "ran").exists()
+
+
+def test_benchmark_code_outside_its_paths_or_in_pycache_may_differ(tmp_path):
+    parent, change = (_checkout(tmp_path, side, _RUN_MARKS) for side in ("parent", "change"))
+    (change / "perfbench" / "__pycache__").mkdir()
+    (change / "perfbench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"\0")
+    (change / "tools.py").write_text("only in the change\n")
+    assert pair_bench.first_benchmark_difference(parent, change) is None
+    out = tmp_path / "summary.json"
+    assert pair_bench.main([str(parent), str(change), "--workload", "w", "--pairs", "1",
+                            "--seconds", "0.1", "--out", str(out)]) == 0
+    assert (parent / "ran").exists() and (change / "ran").exists()
 
 
 def test_checkout_state_of_a_plain_dir(tmp_path):

@@ -5,6 +5,9 @@ Usage, from anywhere::
     python3 tools/pair_bench.py PARENT_DIR CHANGE_DIR --workload decode-stochastic-short \\
         --pairs 10 --seeds 0,3 [--seconds S] [--out BENCH.json]
 
+The two checkouts must have the same benchmark: before any run, the tool
+exits naming the first file that differs in bytes, ``BENCHMARK.json`` or a
+file under the directories in its ``paths`` (``__pycache__`` aside).
 Each pair runs ``perfbench/run.py`` once in each checkout, one run at a time,
 and the side that runs first alternates (odd pairs parent first). Pair i
 uses seed ``seeds[(i - 1) % len(seeds)]``. ``--workload`` may be given more
@@ -63,6 +66,35 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             return result
     return {"correct": False, "exit_code": done.returncode,
             "stderr_tail": done.stderr[-STDERR_TAIL:]}
+
+
+def benchmark_files(checkout: Path, paths: list[str]) -> set[str]:
+    """The files under ``paths`` in ``checkout``, relative to it, outside
+    ``__pycache__``."""
+    found = set()
+    for top in paths:
+        root = checkout / top
+        for path in [root] if root.is_file() else root.rglob("*"):
+            name = path.relative_to(checkout)
+            if path.is_file() and "__pycache__" not in name.parts:
+                found.add(name.as_posix())
+    return found
+
+
+def first_benchmark_difference(parent: Path, change: Path) -> str | None:
+    """The first of ``BENCHMARK.json`` and the files under its ``paths``
+    (read from CHANGE_DIR, in sorted order) whose bytes differ between the
+    checkouts, or that only one of them has; None if they are the same."""
+    def read(path: Path) -> bytes | None:
+        return path.read_bytes() if path.is_file() else None
+
+    if read(parent / "BENCHMARK.json") != read(change / "BENCHMARK.json"):
+        return "BENCHMARK.json"
+    paths = json.loads((change / "BENCHMARK.json").read_text())["paths"]
+    for name in sorted(benchmark_files(parent, paths) | benchmark_files(change, paths)):
+        if read(parent / name) != read(change / name):
+            return name
+    return None
 
 
 def checkout_state(checkout: Path) -> dict:
@@ -149,6 +181,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
     if args.pairs < 1 or min(seeds) < 0:
         parser.error("--pairs must be >= 1 and every seed >= 0")
+    differs = first_benchmark_difference(args.parent, args.change)
+    if differs is not None:
+        sys.exit(f"pair_bench: {differs} differs between {args.parent} and {args.change}; "
+                 "paired runs need the same benchmark code on both sides")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     spec, seconds = benchmark["end_to_end"], args.seconds or benchmark["run_seconds"]
 
