@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import fields
@@ -93,6 +94,24 @@ def _check_outputs(outputs: list[tuple[str, str | None]],
                 raise UsageError(f"{flag} {path} is the same file as {other}")
 
 
+def _remove_output(path: str) -> None:
+    """Remove a file a failed command wrote, so that it leaves no output
+    behind; a path that is not a regular file, such as ``os.devnull``, stays."""
+    if os.path.isfile(path):
+        os.unlink(path)
+
+
+def _save_or_remove(model, path: str) -> None:
+    """:func:`save_model`, removing the file when the save raises once it is
+    open, so that a failed ``gen`` or ``train`` leaves no partial model."""
+    try:
+        save_model(model, path)
+    except (OSError, MemoryError) as exc:
+        if getattr(exc, "filename", None) is None:  # not the open: a file it could not open stays
+            _remove_output(path)
+        raise
+
+
 def _write_corpus(path: str, sequences: list[list[int]]) -> None:
     lines = [" ".join(str(t) for t in seq) for seq in sequences]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -146,7 +165,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     model = make_synthetic_target(args.seed, args.vocab, args.order, args.alpha)
     generated = time.perf_counter()
-    save_model(model, args.out)
+    _save_or_remove(model, args.out)
     saved = time.perf_counter()
     times = f"time: generate {generated - start:.3f} s, save {saved - generated:.3f} s"
     if args.corpus is not None:
@@ -156,7 +175,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         try:
             _write_corpus(args.corpus_out, sample_sequences(model, np.array(uniforms)).tolist())
         except (OSError, MemoryError):
-            Path(args.out).unlink()  # a failed gen leaves no output file behind
+            _remove_output(args.out)
             raise
         times += f", corpus {time.perf_counter() - saved:.3f} s"
     print(times, file=sys.stderr)
@@ -218,7 +237,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     solved = time.perf_counter()
     mean_loss = float(np.mean(window_losses(drafter, windows, config)))
     scored = time.perf_counter()
-    save_model(drafter, args.out)
+    _save_or_remove(drafter, args.out)
     print(f"time: load {loaded - start:.3f} s, corpus {sampled - loaded:.3f} s, "
           f"windows {built - sampled:.3f} s, solve {solved - built:.3f} s, "
           f"loss {scored - solved:.3f} s, save {time.perf_counter() - scored:.3f} s",
@@ -295,7 +314,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             write(report, path)
         except (OSError, MemoryError):
             for _, written in outputs[:i]:
-                Path(written).unlink()  # a failed bench leaves no partial result behind
+                _remove_output(written)
             raise
     print(f"tau: {report.tau:.4f}")
     print(f"committed per step: {report.committed_per_step:.4f}")

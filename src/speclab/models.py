@@ -546,16 +546,39 @@ def _symbol_fields(contexts: np.ndarray) -> np.ndarray:
 def save_model(model: TabularModel, path: str | Path) -> None:
     """Write a model in the text format ``CONTEXT<TAB>p_0 ... p_{V-1}``, each
     probability as ``'%.17g' % p`` writes it, a block of rows at a time, so a
-    large model's text is never held whole."""
-    with open(path, "wb") as out:
-        out.write(f"ngram v={model.vocab.size} d={model.order}\n{_FALLBACK_KEY}\t".encode())
-        out.write(_probability_fields(model.fallback[None]).tobytes().translate(None, b"\0"))
-        step = max(1, _SAVE_VALUES // model.vocab.size)
-        for start in range(0, len(model.contexts), step):
-            block = slice(start, min(start + step, len(model.contexts)))
-            fields = np.concatenate([_symbol_fields(model.contexts[block]),
-                                     _probability_fields(model.rows[block])], axis=1)
-            out.write(fields.tobytes().translate(None, b"\0"))
+    large model's text is never held whole.
+
+    The file is written over in place from its first byte, and a longer old
+    file then loses its tail: the bytes are those of a write to a new file,
+    and a symlink, a hard link or the file's mode stay as they were. Writing
+    over a file truncated to zero would cost more than formatting a small
+    model, as ext4 then writes the whole file back at ``close()``. A save
+    that raises partway cuts the file after the new bytes written so far.
+    There is no fsync: a crash before the kernel writes the file back can
+    leave a mix of new bytes and the old file's, where a truncating write
+    could leave a short or empty file.
+    """
+    step = max(1, _SAVE_VALUES // model.vocab.size)
+    contexts, rows = model.contexts, model.rows[:-1]
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as out:
+        try:
+            out.write(f"ngram v={model.vocab.size} d={model.order}\n".encode())
+            for start in range(-1, len(contexts), step):
+                block = slice(max(start, 0), start + step)
+                keys, probs = contexts[block], rows[block]
+                if start < 0:  # the fallback row leads the first block, under a zero context
+                    keys = np.concatenate([np.zeros((1, model.order), keys.dtype), keys])
+                    probs = np.concatenate([model.rows[-1:], probs])
+                keys = _symbol_fields(keys)
+                if start < 0:  # whose key field becomes "*", NULs and the tab
+                    keys[0, :-1] = 0
+                    keys[0, 0] = ord(_FALLBACK_KEY)
+                fields = np.concatenate([keys, _probability_fields(probs)], axis=1)
+                out.write(fields.tobytes().translate(None, b"\0"))
+        finally:
+            if os.fstat(fd).st_size > out.tell():  # never true of os.devnull or a FIFO
+                out.truncate()
 
 
 def load_model(path: str | Path) -> TabularModel:

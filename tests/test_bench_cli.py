@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import warnings
 
@@ -20,7 +21,7 @@ from speclab.bench import (
     write_confidence_csv,
     write_position_csv,
 )
-from speclab import cli
+from speclab import cli, models
 from speclab.cli import main
 from speclab.models import MAX_ORDER, load_model, make_synthetic_target
 from speclab.verification import NUM_CONFIDENCE_BINS
@@ -871,6 +872,63 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == "error: out of memory: Unable to allocate 6.26 TiB for an array\n"
         assert not out.exists() and not corpus.exists()
+
+    @staticmethod
+    def _save_out_of_memory_at(monkeypatch, call):
+        """Make ``save_model``'s ``call``-th probability formatting raise MemoryError."""
+        fields, calls = models._probability_fields, []
+
+        def formatted(probs):
+            calls.append(len(probs))
+            if len(calls) == call:
+                raise MemoryError("Unable to allocate 1.00 MiB for an array")
+            return fields(probs)
+
+        monkeypatch.setattr(models, "_probability_fields", formatted)
+
+    def test_gen_save_out_of_memory_on_a_later_block_leaves_no_file(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        self._save_out_of_memory_at(monkeypatch, 3)  # 6,561 rows: block 3 of 7
+        out = tmp_path / "t.ngm"
+        assert main(["gen", "--vocab", "8", "--order", "4", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 1.00 MiB for an array\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_save_out_of_memory_on_a_later_block_leaves_no_file(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        target = self._gen(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(models, "_SAVE_VALUES", 4 * 8)  # 4 rows a block
+        self._save_out_of_memory_at(monkeypatch, 2)
+        out = tmp_path / "d.ngm"
+        assert main(["train", "--target", str(target), "--out", str(out), "--K", "4",
+                     "--data-seqs", "24", "--data-len", "16"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 1.00 MiB for an array\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_save_that_cannot_open_its_file_leaves_it(self, tmp_path, capsys, monkeypatch):
+        target = self._gen(tmp_path)
+        out = self._train(tmp_path, target, "d.ngm")
+        kept = out.read_bytes()
+
+        def refused(path, *args):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(models.os, "open", refused)
+        assert main(["gen", "--out", str(out)]) == 2
+        assert "i/o error: [Errno 13] Permission denied" in capsys.readouterr().err
+        assert out.read_bytes() == kept
+
+    def test_removing_an_output_leaves_what_is_not_a_regular_file(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        cli._remove_output(str(fifo))
+        cli._remove_output(str(tmp_path))
+        assert fifo.exists() and tmp_path.is_dir()
 
     def test_gen_order_above_the_bound_exit_1(self, tmp_path, capsys):
         out = tmp_path / "t.ngm"

@@ -1,5 +1,6 @@
 """Tests for the tabular model substrate."""
 
+import os
 import re
 from decimal import Decimal
 from functools import partial
@@ -342,6 +343,53 @@ class TestSerialization:
         path = tmp_path / "m.ngm"
         save_model(model, path)
         assert path.read_text().splitlines()[0] == "ngram v=3 d=2"
+
+    @pytest.mark.parametrize("vocab_size, order", [(24, 3), (2, 1)], ids=["larger", "smaller"])
+    def test_save_over_a_file_writes_the_bytes_of_a_new_file(self, tmp_path, vocab_size, order):
+        model = make_synthetic_target(5, vocab_size=6, order=2, concentration=0.5)
+        new, over = tmp_path / "new.ngm", tmp_path / "over.ngm"
+        save_model(model, new)
+        save_model(make_synthetic_target(1, vocab_size, order, 0.5), over)
+        over.chmod(0o640)
+        save_model(model, over)
+        assert over.read_bytes() == new.read_bytes()
+        assert over.stat().st_mode & 0o777 == 0o640
+
+    def test_save_through_a_link_rewrites_its_target(self, tmp_path):
+        model = make_synthetic_target(5, vocab_size=6, order=2, concentration=0.5)
+        target, link, hard = tmp_path / "target.ngm", tmp_path / "link.ngm", tmp_path / "hard.ngm"
+        save_model(make_synthetic_target(1, 24, 3, 0.5), target)
+        link.symlink_to(target)
+        os.link(target, hard)
+        save_model(model, link)
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == hard.read_bytes()
+        save_model(model, tmp_path / "new.ngm")
+        assert target.read_bytes() == (tmp_path / "new.ngm").read_bytes()
+
+    def test_save_to_devnull(self):
+        save_model(_tiny_model(), os.devnull)
+
+    def test_failed_save_leaves_a_prefix_of_the_new_bytes(self, tmp_path, monkeypatch):
+        model = make_synthetic_target(5, vocab_size=6, order=2, concentration=0.5)
+        new, path = tmp_path / "new.ngm", tmp_path / "m.ngm"
+        save_model(model, new)
+        save_model(make_synthetic_target(1, 24, 3, 0.5), path)
+        fields, blocks = models._probability_fields, []
+
+        def second_raises(probs):
+            blocks.append(len(probs))
+            if len(blocks) == 2:
+                raise MemoryError("Unable to allocate 1.00 MiB for an array")
+            return fields(probs)
+
+        monkeypatch.setattr(models, "_SAVE_VALUES", 6 * 8)  # 8 rows a block
+        monkeypatch.setattr(models, "_probability_fields", second_raises)
+        with pytest.raises(MemoryError):
+            save_model(model, path)
+        # The header, then the first block: the fallback and 7 context rows.
+        assert new.read_bytes().startswith(path.read_bytes())
+        assert path.read_bytes().count(b"\n") == 1 + 8
 
     @pytest.mark.parametrize(
         "content",
