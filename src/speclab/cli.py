@@ -96,9 +96,11 @@ def _check_outputs(outputs: list[tuple[str, str | None]],
 
 def _remove_output(path: str) -> None:
     """Remove a file a failed command wrote, so that it leaves no output
-    behind; a path that is not a regular file, such as ``os.devnull``, stays."""
-    if os.path.isfile(path):
-        os.unlink(path)
+    behind: through a symlink, the file it points to, as that is the file
+    written. A path that is not a regular file, such as ``os.devnull``, stays."""
+    real = os.path.realpath(path)
+    if os.path.isfile(real):
+        os.unlink(real)
 
 
 def _save_or_remove(model, path: str) -> None:

@@ -21,6 +21,7 @@ import itertools
 import math
 import operator
 import os
+import stat
 from collections.abc import Iterable, Iterator, Mapping, Sequence, Sized
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -550,7 +551,9 @@ def save_model(model: TabularModel, path: str | Path) -> None:
 
     The file is written over in place from its first byte, and a longer old
     file then loses its tail: the bytes are those of a write to a new file,
-    and a symlink, a hard link or the file's mode stay as they were. Writing
+    and a symlink, a hard link or the file's mode stay as they were. Only a
+    regular file is cut, so a FIFO, a terminal or ``os.devnull`` is written
+    to as before. Writing
     over a file truncated to zero would cost more than formatting a small
     model, as ext4 then writes the whole file back at ``close()``. A save
     that raises partway cuts the file after the new bytes written so far.
@@ -560,7 +563,7 @@ def save_model(model: TabularModel, path: str | Path) -> None:
     """
     step = max(1, _SAVE_VALUES // model.vocab.size)
     contexts, rows = model.contexts, model.rows[:-1]
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "wb") as out:
         try:
             out.write(f"ngram v={model.vocab.size} d={model.order}\n".encode())
@@ -577,7 +580,8 @@ def save_model(model: TabularModel, path: str | Path) -> None:
                 fields = np.concatenate([keys, _probability_fields(probs)], axis=1)
                 out.write(fields.tobytes().translate(None, b"\0"))
         finally:
-            if os.fstat(fd).st_size > out.tell():  # never true of os.devnull or a FIFO
+            st = os.fstat(fd)  # only a regular file is cut: a FIFO or a tty cannot seek
+            if stat.S_ISREG(st.st_mode) and st.st_size > out.tell():
                 out.truncate()
 
 

@@ -910,6 +910,28 @@ class TestCLI:
         assert captured.err == "error: out of memory: Unable to allocate 1.00 MiB for an array\n"
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_save_out_of_memory_through_a_link_removes_its_target(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        target = self._gen(tmp_path, "real.ngm", ("--vocab", "8", "--order", "4"))
+        link = tmp_path / "link.ngm"
+        link.symlink_to(target)
+        self._save_out_of_memory_at(monkeypatch, 3)
+        assert main(["gen", "--vocab", "8", "--order", "4", "--out", str(link)]) == 3
+        assert "error: out of memory" in capsys.readouterr().err
+        assert not target.exists() and link.is_symlink()
+
+    def test_gen_to_a_fifo(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        out = tmp_path / "t.ngm"
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the file fits the pipe's buffer
+        try:
+            for path in (fifo, out):
+                assert main(["gen", "--vocab", "3", "--order", "1", "--out", str(path)]) == 0
+            assert os.read(reader, 1 << 16) == out.read_bytes()
+        finally:
+            os.close(reader)
+
     def test_save_that_cannot_open_its_file_leaves_it(self, tmp_path, capsys, monkeypatch):
         target = self._gen(tmp_path)
         out = self._train(tmp_path, target, "d.ngm")

@@ -370,6 +370,17 @@ class TestSerialization:
     def test_save_to_devnull(self):
         save_model(_tiny_model(), os.devnull)
 
+    def test_save_to_a_fifo(self, tmp_path):
+        new, fifo = tmp_path / "new.ngm", tmp_path / "fifo"
+        save_model(_tiny_model(), new)
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the file fits the pipe's buffer
+        try:
+            save_model(_tiny_model(), fifo)
+            assert os.read(reader, 1 << 16) == new.read_bytes()
+        finally:
+            os.close(reader)
+
     def test_failed_save_leaves_a_prefix_of_the_new_bytes(self, tmp_path, monkeypatch):
         model = make_synthetic_target(5, vocab_size=6, order=2, concentration=0.5)
         new, path = tmp_path / "new.ngm", tmp_path / "m.ngm"
